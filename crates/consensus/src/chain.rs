@@ -558,6 +558,17 @@ impl<S: VoteScheme> ChainState<S> {
         self.highest_qc.as_ref()
     }
 
+    /// True when the chain already holds a *verified* certificate for
+    /// `(view, block_hash)` — as the high QC or among the certificates of
+    /// uncommitted blocks. Everything stored there passed verification (or
+    /// was assembled locally from verified shares), so a carrier of the
+    /// same `(view, hash)` teaches nothing and needs no second pairing.
+    pub fn holds_qc(&self, view: u64, block_hash: &BlockHash) -> bool {
+        let same = |q: &Qc<S>| q.view == view && q.block_hash == *block_hash;
+        self.highest_qc.as_ref().is_some_and(same)
+            || self.seen_qcs.get(block_hash).is_some_and(same)
+    }
+
     /// Highest committed height.
     pub fn committed_height(&self) -> u64 {
         self.committed_height
@@ -607,9 +618,13 @@ impl<S: VoteScheme> ChainState<S> {
     /// the window identical across replicas whose skew stays inside one
     /// epoch. Entries whose block body was never delivered are skipped.
     pub fn committed_proposers_ending_at(&self, boundary: u64, count: usize) -> Vec<u32> {
-        self.committed_log
+        // The log is ascending by height: locate the window's two ends
+        // instead of filtering the whole chain on every QC.
+        let log = &self.committed_log;
+        let start = log.partition_point(|&(h, _)| h + count as u64 <= boundary);
+        let end = log.partition_point(|&(h, _)| h <= boundary);
+        log[start..end]
             .iter()
-            .filter(|&&(h, _)| h <= boundary && h + count as u64 > boundary)
             .filter_map(|(_, hash)| self.blocks.get(hash).map(|b| b.proposer))
             .collect()
     }

@@ -20,7 +20,7 @@ use iniva_consensus::leader::{LeaderContext, LeaderPolicy, CAROUSEL_WINDOW_EPOCH
 use iniva_consensus::types::{
     quorum, vote_message, Block, Qc, AGG_SIG_BYTES, GENESIS_HASH, PER_SIGNER_BYTES,
 };
-use iniva_crypto::multisig::VoteScheme;
+use iniva_crypto::multisig::{Multiplicities, VoteScheme};
 use iniva_crypto::shuffle::Assignment;
 use iniva_net::cost::CostModel;
 use iniva_net::sync::{StateRequest, StateResponse, MAX_STATE_BLOCKS, MAX_STATE_RESPONSE_BYTES};
@@ -70,7 +70,8 @@ pub struct InivaConfig {
 }
 
 impl InivaConfig {
-    /// A small default configuration for tests (n=7, 2 internal).
+    /// A small default configuration for tests: committee size and
+    /// internal-node count are the caller's, the rest fast fault-free defaults.
     pub fn for_tests(n: usize, internal: u32) -> Self {
         InivaConfig {
             n,
@@ -352,6 +353,9 @@ struct ReplicaObs {
     second_chances: iniva_obs::Counter,
     state_chunks: iniva_obs::Counter,
     leader_fallbacks: iniva_obs::Counter,
+    /// Carried QCs not re-verified because the chain already held a
+    /// verified certificate for the same `(view, hash)`.
+    qc_verify_skipped: iniva_obs::Counter,
 }
 
 /// Per-view metrics of the aggregation layer.
@@ -434,6 +438,7 @@ where
             second_chances: registry.counter("consensus.second_chances"),
             state_chunks: registry.counter("consensus.state_chunks"),
             leader_fallbacks: registry.counter("consensus.leader_fallbacks"),
+            qc_verify_skipped: registry.counter("consensus.qc_verify_skipped"),
         });
         self.tracer = tracer;
     }
@@ -654,6 +659,19 @@ where
         qc: &Option<Qc<S>>,
     ) -> bool {
         match qc {
+            // Verify each QC once: a certificate the chain already holds
+            // for this `(view, hash)` was verified when it was stored (own
+            // finalization, a TIMEOUT broadcast, an earlier proposal). The
+            // held one stays and the carried aggregate is never stored, so
+            // a forgery under a known `(view, hash)` costs no pairing and
+            // cannot displace the QC rewards are computed from.
+            Some(q)
+                if q.block_hash == block.parent && self.chain.holds_qc(q.view, &q.block_hash) =>
+            {
+                if let Some(obs) = &self.obs {
+                    obs.qc_verify_skipped.inc();
+                }
+            }
             Some(q) => {
                 let signers = q.signer_count(&self.scheme);
                 ctx.charge_cpu(self.cfg.cost.verify_aggregate(signers));
@@ -990,14 +1008,14 @@ where
             }
             // Structural selection: accepted state plus in-batch
             // tentatively-selected signers must stay disjoint.
-            let current = self.scheme.multiplicities(&st.agg).clone();
-            let mut tentative = current.clone();
+            let current = self.scheme.multiplicities(&st.agg);
+            let mut tentative = Multiplicities::new();
             let mut selected: Vec<S::Aggregate> = Vec::new();
             let mut selected_from: Vec<NodeId> = Vec::new();
             let mut selected_signers = 0usize;
             let mut retry: Vec<(NodeId, S::Aggregate)> = Vec::new();
             for (from, agg) in queue.drain(..) {
-                let mults = self.scheme.multiplicities(&agg).clone();
+                let mults = self.scheme.multiplicities(&agg);
                 // Overlapping or redundant against accepted state — skip
                 // for good (keeps multiplicities canonical).
                 if mults.is_empty() || mults.signers().any(|s| current.contains(s)) {
@@ -1012,13 +1030,13 @@ where
                 // Validate the multiplicity pattern for subtree aggregates.
                 let from_internal = tree.role_of(from) == Role::Internal && from != self.id;
                 if from_internal && mults.distinct() > 1 {
-                    if !validate_subtree_multiplicities(tree, from, &mults) {
+                    if !validate_subtree_multiplicities(tree, from, mults) {
                         continue; // malformed multiplicities: reject share
                     }
                 } else if mults.distinct() == 1 && mults.total() != 1 {
                     continue;
                 }
-                tentative = tentative.merge(&mults);
+                tentative = tentative.merge(mults);
                 selected_signers += mults.distinct();
                 selected_from.push(from);
                 selected.push(agg);
@@ -1083,29 +1101,19 @@ where
             return;
         }
         st.sent_up = true;
-        let k = st.children_in.len() as u64;
-        // st.agg currently holds own×1 + Σ children×1; doubling it and then
-        // removing... simpler: rebuild from scratch is impossible (children
-        // sigs are folded), so we scale the whole thing by 2 and subtract…
-        // Indivisibility forbids subtraction, so instead we *construct* the
-        // Eq. 1 aggregate incrementally: double everything (children → 2,
-        // own → 2) then add own (k + 1 − 2) more times. k=0 keeps mult 1.
-        let subtree = if k == 0 {
-            st.agg.clone()
-        } else {
-            let doubled = self.scheme.scale(&st.agg, 2);
-            let msg = vote_message(&st.block.hash(), st.view);
-            let own = self.scheme.sign(self.id, &msg);
-            if k >= 1 {
-                // own is at 2 after doubling; target is k + 1.
-                if k + 1 > 2 {
-                    self.scheme
-                        .combine(&doubled, &self.scheme.scale(&own, k + 1 - 2))
-                } else {
-                    doubled
-                }
-            } else {
-                doubled
+        // Eq. 1 from `st.agg` = own×1 + Σ children×1, without subtraction
+        // (indivisible): doubling gives children×2 and own×2; own needs k + 1.
+        let subtree = match st.children_in.len() as u64 {
+            0 => st.agg.clone(),
+            1 => self.scheme.scale(&st.agg, 2),
+            k => {
+                let own = self
+                    .scheme
+                    .sign(self.id, &vote_message(&st.block.hash(), st.view));
+                self.scheme.combine(
+                    &self.scheme.scale(&st.agg, 2),
+                    &self.scheme.scale(&own, k - 1),
+                )
             }
         };
         let root = tree.root();
@@ -1942,6 +1950,133 @@ mod batching_tests {
         }
         assert!(!mults.contains(forger), "forgery dropped");
         assert!(scheme.inner.verify(&msg, &st.agg), "accumulator verifies");
+    }
+
+    /// The block at `height == view` extending `parent`.
+    fn child_block(parent: &Block) -> Block {
+        Block {
+            view: parent.view + 1,
+            height: parent.height + 1,
+            parent: parent.hash(),
+            ..genesis_block(1)
+        }
+    }
+
+    /// A genuine full-committee QC over `block`.
+    fn qc_over(scheme: &CountingScheme, block: &Block) -> Qc<CountingScheme> {
+        let msg = vote_message(&block.hash(), block.view);
+        let agg = (1..7).fold(scheme.sign(0, &msg), |agg, s| {
+            scheme.combine(&agg, &scheme.sign(s, &msg))
+        });
+        Qc {
+            block_hash: block.hash(),
+            view: block.view,
+            height: block.height,
+            agg,
+        }
+    }
+
+    /// `qc_over(block)` with the aggregate swapped for a forgery claiming
+    /// the same signers.
+    fn forged_qc_over(scheme: &CountingScheme, block: &Block) -> Qc<CountingScheme> {
+        let mut qc = qc_over(scheme, block);
+        let mults = qc.agg.mults.clone();
+        qc.agg = scheme.sign(1, b"wrong message");
+        qc.agg.mults = mults;
+        qc
+    }
+
+    #[test]
+    fn proposer_never_reverifies_the_qc_it_formed() {
+        let scheme = Arc::new(CountingScheme::new(7, b"qc-once"));
+        let (mut root, block, _) = replica_with_role(Role::Root, Arc::clone(&scheme));
+        let registry = Registry::new();
+        root.set_observability(&registry, Tracer::disabled());
+        let msg = vote_message(&block.hash(), 1);
+        let votes: Vec<(NodeId, u64, SimAggregate)> = (0..7)
+            .filter(|&m| m != root.id)
+            .map(|m| (m, 1, scheme.sign(m, &msg)))
+            .collect();
+        // All six votes in: the root finalizes view 1 and proposes view 2
+        // in the same handler turn, carrying the QC it just assembled.
+        let before = scheme.verified();
+        let mut ctx = Context::external(root.id, 0);
+        root.handle_signatures(&mut ctx, votes);
+        assert_eq!(root.agg.as_ref().map(|st| st.view), Some(2), "proposed v+1");
+        assert_eq!(
+            scheme.verified() - before,
+            6,
+            "six shares verified, the QC formed from them not again"
+        );
+        assert_eq!(registry.counter("consensus.qc_verify_skipped").get(), 1);
+        let (block2, qc) = ctx
+            .into_effects()
+            .outbox
+            .into_iter()
+            .find_map(|(_, msg, _)| match msg {
+                InivaMsg::Proposal { block, qc } => Some((block, qc)),
+                _ => None,
+            })
+            .expect("the root sends its proposal out");
+        assert!(qc.is_some(), "the proposal carries the QC");
+
+        // A replica that did not form the QC pays for it exactly once.
+        let (mut leaf, _, _) = replica_with_role(Role::Leaf, Arc::clone(&scheme));
+        let before = scheme.verified();
+        let mut ctx = Context::external(leaf.id, 0);
+        leaf.handle_proposal(&mut ctx, block2, qc);
+        assert_eq!(leaf.agg.as_ref().map(|st| st.view), Some(2), "voted v+1");
+        assert_eq!(scheme.verified() - before, 1);
+    }
+
+    #[test]
+    fn held_qc_is_not_reverified_and_a_forged_carrier_cannot_displace_it() {
+        let scheme = Arc::new(CountingScheme::new(7, b"qc-memo"));
+        // Replica 0 leads none of views 1..=5, so it only ever receives.
+        let mut r = InivaReplica::new(0, InivaConfig::for_tests(7, 2), Arc::clone(&scheme));
+        let b1 = genesis_block(1);
+        let b2 = child_block(&b1);
+        let b3 = child_block(&b2);
+        let b4 = child_block(&b3);
+        let mut ctx = Context::external(0, 0);
+        r.handle_proposal(&mut ctx, b1.clone(), None);
+
+        // The QC for b1 arrives on a TIMEOUT broadcast: verified, adopted.
+        let genuine = qc_over(&scheme, &b1);
+        let before = scheme.verified();
+        r.handle_timeout(&mut ctx, 3, 1, Some(genuine.clone()));
+        assert_eq!(scheme.verified() - before, 1, "adoption verifies once");
+        let held = r.chain.highest_qc().expect("adopted").to_wire();
+        assert_eq!(held, genuine.to_wire());
+
+        // The next proposal carries a *forged* aggregate under the held
+        // `(view, hash)`: no pairing, the block is accepted and voted, the
+        // held certificate is untouched.
+        let before = scheme.verified();
+        r.handle_proposal(&mut ctx, b2.clone(), Some(forged_qc_over(&scheme, &b1)));
+        assert_eq!(scheme.verified() - before, 0, "held QC is not re-verified");
+        assert_eq!(r.agg.as_ref().map(|st| st.view), Some(2), "block accepted");
+        assert!(r.chain.block(&b2.hash()).is_some());
+        assert_eq!(r.chain.highest_qc().expect("still held").to_wire(), held);
+
+        // Two more honest views commit b1; the certificate that graduates
+        // with it (what state transfer serves, what rewards read) is the
+        // genuine one — the forgery was never stored anywhere.
+        r.handle_proposal(&mut ctx, b3.clone(), Some(qc_over(&scheme, &b2)));
+        r.handle_proposal(&mut ctx, b4.clone(), Some(qc_over(&scheme, &b3)));
+        assert_eq!(r.chain.committed_height(), 1);
+        let (_, committed_qc) = r.chain.committed_entry(1).expect("b1 committed with proof");
+        assert_eq!(committed_qc.to_wire(), held);
+
+        // A forged aggregate under an *unknown* `(view, hash)` still goes
+        // to verification and is rejected.
+        let high = r.chain.highest_qc().expect("high QC").to_wire();
+        let b5 = child_block(&b4);
+        let before = scheme.verified();
+        r.handle_proposal(&mut ctx, b5.clone(), Some(forged_qc_over(&scheme, &b4)));
+        assert_eq!(scheme.verified() - before, 1);
+        assert!(r.chain.block(&b5.hash()).is_none(), "proposal rejected");
+        assert_eq!(r.chain.highest_qc().expect("high QC").to_wire(), high);
     }
 
     #[test]

@@ -66,6 +66,40 @@ fn default_tracing_is_disabled_and_free() {
     );
 }
 
+/// `consensus.qc_verify_skipped` counts the carried QCs a replica did not
+/// verify a second time. Fault-free under round-robin those are only the
+/// QCs it formed itself, one view in `n`: once in its own proposal, and
+/// once more in the views where it is not an aggregator of the next tree
+/// and its parent relays that proposal back to it.
+#[test]
+fn qc_verify_skipped_counts_only_self_formed_qcs() {
+    let n = 7u64;
+    let mut sim = build(n as usize, 2, |_| {});
+    let registries: Vec<_> = (0..n as u32)
+        .map(|id| {
+            let registry = iniva_obs::Registry::new();
+            sim.actor_mut(id)
+                .set_observability(&registry, iniva_obs::Tracer::disabled());
+            registry
+        })
+        .collect();
+    sim.run_until(3 * SECS);
+    for (id, registry) in registries.iter().enumerate() {
+        let views = registry.counter("consensus.views_entered").get();
+        let skipped = registry.counter("consensus.qc_verify_skipped").get();
+        assert!(views > 5 * n, "replica {id} made progress ({views} views)");
+        let led = views / n;
+        assert!(
+            (led - 1..=2 * (led + 1)).contains(&skipped),
+            "replica {id}: skipped {skipped} of {views} views, led about {led}"
+        );
+        assert!(
+            registry.to_json().contains("consensus.qc_verify_skipped"),
+            "the counter is part of the registry dump"
+        );
+    }
+}
+
 #[test]
 fn fault_free_run_commits_blocks() {
     let mut sim = build(21, 4, |_| {});

@@ -13,7 +13,7 @@
 //!   was collected (tree aggregation vs 2ND-CHANCE fallback).
 
 use iniva_net::wire::{DecodeError, Decoder, Encoder, WireDecode, WireEncode};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Stable identity of a committee member (index into the committee; roles
@@ -34,20 +34,22 @@ pub type SignerId = u32;
 pub const MAX_MULTIPLICITY: u64 = u32::MAX as u64;
 
 /// A multiset of signers: who is inside an aggregate, and how many times.
+///
+/// Stored as one `Vec` sorted by signer with nonzero counts — the
+/// canonical wire order, so encoding is a straight walk and a clone is a
+/// single allocation (every replica retains every block's QC).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Multiplicities(BTreeMap<SignerId, u64>);
+pub struct Multiplicities(Vec<(SignerId, u64)>);
 
 impl Multiplicities {
     /// The empty multiset.
     pub fn new() -> Self {
-        Multiplicities(BTreeMap::new())
+        Multiplicities(Vec::new())
     }
 
     /// A singleton multiset `{signer: 1}`.
     pub fn singleton(signer: SignerId) -> Self {
-        let mut m = BTreeMap::new();
-        m.insert(signer, 1);
-        Multiplicities(m)
+        Multiplicities(vec![(signer, 1)])
     }
 
     /// Adds `count` occurrences of `signer`. Saturating: combining
@@ -55,19 +57,40 @@ impl Multiplicities {
     /// decode already caps each entry at [`MAX_MULTIPLICITY`]) pins at
     /// `u64::MAX` instead of wrapping or panicking.
     pub fn add(&mut self, signer: SignerId, count: u64) {
-        if count > 0 {
-            let entry = self.0.entry(signer).or_insert(0);
-            *entry = entry.saturating_add(count);
+        if count == 0 {
+            return;
+        }
+        match self.0.binary_search_by_key(&signer, |&(s, _)| s) {
+            Ok(i) => self.0[i].1 = self.0[i].1.saturating_add(count),
+            Err(i) => self.0.insert(i, (signer, count)),
         }
     }
 
     /// Pointwise sum of two multisets (saturating per entry).
     pub fn merge(&self, other: &Self) -> Self {
-        let mut out = self.clone();
-        for (&s, &c) in &other.0 {
-            out.add(s, c);
+        let (a, b) = (&self.0, &other.0);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                Ordering::Equal => {
+                    out.push((a[i].0, a[i].1.saturating_add(b[j].1)));
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
-        out
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Multiplicities(out)
     }
 
     /// Scales every multiplicity by `k` (saturating per entry).
@@ -78,14 +101,16 @@ impl Multiplicities {
         Multiplicities(
             self.0
                 .iter()
-                .map(|(&s, &c)| (s, c.saturating_mul(k)))
+                .map(|&(s, c)| (s, c.saturating_mul(k)))
                 .collect(),
         )
     }
 
     /// Multiplicity of `signer` (0 if absent).
     pub fn get(&self, signer: SignerId) -> u64 {
-        self.0.get(&signer).copied().unwrap_or(0)
+        self.0
+            .binary_search_by_key(&signer, |&(s, _)| s)
+            .map_or(0, |i| self.0[i].1)
     }
 
     /// True if `signer` appears at least once.
@@ -101,17 +126,19 @@ impl Multiplicities {
     /// Sum of all multiplicities (saturating — a hostile multiset at the
     /// per-entry cap must not overflow the sum either).
     pub fn total(&self) -> u64 {
-        self.0.values().fold(0u64, |acc, &c| acc.saturating_add(c))
+        self.0
+            .iter()
+            .fold(0u64, |acc, &(_, c)| acc.saturating_add(c))
     }
 
     /// Iterates `(signer, multiplicity)` in signer order.
     pub fn iter(&self) -> impl Iterator<Item = (SignerId, u64)> + '_ {
-        self.0.iter().map(|(&s, &c)| (s, c))
+        self.0.iter().copied()
     }
 
     /// The distinct signers, in order.
     pub fn signers(&self) -> impl Iterator<Item = SignerId> + '_ {
-        self.0.keys().copied()
+        self.0.iter().map(|&(s, _)| s)
     }
 
     /// True when no signer is present.
@@ -133,17 +160,21 @@ impl FromIterator<(SignerId, u64)> for Multiplicities {
 impl WireEncode for Multiplicities {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_u32(self.0.len() as u32);
-        for (&signer, &count) in &self.0 {
+        for &(signer, count) in &self.0 {
             enc.put_u32(signer).put_u64(count);
         }
     }
 }
 
+/// Encoded size of one `(signer, count)` entry.
+const ENTRY_WIRE_BYTES: usize = 4 + 8;
+
 impl WireDecode for Multiplicities {
     fn decode(dec: &mut Decoder) -> Result<Self, DecodeError> {
-        let n = dec.get_u32()?;
-        let mut m = Multiplicities::new();
-        let mut prev: Option<SignerId> = None;
+        let n = dec.get_u32()? as usize;
+        // CAP: at most the entries the remaining input can hold, so a
+        // hostile count cannot reserve more than the frame it arrived in.
+        let mut entries = Vec::with_capacity(n.min(dec.remaining() / ENTRY_WIRE_BYTES));
         for _ in 0..n {
             let signer = dec.get_u32()?;
             let count = dec.get_u64()?;
@@ -151,7 +182,7 @@ impl WireDecode for Multiplicities {
             // counts; reject anything else so decode(encode(m)) == m is the
             // *only* accepted byte representation (canonical form — callers
             // compare aggregates by their encodings).
-            if count == 0 || prev.is_some_and(|p| signer <= p) {
+            if count == 0 || entries.last().is_some_and(|&(p, _)| signer <= p) {
                 return Err(DecodeError::Malformed {
                     context:
                         "non-canonical Multiplicities entry (unsorted, duplicate or zero count)",
@@ -167,10 +198,9 @@ impl WireDecode for Multiplicities {
                     context: "Multiplicities count exceeds MAX_MULTIPLICITY",
                 });
             }
-            prev = Some(signer);
-            m.add(signer, count);
+            entries.push((signer, count));
         }
-        Ok(m)
+        Ok(Multiplicities(entries))
     }
 }
 
@@ -398,6 +428,111 @@ mod tests {
                     matches!(got, Err(DecodeError::Malformed { .. })),
                     "count {count} must be rejected"
                 );
+            }
+        }
+    }
+
+    /// Wire bytes of `entries` in the order given (canonical only when
+    /// that order is ascending).
+    fn entry_bytes<'a>(
+        entries: impl ExactSizeIterator<Item = (&'a SignerId, &'a u64)>,
+    ) -> bytes::Bytes {
+        let mut enc = Encoder::new();
+        enc.put_u32(entries.len() as u32);
+        for (&signer, &count) in entries {
+            enc.put_u32(signer).put_u64(count);
+        }
+        enc.finish()
+    }
+
+    proptest::proptest! {
+        /// The sorted-`Vec` representation against a `BTreeMap` model over
+        /// random `add`/`merge`/`scale` sequences, with counts at both ends
+        /// of the range: same contents in the same order, same saturation,
+        /// same bytes on the wire, and decode accepting exactly those bytes.
+        #[test]
+        fn vec_backed_multiset_matches_btreemap_model(
+            ops in proptest::collection::vec(
+                (
+                    0u8..3,
+                    proptest::collection::vec(
+                        (0u32..8, 0u64..6, proptest::prelude::any::<bool>()),
+                        0..5,
+                    ),
+                    0u64..4,
+                ),
+                0..12,
+            )
+        ) {
+            use iniva_net::wire::Codec;
+            use proptest::{prop_assert, prop_assert_eq};
+            use std::collections::BTreeMap;
+
+            fn model_add(model: &mut BTreeMap<SignerId, u64>, signer: SignerId, count: u64) {
+                if count > 0 {
+                    let c = model.entry(signer).or_insert(0);
+                    *c = c.saturating_add(count);
+                }
+            }
+            let mut m = Multiplicities::new();
+            let mut model: BTreeMap<SignerId, u64> = BTreeMap::new();
+            for (kind, entries, k) in ops {
+                let entries: Vec<(SignerId, u64)> = entries
+                    .into_iter()
+                    .map(|(s, c, huge)| (s, if huge { u64::MAX - c } else { c }))
+                    .collect();
+                match kind {
+                    0 => {
+                        for &(s, c) in &entries {
+                            m.add(s, c);
+                            model_add(&mut model, s, c);
+                        }
+                    }
+                    1 => {
+                        m = m.merge(&Multiplicities::from_iter(entries.iter().copied()));
+                        for &(s, c) in &entries {
+                            model_add(&mut model, s, c);
+                        }
+                    }
+                    _ => {
+                        m = m.scale(k);
+                        if k == 0 {
+                            model.clear();
+                        }
+                        for c in model.values_mut() {
+                            *c = c.saturating_mul(k);
+                        }
+                    }
+                }
+                let want: Vec<(SignerId, u64)> = model.iter().map(|(&s, &c)| (s, c)).collect();
+                prop_assert_eq!(m.iter().collect::<Vec<_>>(), want);
+                prop_assert_eq!(
+                    m.signers().collect::<Vec<_>>(),
+                    model.keys().copied().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(m.distinct(), model.len());
+                prop_assert_eq!(m.is_empty(), model.is_empty());
+                prop_assert_eq!(
+                    m.total(),
+                    model.values().fold(0u64, |acc, &c| acc.saturating_add(c))
+                );
+                for s in 0..8 {
+                    prop_assert_eq!(m.get(s), model.get(&s).copied().unwrap_or(0));
+                    prop_assert_eq!(m.contains(s), model.contains_key(&s));
+                }
+                let bytes = entry_bytes(model.iter());
+                prop_assert_eq!(m.to_frame(), bytes.clone());
+                let decoded = Multiplicities::from_frame(bytes);
+                if model.values().all(|&c| c <= MAX_MULTIPLICITY) {
+                    prop_assert_eq!(decoded, Ok(m.clone()));
+                } else {
+                    prop_assert!(matches!(decoded, Err(DecodeError::Malformed { .. })));
+                }
+                if model.len() >= 2 {
+                    // The same entries in descending order are not canonical.
+                    let reversed = entry_bytes(model.iter().rev());
+                    prop_assert!(Multiplicities::from_frame(reversed).is_err());
+                }
             }
         }
     }

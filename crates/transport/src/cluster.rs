@@ -918,6 +918,7 @@ fn run_plan_impl<S: WireScheme>(
         thread::Builder::new()
             .name(format!("iniva-replica-{id}"))
             .spawn(move || -> io::Result<NodeRun<S>> {
+                crate::transport::pin_node_thread(id as u32);
                 let mut replica = InivaReplica::new(id as u32, cfg, Arc::clone(&scheme));
                 if let Some(pool) = &mempool {
                     replica
@@ -1043,6 +1044,7 @@ fn run_wal_impl<S: WireScheme>(
         thread::Builder::new()
             .name(format!("iniva-replica-{id}"))
             .spawn(move || -> io::Result<NodeRun<S>> {
+                crate::transport::pin_node_thread(id as u32);
                 replica_lifecycle(
                     id as u32,
                     cfg,

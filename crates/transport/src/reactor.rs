@@ -127,6 +127,8 @@ pub mod sys {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
+        fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut u64) -> c_int;
+        fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
     }
 
     /// Creates an epoll instance (close-on-exec).
@@ -297,6 +299,33 @@ pub mod sys {
             close(fd);
         }
         Err(err)
+    }
+
+    /// Pins the calling thread to one CPU of those it may run on: the
+    /// `slot`-th, counting round the set. Placement is a refinement, never
+    /// a requirement: if the kernel refuses either call, or the set has
+    /// one CPU, the thread stays where it is.
+    pub fn pin_current_thread(slot: usize) {
+        /// A 1024-CPU set, glibc's `cpu_set_t`.
+        const WORDS: usize = 16;
+        let mut allowed = [0u64; WORDS];
+        let bytes = std::mem::size_of_val(&allowed);
+        // SAFETY: pid 0 names the calling thread; the kernel writes at most
+        // `bytes` into `allowed`, which is live, writable and that large.
+        let rc = unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) };
+        let cpus: Vec<usize> = (0..WORDS * 64)
+            .filter(|cpu| allowed[cpu / 64] >> (cpu % 64) & 1 == 1)
+            .collect();
+        if rc != 0 || cpus.len() < 2 {
+            return;
+        }
+        let cpu = cpus[slot % cpus.len()];
+        let mut one = [0u64; WORDS];
+        one[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: pid 0 names the calling thread; the kernel reads `bytes`
+        // from `one`, which is live and that large. A refusal leaves the
+        // old mask in place.
+        let _ = unsafe { sched_setaffinity(0, bytes, one.as_ptr()) };
     }
 }
 
@@ -985,5 +1014,38 @@ mod tests {
         let mut buf = [0u8; 4];
         accepted.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
+    }
+
+    /// The CPUs the calling thread may run on, as the kernel lists them.
+    fn allowed_cpus() -> String {
+        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
+        let list = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"));
+        list.expect("kernel reports the list").trim().to_string()
+    }
+
+    #[test]
+    fn pinning_leaves_one_cpu_and_children_inherit_it() {
+        // On its own thread: the mask must not leak into the test runner.
+        thread::spawn(|| {
+            let before = allowed_cpus();
+            sys::pin_current_thread(1);
+            let pinned = allowed_cpus();
+            if before.contains([',', '-']) {
+                assert!(!pinned.contains([',', '-']), "{before} -> {pinned}");
+            } else {
+                assert_eq!(pinned, before, "one allowed CPU: nothing to choose");
+            }
+            // A pinned thread's children start on its CPU, and pinning them
+            // again (whatever the slot) keeps them there.
+            let child = thread::spawn(|| {
+                sys::pin_current_thread(0);
+                allowed_cpus()
+            });
+            assert_eq!(child.join().unwrap(), pinned);
+        })
+        .join()
+        .unwrap();
     }
 }

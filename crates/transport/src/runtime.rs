@@ -32,6 +32,10 @@ use std::time::{Duration, Instant};
 /// can be deferred behind a message flood.
 const MAX_DELIVERY_BATCH: usize = 32;
 
+/// Longest the event loop blocks before it looks at the run deadline, the
+/// stop hook and the crash/heal switch again.
+const IDLE_POLL: Duration = Duration::from_millis(50);
+
 /// How `charge_cpu` translates to real time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CpuMode {
@@ -209,7 +213,12 @@ where
                     self.timers.pop();
                 }
                 while self.transport.try_recv().is_some() {}
-                std::thread::sleep(Duration::from_millis(2));
+                // Look again at the cadence an idle live node wakes at: a
+                // dead replica polling every 2 ms was a fifth of the
+                // process's thread wake-ups on `crash21`.
+                std::thread::sleep(
+                    IDLE_POLL.min(deadline.saturating_duration_since(Instant::now())),
+                );
                 continue;
             }
             if !self.started {
@@ -245,11 +254,9 @@ where
                 .timers
                 .peek()
                 .map(|Reverse((at, _, _))| Duration::from_nanos(at.saturating_sub(now)))
-                .unwrap_or(Duration::from_millis(50));
+                .unwrap_or(IDLE_POLL);
             let until_deadline = deadline.saturating_duration_since(Instant::now());
-            let wait = until_timer
-                .min(until_deadline)
-                .min(Duration::from_millis(50));
+            let wait = until_timer.min(until_deadline).min(IDLE_POLL);
             if let Some(Incoming { from, msg }) = self.transport.recv_timeout(wait) {
                 // Drain whatever else is already queued into the same
                 // handler turn (bounded, so a flood cannot starve timers):
@@ -335,13 +342,29 @@ pub fn export_runtime_stats(stats: &RuntimeStats, registry: &iniva_obs::Registry
         .store(stats.timers_fired);
 }
 
-/// Spends `d` of real time on this thread. Sleeps for the bulk and spins
-/// for the sub-millisecond tail, since `thread::sleep` alone overshoots
-/// short charges by scheduler quanta.
+/// Shortest spend that sleeps. `thread::sleep` returns late, never early:
+/// measured on the 2-core reference host, sleeps of 0.1–4 ms overshoot by
+/// ~0.1 ms at the median and ~0.2 ms at p90, alone or with 16 threads
+/// sleeping at once — a quarter to a half of a spend this short, so
+/// anything shorter spins. A constant of the host, not a setting.
+const SLEEP_FLOOR: Duration = Duration::from_micros(400);
+
+/// Spends `d` of real time on this thread and never returns early: sleeps
+/// it whole from [`SLEEP_FLOOR`] up, spins it below. A charge models CPU
+/// the replica would have burned, but burning the host's cores for it
+/// starves the other replicas sharing them (21 replicas' spin tails on 2
+/// cores); the wall-clock cost to the handler thread is what shapes
+/// latency. A slept spend ends late by the overshoot rather than waking
+/// early to spin to the deadline: the spin would burn whatever the
+/// wake-up latency leaves of its margin, so the process's CPU would
+/// follow how fast the host wakes sleepers — which changes with what else
+/// keeps a core awake (a 200 µs margin: 13 µs per `crash21` request on a
+/// quiet host, 40–50 µs beside a part-time spinner) — to shorten an
+/// 18 ms view by under 1 ms.
 fn busy_spend(d: Duration) {
     let start = Instant::now();
-    if d > Duration::from_millis(2) {
-        std::thread::sleep(d - Duration::from_millis(1));
+    if d >= SLEEP_FLOOR {
+        std::thread::sleep(d);
     }
     while start.elapsed() < d {
         std::hint::spin_loop();
@@ -463,6 +486,72 @@ mod tests {
         assert!(fired[0].1 >= 20 * iniva_net::MILLIS);
         assert!(fired[1].1 >= 60 * iniva_net::MILLIS);
         assert_eq!(rt.stats().timers_fired, 2);
+    }
+
+    #[test]
+    fn busy_spend_never_returns_early() {
+        for micros in [50, 500, 4_000] {
+            let d = Duration::from_micros(micros);
+            for _ in 0..20 {
+                let start = Instant::now();
+                busy_spend(d);
+                assert!(start.elapsed() >= d, "a {d:?} spend returned early");
+            }
+        }
+    }
+
+    /// Nanoseconds this thread has spent on a CPU (Linux scheduler
+    /// accounting; current up to the thread's last context switch).
+    fn thread_on_cpu_ns() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+        stat.split_whitespace().next()?.parse().ok()
+    }
+
+    /// 16 leaves receive a proposal at the same instant and each charge a
+    /// 4 ms verification. What the spends cost the *host* is bounded: a
+    /// slept spend burns only its sleep call and wake-up (0.11–0.26 ms per
+    /// round of 16, barrier included, on the 2-CPU reference host; a 1 ms
+    /// spin tail burns 1.0 ms there and fails the bound). CPU burned is
+    /// the quantity to bound, not the finishing time: a descheduled
+    /// spinner finds its deadline passed and returns at once, so the
+    /// slowest spender ends at ~4.5 ms whatever the tail.
+    #[test]
+    fn concurrent_spends_leave_the_cores_to_others() {
+        const THREADS: usize = 16;
+        const ROUNDS: u32 = 50;
+        if thread_on_cpu_ns().is_none() {
+            eprintln!("no /proc/thread-self/schedstat on this host; skipping");
+            return;
+        }
+        let spend = Duration::from_millis(4);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let burned: Duration = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let before = thread_on_cpu_ns().expect("probed above");
+                        for _ in 0..ROUNDS {
+                            barrier.wait();
+                            busy_spend(spend);
+                        }
+                        // Fold the running slice into the counter.
+                        std::thread::yield_now();
+                        Duration::from_nanos(thread_on_cpu_ns().expect("probed above") - before)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("spender thread"))
+                .sum()
+        });
+        let bound = Duration::from_micros(600);
+        let per_round = burned / ROUNDS;
+        assert!(
+            per_round < bound,
+            "{THREADS} concurrent {spend:?} spends burned {per_round:?} of CPU per round \
+             (bound {bound:?})"
+        );
     }
 
     #[test]
