@@ -55,7 +55,7 @@ pub enum FaultEvent {
     ///
     /// Backend nuance: the simulator adds pure propagation delay
     /// (messages overlap, throughput unchanged), while the live
-    /// transport sleeps in the (single-threaded) outbound lane, which
+    /// transport's outbound lane holds back one frame at a time, which
     /// also serializes the link — a congested-link model. Crash and
     /// partition events behave identically on both backends; slow-link
     /// scenarios are approximations.

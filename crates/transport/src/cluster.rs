@@ -4,8 +4,8 @@
 //! This is the "one machine, n processes-worth of sockets" configuration —
 //! every message crosses a real TCP connection with real framing, exactly
 //! as in a multi-host deployment, minus propagation delay. The integration
-//! tests, the `live_cluster` example and the transport benchmark baseline
-//! all run through this harness.
+//! tests, the `live_cluster` example and the yardstick benchmark all run
+//! through this harness.
 //!
 //! [`ClusterBuilder`] is the single entry point: every capability is a
 //! builder method, composing freely —
@@ -32,12 +32,13 @@
 //! simulator replays via `FaultPlan::run_on_sim` — against the live
 //! sockets from a driver thread ([`ClusterFaults`] aggregates every
 //! replica's [`NodeFaults`] switch plus the shared [`LinkFaults`]
-//! filter), so the Fig. 4 resilience sweeps compare one scenario across
-//! both backends. With [`ClusterBuilder::ingress`], every replica also
-//! runs a client-facing listener feeding one shared fee-ordered mempool
-//! (`iniva-ingress`), and the proposer drafts blocks from *that* instead
-//! of the synthetic workload model; [`ClusterBuilder::launch`] returns a
-//! non-blocking [`ClusterHandle`] so load generators can drive clients
+//! filter), so the Fig. 4 resilience sweeps compare one scenario on the
+//! simulator and on sockets. With [`ClusterBuilder::ingress`], every
+//! replica's poller also serves a client-facing listener feeding one
+//! shared fee-ordered mempool (`iniva-ingress`), and the proposer drafts
+//! blocks from *that* instead of the synthetic workload model;
+//! [`ClusterBuilder::launch`] returns a non-blocking [`ClusterHandle`] so
+//! load generators can drive clients
 //! while the cluster runs.
 //!
 //! The whole harness is generic over the vote scheme
@@ -51,13 +52,12 @@
 use crate::faults::{LinkFaults, NodeFaults};
 use crate::runtime::{export_runtime_stats, CpuMode, Runtime, RuntimeStats};
 use crate::transport::{
-    export_transport_snapshot, Transport, TransportBackend, TransportOptions, TransportSnapshot,
-    TransportStats,
+    export_transport_snapshot, Transport, TransportOptions, TransportSnapshot, TransportStats,
 };
-use iniva::protocol::{InivaConfig, InivaReplica};
+use iniva::protocol::{InivaConfig, InivaMsg, InivaReplica};
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
-use iniva_ingress::{IngressOptions, IngressServer, Mempool, RequestSource};
+use iniva_ingress::{IngressOptions, Mempool, RequestSource};
 use iniva_net::faults::{FaultEvent, FaultPlan};
 use iniva_net::NodeId;
 use iniva_obs::{Registry, Tracer};
@@ -65,7 +65,7 @@ use iniva_storage::ChainWal;
 use std::io;
 use std::marker::PhantomData;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -130,7 +130,7 @@ pub struct ClusterRun<S: WireScheme = SimScheme> {
     /// The wall-clock load duration.
     pub duration: Duration,
     /// The client ingress tier, when [`ClusterBuilder::ingress`] enabled
-    /// one. The servers are already shut down; the mempool's counters
+    /// one. The listeners are already closed; the mempool's counters
     /// and latency histogram hold the run's client-side totals.
     pub ingress: Option<IngressRun>,
 }
@@ -282,8 +282,8 @@ impl ClusterFaults {
         }
     }
 
-    /// The process-lifecycle switch of replica `id` (observed only by the
-    /// restart-capable WAL harness).
+    /// The process-lifecycle switch of replica `id` (observed only in
+    /// WAL-enabled runs).
     pub fn control(&self, id: NodeId) -> Arc<NodeControl> {
         Arc::clone(&self.controls[id as usize])
     }
@@ -417,67 +417,13 @@ pub struct IngressRun {
     pub mempool: Arc<Mempool>,
 }
 
-/// The live ingress servers plus the handles [`IngressRun`] publishes;
-/// servers are private so only the harness can shut them down.
+/// The ingress tier between [`ClusterBuilder::launch`] binding it (so the
+/// caller learns the client addresses at once) and the run attaching each
+/// listener to its replica's poller.
 struct IngressTier {
     run: IngressRun,
-    servers: Vec<IngressServer>,
-    attach: Arc<IngressAttach>,
-}
-
-/// What the run implementations need to wire the ingress tier into each
-/// replica: the shared mempool (the proposer's request source) and, on
-/// the reactor backend, the client listeners each node attaches to its
-/// own poller via [`Transport::serve_clients`].
-struct IngressAttach {
-    mempool: Arc<Mempool>,
-    opts: IngressOptions,
-    /// Per-replica client listeners awaiting reactor attachment; all
-    /// `None` on the threaded backend (the [`IngressServer`]s own them).
-    pending: Vec<Mutex<Option<TcpListener>>>,
-    /// Per-replica client addresses, for rebinding after a WAL restart
-    /// tears the previous incarnation's poller (and its listener) down.
-    client_addrs: Vec<SocketAddr>,
-}
-
-fn start_ingress_tier(
-    n: usize,
-    opts: &IngressOptions,
-    backend: TransportBackend,
-) -> io::Result<IngressTier> {
-    let loopback = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
-    let mempool = Arc::new(Mempool::new(opts));
-    let mut client_addrs = Vec::with_capacity(n);
-    let mut servers = Vec::new();
-    let mut pending = Vec::with_capacity(n);
-    for _ in 0..n {
-        let listener = TcpListener::bind(loopback)?;
-        client_addrs.push(listener.local_addr()?);
-        match backend {
-            // Threaded: dedicated accept/connection threads per replica.
-            TransportBackend::Threaded => {
-                servers.push(IngressServer::start(listener, Arc::clone(&mempool), opts)?);
-                pending.push(Mutex::new(None));
-            }
-            // Reactor: no threads here — each listener is parked until
-            // its replica's transport exists, then served off the same
-            // poller as the peer sockets.
-            TransportBackend::Reactor => pending.push(Mutex::new(Some(listener))),
-        }
-    }
-    Ok(IngressTier {
-        run: IngressRun {
-            client_addrs: client_addrs.clone(),
-            mempool: Arc::clone(&mempool),
-        },
-        servers,
-        attach: Arc::new(IngressAttach {
-            mempool,
-            opts: opts.clone(),
-            pending,
-            client_addrs,
-        }),
-    })
+    /// Bound, not yet accepting; indexed by replica id.
+    listeners: Vec<TcpListener>,
 }
 
 /// A cluster launched without blocking: the replicas run on background
@@ -633,10 +579,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
     /// # Errors
     /// Propagates socket, thread, WAL-I/O and dump-file setup failures.
     pub fn spawn(self) -> io::Result<ClusterRun<S>> {
-        let tier = match &self.ingress {
-            Some(opts) => Some(start_ingress_tier(self.cfg.n, opts, self.options.backend)?),
-            None => None,
-        };
+        let tier = self.bind_ingress_tier()?;
         self.run_with(tier)
     }
 
@@ -648,10 +591,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
     /// Propagates ingress listener binding and thread spawn failures;
     /// failures *inside* the run surface from [`ClusterHandle::join`].
     pub fn launch(self) -> io::Result<ClusterHandle<S>> {
-        let tier = match &self.ingress {
-            Some(opts) => Some(start_ingress_tier(self.cfg.n, opts, self.options.backend)?),
-            None => None,
-        };
+        let tier = self.bind_ingress_tier()?;
         let ingress = tier.as_ref().map(|t| t.run.clone());
         let thread = thread::Builder::new()
             .name("iniva-cluster-harness".into())
@@ -659,55 +599,45 @@ impl<S: WireScheme> ClusterBuilder<S> {
         Ok(ClusterHandle { thread, ingress })
     }
 
+    fn bind_ingress_tier(&self) -> io::Result<Option<IngressTier>> {
+        let Some(opts) = &self.ingress else {
+            return Ok(None);
+        };
+        let (listeners, client_addrs) = bind_loopback(self.cfg.n)?;
+        Ok(Some(IngressTier {
+            run: IngressRun {
+                client_addrs,
+                mempool: Arc::new(Mempool::new(opts)),
+            },
+            listeners,
+        }))
+    }
+
     fn run_with(self, tier: Option<IngressTier>) -> io::Result<ClusterRun<S>> {
-        let attach = tier.as_ref().map(|t| Arc::clone(&t.attach));
+        let (ingress, client_listeners) = match tier {
+            Some(t) => (Some(t.run), t.listeners),
+            None => (None, Vec::new()),
+        };
         // The ingress tier shares the consensus tier's observability
         // epoch closely enough: its tracer is anchored here, just before
         // the replicas' shared time zero, and carries the pseudo-node id
         // `n` (one past the committee).
-        let ingress_tracer = match (&self.obs, &attach) {
-            (Some(obs), Some(att)) => {
+        let ingress_tracer = match (&self.obs, &ingress) {
+            (Some(obs), Some(run)) => {
                 let tracer = Tracer::live(self.cfg.n as u32, obs.trace_capacity, Instant::now());
-                att.mempool.set_tracer(tracer.clone());
+                run.mempool.set_tracer(tracer.clone());
                 Some(tracer)
             }
             _ => None,
         };
-        let result = match &self.wal {
-            None => run_plan_impl::<S>(
-                &self.cfg,
-                self.duration,
-                self.cpu,
-                &self.plan,
-                self.options,
-                self.obs.as_ref(),
-                attach.clone(),
-            ),
-            Some(wal_root) => run_wal_impl::<S>(
-                &self.cfg,
-                self.duration,
-                self.cpu,
-                &self.plan,
-                wal_root,
-                self.options,
-                self.obs.as_ref(),
-                attach.clone(),
-            ),
-        };
-        let Some(tier) = tier else {
-            return result;
-        };
-        // Stop serving clients before reporting results, so the final
-        // admission counters are quiescent.
-        for server in tier.servers {
-            server.shutdown();
-        }
-        let mut run = result?;
-        if let Some(obs) = &self.obs {
+        // Every poller — and with it every client session — is gone when
+        // this returns, so the admission counters read below are final.
+        let nodes = self.run_replicas(ingress.as_ref(), client_listeners)?;
+        if let (Some(obs), Some(run)) = (&self.obs, &ingress) {
             std::fs::create_dir_all(&obs.metrics_dir)?;
             std::fs::write(
                 obs.metrics_dir.join("ingress.json"),
-                tier.run.mempool.registry().to_json(),
+                run.mempool.registry().to_json(),
             )?;
             if let Some(tracer) = &ingress_tracer {
                 // Named so the `trace-<id>.jsonl` glob the view-timeline
@@ -716,8 +646,83 @@ impl<S: WireScheme> ClusterBuilder<S> {
                 tracer.write_jsonl(&obs.metrics_dir.join("ingress-trace.jsonl"))?;
             }
         }
-        run.ingress = Some(tier.run);
-        Ok(run)
+        Ok(ClusterRun {
+            nodes,
+            duration: self.duration,
+            ingress,
+        })
+    }
+
+    /// Binds the peer sockets, injects the plan's time-zero faults, builds
+    /// each replica's first transport and runs the replica threads to the
+    /// deadline.
+    fn run_replicas(
+        &self,
+        ingress: Option<&IngressRun>,
+        client_listeners: Vec<TcpListener>,
+    ) -> io::Result<Vec<NodeRun<S>>> {
+        let n = self.cfg.n;
+        if let Some(wal_root) = &self.wal {
+            std::fs::create_dir_all(wal_root)?;
+        }
+        let (listeners, addrs) = bind_loopback(n)?;
+        let peers: Arc<[(NodeId, SocketAddr)]> = (0..).zip(addrs).collect();
+
+        let scheme = Arc::new(S::new_committee(n, CLUSTER_SEED));
+        let faults = ClusterFaults::new(n);
+        // Time-zero events are injected exactly once, before any replica
+        // thread starts, so a node crashed at 0 never runs `on_start` — the
+        // exact semantics of `FaultPlan::run_on_sim` on the simulator. The
+        // driver gets only the deferred remainder: a re-applied `Restart`
+        // would bump the incarnation epoch a second time and spuriously drop
+        // frames queued under the first one.
+        for ev in self.plan.events().iter().filter(|ev| ev.at == 0) {
+            faults.apply(&ev.fault);
+        }
+        // Every first-incarnation transport — peer listener, lanes and
+        // client listener on one poller — is constructed *here*, before
+        // any replica thread: a socket setup failure (fd exhaustion on a
+        // large sweep, say) propagates as the documented io::Error with
+        // nothing to unwind, and when the gate releases no lane's first
+        // dial finds a peer that is not listening yet.
+        let mut client_listeners = client_listeners.into_iter();
+        let mut replicas = Vec::with_capacity(n);
+        for (id, listener) in listeners.into_iter().enumerate() {
+            let id = id as NodeId;
+            let node = ReplicaNode {
+                id,
+                cfg: self.cfg.clone(),
+                scheme: Arc::clone(&scheme),
+                peers: Arc::clone(&peers),
+                options: self.options,
+                node_faults: faults.node(id),
+                link_faults: faults.links(),
+                control: faults.control(id),
+                stats: Arc::new(TransportStats::default()),
+                duration: self.duration,
+                cpu: self.cpu,
+                wal_dir: self.wal.as_ref().map(|r| r.join(format!("replica-{id}"))),
+                obs: self.obs.clone(),
+                ingress: ingress
+                    .zip(self.ingress.as_ref())
+                    .map(|(run, opts)| NodeIngress {
+                        mempool: Arc::clone(&run.mempool),
+                        opts: opts.clone(),
+                        client_addr: run.client_addrs[id as usize],
+                    }),
+            };
+            let client_listener = client_listeners.next();
+            let first = if node.wal_dir.is_some() && node.control.is_down() {
+                // A process dead at time zero: both its listeners close
+                // (dropped here), so peers' and clients' dials are refused
+                // instead of queueing against a corpse's backlog.
+                None
+            } else {
+                Some(node.start_transport(listener, client_listener)?)
+            };
+            replicas.push((node, first));
+        }
+        launch_cluster(replicas, &self.plan, &faults, self.duration)
     }
 }
 
@@ -791,20 +796,21 @@ fn join_runs<S: WireScheme>(
 /// Spawns replica lifecycle threads and the fault driver behind one
 /// [`StartGate`]; on any spawn failure the gate aborts, every thread
 /// spawned so far exits, and the error propagates.
-fn launch_cluster<S: WireScheme, F>(
-    n: usize,
+fn launch_cluster<S: WireScheme>(
+    replicas: Vec<(ReplicaNode<S>, Option<NodeTransport<S>>)>,
     plan: &FaultPlan,
     faults: &ClusterFaults,
     duration: Duration,
-    spawn_replica: F,
-) -> io::Result<Vec<NodeRun<S>>>
-where
-    F: Fn(usize, Arc<StartGate>) -> io::Result<thread::JoinHandle<io::Result<NodeRun<S>>>>,
-{
+) -> io::Result<Vec<NodeRun<S>>> {
+    let n = replicas.len();
     let gate = Arc::new(StartGate::new());
     let mut handles = Vec::with_capacity(n);
-    for id in 0..n {
-        match spawn_replica(id, Arc::clone(&gate)) {
+    for (node, first) in replicas {
+        let start = Arc::clone(&gate);
+        let spawned = thread::Builder::new()
+            .name(format!("iniva-replica-{}", node.id))
+            .spawn(move || node.run(first, &start));
+        match spawned {
             Ok(handle) => handles.push(handle),
             Err(e) => {
                 gate.abort();
@@ -840,133 +846,18 @@ where
     nodes
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_plan_impl<S: WireScheme>(
-    cfg: &InivaConfig,
-    duration: Duration,
-    cpu: CpuMode,
-    plan: &FaultPlan,
-    options: TransportOptions,
-    obs: Option<&ObsOptions>,
-    ingress: Option<Arc<IngressAttach>>,
-) -> io::Result<ClusterRun<S>> {
-    let n = cfg.n;
+/// Binds `n` listeners on ephemeral loopback ports and reads back their
+/// addresses, both indexed by replica id.
+fn bind_loopback(n: usize) -> io::Result<(Vec<TcpListener>, Vec<SocketAddr>)> {
     let loopback = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
     let listeners: Vec<TcpListener> = (0..n)
         .map(|_| TcpListener::bind(loopback))
         .collect::<io::Result<_>>()?;
-    let peers: Vec<(u32, SocketAddr)> = listeners
+    let addrs = listeners
         .iter()
-        .enumerate()
-        .map(|(id, l)| Ok((id as u32, l.local_addr()?)))
+        .map(TcpListener::local_addr)
         .collect::<io::Result<_>>()?;
-
-    let scheme = Arc::new(S::new_committee(n, CLUSTER_SEED));
-    let faults = ClusterFaults::new(n);
-    // Time-zero events are injected exactly once, before any replica
-    // thread starts, so a node crashed at 0 never runs `on_start` — the
-    // exact semantics of `FaultPlan::run_on_sim` on the simulator. The
-    // driver gets only the deferred remainder: a re-applied `Restart`
-    // would bump the incarnation epoch a second time and spuriously drop
-    // frames queued under the first one.
-    for ev in plan.events().iter().filter(|ev| ev.at == 0) {
-        faults.apply(&ev.fault);
-    }
-    // Every transport is constructed *here*, before any replica thread:
-    // a socket setup failure (fd exhaustion on a large sweep, say)
-    // propagates as the documented io::Error with nothing to unwind.
-    let mut transports = Vec::with_capacity(n);
-    for (id, listener) in listeners.into_iter().enumerate() {
-        transports.push(Transport::start_with(
-            id as u32,
-            listener,
-            &peers,
-            options,
-            faults.node(id as u32),
-            faults.links(),
-        )?);
-    }
-    // Reactor-backed ingress: each replica's client listener joins its
-    // transport's poller; peer and client sockets share one thread.
-    if let Some(att) = &ingress {
-        for (id, transport) in transports.iter().enumerate() {
-            let pending = att.pending[id]
-                .lock()
-                .expect("client listener handoff")
-                .take();
-            if let Some(listener) = pending {
-                transport.serve_clients(listener, Arc::clone(&att.mempool), &att.opts)?;
-            }
-        }
-    }
-    let mempool = ingress.as_ref().map(|att| Arc::clone(&att.mempool));
-
-    let slots: Vec<Mutex<Option<Transport<_>>>> = transports
-        .into_iter()
-        .map(|t| Mutex::new(Some(t)))
-        .collect();
-    let nodes = launch_cluster(n, plan, &faults, duration, |id, gate| {
-        let transport = slots[id]
-            .lock()
-            .expect("transport handoff")
-            .take()
-            .expect("one transport per replica id");
-        let cfg = cfg.clone();
-        let scheme = Arc::clone(&scheme);
-        let obs = obs.cloned();
-        let mempool = mempool.clone();
-        thread::Builder::new()
-            .name(format!("iniva-replica-{id}"))
-            .spawn(move || -> io::Result<NodeRun<S>> {
-                crate::transport::pin_node_thread(id as u32);
-                let mut replica = InivaReplica::new(id as u32, cfg, Arc::clone(&scheme));
-                if let Some(pool) = &mempool {
-                    replica
-                        .chain
-                        .set_request_source(Arc::clone(pool) as Arc<dyn RequestSource>);
-                }
-                if !gate.arrive_and_wait() {
-                    return Err(io::Error::other("cluster setup aborted"));
-                }
-                // The gate released every replica together, so these
-                // per-thread epochs are within microseconds of each
-                // other; the tracer's wall-clock anchor absorbs the
-                // residue at merge time.
-                let epoch = Instant::now();
-                let node_obs = obs.as_ref().map(|o| {
-                    let registry = Registry::new();
-                    let tracer = Tracer::live(id as u32, o.trace_capacity, epoch);
-                    replica.set_observability(&registry, tracer.clone());
-                    (registry, tracer)
-                });
-                let mut runtime = Runtime::with_epoch(replica, transport, cpu, epoch);
-                if let Some((registry, _)) = &node_obs {
-                    runtime.set_observability(registry);
-                }
-                runtime.run_for(duration);
-                let (mut replica, runtime, transport) = runtime.finish();
-                if let (Some(o), Some((registry, tracer))) = (&obs, &node_obs) {
-                    export_runtime_stats(&runtime, registry);
-                    export_transport_snapshot(&transport, registry);
-                    replica.chain.metrics.export(registry);
-                    // One keyring is shared by the whole in-process
-                    // cluster, so `crypto.*` reads as the cluster total
-                    // on every node.
-                    scheme.export_observability(registry);
-                    dump_node_obs(o, id as u32, registry, tracer)?;
-                }
-                Ok(NodeRun {
-                    replica,
-                    runtime,
-                    transport,
-                })
-            })
-    })?;
-    Ok(ClusterRun {
-        nodes,
-        duration,
-        ingress: None,
-    })
+    Ok((listeners, addrs))
 }
 
 /// Folds one incarnation's event-loop counters into a per-node total.
@@ -994,227 +885,180 @@ fn bind_retry(addr: SocketAddr, deadline: Instant) -> io::Result<TcpListener> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_wal_impl<S: WireScheme>(
-    cfg: &InivaConfig,
-    duration: Duration,
-    cpu: CpuMode,
-    plan: &FaultPlan,
-    wal_root: &Path,
-    options: TransportOptions,
-    obs: Option<&ObsOptions>,
-    ingress: Option<Arc<IngressAttach>>,
-) -> io::Result<ClusterRun<S>> {
-    let n = cfg.n;
-    std::fs::create_dir_all(wal_root)?;
-    let loopback = SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), 0);
-    let listeners: Vec<TcpListener> = (0..n)
-        .map(|_| TcpListener::bind(loopback))
-        .collect::<io::Result<_>>()?;
-    let peers: Vec<(u32, SocketAddr)> = listeners
-        .iter()
-        .enumerate()
-        .map(|(id, l)| Ok((id as u32, l.local_addr()?)))
-        .collect::<io::Result<_>>()?;
+type NodeTransport<S> = Transport<InivaMsg<S>>;
 
-    let scheme = Arc::new(S::new_committee(n, CLUSTER_SEED));
-    let faults = ClusterFaults::new(n);
-    for ev in plan.events().iter().filter(|ev| ev.at == 0) {
-        faults.apply(&ev.fault);
-    }
-
-    let slots: Vec<Mutex<Option<TcpListener>>> =
-        listeners.into_iter().map(|l| Mutex::new(Some(l))).collect();
-    let nodes = launch_cluster(n, plan, &faults, duration, |id, gate| {
-        let listener = slots[id]
-            .lock()
-            .expect("listener handoff")
-            .take()
-            .expect("one listener per replica id");
-        let cfg = cfg.clone();
-        let scheme = Arc::clone(&scheme);
-        let peers = peers.clone();
-        let addr = peers[id].1;
-        let node_faults = faults.node(id as u32);
-        let link_faults = faults.links();
-        let control = faults.control(id as u32);
-        let wal_dir: PathBuf = wal_root.join(format!("replica-{id}"));
-        let obs = obs.cloned();
-        let ingress = ingress.clone();
-        thread::Builder::new()
-            .name(format!("iniva-replica-{id}"))
-            .spawn(move || -> io::Result<NodeRun<S>> {
-                crate::transport::pin_node_thread(id as u32);
-                replica_lifecycle(
-                    id as u32,
-                    cfg,
-                    scheme,
-                    &peers,
-                    listener,
-                    addr,
-                    options,
-                    node_faults,
-                    link_faults,
-                    control,
-                    gate,
-                    duration,
-                    cpu,
-                    &wal_dir,
-                    obs,
-                    ingress,
-                )
-            })
-    })?;
-    Ok(ClusterRun {
-        nodes,
-        duration,
-        ingress: None,
-    })
+/// One replica's share of the ingress tier.
+struct NodeIngress {
+    /// The cluster-wide mempool: the proposer's request source.
+    mempool: Arc<Mempool>,
+    opts: IngressOptions,
+    /// Where this replica's clients connect; rebound on every restart.
+    client_addr: SocketAddr,
 }
 
-/// One replica's process lifecycle in a WAL-enabled run: (re)build the
-/// transport and the WAL-recovered replica, run until the deadline or a
-/// process-level fault, tear down, repeat. Each incarnation opens the
-/// log, rehydrates the committed prefix and resumes at the recovered
-/// view — the same code path an actual restarted `live_cluster --config
-/// --id --wal-dir` process takes.
-#[allow(clippy::too_many_arguments)]
-fn replica_lifecycle<S: WireScheme>(
+/// Everything one replica "process" keeps across its incarnations.
+struct ReplicaNode<S: WireScheme> {
     id: NodeId,
     cfg: InivaConfig,
     scheme: Arc<S>,
-    peers: &[(u32, SocketAddr)],
-    listener: TcpListener,
-    addr: SocketAddr,
+    peers: Arc<[(NodeId, SocketAddr)]>,
     options: TransportOptions,
     node_faults: Arc<NodeFaults>,
     link_faults: Arc<LinkFaults>,
     control: Arc<NodeControl>,
-    gate: Arc<StartGate>,
+    /// One stats block spans every incarnation: restarts keep counting
+    /// into the same series instead of starting fresh blocks whose
+    /// predecessors' tails (lane evictions counted while a lane died,
+    /// say) got lost with the torn-down transport.
+    stats: Arc<TransportStats>,
     duration: Duration,
     cpu: CpuMode,
-    wal_dir: &Path,
+    /// `Some` makes the replica durable and restartable.
+    wal_dir: Option<PathBuf>,
     obs: Option<ObsOptions>,
-    ingress: Option<Arc<IngressAttach>>,
-) -> io::Result<NodeRun<S>> {
-    let mut pending_listener = Some(listener);
-    if !gate.arrive_and_wait() {
-        return Err(io::Error::other("cluster setup aborted"));
-    }
-    let time_zero = Instant::now();
-    let deadline = time_zero + duration;
-    let mut runtime_total = RuntimeStats::default();
-    let mut last_incarnation: Option<InivaReplica<S>> = None;
-    // One stats block and (when observing) one registry + tracer span
-    // every incarnation of this node: restarts keep counting into the
-    // same series instead of starting fresh blocks whose predecessors'
-    // tails (lane evictions counted while a lane died, say) got lost
-    // with the torn-down transport.
-    let shared_stats = Arc::new(TransportStats::default());
-    let node_obs = obs.as_ref().map(|o| {
-        (
-            Registry::new(),
-            Tracer::live(id, o.trace_capacity, time_zero),
-        )
-    });
-    loop {
-        if control.is_down() {
-            // The process is dead: close the listening socket too, so
-            // peers' dials are refused instead of queueing against a
-            // corpse's backlog.
-            pending_listener = None;
-        }
-        if !control.wait_runnable(deadline) {
-            break; // still down when the run ended
-        }
-        if Instant::now() >= deadline {
-            break;
-        }
-        let listener = match pending_listener.take() {
-            Some(l) => l,
-            None => bind_retry(addr, deadline)?,
-        };
+    ingress: Option<NodeIngress>,
+}
+
+impl<S: WireScheme> ReplicaNode<S> {
+    /// One incarnation's sockets: the peer fabric on `listener` and, with
+    /// an ingress tier, this replica's clients on the same poller.
+    fn start_transport(
+        &self,
+        listener: TcpListener,
+        client_listener: Option<TcpListener>,
+    ) -> io::Result<NodeTransport<S>> {
         let transport = Transport::start_with_stats(
-            id,
+            self.id,
             listener,
-            peers,
-            options,
-            Arc::clone(&node_faults),
-            Arc::clone(&link_faults),
-            Arc::clone(&shared_stats),
+            &self.peers,
+            self.options,
+            Arc::clone(&self.node_faults),
+            Arc::clone(&self.link_faults),
+            Arc::clone(&self.stats),
         )?;
-        // Reactor-backed ingress: re-attach this node's client listener
-        // to the fresh incarnation's poller. The first incarnation takes
-        // the tier's parked listener; restarts rebind the same address
-        // (the dead poller closed it on teardown).
-        if let Some(att) = &ingress {
-            if options.backend == TransportBackend::Reactor {
-                let pending = att.pending[id as usize]
-                    .lock()
-                    .expect("client listener handoff")
-                    .take();
-                let client_listener = match pending {
-                    Some(l) => l,
-                    None => bind_retry(att.client_addrs[id as usize], deadline)?,
-                };
-                transport.serve_clients(client_listener, Arc::clone(&att.mempool), &att.opts)?;
-            }
+        if let (Some(ing), Some(listener)) = (&self.ingress, client_listener) {
+            transport.serve_clients(listener, Arc::clone(&ing.mempool), &ing.opts)?;
         }
-        let (mut wal, recovered) = ChainWal::<S>::open(wal_dir)?;
-        let mut replica = InivaReplica::recover(
-            id,
-            cfg.clone(),
-            Arc::clone(&scheme),
-            recovered.commits,
-            recovered.view,
-        );
-        if let Some((registry, tracer)) = &node_obs {
-            wal.set_observability(registry, tracer.clone());
+        Ok(transport)
+    }
+
+    /// One incarnation's replica: fresh without a WAL; with one, the
+    /// committed prefix and view rehydrated from the log it goes on
+    /// journaling to — the same code path an actual restarted
+    /// `live_cluster --config --id --wal-dir` process takes.
+    fn build_replica(&self, node_obs: Option<&(Registry, Tracer)>) -> io::Result<InivaReplica<S>> {
+        let mut replica = match &self.wal_dir {
+            None => InivaReplica::new(self.id, self.cfg.clone(), Arc::clone(&self.scheme)),
+            Some(dir) => {
+                let (mut wal, recovered) = ChainWal::<S>::open(dir)?;
+                if let Some((registry, tracer)) = node_obs {
+                    wal.set_observability(registry, tracer.clone());
+                }
+                let mut replica = InivaReplica::recover(
+                    self.id,
+                    self.cfg.clone(),
+                    Arc::clone(&self.scheme),
+                    recovered.commits,
+                    recovered.view,
+                );
+                replica.chain.set_commit_sink(Box::new(wal));
+                replica
+            }
+        };
+        if let Some((registry, tracer)) = node_obs {
             replica.set_observability(registry, tracer.clone());
         }
-        replica.chain.set_commit_sink(Box::new(wal));
         // The shared mempool spans incarnations like the registry does:
         // requests drafted by a previous incarnation stay claimed, and
         // recovery's committed prefix settles them on replay.
-        if let Some(att) = &ingress {
+        if let Some(ing) = &self.ingress {
             replica
                 .chain
-                .set_request_source(Arc::clone(&att.mempool) as Arc<dyn RequestSource>);
+                .set_request_source(Arc::clone(&ing.mempool) as Arc<dyn RequestSource>);
         }
-        // Every incarnation shares the cluster's time zero, so metrics
-        // stay on one time axis across restarts.
-        let mut runtime = Runtime::with_epoch(replica, transport, cpu, time_zero);
-        if let Some((registry, _)) = &node_obs {
-            runtime.set_observability(registry);
-        }
-        runtime.run_deadline(deadline, || control.stop_requested());
-        let (replica, stats, _snapshot) = runtime.finish();
-        fold_runtime(&mut runtime_total, stats);
-        last_incarnation = Some(replica);
+        Ok(replica)
     }
-    // The shared block is cumulative across incarnations, so the final
-    // snapshot *is* the node total — no per-incarnation folding (which
-    // would now double-count).
-    let transport_total = shared_stats.snapshot();
-    let mut replica = match last_incarnation {
-        Some(r) => r,
-        None => {
+
+    /// The replica's process lifecycle: run an incarnation until the
+    /// deadline or a process-level fault, tear it down, wait for a
+    /// restart, rebuild sockets and replica, repeat. `first` is the
+    /// transport built before the gate (`None`: dead at time zero).
+    /// Without a WAL nothing ever stops the first incarnation, so it is
+    /// the only one.
+    fn run(self, first: Option<NodeTransport<S>>, gate: &StartGate) -> io::Result<NodeRun<S>> {
+        crate::transport::pin_node_thread(self.id);
+        if !gate.arrive_and_wait() {
+            return Err(io::Error::other("cluster setup aborted"));
+        }
+        // The gate released every replica together, so these per-thread
+        // epochs are within microseconds of each other; the tracer's
+        // wall-clock anchor absorbs the residue at merge time.
+        let time_zero = Instant::now();
+        let deadline = time_zero + self.duration;
+        // When observing, one registry + tracer span every incarnation.
+        let node_obs = self.obs.as_ref().map(|o| {
+            (
+                Registry::new(),
+                Tracer::live(self.id, o.trace_capacity, time_zero),
+            )
+        });
+        let restartable = self.wal_dir.is_some();
+        let mut runtime_total = RuntimeStats::default();
+        let mut last_incarnation = None;
+        let mut next = first;
+        loop {
+            let transport = match next.take() {
+                Some(transport) => transport,
+                None => {
+                    if !self.control.wait_runnable(deadline) || Instant::now() >= deadline {
+                        break; // the run ended (possibly while still down)
+                    }
+                    // The dead incarnation's poller closed both listeners
+                    // on teardown; rebind the same addresses.
+                    let peer_addr = self.peers[self.id as usize].1;
+                    let listener = bind_retry(peer_addr, deadline)?;
+                    let client_listener = match &self.ingress {
+                        Some(ing) => Some(bind_retry(ing.client_addr, deadline)?),
+                        None => None,
+                    };
+                    self.start_transport(listener, client_listener)?
+                }
+            };
+            let replica = self.build_replica(node_obs.as_ref())?;
+            // Every incarnation shares the cluster's time zero, so metrics
+            // stay on one time axis across restarts.
+            let mut runtime = Runtime::with_epoch(replica, transport, self.cpu, time_zero);
+            if let Some((registry, _)) = &node_obs {
+                runtime.set_observability(registry);
+            }
+            runtime.run_deadline(deadline, || restartable && self.control.stop_requested());
+            let (replica, stats, _snapshot) = runtime.finish();
+            fold_runtime(&mut runtime_total, stats);
+            last_incarnation = Some(replica);
+        }
+        // The shared block is cumulative across incarnations, so the final
+        // snapshot *is* the node total — no per-incarnation folding (which
+        // would double-count).
+        let transport_total = self.stats.snapshot();
+        let mut replica = match last_incarnation {
+            Some(r) => r,
             // Crashed at time zero and never restarted: report whatever
             // the disk holds (an empty log for a fresh run).
-            let (_, recovered) = ChainWal::<S>::open(wal_dir)?;
-            InivaReplica::recover(id, cfg, scheme.clone(), recovered.commits, recovered.view)
+            None => self.build_replica(None)?,
+        };
+        if let (Some(o), Some((registry, tracer))) = (&self.obs, &node_obs) {
+            export_runtime_stats(&runtime_total, registry);
+            export_transport_snapshot(&transport_total, registry);
+            replica.chain.metrics.export(registry);
+            // One keyring is shared by the whole in-process cluster, so
+            // `crypto.*` reads as the cluster total on every node.
+            self.scheme.export_observability(registry);
+            dump_node_obs(o, self.id, registry, tracer)?;
         }
-    };
-    if let (Some(o), Some((registry, tracer))) = (&obs, &node_obs) {
-        export_runtime_stats(&runtime_total, registry);
-        export_transport_snapshot(&transport_total, registry);
-        replica.chain.metrics.export(registry);
-        scheme.export_observability(registry);
-        dump_node_obs(o, id, registry, tracer)?;
+        Ok(NodeRun {
+            replica,
+            runtime: runtime_total,
+            transport: transport_total,
+        })
     }
-    Ok(NodeRun {
-        replica,
-        runtime: runtime_total,
-        transport: transport_total,
-    })
 }

@@ -1,15 +1,13 @@
-//! The reactor-backed connection engine: [`Source`] implementations for
-//! every socket a node owns — the peer listener, inbound peer
-//! connections, outbound lanes, and (via `Transport::serve_clients`) the
-//! ingress-client listener and its sessions — all multiplexed on one
-//! [`crate::reactor`] poller thread.
+//! The connection engine: [`Source`] implementations for every socket a
+//! node owns — the peer listener, inbound peer connections, outbound
+//! lanes, and (via `Transport::serve_clients`) the ingress-client
+//! listener and its sessions — all multiplexed on one [`crate::reactor`]
+//! poller thread.
 //!
-//! Semantics mirror the threaded fabric exactly (same wire protocol,
-//! same fault filters, same dedup and stats), with two hot-path
-//! differences: inbound frames are decoded from a *shared* receive
-//! buffer (`bytes` shim slices of one `Arc<[u8]>` per read batch, no
-//! per-frame `Vec`), and outbound lanes flush with coalesced `writev`
-//! batches instead of one `write_all` per frame.
+//! Two hot-path disciplines: inbound frames are decoded from a *shared*
+//! receive buffer (`bytes` shim slices of one `Arc<[u8]>` per read batch,
+//! no per-frame `Vec`), and outbound lanes flush with coalesced `writev`
+//! batches, not one write per frame.
 
 use crate::dedup::DedupCache;
 use crate::faults::{LinkFaults, NodeFaults};
@@ -39,13 +37,12 @@ const READ_CHUNK: usize = 64 * 1024;
 /// caps the `writev` iovec count.
 const MAX_INFLIGHT: usize = 64;
 
-/// Give up on a non-blocking connect after this long (the threaded
-/// backend's `connect_timeout`).
+/// Give up on a non-blocking connect after this long and back off.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// A client session buffering more than this much un-flushed reply data
-/// is judged non-draining and dropped (the threaded server's
-/// `WRITE_TIMEOUT` analogue).
+/// is judged non-draining and dropped: consensus never waits on, and the
+/// node never buffers without bound for, a slow client socket.
 const CLIENT_WBUF_CAP: usize = 256 * 1024;
 
 /// What every peer-fabric source shares: the delivery channel, counters,
@@ -270,8 +267,9 @@ pub(crate) struct OutboundLane<M> {
     /// Bytes of `inflight[0]` already written.
     written: usize,
     /// A frame held back by an injected slow-link delay, released at the
-    /// stored instant. Blocks admission behind it (delays are serial per
-    /// frame, as in the threaded lane).
+    /// stored instant. Blocks admission behind it: delays are serial per
+    /// frame, which is what makes an injected delay model a congested link
+    /// (see `LinkFaults::slow_link`).
     delayed: Option<(Instant, u32, Vec<u8>)>,
     backoff: Duration,
     /// Earliest next dial (backoff after a failed dial; `None` = now).
@@ -346,10 +344,9 @@ impl<M> OutboundLane<M> {
     }
 
     /// Claims frames from the queue into the flush window, applying the
-    /// same per-frame fault filters the threaded lane applies at
-    /// delivery time: stale epoch and blocked link drop the frame; a
-    /// slow link parks it in the delay slot (stalling admission, so
-    /// delays stay serial).
+    /// per-frame fault filters at the last moment before the wire: stale
+    /// epoch and blocked link drop the frame; a slow link parks it in the
+    /// delay slot (stalling admission, so delays stay serial).
     fn admit(&mut self, epoch: u32) {
         if self.delayed.is_some() {
             return;
@@ -584,10 +581,11 @@ impl<M> OutboundLane<M> {
                             return Action::Keep;
                         }
                         Flush::Dead => {
-                            // Died mid-write: redial immediately (no
-                            // backoff, as in the threaded lane) and replay
-                            // in-flight frames; receiver dedup absorbs
-                            // double delivery.
+                            // Died mid-write: the peer was reachable a
+                            // moment ago, so redial immediately (backoff
+                            // is for failed dials) and replay in-flight
+                            // frames; receiver dedup absorbs double
+                            // delivery.
                             ctl.set_fd(None, Interest::NONE);
                             drop(stream);
                             self.written = 0;
@@ -624,7 +622,8 @@ impl<M: Codec + Send + 'static> Source for OutboundLane<M> {
         if readable {
             if let LaneConn::Connected { stream, .. } = &mut self.conn {
                 // Lanes never expect inbound data: readability is the EOF
-                // / reset probe (replacing the threaded `conn_is_dead`).
+                // / reset probe. Without it a dead peer turns writes into
+                // silent local-buffer successes until the RST arrives.
                 let mut probe = [0u8; 1024];
                 loop {
                     match stream.read(&mut probe) {
@@ -713,9 +712,11 @@ impl Source for ClientListener {
     }
 }
 
-/// One ingress-client connection on the reactor: the same submit / query
-/// / follow protocol the threaded [`iniva_ingress::IngressServer`]
-/// speaks, without a thread per client.
+/// One ingress-client connection: the `iniva-ingress` submit / query /
+/// follow protocol served on the poller, without a thread per client.
+/// Per submit: bounded frame decode → token-bucket check (a client over
+/// budget gets a `Busy` ack that touches no shared state) → mempool
+/// admission → ack.
 struct ClientSession {
     stream: TcpStream,
     client: u64,

@@ -130,12 +130,12 @@ impl LinkFaults {
     /// Injects `delay` before every frame shipped on `from → to`
     /// (`Duration::ZERO` removes the injection).
     ///
-    /// The lane is single-threaded, so the sleep also **serializes** the
-    /// link — throughput caps near `1/delay`. This models a slow,
-    /// congested link; the simulator's `SlowLink` instead adds pure
-    /// propagation delay (frames overlap, throughput unchanged), so
-    /// scope cross-backend comparisons of slow-link scenarios
-    /// accordingly.
+    /// The lane holds back one frame at a time, so the delay also
+    /// **serializes** the link — throughput caps near `1/delay`. This
+    /// models a slow, congested link; the simulator's `SlowLink` instead
+    /// adds pure propagation delay (frames overlap, throughput
+    /// unchanged), so scope cross-backend comparisons of slow-link
+    /// scenarios accordingly.
     pub fn slow_link(&self, from: NodeId, to: NodeId, delay: Duration) {
         let mut delays = self.delays.lock().expect("delays lock");
         if delay.is_zero() {

@@ -20,25 +20,24 @@
 //!   register fds with read/write interest, get readiness callbacks plus
 //!   cross-thread notifications and deadlines, all on one poller thread.
 //! * [`transport`] — the peer fabric: one listener and a reconnecting
-//!   outbound lane per peer, driven either by the reactor (default: every
-//!   peer *and* ingress-client socket on one poller, zero-copy frame
-//!   decode, coalesced `writev` flushes) or by the original
-//!   thread-per-connection engine
-//!   ([`TransportBackend`](transport::TransportBackend)).
+//!   bounded outbound lane per peer, every peer *and* ingress-client
+//!   socket of a node on its one reactor thread (zero-copy frame decode,
+//!   coalesced `writev` flushes); the handler thread sends through lane
+//!   queues and receives on a channel.
 //! * [`runtime`] — the event loop implementing the simulator's `Context`
 //!   contract: queued sends go to the transport, timers to a
 //!   monotonic-clock timer wheel, and CPU charges become real elapsed time.
 //! * [`faults`] — the chaos surface: per-node crash/heal switches with
 //!   incarnation epochs ([`NodeFaults`]) and a cluster-shared link filter
 //!   for partitions and slow links ([`LinkFaults`]), filtered on the send
-//!   path, in the lanes and on the reader path.
+//!   path, in the lanes and on the inbound connections.
 //! * [`config`] — a TOML-style cluster/peer-list file format for
 //!   multi-process deployments.
 //! * [`cluster`] — the harness running an n-replica Iniva cluster on
 //!   loopback threads behind one entry point,
 //!   [`ClusterBuilder`](cluster::ClusterBuilder), used by the integration
-//!   tests, the `live_cluster` example and the transport benchmark
-//!   baseline. `.faults(plan)` replays an `iniva_net::faults::FaultPlan`
+//!   tests, the `live_cluster` example and the yardstick benchmark.
+//!   `.faults(plan)` replays an `iniva_net::faults::FaultPlan`
 //!   against the live cluster (via
 //!   [`ClusterFaults`](cluster::ClusterFaults)), so the same seeded chaos
 //!   scenario runs on the simulator and on sockets; `.wal(dir)` adds
@@ -69,6 +68,4 @@ pub mod transport;
 pub use config::{ClusterConfig, ConfigError, Peer};
 pub use faults::{LinkFaults, NodeFaults};
 pub use runtime::{CpuMode, Runtime, RuntimeStats};
-pub use transport::{
-    Incoming, Transport, TransportBackend, TransportOptions, TransportSnapshot, TransportStats,
-};
+pub use transport::{Incoming, Transport, TransportOptions, TransportSnapshot, TransportStats};

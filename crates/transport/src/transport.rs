@@ -1,9 +1,11 @@
 //! The peer fabric: a listener accepting inbound connections and a
-//! reconnecting outbound lane per peer, driven by one of two engines
-//! selected via [`TransportOptions::backend`] — the epoll reactor
-//! ([`crate::reactor`], default: every socket on one poller thread) or the
-//! original thread-per-connection fabric (one reader thread per inbound
-//! connection plus one blocking lane thread per peer).
+//! reconnecting outbound lane per peer, every socket of the node — and,
+//! via [`Transport::serve_clients`], its ingress clients' — driven by one
+//! epoll poller thread ([`crate::reactor`]; the socket state machines are
+//! the [`Source`](crate::reactor::Source)s in `fabric.rs`). Decoded
+//! messages cross to the node's handler thread on an mpsc channel
+//! ([`Transport::recv_timeout`]); [`Transport::send`] pushes onto the
+//! destination lane's queue and wakes the poller.
 //!
 //! Connections are asymmetric: each node *dials* every peer for its own
 //! outbound traffic and *accepts* the peers' dials for inbound traffic, so
@@ -16,8 +18,8 @@
 //! policy): a peer that stays partitioned or crashed for a long chaos run
 //! cannot grow the sender's memory without bound. Fault injection — crash
 //! via [`NodeFaults`], link block/delay via [`LinkFaults`] — is filtered
-//! on the send path, in the lanes and on the reader path; every injected
-//! drop is counted in [`TransportStats::faults_dropped`].
+//! on the send path, in the lanes and on the inbound connections; every
+//! injected drop is counted in [`TransportStats::faults_dropped`].
 
 use crate::dedup::DedupCache;
 use crate::faults::{LinkFaults, NodeFaults};
@@ -26,12 +28,13 @@ use iniva_net::wire::Codec;
 use iniva_net::NodeId;
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpListener};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A message delivered by the transport.
 #[derive(Debug)]
@@ -40,36 +43,6 @@ pub struct Incoming<M> {
     pub from: NodeId,
     /// Decoded message.
     pub msg: M,
-}
-
-/// Which connection engine a [`Transport`] runs on.
-///
-/// Both speak the identical wire protocol and fault semantics; they
-/// differ only in how sockets are driven, so the two can be compared
-/// differentially on the same test suite (CI runs both).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportBackend {
-    /// Thread-per-connection: one reader thread per inbound connection
-    /// plus one blocking outbound-lane thread per peer. Simple, but
-    /// thread count scales with cluster size.
-    Threaded,
-    /// One epoll reactor thread ([`crate::reactor`]) owning every socket:
-    /// non-blocking I/O, coalesced `writev` flushes, zero-copy frame
-    /// decode, and (via [`Transport::serve_clients`]) client ingress on
-    /// the same poller. The default.
-    Reactor,
-}
-
-impl Default for TransportBackend {
-    /// Reads `INIVA_TRANSPORT_BACKEND` (`"threaded"` / `"reactor"`), so
-    /// CI can run the whole suite against either engine; defaults to
-    /// [`TransportBackend::Reactor`].
-    fn default() -> Self {
-        match std::env::var("INIVA_TRANSPORT_BACKEND").as_deref() {
-            Ok("threaded") => TransportBackend::Threaded,
-            _ => TransportBackend::Reactor,
-        }
-    }
 }
 
 /// Tuning knobs for a [`Transport`].
@@ -81,15 +54,12 @@ pub struct TransportOptions {
     /// the freshest view, so shedding the stalest backlog first is the
     /// policy that lets a healed peer catch up fastest.
     pub lane_capacity: usize,
-    /// The connection engine (see [`TransportBackend`]).
-    pub backend: TransportBackend,
 }
 
 impl Default for TransportOptions {
     fn default() -> Self {
         TransportOptions {
             lane_capacity: 16_384,
-            backend: TransportBackend::default(),
         }
     }
 }
@@ -110,7 +80,8 @@ pub struct TransportStats {
     /// Outbound reconnect attempts that succeeded.
     pub reconnects: AtomicU64,
     /// Frames dropped by injected faults (node down, link blocked, stale
-    /// incarnation epoch) across the send path, lanes and reader path.
+    /// incarnation epoch) across the send path, lanes and inbound
+    /// connections.
     pub faults_dropped: AtomicU64,
     /// Frames evicted from full outbound lanes (drop-oldest policy).
     pub lane_evicted: AtomicU64,
@@ -213,37 +184,21 @@ pub(crate) const DEDUP_CAPACITY: usize = 4096;
 pub(crate) const BACKOFF_START: Duration = Duration::from_millis(10);
 pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(500);
 
-/// Read timeout on inbound connections; bounds how long a reader thread
-/// takes to observe shutdown.
-const READ_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// Idle gap after which an outbound lane probes its connection for a dead
-/// peer before the next write (a busy lane learns from write errors
-/// instead, keeping the hot path probe-free).
-const PROBE_AFTER_IDLE: Duration = Duration::from_millis(50);
-
-/// A bounded, epoch-tagged frame queue feeding one outbound lane (a
-/// blocking thread on the threaded backend, a reactor source on the epoll
-/// backend).
+/// A bounded, epoch-tagged frame queue feeding one outbound lane: the
+/// handler thread pushes and notifies the poller, whose
+/// [`OutboundLane`](crate::fabric::OutboundLane) source pops.
 ///
-/// Drop-oldest on overflow; closable. A hand-rolled `Mutex` + `Condvar`
-/// queue instead of `mpsc` because the bound and the eviction must happen
-/// on the *sender* side, which channels cannot do.
+/// Drop-oldest on overflow; closable. A hand-rolled `Mutex` queue instead
+/// of `mpsc` because the bound and the eviction must happen on the
+/// *sender* side, which channels cannot do.
 pub(crate) struct LaneQueue {
     state: Mutex<LaneState>,
-    cv: Condvar,
     capacity: usize,
 }
 
 struct LaneState {
     frames: VecDeque<(u32, Vec<u8>)>,
     closed: bool,
-}
-
-enum LanePop {
-    Frame(u32, Vec<u8>),
-    Timeout,
-    Closed,
 }
 
 impl LaneQueue {
@@ -253,7 +208,6 @@ impl LaneQueue {
                 frames: VecDeque::new(),
                 closed: false,
             }),
-            cv: Condvar::new(),
             capacity,
         }
     }
@@ -272,42 +226,17 @@ impl LaneQueue {
             false
         };
         st.frames.push_back((epoch, framed));
-        drop(st);
-        self.cv.notify_one();
         evicted
     }
 
-    fn pop_timeout(&self, timeout: Duration) -> LanePop {
-        let mut st = crate::reactor::relock(&self.state);
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some((epoch, framed)) = st.frames.pop_front() {
-                return LanePop::Frame(epoch, framed);
-            }
-            if st.closed {
-                return LanePop::Closed;
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return LanePop::Timeout;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, left)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            st = guard;
-        }
-    }
-
-    /// Pops without waiting — the reactor lane drains under readiness
-    /// notifications instead of blocking on the condvar.
+    /// Pops without waiting: the lane drains when the poller is notified
+    /// or its socket turns writable, never by blocking on the queue.
     pub(crate) fn try_pop(&self) -> Option<(u32, Vec<u8>)> {
         crate::reactor::relock(&self.state).frames.pop_front()
     }
 
     fn close(&self) {
         crate::reactor::relock(&self.state).closed = true;
-        self.cv.notify_all();
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -315,45 +244,15 @@ impl LaneQueue {
     }
 }
 
-struct PeerLane {
-    queue: Arc<LaneQueue>,
-    handle: JoinHandle<()>,
-}
-
-/// The connection engine behind a [`Transport`]: either the original
-/// thread-per-connection fabric or the epoll reactor (see
-/// [`TransportBackend`]). Both feed the same `incoming_tx` channel and
-/// count into the same [`TransportStats`].
-enum Fabric {
-    Threaded {
-        lanes: HashMap<NodeId, PeerLane>,
-        shutdown: Arc<AtomicBool>,
-        listener_handle: Option<JoinHandle<()>>,
-    },
-    Reactor {
-        handle: crate::reactor::Handle,
-        thread: Option<JoinHandle<()>>,
-        lanes: HashMap<NodeId, (Arc<LaneQueue>, crate::reactor::Token)>,
-    },
-}
-
-/// What a lane thread shares with its `Transport`.
-struct LaneShared {
-    node: NodeId,
-    peer: NodeId,
-    addr: SocketAddr,
-    queue: Arc<LaneQueue>,
-    stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    node_faults: Arc<NodeFaults>,
-    link_faults: Arc<LinkFaults>,
-}
-
 /// The TCP message fabric for one node.
 pub struct Transport<M> {
     node: NodeId,
     local_addr: SocketAddr,
-    fabric: Fabric,
+    /// The node's poller: every socket is a source registered on it.
+    reactor: crate::reactor::Handle,
+    thread: Option<JoinHandle<()>>,
+    /// Per-peer outbound queue and the token of the lane source draining it.
+    lanes: HashMap<NodeId, (Arc<LaneQueue>, crate::reactor::Token)>,
     /// Loopback: self-sends skip the socket layer entirely.
     incoming_tx: Sender<Incoming<M>>,
     incoming_rx: Receiver<Incoming<M>>,
@@ -441,113 +340,54 @@ impl<M: Codec + Send + 'static> Transport<M> {
         let (incoming_tx, incoming_rx) = mpsc::channel();
         listener.set_nonblocking(true)?;
 
-        let fabric = match options.backend {
-            TransportBackend::Threaded => {
-                let shutdown = Arc::new(AtomicBool::new(false));
-                let listener_handle = {
-                    let tx = incoming_tx.clone();
-                    let stats = Arc::clone(&stats);
-                    let shutdown = Arc::clone(&shutdown);
-                    let node_faults = Arc::clone(&node_faults);
-                    let link_faults = Arc::clone(&link_faults);
-                    thread::Builder::new()
-                        .name(format!("iniva-accept-{node}"))
-                        .spawn(move || {
-                            accept_loop(
-                                node,
-                                listener,
-                                tx,
-                                stats,
-                                shutdown,
-                                node_faults,
-                                link_faults,
-                            )
-                        })?
-                };
-
-                let mut lanes = HashMap::new();
-                for &(peer, addr) in peers {
-                    if peer == node {
-                        continue;
-                    }
-                    let queue = Arc::new(LaneQueue::new(options.lane_capacity));
-                    let shared = LaneShared {
-                        node,
-                        peer,
-                        addr,
-                        queue: Arc::clone(&queue),
-                        stats: Arc::clone(&stats),
-                        shutdown: Arc::clone(&shutdown),
-                        node_faults: Arc::clone(&node_faults),
-                        link_faults: Arc::clone(&link_faults),
-                    };
-                    let handle = thread::Builder::new()
-                        .name(format!("iniva-out-{node}-to-{peer}"))
-                        .spawn(move || outbound_loop(shared))?;
-                    lanes.insert(peer, PeerLane { queue, handle });
-                }
-                Fabric::Threaded {
-                    lanes,
-                    shutdown,
-                    listener_handle: Some(listener_handle),
-                }
+        let mut reactor = crate::reactor::Reactor::new()?;
+        let ctx = Arc::new(crate::fabric::PeerCtx {
+            node,
+            tx: incoming_tx.clone(),
+            stats: Arc::clone(&stats),
+            node_faults: Arc::clone(&node_faults),
+            link_faults: Arc::clone(&link_faults),
+            dedup: Mutex::new(DedupCache::new(DEDUP_CAPACITY)),
+        });
+        let listener_fd = listener.as_raw_fd();
+        reactor.register(
+            Box::new(crate::fabric::PeerListener::new(listener, Arc::clone(&ctx))),
+            Some(listener_fd),
+            crate::reactor::Interest::READ,
+        )?;
+        let mut lanes = HashMap::new();
+        for &(peer, addr) in peers {
+            if peer == node {
+                continue;
             }
-            TransportBackend::Reactor => {
-                use std::os::fd::AsRawFd;
-                let mut reactor = crate::reactor::Reactor::new()?;
-                let ctx = Arc::new(crate::fabric::PeerCtx {
-                    node,
-                    tx: incoming_tx.clone(),
-                    stats: Arc::clone(&stats),
-                    node_faults: Arc::clone(&node_faults),
-                    link_faults: Arc::clone(&link_faults),
-                    dedup: Mutex::new(DedupCache::new(DEDUP_CAPACITY)),
-                });
-                let listener_fd = listener.as_raw_fd();
-                reactor.register(
-                    Box::new(crate::fabric::PeerListener::new(listener, Arc::clone(&ctx))),
-                    Some(listener_fd),
-                    crate::reactor::Interest::READ,
-                )?;
-                let mut lanes = HashMap::new();
-                for &(peer, addr) in peers {
-                    if peer == node {
-                        continue;
-                    }
-                    let queue = Arc::new(LaneQueue::new(options.lane_capacity));
-                    // No fd yet: the lane dials lazily on its first frame,
-                    // exactly like the threaded backend.
-                    let token = reactor.register(
-                        Box::new(crate::fabric::OutboundLane::new(
-                            peer,
-                            addr,
-                            Arc::clone(&queue),
-                            Arc::clone(&ctx),
-                        )),
-                        None,
-                        crate::reactor::Interest::NONE,
-                    )?;
-                    lanes.insert(peer, (queue, token));
-                }
-                let handle = reactor.handle();
-                let thread = thread::Builder::new()
-                    .name(format!("iniva-reactor-{node}"))
-                    .spawn(move || {
-                        pin_node_thread(node);
-                        reactor.run()
-                    })?;
-                Fabric::Reactor {
-                    handle,
-                    thread: Some(thread),
-                    lanes,
-                }
-            }
-        };
+            let queue = Arc::new(LaneQueue::new(options.lane_capacity));
+            // No fd yet: the lane dials lazily, on its first frame.
+            let token = reactor.register(
+                Box::new(crate::fabric::OutboundLane::new(
+                    peer,
+                    addr,
+                    Arc::clone(&queue),
+                    Arc::clone(&ctx),
+                )),
+                None,
+                crate::reactor::Interest::NONE,
+            )?;
+            lanes.insert(peer, (queue, token));
+        }
+        let handle = reactor.handle();
+        let thread = thread::Builder::new()
+            .name(format!("iniva-reactor-{node}"))
+            .spawn(move || {
+                pin_node_thread(node);
+                reactor.run()
+            })?;
 
         Ok(Transport {
             node,
             local_addr,
-            fabric,
+            reactor: handle,
+            thread: Some(thread),
+            lanes,
             incoming_tx,
             incoming_rx,
             stats,
@@ -585,10 +425,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// Frames currently queued across all outbound lanes.
     pub fn queue_depth(&self) -> usize {
-        match &self.fabric {
-            Fabric::Threaded { lanes, .. } => lanes.values().map(|l| l.queue.len()).sum(),
-            Fabric::Reactor { lanes, .. } => lanes.values().map(|(q, _)| q.len()).sum(),
-        }
+        self.lanes.values().map(|(q, _)| q.len()).sum()
     }
 
     /// This node's crash/heal switch.
@@ -638,21 +475,8 @@ impl<M: Codec + Send + 'static> Transport<M> {
             TransportStats::bump(&self.stats.faults_dropped, 1);
             return;
         }
-        // Locate the destination lane on whichever fabric is running; the
-        // reactor lane additionally needs a wakeup after the push.
-        let (queue, wake) = match &self.fabric {
-            Fabric::Threaded { lanes, .. } => {
-                let Some(lane) = lanes.get(&to) else {
-                    return;
-                };
-                (&lane.queue, None)
-            }
-            Fabric::Reactor { lanes, handle, .. } => {
-                let Some((queue, token)) = lanes.get(&to) else {
-                    return;
-                };
-                (queue, Some((handle, *token)))
-            }
+        let Some((queue, token)) = self.lanes.get(&to) else {
+            return;
         };
         // Enforce the same bound the receiver's parser enforces: a frame it
         // would reject as corrupt must never be queued (the lane would
@@ -673,9 +497,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
         if queue.push(epoch, framed) {
             TransportStats::bump(&self.stats.lane_evicted, 1);
         }
-        if let Some((handle, token)) = wake {
-            handle.notify(token);
-        }
+        self.reactor.notify(*token);
     }
 
     /// Receives the next message, waiting up to `timeout`.
@@ -692,247 +514,48 @@ impl<M: Codec + Send + 'static> Transport<M> {
     /// accepted connections speak the `iniva-ingress` client wire protocol
     /// (submit/ack, query, commit follow) against `mempool`, multiplexed on
     /// the *same* poller as the peer fabric — client count never implies
-    /// thread count. Only available on the [`TransportBackend::Reactor`]
-    /// backend; the threaded backend keeps the thread-per-client
-    /// [`iniva_ingress::IngressServer`] and returns `Unsupported` here.
+    /// thread count. The listener closes when the transport shuts down.
     pub fn serve_clients(
         &self,
         listener: TcpListener,
         mempool: Arc<iniva_ingress::Mempool>,
         opts: &iniva_ingress::IngressOptions,
     ) -> io::Result<()> {
-        match &self.fabric {
-            Fabric::Reactor { handle, .. } => {
-                use std::os::fd::AsRawFd;
-                listener.set_nonblocking(true)?;
-                let fd = listener.as_raw_fd();
-                let ctx = Arc::new(crate::fabric::ClientCtx {
-                    mempool,
-                    opts: opts.clone(),
-                    handle: handle.clone(),
-                });
-                handle.register(
-                    Box::new(crate::fabric::ClientListener::new(listener, ctx)),
-                    Some(fd),
-                    crate::reactor::Interest::READ,
-                );
-                Ok(())
-            }
-            Fabric::Threaded { .. } => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "client ingress on the shared poller requires the reactor backend",
-            )),
-        }
+        listener.set_nonblocking(true)?;
+        let fd = listener.as_raw_fd();
+        let ctx = Arc::new(crate::fabric::ClientCtx {
+            mempool,
+            opts: opts.clone(),
+            handle: self.reactor.clone(),
+        });
+        self.reactor.register(
+            Box::new(crate::fabric::ClientListener::new(listener, ctx)),
+            Some(fd),
+            crate::reactor::Interest::READ,
+        );
+        Ok(())
     }
+}
 
-    /// Stops all threads and closes the listener. Called by `Drop`; exposed
-    /// for explicit, joined shutdown in tests.
+impl<M> Transport<M> {
+    /// Closes the lanes, stops the poller thread — closing every socket
+    /// it owns — and joins it (idempotent). Called by `Drop`; exposed for
+    /// explicit, joined shutdown in tests.
     pub fn shutdown(&mut self) {
-        teardown(&mut self.fabric);
+        for (_, (queue, _)) in self.lanes.drain() {
+            queue.close();
+        }
+        self.reactor.shutdown();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
 impl<M> Drop for Transport<M> {
     fn drop(&mut self) {
-        teardown(&mut self.fabric);
+        self.shutdown();
     }
-}
-
-/// Stops whichever engine is running and joins its threads (idempotent).
-fn teardown(fabric: &mut Fabric) {
-    match fabric {
-        Fabric::Threaded {
-            lanes,
-            shutdown,
-            listener_handle,
-        } => {
-            shutdown.store(true, Ordering::SeqCst);
-            for (_, lane) in lanes.drain() {
-                lane.queue.close();
-                let _ = lane.handle.join();
-            }
-            if let Some(h) = listener_handle.take() {
-                let _ = h.join();
-            }
-        }
-        Fabric::Reactor {
-            handle,
-            thread,
-            lanes,
-        } => {
-            for (_, (queue, _)) in lanes.drain() {
-                queue.close();
-            }
-            handle.shutdown();
-            if let Some(t) = thread.take() {
-                let _ = t.join();
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop<M: Codec + Send + 'static>(
-    node: NodeId,
-    listener: TcpListener,
-    tx: Sender<Incoming<M>>,
-    stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    node_faults: Arc<NodeFaults>,
-    link_faults: Arc<LinkFaults>,
-) {
-    // One duplicate filter for the whole node, shared across connections:
-    // a frame replayed on a *new* connection after a reconnect must still
-    // be recognized as already delivered.
-    let dedup = Arc::new(Mutex::new(DedupCache::new(DEDUP_CAPACITY)));
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let tx = tx.clone();
-                let stats = Arc::clone(&stats);
-                let shutdown = Arc::clone(&shutdown);
-                let dedup = Arc::clone(&dedup);
-                let node_faults = Arc::clone(&node_faults);
-                let link_faults = Arc::clone(&link_faults);
-                let reader = thread::Builder::new()
-                    .name("iniva-reader".into())
-                    .spawn(move || {
-                        reader_loop(
-                            node,
-                            stream,
-                            tx,
-                            stats,
-                            shutdown,
-                            dedup,
-                            node_faults,
-                            link_faults,
-                        )
-                    });
-                // Shed the connection if the OS refuses a reader thread —
-                // the peer redials; a spawn failure must not kill the
-                // accept loop for every other peer.
-                match reader {
-                    Ok(handle) => readers.push(handle),
-                    Err(_) => continue,
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => break,
-        }
-    }
-    for r in readers {
-        let _ = r.join();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn reader_loop<M: Codec>(
-    node: NodeId,
-    mut stream: TcpStream,
-    tx: Sender<Incoming<M>>,
-    stats: Arc<TransportStats>,
-    shutdown: Arc<AtomicBool>,
-    dedup: Arc<Mutex<DedupCache>>,
-    node_faults: Arc<NodeFaults>,
-    link_faults: Arc<LinkFaults>,
-) {
-    // The accept loop may hand over a non-blocking socket; readers block
-    // with a timeout instead so they can observe shutdown. Reads append to
-    // a buffer and frames are parsed incrementally, so a timeout landing
-    // mid-frame never loses stream position.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
-    {
-        return;
-    }
-    let mut buf: Vec<u8> = Vec::with_capacity(64 * 1024);
-    let mut chunk = [0u8; 64 * 1024];
-    let mut from: Option<(NodeId, u32)> = None;
-    while !shutdown.load(Ordering::SeqCst) {
-        // Drain every complete unit currently buffered.
-        loop {
-            if from.is_none() {
-                match frame::parse_handshake(&buf) {
-                    Ok(Some((consumed, peer, epoch))) => {
-                        buf.drain(..consumed);
-                        from = Some((peer, epoch));
-                        continue;
-                    }
-                    Ok(None) => break,
-                    Err(_) => return,
-                }
-            }
-            match frame::parse_frame(&buf) {
-                Ok(frame::FrameParse::Incomplete) => break,
-                Ok(frame::FrameParse::Complete {
-                    consumed,
-                    seq,
-                    body,
-                }) => {
-                    let Some((sender, sender_epoch)) = from else {
-                        // Unreachable by construction (the handshake arm
-                        // above either set `from` or broke out), but a
-                        // hostile peer must not be able to turn a broken
-                        // assumption into a reader panic.
-                        return;
-                    };
-                    // Fault filter first: a frame a crashed node would
-                    // never have received, or one crossing a blocked
-                    // link, vanishes exactly as in the simulator.
-                    if node_faults.is_down() || link_faults.blocked(sender, node) {
-                        buf.drain(..consumed);
-                        TransportStats::bump(&stats.faults_dropped, 1);
-                        continue;
-                    }
-                    let decoded = M::from_frame(bytes::Bytes::from(buf[body].to_vec()));
-                    buf.drain(..consumed);
-                    let Ok(msg) = decoded else {
-                        return; // undecodable body: drop the connection
-                    };
-                    let fresh = crate::reactor::relock(&dedup).insert(sender, sender_epoch, seq);
-                    if !fresh {
-                        TransportStats::bump(&stats.dups_dropped, 1);
-                        continue;
-                    }
-                    TransportStats::bump(&stats.msgs_received, 1);
-                    TransportStats::bump(&stats.bytes_received, (consumed - 12) as u64);
-                    if tx.send(Incoming { from: sender, msg }).is_err() {
-                        return; // receiver gone
-                    }
-                }
-                Err(_) => return, // corrupt framing: the peer will redial
-            }
-        }
-        match io::Read::read(&mut stream, &mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if would_block(&e) => continue,
-            Err(_) => return,
-        }
-    }
-}
-
-/// Probes an outbound (write-only) connection for peer shutdown: lanes
-/// never expect inbound data, so a successful zero-byte read means EOF and
-/// a reset means the peer is gone. Unexpected data is discarded.
-fn conn_is_dead(stream: &mut TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 256];
-    let dead = match io::Read::read(stream, &mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e) if would_block(&e) => false,
-        Err(_) => true,
-    };
-    if stream.set_nonblocking(false).is_err() {
-        return true;
-    }
-    dead
 }
 
 /// Puts the calling thread on node `node`'s CPU: nodes are dealt round
@@ -954,122 +577,4 @@ pub(crate) fn would_block(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
     )
-}
-
-fn outbound_loop(shared: LaneShared) {
-    let LaneShared {
-        node,
-        peer,
-        addr,
-        queue,
-        stats,
-        shutdown,
-        node_faults,
-        link_faults,
-    } = shared;
-    let mut conn: Option<TcpStream> = None;
-    // Incarnation the current connection's handshake was written under; a
-    // frame from a newer epoch forces a re-handshake so the receiver keys
-    // its dedup entries by the fresh epoch.
-    let mut conn_epoch = 0u32;
-    let mut backoff = BACKOFF_START;
-    let mut last_write = Instant::now();
-    // The first successful dial is the lane coming up, not a *re*connect:
-    // only count once a previously-working connection had to be rebuilt.
-    let mut ever_connected = false;
-    'main: while !shutdown.load(Ordering::SeqCst) {
-        let (epoch, framed) = match queue.pop_timeout(Duration::from_millis(200)) {
-            LanePop::Frame(epoch, framed) => (epoch, framed),
-            LanePop::Closed => return,
-            LanePop::Timeout => continue,
-        };
-        // Deliver this frame, reconnecting as often as needed.
-        let mut delayed = false;
-        loop {
-            if shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            // Injected faults: a crashed sender's backlog, a frame from a
-            // dead incarnation, or a blocked link all drop the frame.
-            if node_faults.is_down()
-                || epoch != node_faults.epoch()
-                || link_faults.blocked(node, peer)
-            {
-                TransportStats::bump(&stats.faults_dropped, 1);
-                continue 'main;
-            }
-            // Slow-link injection: once per frame (not per reconnect
-            // retry of the same frame), sliced so a pending shutdown is
-            // observed within ~20 ms instead of after the whole delay.
-            if !delayed {
-                delayed = true;
-                if let Some(delay) = link_faults.delay(node, peer) {
-                    let deadline = Instant::now() + delay;
-                    loop {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let left = deadline.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        thread::sleep(left.min(Duration::from_millis(20)));
-                    }
-                }
-            }
-            if conn.is_some() && conn_epoch != epoch {
-                conn = None; // re-handshake under the new incarnation
-            }
-            if conn.is_none() {
-                if let Ok(mut stream) =
-                    TcpStream::connect_timeout(&addr, Duration::from_millis(500))
-                {
-                    if stream.set_nodelay(true).is_ok()
-                        && frame::write_handshake(&mut stream, node, epoch).is_ok()
-                    {
-                        if ever_connected {
-                            TransportStats::bump(&stats.reconnects, 1);
-                        } else {
-                            ever_connected = true;
-                        }
-                        conn = Some(stream);
-                        conn_epoch = epoch;
-                        backoff = BACKOFF_START;
-                    }
-                }
-                if conn.is_none() {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(BACKOFF_CAP);
-                    continue;
-                }
-            }
-            let Some(stream) = conn.as_mut() else {
-                continue; // unreachable: the dial above just set `conn`
-            };
-            // A dead peer turns writes into silent local-buffer successes
-            // until the RST arrives. Probe for EOF before writing — but
-            // only after an idle gap: on a busy lane the previous write
-            // would have surfaced the error, and probing every frame costs
-            // three syscalls on the hot path.
-            if last_write.elapsed() >= PROBE_AFTER_IDLE && conn_is_dead(stream) {
-                conn = None;
-                continue;
-            }
-            let Some(stream) = conn.as_mut() else {
-                continue; // unreachable: the probe above kept `conn`
-            };
-            match std::io::Write::write_all(stream, &framed) {
-                Ok(()) => {
-                    last_write = Instant::now();
-                    continue 'main;
-                }
-                Err(_) => {
-                    // Connection died mid-write: reconnect and resend this
-                    // frame. The receiver's dedup cache absorbs the case
-                    // where the write had actually gone through.
-                    conn = None;
-                }
-            }
-        }
-    }
 }

@@ -193,10 +193,7 @@ fn killed_process_restarts_from_wal_and_catches_up() {
     // close through `StateRequest`/`StateResponse` rather than
     // lane-backlog replay; the frames lost in the killed socket's buffers
     // guarantee a gap even on machines where the dead window is short.
-    let options = TransportOptions {
-        lane_capacity: 8,
-        ..TransportOptions::default()
-    };
+    let options = TransportOptions { lane_capacity: 8 };
 
     // Real clocks make this timing-sensitive; retry once before failing.
     let mut last = String::new();
@@ -258,4 +255,71 @@ fn check_recovery(run: &ClusterRun, victim: NodeId, resumed_margin: Time) -> Res
         ));
     }
     Ok(())
+}
+
+/// A WAL replica crashed at time zero is a dead *process*: its client
+/// listener must be closed like its peer listener, so a client dialling
+/// it is refused at once — not parked in the accept backlog of a socket
+/// nobody will ever accept on — and after `RestartFromDisk` the same
+/// address is served by the new incarnation.
+#[test]
+fn wal_replica_dead_at_time_zero_refuses_clients_until_restarted() {
+    use iniva_ingress::{read_frame, write_frame, ClientMsg, IngressOptions};
+    use std::io::ErrorKind;
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let (cfg, _, _, _) = chaos_demo_scenario(SEED);
+    let victim = FaultPlan::shuffled_members(cfg.n, SEED + 3)[0];
+    let plan = FaultPlan::new()
+        .crash(0, victim)
+        .restart_from_disk(2 * SECS, victim);
+    let wal_root = wal_scratch("dead-at-zero");
+    let launched = Instant::now();
+    let handle = ClusterBuilder::new(&cfg, Duration::from_secs(5))
+        .faults(&plan)
+        .wal(&wal_root)
+        .ingress(IngressOptions::default())
+        .launch()
+        .expect("cluster launches");
+    let addr = handle.ingress().expect("ingress tier").client_addrs[victim as usize];
+
+    // The listener is bound before the harness injects the time-zero
+    // crash, so the very first dials may still land in its backlog (and
+    // are reset when it closes): poll until one is refused, well before
+    // the restart.
+    let refused = loop {
+        match TcpStream::connect_timeout(&addr, Duration::from_millis(200)) {
+            Err(e) if e.kind() == ErrorKind::ConnectionRefused => break true,
+            _ if launched.elapsed() > Duration::from_millis(1_500) => break false,
+            _ => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    assert!(refused, "dead replica's client address still accepts dials");
+
+    // After the restart the same address answers a query.
+    let served = loop {
+        if launched.elapsed() > Duration::from_millis(4_500) {
+            break false;
+        }
+        let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(200)) else {
+            std::thread::sleep(Duration::from_millis(20));
+            continue;
+        };
+        stream
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        if write_frame(&mut stream, &ClientMsg::Query { height: 1 }).is_ok()
+            && matches!(
+                read_frame(&mut stream),
+                Ok(Some(ClientMsg::QueryResponse { .. }))
+            )
+        {
+            break true;
+        }
+    };
+    let run = handle.join().expect("cluster shuts down cleanly");
+    assert!(served, "restarted replica never served its client address");
+    run.agreed_prefix_height().expect("no divergence anywhere");
+    let _ = std::fs::remove_dir_all(&wal_root);
 }

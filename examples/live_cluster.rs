@@ -73,11 +73,14 @@
 //! the shared config (multi-process) gives every replica a client-facing
 //! listener feeding a bounded fee-ordered mempool; the proposer then
 //! drafts blocks from real client submits instead of the synthetic
-//! open-loop model. Drive it with the `ingress_load` bench:
+//! open-loop model. The listener is served on the replica's own transport
+//! poller (`Transport::serve_clients`) in both modes, so a client that
+//! sent `Follow` gets its `Committed` ack pushed the moment the block
+//! settles — the committing thread wakes the poller — not on a polling
+//! tick. Any `ClientMsg` speaker can drive it (the printed addresses):
 //!
 //! ```sh
 //! cargo run --release --example live_cluster -- --ingress --duration 30
-//! cargo run --release -p iniva-bench --bin ingress_load   # separate terminal
 //! ```
 //!
 //! Each ingress knob exists as a CLI flag (in-process / ad-hoc) and a
@@ -98,7 +101,7 @@ use iniva_consensus::PerfSummary;
 use iniva_crypto::bls::BlsScheme;
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
-use iniva_ingress::{IngressOptions, IngressServer, Mempool, RequestSource};
+use iniva_ingress::{IngressOptions, Mempool, RequestSource};
 use iniva_net::{NetConfig, Simulation, SECS};
 use iniva_obs::{Registry, Tracer};
 use iniva_storage::ChainWal;
@@ -272,17 +275,19 @@ fn one_process<S: WireScheme>(
     // journals every commit and view entry from here on — the kill -9
     // + restart demo from the module docs.
     // Client ingress, when the shared config enables it: this process
-    // listens for clients on `client_listen`'s port + id and drafts its
-    // blocks from the mempool instead of the synthetic workload model.
+    // listens for clients on `client_listen`'s port + id, on the same
+    // poller as its peer sockets, and drafts its blocks from the mempool
+    // instead of the synthetic workload model.
     let ingress = cluster.client_addr_of(id).map(|client_addr| {
         let opts = cluster.ingress_options();
         let mempool = Arc::new(Mempool::new(&opts));
         let listener =
             std::net::TcpListener::bind(client_addr).expect("bind client ingress listener");
-        let server =
-            IngressServer::start(listener, Arc::clone(&mempool), &opts).expect("start ingress");
+        transport
+            .serve_clients(listener, Arc::clone(&mempool), &opts)
+            .expect("start ingress");
         println!("client ingress: listening on {client_addr}");
-        (mempool, server)
+        mempool
     });
     let mut replica = match wal_dir {
         None => InivaReplica::new(id, cfg, scheme),
@@ -304,7 +309,7 @@ fn one_process<S: WireScheme>(
             replica
         }
     };
-    if let Some((mempool, _)) = &ingress {
+    if let Some(mempool) = &ingress {
         replica
             .chain
             .set_request_source(Arc::clone(mempool) as Arc<dyn RequestSource>);
@@ -329,8 +334,7 @@ fn one_process<S: WireScheme>(
         }
     }
     let (mut replica, stats, transport) = runtime.finish();
-    if let Some((mempool, server)) = ingress {
-        server.shutdown();
+    if let Some(mempool) = ingress {
         let s = mempool.stats();
         println!(
             "client ingress: {} offered, {} admitted, {} duplicates, {} shed, {} committed",
@@ -560,7 +564,7 @@ fn main() {
     let duration = parse("--duration", if bls { 15 } else { 5 });
     // --ingress bolts the client tier onto the in-process cluster: the
     // proposer drafts from a real fee-ordered mempool (initially empty —
-    // drive it with the `ingress_load` bench or any ClientMsg speaker).
+    // drive it with any ClientMsg speaker).
     let ingress = args.iter().any(|a| a == "--ingress").then(|| {
         let defaults = IngressOptions::default();
         IngressOptions {
