@@ -16,29 +16,69 @@
 //! one view committed, and every replica that was alive near the end of
 //! the run (events in the last 20% of the traced span) observed at
 //! least one commit — a revived node that caught up via state transfer
-//! passes, a stuck one fails. `--max-failed-pct <pct>` tightens the gate
-//! with a ceiling on the failed-view share (the resilience regression
-//! gate: the Carousel fix holds the 4-crash cell under 25%).
+//! passes, a stuck one fails. It also reads every `metrics-<id>.json`
+//! beside the traces and fails when a replica's chain retention exceeds
+//! its bound: `chain.retained_commits` above [`RETAINED_COMMITS`], or
+//! `chain.retained_blocks` above [`RETAINED_BLOCKS_BOUND`].
+//! `--max-failed-pct <pct>` tightens the gate with a ceiling on the
+//! failed-view share (the resilience regression gate: the Carousel fix
+//! holds the 4-crash cell under 25%).
 
+use iniva_consensus::chain::RETAINED_COMMITS;
+use iniva_obs::json::{field_u64, parse_flat_object};
 use iniva_obs::timeline::parse_dump;
 use iniva_obs::trace::EventKind;
 use iniva_obs::{NodeDump, Timeline, ViewOutcome};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Collects `trace-*.jsonl` files under `dir`, ascending by name.
-fn trace_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Ceiling on a replica's block store: the retention window plus as many
+/// again for the uncommitted blocks and forks above its floor (a failed
+/// view leaves one fork; a healthy replica holds two in flight).
+const RETAINED_BLOCKS_BOUND: u64 = 2 * RETAINED_COMMITS as u64;
+
+/// Collects `<prefix>*<suffix>` files under `dir`, ascending by name.
+fn dump_files(dir: &Path, prefix: &str, suffix: &str) -> std::io::Result<Vec<PathBuf>> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .filter(|p| {
             p.file_name()
                 .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("trace-") && n.ends_with(".jsonl"))
+                .is_some_and(|n| n.starts_with(prefix) && n.ends_with(suffix))
         })
         .collect();
     files.sort();
     Ok(files)
+}
+
+/// The retention gate over every `metrics-*.json` in `dir`: each must
+/// parse and report both `chain.retained_*` gauges within their bounds.
+fn check_retention(dir: &Path) -> Result<(), String> {
+    let files = dump_files(dir, "metrics-", ".json").map_err(|e| e.to_string())?;
+    if files.is_empty() {
+        return Err(format!(
+            "no metrics-*.json beside the traces in {}",
+            dir.display()
+        ));
+    }
+    for f in &files {
+        let text = std::fs::read_to_string(f).map_err(|e| format!("{}: {e}", f.display()))?;
+        let pairs = parse_flat_object(&text).map_err(|e| format!("{}: {e}", f.display()))?;
+        for (gauge, bound) in [
+            ("chain.retained_commits", RETAINED_COMMITS as u64),
+            ("chain.retained_blocks", RETAINED_BLOCKS_BOUND),
+        ] {
+            let held = field_u64(&pairs, gauge).map_err(|e| format!("{}: {e}", f.display()))?;
+            if held > bound {
+                return Err(format!(
+                    "{}: {gauge} = {held} exceeds its bound {bound}",
+                    f.display()
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn outcome_label(o: ViewOutcome) -> &'static str {
@@ -137,7 +177,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|_| panic!("--max-failed-pct wants a number, got '{v}'"))
         });
 
-    let files = match trace_files(Path::new(dir)) {
+    let files = match dump_files(Path::new(dir), "trace-", ".jsonl") {
         Ok(f) if !f.is_empty() => f,
         Ok(_) => {
             eprintln!("no trace-*.jsonl files in {dir}");
@@ -188,7 +228,7 @@ fn main() -> ExitCode {
     print!("{}", tl.summary().render());
 
     if want_check {
-        match check(&dumps, &tl, max_failed_pct) {
+        match check(&dumps, &tl, max_failed_pct).and_then(|()| check_retention(Path::new(dir))) {
             Ok(()) => println!("check: OK"),
             Err(e) => {
                 eprintln!("check: FAILED — {e}");

@@ -6,11 +6,30 @@
 //! [`ChainState::rehydrate`] replays the recovered prefix on restart, and
 //! [`ChainState::adopt_committed`] lets a lagging replica graft blocks
 //! fetched from peers via state transfer directly onto its prefix.
+//!
+//! Retention: memory holds a *window* of the chain, not the chain. The
+//! last [`RETAINED_COMMITS`] committed blocks, each with the certificate
+//! that proves it where one was observed, are what state transfer serves,
+//! what Carousel samples its recent leaders from and where the committed
+//! tip's QC comes from; the block store keeps that window plus the
+//! uncommitted blocks above it. Every commit step — three-chain commit,
+//! state-transfer adoption, WAL replay — slides the window and drops every
+//! block below its oldest entry, forks included, so memory stays flat
+//! however long a replica runs (the 21-replica `tree21` benchmark process
+//! on a 2-vCPU host peaked at 41.4 MB at 30 s and 68.3 MB at 60 s keeping
+//! the whole chain; with the window, 23.6 and 30.5 MB). The WAL keeps
+//! everything; a WAL longer than the window recovers into the window.
+//!
+//! Below the window a responder serves what it holds: a requester more
+//! than a window behind adopts the responder's window across the gap
+//! (adoption accepts any height past its prefix, because the QC alone
+//! proves commitment), exactly as it would past a hole in a peer's log.
 
+use crate::leader::CAROUSEL_WINDOW_EPOCH;
 use crate::types::{quorum, vote_message, Block, BlockHash, Qc, GENESIS_HASH};
 use iniva_crypto::multisig::VoteScheme;
 use iniva_net::Time;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Cap on recorded per-request latency samples (for percentile metrics);
@@ -18,9 +37,22 @@ use std::sync::Arc;
 /// grow without bound while short live-cluster runs get exact percentiles.
 pub const LATENCY_SAMPLE_CAP: usize = 100_000;
 
-/// Cap on the committed-block log kept for cross-replica agreement checks;
-/// bounds memory on long runs the same way [`LATENCY_SAMPLE_CAP`] does.
+/// Cap on the committed `(height, hash)` audit record
+/// ([`ChainState::committed_log`]) that cluster harnesses check
+/// cross-replica agreement on. Past it the record stops growing; nothing
+/// in the protocol reads it, so consensus is unaffected.
 pub const COMMITTED_LOG_CAP: usize = 65_536;
+
+/// Committed blocks (with their certificates) kept in memory. It must
+/// cover what the protocol reads back from the committed prefix:
+/// Carousel's recent-leader sample, `f` heights ending up to
+/// [`CAROUSEL_WINDOW_EPOCH`] below the tip (`f + 8 ≤ 256` up to 745
+/// replicas), and the three-chain rule's 3. Beyond that it is the
+/// in-memory catch-up horizon: ≈ 4.7 s of `tree21` commits. A fixed
+/// constant, not an option — the WAL, not this window, is the record.
+pub const RETAINED_COMMITS: usize = 256;
+
+const _: () = assert!(RETAINED_COMMITS as u64 > CAROUSEL_WINDOW_EPOCH + 3);
 
 /// An external supply of client requests backing the proposer's block
 /// drafts — the hook a live mempool (`iniva-ingress`) plugs into. When a
@@ -218,6 +250,14 @@ pub struct BatchAdoption {
     pub verified_signers: usize,
 }
 
+/// One committed block as the retention window holds it.
+struct Retained<S: VoteScheme> {
+    height: u64,
+    hash: BlockHash,
+    /// The certificate proving the commit, when one was observed.
+    qc: Option<Qc<S>>,
+}
+
 /// The replica-local chain: stores blocks, tracks the highest QC and applies
 /// the chained-HotStuff three-chain commit rule.
 pub struct ChainState<S: VoteScheme> {
@@ -244,17 +284,18 @@ pub struct ChainState<S: VoteScheme> {
     /// conservative direction — committed ≤ offered — is the invariant
     /// the metrics rely on.
     draft_cursor: u64,
-    /// Every committed block as `(height, hash)`, ascending — the chain
-    /// prefix this replica has finalized (used for cross-replica agreement
-    /// checks in the live-cluster tests).
+    /// Audit record of the committed prefix as `(height, hash)`, ascending
+    /// (first [`COMMITTED_LOG_CAP`] commits) — written on every commit,
+    /// read only by cross-replica agreement checks, never by the protocol.
     committed_log: Vec<(u64, BlockHash)>,
     /// QCs observed for not-yet-committed blocks, keyed by certified block
     /// hash; pruned at each commit. When a block commits, its certificate
-    /// moves to `committed_qcs` so state transfer can serve it as proof.
+    /// moves into `window` so state transfer can serve it as proof.
     seen_qcs: HashMap<BlockHash, Qc<S>>,
-    /// The certificate for each committed height (first
-    /// [`COMMITTED_LOG_CAP`] commits), where one was observed.
-    committed_qcs: HashMap<u64, Qc<S>>,
+    /// The last [`RETAINED_COMMITS`] committed blocks, ascending by height
+    /// (not necessarily dense). Bodies live in `blocks`, which holds
+    /// nothing below the oldest entry.
+    window: VecDeque<Retained<S>>,
     /// Durability hook: observes commits and view entries as they happen.
     sink: Option<Box<dyn CommitSink<S> + Send>>,
     /// Client-request supply: when set, drafts pull admitted requests
@@ -281,7 +322,9 @@ impl<S: VoteScheme> ChainState<S> {
             draft_cursor: 0,
             committed_log: Vec::new(),
             seen_qcs: HashMap::new(),
-            committed_qcs: HashMap::new(),
+            // Full size up front: grown by doubling, the window's buffer
+            // would end at 512 slots for the 257 it ever holds.
+            window: VecDeque::with_capacity(RETAINED_COMMITS + 1),
             sink: None,
             source: None,
             metrics: ChainMetrics::default(),
@@ -309,13 +352,28 @@ impl<S: VoteScheme> ChainState<S> {
         }
     }
 
+    /// Mirrors [`ChainMetrics::export`] into `registry`, plus the two
+    /// retention gauges: `chain.retained_commits` (entries in the window,
+    /// at most [`RETAINED_COMMITS`]) and `chain.retained_blocks` (the block
+    /// store: the window plus the uncommitted blocks above it). Stores,
+    /// not adds, so re-exporting is idempotent.
+    pub fn export(&mut self, registry: &iniva_obs::Registry) {
+        self.metrics.export(registry);
+        registry
+            .gauge("chain.retained_commits")
+            .set(self.window.len() as u64);
+        registry
+            .gauge("chain.retained_blocks")
+            .set(self.blocks.len() as u64);
+    }
+
     /// Replays a committed prefix recovered from durable storage into a
-    /// **fresh** chain: blocks are stored, the committed log and height
-    /// advance, recovered QCs seed the high QC, and the request cursors
-    /// skip past every recovered batch so a recovered leader never
-    /// re-proposes requests it already committed. Recovered blocks are
-    /// counted in [`ChainMetrics::recovered_blocks`] only — this run's
-    /// throughput/latency metrics start from zero.
+    /// **fresh** chain: the committed log and height advance, recovered
+    /// QCs seed the high QC, the last [`RETAINED_COMMITS`] entries fill the
+    /// window, and the request cursors skip past every recovered batch so
+    /// a recovered leader never re-proposes requests it already committed.
+    /// Recovered blocks are counted in [`ChainMetrics::recovered_blocks`]
+    /// only — this run's throughput/latency metrics start from zero.
     ///
     /// Entries must be strictly ascending in height (the committed log may
     /// legitimately contain gaps — see [`Self::committed_entry`]);
@@ -330,47 +388,19 @@ impl<S: VoteScheme> ChainState<S> {
             if block.height <= self.committed_height {
                 continue;
             }
-            self.next_req = self
-                .next_req
-                .max(block.batch_start + block.batch_len as u64);
-            self.committed_height = block.height;
-            if self.committed_log.len() < COMMITTED_LOG_CAP {
-                self.committed_log.push((block.height, block.hash()));
-            }
-            if let Some(qc) = qc {
-                let better = self
-                    .highest_qc
-                    .as_ref()
-                    .is_none_or(|old| qc.height > old.height);
-                if better {
-                    self.highest_qc = Some(qc.clone());
-                }
-                if self.committed_qcs.len() < COMMITTED_LOG_CAP {
-                    self.committed_qcs.insert(block.height, qc);
-                }
-            }
             self.metrics.recovered_blocks += 1;
-            self.insert_block(block);
+            self.graft(block, qc);
         }
+        self.prune_below_window();
     }
 
     /// Grafts one peer-served committed block onto the prefix (state
-    /// transfer): verifies that `qc` actually certifies `block` with a
-    /// quorum before accepting. Returns `true` if the prefix advanced.
-    ///
-    /// Adopted blocks are durably logged via the sink but counted only in
-    /// [`ChainMetrics::state_transfer_blocks`] — `committed_blocks` and
-    /// the progress curve keep meaning "commits reached through the
-    /// protocol", which is what chaos tests assert resumed after a heal.
+    /// transfer): [`Self::adopt_committed_batch`] with a chunk of one.
+    /// Returns `true` if the prefix advanced.
     pub fn adopt_committed(&mut self, block: Block, qc: Qc<S>, scheme: &S) -> bool {
-        if !self.adoptable(&block, &qc, scheme) {
-            return false;
-        }
-        if !scheme.verify(&vote_message(&block.hash(), qc.view), &qc.agg) {
-            return false;
-        }
-        self.adopt_verified(block, qc);
-        true
+        self.adopt_committed_batch(vec![(block, qc)], scheme)
+            .adopted
+            == 1
     }
 
     /// Grafts a whole state-transfer chunk onto the prefix with **one**
@@ -380,9 +410,13 @@ impl<S: VoteScheme> ChainState<S> {
     /// multi-pairing — `1 + #entries` Miller loops and one final
     /// exponentiation instead of two Miller loops and a final
     /// exponentiation per entry. Adoption stops at the first entry that
-    /// fails structurally or cryptographically (matching the per-item
-    /// semantics: later entries chain past a hole the requester cannot
-    /// trust yet).
+    /// fails structurally or cryptographically (later entries chain past
+    /// a hole the requester cannot trust yet).
+    ///
+    /// Adopted blocks are durably logged via the sink but counted only in
+    /// [`ChainMetrics::state_transfer_blocks`] — `committed_blocks` and
+    /// the progress curve keep meaning "commits reached through the
+    /// protocol", which is what chaos tests assert resumed after a heal.
     pub fn adopt_committed_batch(
         &mut self,
         items: Vec<(Block, Qc<S>)>,
@@ -431,19 +465,15 @@ impl<S: VoteScheme> ChainState<S> {
             sink.committed_batch(&adopted_entries);
         }
         for (block, qc) in adopted_entries {
-            self.adopt_bookkeeping(block, qc.expect("constructed as Some above"));
+            self.metrics.state_transfer_blocks += 1;
+            self.graft(block, qc);
         }
+        self.prune_below_window();
         BatchAdoption {
             adopted,
             verified_entries,
             verified_signers,
         }
-    }
-
-    /// The structural half of adoption, checked against the *current*
-    /// prefix height.
-    fn adoptable(&self, block: &Block, qc: &Qc<S>, scheme: &S) -> bool {
-        self.adoptable_at(self.committed_height, block, qc, scheme)
     }
 
     /// Structural adoption checks against an explicit prefix height (the
@@ -452,8 +482,8 @@ impl<S: VoteScheme> ChainState<S> {
     /// quorum of distinct signers.
     ///
     /// Any height past the prefix is adoptable (not just `+1`): the
-    /// serving peer's own log may have gaps, and the QC alone proves
-    /// commitment.
+    /// serving peer's own log may have gaps, or start at its window's
+    /// floor, and the QC alone proves commitment.
     fn adoptable_at(&self, min_height: u64, block: &Block, qc: &Qc<S>, scheme: &S) -> bool {
         block.height > min_height
             && qc.block_hash == block.hash()
@@ -461,76 +491,86 @@ impl<S: VoteScheme> ChainState<S> {
             && qc.signer_count(scheme) >= quorum(scheme.committee_size())
     }
 
-    /// The bookkeeping-plus-durability half of adoption; the caller has
-    /// already verified `qc` against `block`.
-    fn adopt_verified(&mut self, block: Block, qc: Qc<S>) {
-        if let Some(sink) = &mut self.sink {
-            sink.committed(&block, Some(&qc));
+    /// Joins `block` to the committed prefix outside the three-chain rule
+    /// (WAL replay, state transfer): the prefix moves to its height and
+    /// its certificate may raise the high QC.
+    fn graft(&mut self, block: Block, qc: Option<Qc<S>>) {
+        self.committed_height = block.height;
+        if let Some(qc) = &qc {
+            if self
+                .highest_qc
+                .as_ref()
+                .is_none_or(|old| qc.height > old.height)
+            {
+                self.highest_qc = Some(qc.clone());
+            }
         }
-        self.adopt_bookkeeping(block, qc);
+        self.record_commit(block, qc);
     }
 
-    /// The in-memory bookkeeping of adoption alone; the caller has
-    /// already verified `qc` *and* handed the entry to the durability
-    /// sink (the batch path does that once per chunk via
-    /// [`CommitSink::committed_batch`], so a state-transfer chunk costs
-    /// one fsync, not one per block).
-    fn adopt_bookkeeping(&mut self, block: Block, qc: Qc<S>) {
-        let hash = block.hash();
-        self.next_req = self
-            .next_req
-            .max(block.batch_start + block.batch_len as u64);
-        self.committed_height = block.height;
+    /// Records one committed block: the request cursor skips its batch, it
+    /// joins the audit log and the window (its body goes to `blocks`), and a full
+    /// window drops its oldest entry's body. Callers advance
+    /// `committed_height` and run [`Self::prune_below_window`] once per
+    /// commit step.
+    fn record_commit(&mut self, block: Block, qc: Option<Qc<S>>) {
+        self.next_req = self.next_req.max(batch_end(&block));
+        let (height, hash) = (block.height, block.hash());
         if self.committed_log.len() < COMMITTED_LOG_CAP {
-            self.committed_log.push((block.height, hash));
+            self.committed_log.push((height, hash));
         }
-        let better = self
-            .highest_qc
-            .as_ref()
-            .is_none_or(|old| qc.height > old.height);
-        if better {
-            self.highest_qc = Some(qc.clone());
-        }
-        // Same retention cap as the protocol commit path: entries past
-        // the committed-log cap could never be served anyway (the log
-        // stops recording there), so don't let them accumulate.
-        if self.committed_qcs.len() < COMMITTED_LOG_CAP {
-            self.committed_qcs.insert(block.height, qc);
-        }
-        self.metrics.state_transfer_blocks += 1;
         self.insert_block(block);
+        self.window.push_back(Retained { height, hash, qc });
+        if self.window.len() > RETAINED_COMMITS {
+            if let Some(old) = self.window.pop_front() {
+                self.blocks.remove(&old.hash);
+            }
+        }
+    }
+
+    /// Drops every stored block below the window's oldest entry: blocks
+    /// that slid out of it and forks that can no longer commit (a forged
+    /// proposal stored against a held QC included). What stays is the
+    /// window plus the uncommitted blocks above it.
+    fn prune_below_window(&mut self) {
+        if let Some(floor) = self.window.front().map(|e| e.height) {
+            self.blocks.retain(|_, b| b.height >= floor);
+        }
+    }
+
+    /// A window entry as a provable pair, if both the body and a
+    /// certificate are held.
+    fn provable<'a>(&'a self, entry: &'a Retained<S>) -> Option<(&'a Block, &'a Qc<S>)> {
+        Some((self.blocks.get(&entry.hash)?, entry.qc.as_ref()?))
     }
 
     /// The committed block at `height` together with its certificate, if
-    /// both are retained — the lookup a state-transfer responder serves
-    /// from. Heights past [`COMMITTED_LOG_CAP`] or committed without an
-    /// observed QC return `None` (the requester asks someone else or
-    /// catches up via 2ND-CHANCE delivery). The log is ascending but not
-    /// necessarily dense: committing a tip whose ancestors were never
-    /// delivered records only the blocks this replica actually has.
+    /// the window holds both — the lookup a state-transfer responder
+    /// serves from. Heights below the window or committed without an
+    /// observed QC return `None` (the requester adopts across the gap,
+    /// asks someone else or catches up via 2ND-CHANCE delivery). The
+    /// window is ascending but not necessarily dense: committing a tip
+    /// whose ancestors were never delivered records only the blocks this
+    /// replica actually has.
     pub fn committed_entry(&self, height: u64) -> Option<(&Block, &Qc<S>)> {
         let idx = self
-            .committed_log
-            .binary_search_by_key(&height, |&(h, _)| h)
+            .window
+            .binary_search_by_key(&height, |e| e.height)
             .ok()?;
-        let (_, hash) = self.committed_log[idx];
-        Some((self.blocks.get(&hash)?, self.committed_qcs.get(&height)?))
+        self.provable(&self.window[idx])
     }
 
     /// Up to `max` provable committed entries from `from_height` upward,
     /// ascending — the chunk a state-transfer responder ships. Heights the
     /// replica cannot prove (no retained block or QC) are skipped rather
-    /// than ending the chunk, so one gap in the responder's own log does
-    /// not strand a requester behind it forever.
+    /// than ending the chunk, so one gap in the responder's own window
+    /// does not strand a requester behind it forever; a `from_height`
+    /// below the window starts at the window's oldest entry.
     pub fn committed_range(&self, from_height: u64, max: usize) -> Vec<(&Block, &Qc<S>)> {
-        let start = self
-            .committed_log
-            .partition_point(|&(h, _)| h < from_height);
-        self.committed_log[start..]
-            .iter()
-            .filter_map(|&(height, hash)| {
-                Some((self.blocks.get(&hash)?, self.committed_qcs.get(&height)?))
-            })
+        let start = self.window.partition_point(|e| e.height < from_height);
+        self.window
+            .range(start..)
+            .filter_map(|e| self.provable(e))
             .take(max)
             .collect()
     }
@@ -558,15 +598,17 @@ impl<S: VoteScheme> ChainState<S> {
         self.highest_qc.as_ref()
     }
 
-    /// True when the chain already holds a *verified* certificate for
-    /// `(view, block_hash)` — as the high QC or among the certificates of
+    /// The *verified* certificate the chain already holds for
+    /// `(view, block_hash)` — the high QC or one of the certificates of
     /// uncommitted blocks. Everything stored there passed verification (or
     /// was assembled locally from verified shares), so a carrier of the
     /// same `(view, hash)` teaches nothing and needs no second pairing.
-    pub fn holds_qc(&self, view: u64, block_hash: &BlockHash) -> bool {
-        let same = |q: &Qc<S>| q.view == view && q.block_hash == *block_hash;
-        self.highest_qc.as_ref().is_some_and(same)
-            || self.seen_qcs.get(block_hash).is_some_and(same)
+    pub fn held_qc(&self, view: u64, block_hash: &BlockHash) -> Option<&Qc<S>> {
+        let same = |q: &&Qc<S>| q.view == view && q.block_hash == *block_hash;
+        self.highest_qc
+            .as_ref()
+            .filter(same)
+            .or_else(|| self.seen_qcs.get(block_hash).filter(same))
     }
 
     /// Highest committed height.
@@ -574,10 +616,11 @@ impl<S: VoteScheme> ChainState<S> {
         self.committed_height
     }
 
-    /// The committed chain as `(height, hash)` pairs, ascending (first
-    /// [`COMMITTED_LOG_CAP`] commits). Safety means this is a
-    /// prefix-consistent log across correct replicas: for any height two
-    /// replicas both committed, the hashes agree.
+    /// The audit record of the committed chain as `(height, hash)` pairs,
+    /// ascending (first [`COMMITTED_LOG_CAP`] commits). Safety means this
+    /// is a prefix-consistent log across correct replicas: for any height
+    /// two replicas both committed, the hashes agree. For agreement
+    /// checks only — the protocol reads the retention window instead.
     pub fn committed_log(&self) -> &[(u64, BlockHash)] {
         &self.committed_log
     }
@@ -590,25 +633,18 @@ impl<S: VoteScheme> ChainState<S> {
     /// first commit, or if the tip committed without an observed QC (a
     /// 2ND-CHANCE catch-up can do that) — callers keep their previous pool.
     pub fn committed_tip_qc(&self) -> Option<&Qc<S>> {
-        self.committed_qcs.get(&self.committed_height)
-    }
-
-    /// Proposers of the last `count` committed blocks, oldest first — the
-    /// recent-leader window Carousel excludes (Cohen et al.). Derived from
-    /// the committed log, so it is identical on every replica that shares
-    /// the committed prefix. Entries whose block body was never delivered
-    /// (committed via a QC-only ancestor walk) are skipped.
-    pub fn recent_committed_proposers(&self, count: usize) -> Vec<u32> {
-        let start = self.committed_log.len().saturating_sub(count);
-        self.committed_log[start..]
-            .iter()
-            .filter_map(|(_, hash)| self.blocks.get(hash).map(|b| b.proposer))
-            .collect()
+        self.window
+            .back()
+            .filter(|e| e.height == self.committed_height)?
+            .qc
+            .as_ref()
     }
 
     /// Proposers of the `count` committed blocks at heights in
-    /// `(boundary - count, boundary]`, oldest first. This is the
-    /// epoch-sampled recent-leader window: callers pass a `boundary`
+    /// `(boundary - count, boundary]`, oldest first — the recent-leader
+    /// window Carousel excludes (Cohen et al.), read from the retention
+    /// window, so identical on every replica that shares the committed
+    /// prefix. This is the epoch-sampled window: callers pass a `boundary`
     /// quantized to a fixed epoch length, so the result only changes when
     /// the committed height crosses an epoch boundary. A window that slid
     /// with *every* commit would differ between two replicas whose
@@ -616,16 +652,14 @@ impl<S: VoteScheme> ChainState<S> {
     /// is catching up via state transfer) — and a divergent window means
     /// divergent leaders and failed views. Quantizing the boundary keeps
     /// the window identical across replicas whose skew stays inside one
-    /// epoch. Entries whose block body was never delivered are skipped.
+    /// epoch. Heights the window has no entry for are skipped.
     pub fn committed_proposers_ending_at(&self, boundary: u64, count: usize) -> Vec<u32> {
-        // The log is ascending by height: locate the window's two ends
-        // instead of filtering the whole chain on every QC.
-        let log = &self.committed_log;
-        let start = log.partition_point(|&(h, _)| h + count as u64 <= boundary);
-        let end = log.partition_point(|&(h, _)| h <= boundary);
-        log[start..end]
-            .iter()
-            .filter_map(|(_, hash)| self.blocks.get(hash).map(|b| b.proposer))
+        // The window is ascending by height: locate the sample's two ends.
+        let w = &self.window;
+        let start = w.partition_point(|e| e.height.saturating_add(count as u64) <= boundary);
+        let end = w.partition_point(|e| e.height <= boundary);
+        w.range(start..end)
+            .filter_map(|e| self.blocks.get(&e.hash).map(|b| b.proposer))
             .collect()
     }
 
@@ -638,7 +672,7 @@ impl<S: VoteScheme> ChainState<S> {
     /// validated peer proposal — advances the draft cursor past its
     /// request range, so later drafts never re-batch it.
     pub fn insert_block(&mut self, b: Block) {
-        self.draft_cursor = self.draft_cursor.max(b.batch_start + b.batch_len as u64);
+        self.draft_cursor = self.draft_cursor.max(batch_end(&b));
         self.blocks.entry(b.hash()).or_insert(b);
     }
 
@@ -686,7 +720,7 @@ impl<S: VoteScheme> ChainState<S> {
         self.metrics.qc_signers_sum += qc.signer_count(scheme) as u64;
         self.metrics.qc_count += 1;
         // Remember the certificate for the block it certifies: if that
-        // block later commits, the QC moves to `committed_qcs` so state
+        // block later commits, the QC moves into the window so state
         // transfer can serve it as proof of the committed prefix.
         if qc.height > self.committed_height {
             self.seen_qcs
@@ -740,15 +774,6 @@ impl<S: VoteScheme> ChainState<S> {
             sink.committed_batch(&batch);
         }
         for (b, qc) in batch {
-            let hash = b.hash();
-            if let Some(qc) = qc {
-                if self.committed_qcs.len() < COMMITTED_LOG_CAP {
-                    self.committed_qcs.insert(b.height, qc);
-                }
-            }
-            if self.committed_log.len() < COMMITTED_LOG_CAP {
-                self.committed_log.push((b.height, hash));
-            }
             self.metrics.last_commit_time = now;
             if self.metrics.commit_points.len() < COMMITTED_LOG_CAP {
                 self.metrics.commit_points.push((now, b.height));
@@ -767,7 +792,10 @@ impl<S: VoteScheme> ChainState<S> {
                 }
             } else if self.ns_per_req > 0 {
                 for i in 0..b.batch_len as u64 {
-                    let arrival = (b.batch_start + i) * self.ns_per_req;
+                    let arrival = b
+                        .batch_start
+                        .saturating_add(i)
+                        .saturating_mul(self.ns_per_req);
                     let latency = now.saturating_sub(arrival);
                     self.metrics.latency_sum += latency as u128;
                     if self.metrics.latency_samples.len() < LATENCY_SAMPLE_CAP {
@@ -775,14 +803,22 @@ impl<S: VoteScheme> ChainState<S> {
                     }
                 }
             }
-            self.next_req = self.next_req.max(b.batch_start + b.batch_len as u64);
+            self.record_commit(b, qc);
         }
         self.committed_height = tip.height;
         // Certificates for blocks at or below the new committed height can
         // no longer graduate; drop them so the map stays bounded by the
         // number of in-flight (uncommitted) blocks.
         self.seen_qcs.retain(|_, q| q.height > tip.height);
+        self.prune_below_window();
     }
+}
+
+/// One past the last request `block` batches. Saturating: the range is
+/// peer-supplied, and a hostile `batch_start` near `u64::MAX` must pin the
+/// cursors, not overflow them.
+fn batch_end(block: &Block) -> u64 {
+    block.batch_start.saturating_add(block.batch_len as u64)
 }
 
 #[cfg(test)]
@@ -993,10 +1029,10 @@ mod tests {
     }
 
     #[test]
-    fn recent_committed_proposers_come_from_log_tail() {
+    fn committed_proposers_ending_at_ignores_commits_past_the_boundary() {
         let s = scheme();
         let mut chain = ChainState::new(0);
-        assert!(chain.recent_committed_proposers(3).is_empty());
+        assert!(chain.committed_proposers_ending_at(3, 3).is_empty());
         // Each view's block is proposed by a distinct replica.
         for v in 1..=6u64 {
             let mut b = chain.draft_block(v, 0, 0, 0, 0);
@@ -1005,23 +1041,6 @@ mod tests {
             chain.on_qc(qc_for(&s, &b), 1000, &s);
         }
         // Views 1..=6 commit heights 1..=4 (three-chain lag of 2).
-        assert_eq!(chain.committed_height(), 4);
-        // The last two committed blocks were proposed in views 3 and 4.
-        assert_eq!(chain.recent_committed_proposers(2), vec![3, 4]);
-        // Asking for more than the log holds returns the whole log.
-        assert_eq!(chain.recent_committed_proposers(10), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn committed_proposers_ending_at_ignores_commits_past_the_boundary() {
-        let s = scheme();
-        let mut chain = ChainState::new(0);
-        for v in 1..=6u64 {
-            let mut b = chain.draft_block(v, 0, 0, 0, 0);
-            b.proposer = v as u32;
-            chain.insert_block(b.clone());
-            chain.on_qc(qc_for(&s, &b), 1000, &s);
-        }
         assert_eq!(chain.committed_height(), 4);
         // Boundary 2: heights (0, 2] regardless of how far the tip ran.
         assert_eq!(chain.committed_proposers_ending_at(2, 2), vec![1, 2]);
@@ -1039,13 +1058,69 @@ mod tests {
             lagging.committed_proposers_ending_at(2, 2),
             chain.committed_proposers_ending_at(2, 2)
         );
-        // Boundary at the tip degenerates to the sliding window.
-        assert_eq!(
-            chain.committed_proposers_ending_at(4, 2),
-            chain.recent_committed_proposers(2)
-        );
+        // Boundary at the tip degenerates to the sliding window: the last
+        // two committed blocks were proposed in views 3 and 4.
+        assert_eq!(chain.committed_proposers_ending_at(4, 2), vec![3, 4]);
+        // Asking for more than the chain holds returns all of it.
+        assert_eq!(chain.committed_proposers_ending_at(4, 10), vec![1, 2, 3, 4]);
         // Boundary 0 (no epoch completed yet): empty window.
         assert!(chain.committed_proposers_ending_at(0, 2).is_empty());
+    }
+
+    /// Past the old fill-and-stop cap of the committed log, everything the
+    /// protocol reads back — the tip's certificate, a state-transfer
+    /// range, Carousel's sample — still tracks the tip, and memory holds
+    /// a window plus the in-flight blocks.
+    #[test]
+    fn reads_track_the_tip_past_the_old_log_cap() {
+        let s = scheme();
+        let mut chain = ChainState::new(0);
+        // One aggregate for every QC: the chain never verifies, and
+        // signing 66k blocks would dominate a debug test run.
+        let agg = qc_for(&s, &Block::genesis()).agg;
+        let target = (COMMITTED_LOG_CAP + 1_000) as u64;
+        let mut view = 0u64;
+        while chain.committed_height() < target {
+            view += 1;
+            let mut b = chain.draft_block(view, 0, 0, 0, 0);
+            b.proposer = (view % 4) as u32;
+            chain.insert_block(b.clone());
+            let qc = Qc {
+                block_hash: b.hash(),
+                view,
+                height: b.height,
+                agg: agg.clone(),
+            };
+            chain.on_qc(qc, view, &s);
+        }
+        let tip = chain.committed_height();
+        assert_eq!(tip, target);
+        assert_eq!(chain.committed_log().len(), COMMITTED_LOG_CAP, "audit cap");
+
+        let tip_qc = chain.committed_tip_qc().expect("the tip is certified");
+        let (tip_block, _) = chain.committed_entry(tip).expect("tip retained");
+        assert_eq!((tip_qc.height, tip_qc.block_hash), (tip, tip_block.hash()));
+
+        let range = chain.committed_range(tip - 9, 10);
+        let heights: Vec<u64> = range.iter().map(|(b, _)| b.height).collect();
+        assert_eq!(heights, (tip - 9..=tip).collect::<Vec<_>>());
+        assert!(range.iter().all(|(b, qc)| qc.block_hash == b.hash()));
+
+        let f = 1; // (4 - 1) / 3
+        let boundary = tip - tip % CAROUSEL_WINDOW_EPOCH;
+        assert_eq!(
+            chain.committed_proposers_ending_at(boundary, f),
+            vec![(boundary % 4) as u32]
+        );
+
+        // In flight: the two QC'd blocks above the tip, and their QCs.
+        assert_eq!(chain.window.len(), RETAINED_COMMITS);
+        assert!(chain.window.iter().all(|e| e.qc.is_some()));
+        assert!(chain.blocks.len() <= RETAINED_COMMITS + 2);
+        assert!(chain.seen_qcs.len() <= 2);
+        assert!(chain
+            .committed_entry(tip - RETAINED_COMMITS as u64)
+            .is_none());
     }
 
     #[test]

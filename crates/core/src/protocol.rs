@@ -658,6 +658,20 @@ where
         block: &Block,
         qc: &Option<Qc<S>>,
     ) -> bool {
+        // A block sits one above the certificate it extends (height 1 on
+        // genesis), checked before anything is charged or stored: a
+        // replayed QC under forged blocks must not park them at heights
+        // no retention floor reaches. A held certificate's own height
+        // counts, not the carrier's — the height field is not signed.
+        let held_height = qc
+            .as_ref()
+            .filter(|q| q.block_hash == block.parent)
+            .and_then(|q| self.chain.held_qc(q.view, &q.block_hash))
+            .map(|held| held.height);
+        let parent_height = held_height.or(qc.as_ref().map(|q| q.height));
+        if parent_height.unwrap_or(0).checked_add(1) != Some(block.height) {
+            return false;
+        }
         match qc {
             // Verify each QC once: a certificate the chain already holds
             // for this `(view, hash)` was verified when it was stored (own
@@ -665,9 +679,7 @@ where
             // held one stays and the carried aggregate is never stored, so
             // a forgery under a known `(view, hash)` costs no pairing and
             // cannot displace the QC rewards are computed from.
-            Some(q)
-                if q.block_hash == block.parent && self.chain.holds_qc(q.view, &q.block_hash) =>
-            {
+            Some(_) if held_height.is_some() => {
                 if let Some(obs) = &self.obs {
                     obs.qc_verify_skipped.inc();
                 }
@@ -2079,6 +2091,81 @@ mod batching_tests {
         assert_eq!(r.chain.highest_qc().expect("high QC").to_wire(), high);
     }
 
+    /// A peer replaying a held QC under forged blocks: at any height but
+    /// the certificate's + 1 every frame is refused before anything is
+    /// charged or stored (at `batch_start = u64::MAX` the cursor
+    /// arithmetic used to overflow); at the right height the forgeries
+    /// are stored, and pruned once the retention floor passes them.
+    #[test]
+    fn forged_heights_under_a_held_qc_are_refused_and_the_rest_pruned() {
+        use iniva_consensus::chain::RETAINED_COMMITS;
+        let scheme = Arc::new(CountingScheme::new(7, b"forged-height"));
+        let mut r = InivaReplica::new(0, InivaConfig::for_tests(7, 2), Arc::clone(&scheme));
+        let b1 = genesis_block(1);
+        let mut ctx = Context::external(0, 0);
+        r.handle_proposal(&mut ctx, b1.clone(), None);
+        let held = qc_over(&scheme, &b1);
+        r.handle_timeout(&mut ctx, 3, 1, Some(held.clone()));
+        let cursor = r.chain.draft_block(9, 0, 0, 0, 0).batch_start;
+        let voted = r.agg.as_ref().map(|st| st.view);
+        let verified = scheme.verified();
+
+        // Half the frames carry the held QC as is, half a copy whose
+        // unsigned height field claims the block's height is right.
+        for i in 0..1_000u64 {
+            let mut qc = held.clone();
+            if i % 2 == 1 {
+                qc.height = u64::MAX - 1;
+            }
+            let forged = Block {
+                view: 2,
+                height: u64::MAX,
+                parent: b1.hash(),
+                proposer: 1,
+                batch_start: u64::MAX - i,
+                batch_len: u32::MAX,
+                payload_per_req: 0,
+            };
+            let hash = forged.hash();
+            r.on_message(
+                &mut ctx,
+                1,
+                InivaMsg::Proposal {
+                    block: forged,
+                    qc: Some(qc),
+                },
+            );
+            assert!(r.chain.block(&hash).is_none(), "frame {i} stored");
+        }
+        assert_eq!(scheme.verified(), verified, "no verify charged");
+        assert_eq!(r.chain.draft_block(9, 0, 0, 0, 0).batch_start, cursor);
+        assert_eq!(r.agg.as_ref().map(|st| st.view), voted, "nothing voted");
+
+        // At the right height the forgeries are ordinary forks of b2, and
+        // storing them pins the draft cursor instead of overflowing it.
+        let forks: Vec<Block> = (0..100u64)
+            .map(|i| Block {
+                proposer: 1,
+                batch_start: u64::MAX - i,
+                batch_len: u32::MAX,
+                ..child_block(&b1)
+            })
+            .collect();
+        for fork in &forks {
+            r.handle_proposal(&mut ctx, fork.clone(), Some(held.clone()));
+        }
+        assert!(forks.iter().all(|b| r.chain.block(&b.hash()).is_some()));
+        // The honest chain commits until the window's floor passes them.
+        let mut tip = b1;
+        while r.chain.committed_height() < RETAINED_COMMITS as u64 + 2 {
+            let next = child_block(&tip);
+            r.chain.insert_block(next.clone());
+            r.chain.on_qc(qc_over(&scheme, &next), 0, &scheme);
+            tip = next;
+        }
+        assert!(forks.iter().all(|b| r.chain.block(&b.hash()).is_none()));
+    }
+
     #[test]
     fn early_sig_buffer_is_bounded_against_floods() {
         let scheme = Arc::new(CountingScheme::new(7, b"early-flood"));
@@ -2249,6 +2336,61 @@ mod state_sync_tests {
         assert_eq!(resp2.blocks[0].height, served + 1);
         let covered = served + resp2.blocks.len() as u64;
         assert!(covered > served, "second round advances");
+    }
+
+    /// A requester more than a window behind adopts the responder's
+    /// window across the gap, reaches its tip, then commits through the
+    /// three-chain rule like any replica. The responder, recovered from a
+    /// WAL twice the window long, holds only the window in memory.
+    #[test]
+    fn requester_adopts_the_window_across_the_gap_then_commits() {
+        use super::leader_agreement_tests::signed_prefix;
+        use iniva_consensus::chain::RETAINED_COMMITS;
+        let scheme = Arc::new(SimScheme::new(4, b"window-gap"));
+        let cfg = InivaConfig::for_tests(4, 2);
+        let window = RETAINED_COMMITS as u64;
+        let tip = 2 * window;
+        // Heights 1..=tip+4; entry `i` is height `i + 1`.
+        let chain = signed_prefix(&scheme, tip + 4, &[0, 1, 2]);
+        let wal: Vec<(Block, Option<Qc<SimScheme>>)> = chain[..tip as usize]
+            .iter()
+            .map(|(b, qc)| (b.clone(), Some(qc.clone())))
+            .collect();
+
+        let mut responder = InivaReplica::recover(0, cfg.clone(), Arc::clone(&scheme), wal, tip);
+        assert_eq!(responder.chain.metrics.recovered_blocks, tip);
+        let registry = Registry::new();
+        responder.chain.export(&registry);
+        assert_eq!(registry.gauge("chain.retained_commits").get(), window);
+        assert_eq!(registry.gauge("chain.retained_blocks").get(), window);
+        assert!(responder.chain.committed_entry(window).is_none());
+        assert!(responder.chain.committed_entry(window + 1).is_some());
+        assert!(responder.chain.block(&chain[0].0.hash()).is_none());
+
+        // The requester, at height 0, asks from height 1.
+        let mut ctx = Context::external(0, 0);
+        responder.handle_state_request(&mut ctx, 1, 1);
+        let resp = match ctx.into_effects().outbox.pop() {
+            Some((1, InivaMsg::StateResponse(resp), _)) => resp,
+            other => panic!("expected one StateResponse, got {other:?}"),
+        };
+        assert_eq!(resp.blocks.first().map(|b| b.height), Some(window + 1));
+        let mut requester = InivaReplica::new(1, cfg, Arc::clone(&scheme));
+        let mut ctx = Context::external(1, 0);
+        requester.handle_state_response(&mut ctx, 0, resp);
+        assert_eq!(requester.chain.committed_height(), tip);
+        assert_eq!(requester.chain.metrics.state_transfer_blocks, window);
+        let first = requester.chain.committed_log().first().map(|&(h, _)| h);
+        assert_eq!(first, Some(window + 1), "adopted across the gap");
+
+        // Four more proposals, each carrying its parent's QC: the fourth
+        // QC completes a three-chain over tip+1..=tip+3 and commits tip+1.
+        for (block, _) in &chain[tip as usize..] {
+            let parent_qc = chain[block.height as usize - 2].1.clone();
+            requester.handle_proposal(&mut ctx, block.clone(), Some(parent_qc));
+        }
+        assert_eq!(requester.chain.committed_height(), tip + 1);
+        assert_eq!(requester.chain.metrics.committed_blocks, 1);
     }
 
     /// A single entry larger than the whole budget must still ship —
@@ -2447,7 +2589,7 @@ mod leader_agreement_tests {
     /// sign/combine aggregates over `vote_message`, so the adopting
     /// replica's batch verification accepts them. Proposers rotate so the
     /// recent-leader window is non-trivial.
-    fn signed_prefix(
+    pub(super) fn signed_prefix(
         scheme: &SimScheme,
         count: u64,
         signers: &[u32],

@@ -1049,7 +1049,7 @@ impl<S: WireScheme> ReplicaNode<S> {
         if let (Some(o), Some((registry, tracer))) = (&self.obs, &node_obs) {
             export_runtime_stats(&runtime_total, registry);
             export_transport_snapshot(&transport_total, registry);
-            replica.chain.metrics.export(registry);
+            replica.chain.export(registry);
             // One keyring is shared by the whole in-process cluster, so
             // `crypto.*` reads as the cluster total on every node.
             self.scheme.export_observability(registry);

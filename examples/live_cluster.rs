@@ -328,7 +328,7 @@ fn one_process<S: WireScheme>(
                 let slice = (deadline - Instant::now()).min(Duration::from_secs(2));
                 runtime.run_deadline(Instant::now() + slice, || false);
                 runtime.export_stats(registry);
-                runtime.actor_mut().chain.metrics.export(registry);
+                runtime.actor_mut().chain.export(registry);
                 dump_process_obs(dir, id, registry, tracer);
             }
         }
@@ -346,7 +346,7 @@ fn one_process<S: WireScheme>(
         );
     }
     if let Some((registry, tracer, dir)) = &node_obs {
-        replica.chain.metrics.export(registry);
+        replica.chain.export(registry);
         scheme_handle.export_observability(registry);
         dump_process_obs(dir, id, registry, tracer);
         println!("observability dumps in {dir}/ (metrics-{id}.json, trace-{id}.jsonl)");
