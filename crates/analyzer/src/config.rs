@@ -18,7 +18,7 @@ pub struct Config {
     pub relaxed_allowlist: Vec<String>,
     /// Files treated as wire-decode paths by the bounded-decode rule.
     pub decode_modules: Vec<String>,
-    /// Files that run on the reactor/poller thread.
+    /// Files that run on a thread polling an epoll reactor.
     pub reactor_files: Vec<String>,
     /// Top-level directories (repo-relative) excluded from the scan.
     pub exclude_dirs: Vec<String>,

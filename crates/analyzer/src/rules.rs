@@ -76,10 +76,11 @@ const BLOCKING_METHODS: &[&str] = &[
     "wait_timeout",
     "join",
 ];
-/// Raw syscall wrappers a lock must not be held across on the poller thread.
+/// Raw syscall wrappers a lock must not be held across on a reactor thread.
 const FLAGGED_SYSCALLS: &[&str] = &[
     "epoll_wait",
     "epoll_pwait",
+    "epoll_pwait2",
     "writev",
     "writev_fd",
     "connect_v4",

@@ -726,16 +726,21 @@ impl<S: WireScheme> ClusterBuilder<S> {
     }
 }
 
-/// A releasable start line: workers arrive and wait for a go/abort
-/// verdict. Unlike a `Barrier`, the harness can release everyone with
-/// "abort" when a later setup step (a thread spawn, say) fails — the
-/// already-spawned workers exit instead of deadlocking on a barrier that
-/// can never fill, which is what lets the cluster setup paths return a
-/// usable `io::Error` to chaos tests under CI.
+/// A releasable start line: workers arrive and wait for a verdict — go,
+/// carrying the shared time zero, or abort. Unlike a `Barrier`, the
+/// harness can release everyone with "abort" when a later setup step (a
+/// thread spawn, say) fails — the already-spawned workers exit instead of
+/// deadlocking on a barrier that can never fill, which is what lets the
+/// cluster setup paths return a usable `io::Error` to chaos tests under
+/// CI. Workers wait by polling, so a replica keeps serving its sockets
+/// until the release.
 struct StartGate {
-    state: Mutex<(usize, Option<bool>)>,
+    state: Mutex<(usize, Option<Option<Instant>>)>,
     cv: Condvar,
 }
+
+/// How often a worker waiting at the [`StartGate`] looks at it.
+const GATE_POLL: Duration = Duration::from_millis(1);
 
 impl StartGate {
     fn new() -> Self {
@@ -745,35 +750,34 @@ impl StartGate {
         }
     }
 
-    /// Worker side: report readiness, wait for the verdict. `true` = go.
-    fn arrive_and_wait(&self) -> bool {
-        let mut st = self.state.lock().expect("gate lock");
-        st.0 += 1;
+    /// Worker side: report readiness, then run `idle` (at most
+    /// [`GATE_POLL`] long) until the verdict: the time zero to go at, or
+    /// `None` to abort.
+    fn arrive_and_wait(&self, mut idle: impl FnMut()) -> Option<Instant> {
+        self.state.lock().expect("gate lock").0 += 1;
         self.cv.notify_all();
         loop {
-            if let Some(go) = st.1 {
-                return go;
+            if let Some(verdict) = self.state.lock().expect("gate lock").1 {
+                return verdict;
             }
-            st = self.cv.wait(st).expect("gate wait");
+            idle();
         }
     }
 
     /// Harness side: wait for `workers` arrivals, then release them all
-    /// at once (the shared time zero every plan offset is relative to).
+    /// at once, at the shared time zero every plan offset is relative to.
     fn go(&self, workers: usize) {
         let mut st = self.state.lock().expect("gate lock");
         while st.0 < workers {
             st = self.cv.wait(st).expect("gate wait");
         }
-        st.1 = Some(true);
-        self.cv.notify_all();
+        st.1 = Some(Some(Instant::now()));
     }
 
     /// Harness side: release every current and future arriver with
     /// "abort".
     fn abort(&self) {
-        self.state.lock().expect("gate lock").1 = Some(false);
-        self.cv.notify_all();
+        self.state.lock().expect("gate lock").1 = Some(None);
     }
 }
 
@@ -826,8 +830,8 @@ fn launch_cluster<S: WireScheme>(
         thread::Builder::new()
             .name("iniva-fault-driver".into())
             .spawn(move || {
-                if gate.arrive_and_wait() {
-                    faults.drive(&plan, Instant::now(), duration);
+                if let Some(time_zero) = gate.arrive_and_wait(|| thread::sleep(GATE_POLL)) {
+                    faults.drive(&plan, time_zero, duration);
                 }
             })
     };
@@ -927,7 +931,7 @@ impl<S: WireScheme> ReplicaNode<S> {
         listener: TcpListener,
         client_listener: Option<TcpListener>,
     ) -> io::Result<NodeTransport<S>> {
-        let transport = Transport::start_with_stats(
+        let mut transport = Transport::start_with_stats(
             self.id,
             listener,
             &self.peers,
@@ -985,15 +989,15 @@ impl<S: WireScheme> ReplicaNode<S> {
     /// transport built before the gate (`None`: dead at time zero).
     /// Without a WAL nothing ever stops the first incarnation, so it is
     /// the only one.
-    fn run(self, first: Option<NodeTransport<S>>, gate: &StartGate) -> io::Result<NodeRun<S>> {
-        crate::transport::pin_node_thread(self.id);
-        if !gate.arrive_and_wait() {
+    fn run(self, mut first: Option<NodeTransport<S>>, gate: &StartGate) -> io::Result<NodeRun<S>> {
+        // Waiting, the replica keeps accepting peers and serving clients.
+        let released = gate.arrive_and_wait(|| match &mut first {
+            Some(transport) => transport.poll(GATE_POLL),
+            None => thread::sleep(GATE_POLL),
+        });
+        let Some(time_zero) = released else {
             return Err(io::Error::other("cluster setup aborted"));
-        }
-        // The gate released every replica together, so these per-thread
-        // epochs are within microseconds of each other; the tracer's
-        // wall-clock anchor absorbs the residue at merge time.
-        let time_zero = Instant::now();
+        };
         let deadline = time_zero + self.duration;
         // When observing, one registry + tracer span every incarnation.
         let node_obs = self.obs.as_ref().map(|o| {

@@ -1,8 +1,8 @@
 //! The connection engine: [`Source`] implementations for every socket a
 //! node owns — the peer listener, inbound peer connections, outbound
 //! lanes, and (via `Transport::serve_clients`) the ingress-client
-//! listener and its sessions — all multiplexed on one [`crate::reactor`]
-//! poller thread.
+//! listener and its sessions — all multiplexed on the node's one
+//! [`crate::reactor`] poller, driven by the node's thread.
 //!
 //! Two hot-path disciplines: inbound frames are decoded from a *shared*
 //! receive buffer (`bytes` shim slices of one `Arc<[u8]>` per read batch,
@@ -12,10 +12,8 @@
 use crate::dedup::DedupCache;
 use crate::faults::{LinkFaults, NodeFaults};
 use crate::frame;
-use crate::reactor::{sys, Action, Ctl, Handle, Interest, Source};
-use crate::transport::{
-    would_block, Incoming, LaneQueue, TransportStats, BACKOFF_CAP, BACKOFF_START,
-};
+use crate::reactor::{relock, sys, Action, Ctl, Handle, Interest, Source};
+use crate::transport::{would_block, LaneQueue, TransportStats, BACKOFF_CAP, BACKOFF_START};
 use iniva_ingress::{
     ClientMsg, CommitInbox, IngressOptions, Mempool, SubmitStatus, TokenBucket, MAX_CLIENT_FRAME,
 };
@@ -25,7 +23,6 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -45,13 +42,13 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// node never buffers without bound for, a slow client socket.
 const CLIENT_WBUF_CAP: usize = 256 * 1024;
 
-/// What every peer-fabric source shares: the delivery channel, counters,
-/// fault switches, and the node-wide duplicate filter (one filter across
-/// all connections, so a replay on a *new* connection after a reconnect
-/// is still recognized).
+/// What every peer-fabric source shares: the inbox decoded messages wait
+/// in for the runtime, counters, fault switches, and the node-wide
+/// duplicate filter (one filter across all connections, so a replay on a
+/// *new* connection after a reconnect is still recognized).
 pub(crate) struct PeerCtx<M> {
     pub(crate) node: NodeId,
-    pub(crate) tx: Sender<Incoming<M>>,
+    pub(crate) inbox: Mutex<VecDeque<(NodeId, M)>>,
     pub(crate) stats: Arc<TransportStats>,
     pub(crate) node_faults: Arc<NodeFaults>,
     pub(crate) link_faults: Arc<LinkFaults>,
@@ -166,17 +163,14 @@ impl<M: Codec> PeerConn<M> {
                     let Ok(msg) = M::from_frame(frame_body) else {
                         break Action::Drop; // undecodable body: drop the connection
                     };
-                    let fresh =
-                        crate::reactor::relock(&self.ctx.dedup).insert(sender, sender_epoch, seq);
+                    let fresh = relock(&self.ctx.dedup).insert(sender, sender_epoch, seq);
                     if !fresh {
                         TransportStats::bump(&self.ctx.stats.dups_dropped, 1);
                         continue;
                     }
                     TransportStats::bump(&self.ctx.stats.msgs_received, 1);
                     TransportStats::bump(&self.ctx.stats.bytes_received, (consumed - 12) as u64);
-                    if self.ctx.tx.send(Incoming { from: sender, msg }).is_err() {
-                        break Action::Drop; // receiver gone
-                    }
+                    relock(&self.ctx.inbox).push_back((sender, msg));
                 }
             }
         };
@@ -660,8 +654,8 @@ impl<M: Codec + Send + 'static> Source for OutboundLane<M> {
 pub(crate) struct ClientCtx {
     pub(crate) mempool: Arc<Mempool>,
     pub(crate) opts: IngressOptions,
-    /// For commit-push wakers: the inbox fills on a consensus thread and
-    /// must wake the poller to flush.
+    /// For commit-push wakers: the inbox fills on whichever replica's
+    /// thread commits, and must wake this node's poller to flush.
     pub(crate) handle: Handle,
 }
 
@@ -924,7 +918,6 @@ impl Drop for ClientSession {
 mod tests {
     use super::*;
     use iniva_net::wire::{DecodeError, Decoder, Encoder, WireDecode, WireEncode};
-    use std::sync::mpsc;
 
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     struct TestMsg(u64);
@@ -948,14 +941,14 @@ mod tests {
         stream
     }
 
-    fn peer_conn(tx: Sender<Incoming<TestMsg>>) -> PeerConn<TestMsg> {
+    fn peer_conn() -> PeerConn<TestMsg> {
         PeerConn {
             stream: dummy_stream(),
             pending: Vec::new(),
             from: None,
             ctx: Arc::new(PeerCtx {
                 node: 0,
-                tx,
+                inbox: Mutex::new(VecDeque::new()),
                 stats: Arc::new(TransportStats::default()),
                 node_faults: Arc::new(NodeFaults::new()),
                 link_faults: Arc::new(LinkFaults::new()),
@@ -976,12 +969,11 @@ mod tests {
 
     /// Regression: a panic on any thread holding the shared dedup filter
     /// used to poison it, and the next inbound frame — hostile or honest —
-    /// panicked the poller thread, killing every connection of the node.
+    /// panicked the poller, killing every connection of the node.
     /// `relock` recovers the guard instead.
     #[test]
     fn poisoned_dedup_does_not_panic_the_poller() {
-        let (tx, rx) = mpsc::channel();
-        let mut conn = peer_conn(tx);
+        let mut conn = peer_conn();
         std::thread::scope(|s| {
             let dedup = &conn.ctx.dedup;
             let _ = s
@@ -995,17 +987,15 @@ mod tests {
 
         conn.pending = wire_bytes(1, TestMsg(42));
         assert_eq!(conn.drain(), Action::Keep);
-        let got = rx.try_recv().expect("frame should be delivered");
-        assert_eq!(got.from, 7);
-        assert_eq!(got.msg, TestMsg(42));
+        let got = relock(&conn.ctx.inbox).pop_front();
+        assert_eq!(got, Some((7, TestMsg(42))), "frame should be delivered");
     }
 
     /// Regression: corrupt framing from a hostile peer must tear down that
     /// one connection (`Action::Drop`), never unwind the poller.
     #[test]
     fn corrupt_frame_drops_connection_without_panic() {
-        let (tx, _rx) = mpsc::channel();
-        let mut conn = peer_conn(tx);
+        let mut conn = peer_conn();
         let mut bytes = frame::handshake_bytes(7, 1).to_vec();
         // Length prefix below the 8-byte minimum: unrecoverable framing.
         bytes.extend_from_slice(&3u32.to_le_bytes());
@@ -1019,8 +1009,7 @@ mod tests {
     /// already-parsed frames stay delivered.
     #[test]
     fn undecodable_body_drops_connection_after_delivering_good_frames() {
-        let (tx, rx) = mpsc::channel();
-        let mut conn = peer_conn(tx);
+        let mut conn = peer_conn();
         let mut bytes = wire_bytes(1, TestMsg(9));
         // Second frame: valid length/seq, 3-byte body no TestMsg decodes.
         bytes.extend_from_slice(&11u32.to_le_bytes());
@@ -1028,9 +1017,11 @@ mod tests {
         bytes.extend_from_slice(&[0xff, 0xff, 0xff]);
         conn.pending = bytes;
         assert_eq!(conn.drain(), Action::Drop);
+        let inbox = relock(&conn.ctx.inbox);
         assert_eq!(
-            rx.try_recv().expect("first frame delivered").msg,
-            TestMsg(9)
+            inbox.front(),
+            Some(&(7, TestMsg(9))),
+            "first frame delivered"
         );
     }
 }

@@ -16,17 +16,21 @@
 //! * [`dedup`] — a bounded seen-message cache dropping duplicate
 //!   `(sender, sequence)` deliveries (e.g. replays after a reconnect).
 //! * [`reactor`] — a dependency-free epoll event loop (raw
-//!   `epoll_create1`/`epoll_ctl`/`epoll_wait`/`eventfd` syscalls): sources
-//!   register fds with read/write interest, get readiness callbacks plus
-//!   cross-thread notifications and deadlines, all on one poller thread.
+//!   `epoll_create1`/`epoll_ctl`/`epoll_pwait2`/`eventfd` syscalls):
+//!   sources register fds with read/write interest and get readiness
+//!   callbacks, notifications and deadlines from [`reactor::Reactor::poll`]; it has
+//!   no thread of its own.
 //! * [`transport`] — the peer fabric: one listener and a reconnecting
 //!   bounded outbound lane per peer, every peer *and* ingress-client
-//!   socket of a node on its one reactor thread (zero-copy frame decode,
-//!   coalesced `writev` flushes); the handler thread sends through lane
-//!   queues and receives on a channel.
+//!   socket of a node on the one reactor the transport owns (zero-copy
+//!   frame decode, coalesced `writev` flushes); decoded frames wait in a
+//!   node-local inbox, sends mark their lane for the next poll.
 //! * [`runtime`] — the event loop implementing the simulator's `Context`
-//!   contract: queued sends go to the transport, timers to a
-//!   monotonic-clock timer wheel, and CPU charges become real elapsed time.
+//!   contract, and the only loop of a node: one thread per node runs it,
+//!   polling the transport between handler turns. Queued sends go to the
+//!   transport, timers to a monotonic-clock timer wheel, and a CPU charge
+//!   defers the turn's effects by that much real time while the node's
+//!   sockets keep moving.
 //! * [`faults`] — the chaos surface: per-node crash/heal switches with
 //!   incarnation epochs ([`NodeFaults`]) and a cluster-shared link filter
 //!   for partitions and slow links ([`LinkFaults`]), filtered on the send
@@ -68,4 +72,4 @@ pub mod transport;
 pub use config::{ClusterConfig, ConfigError, Peer};
 pub use faults::{LinkFaults, NodeFaults};
 pub use runtime::{CpuMode, Runtime, RuntimeStats};
-pub use transport::{Incoming, Transport, TransportOptions, TransportSnapshot, TransportStats};
+pub use transport::{Transport, TransportOptions, TransportSnapshot, TransportStats};

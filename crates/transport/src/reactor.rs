@@ -1,8 +1,10 @@
 //! A single-threaded epoll reactor: one poller owning every socket a node
 //! speaks through — peer listener, inbound peer connections, outbound
-//! lanes, and (when ingress is attached) client sessions.
+//! lanes, and (when ingress is attached) client sessions. It has no thread
+//! of its own: the node's runtime drives it one [`Reactor::poll`] at a
+//! time, between handler turns.
 //!
-//! No external crates: the `epoll_create1` / `epoll_ctl` / `epoll_wait` /
+//! No external crates: the `epoll_create1` / `epoll_ctl` / `epoll_pwait2` /
 //! `eventfd` syscalls are wrapped directly in [`sys`], the way
 //! `crates/shims` shims rand/bytes. Sockets stay `std::net` types
 //! (switched to non-blocking); only readiness plumbing and `writev` go
@@ -10,21 +12,22 @@
 //!
 //! Model: each registered [`Source`] owns its socket and is driven by
 //! three callbacks — [`Source::ready`] (epoll readiness, level-triggered),
-//! [`Source::notified`] (another thread called [`Handle::notify`], e.g. a
-//! producer pushed onto a lane queue), and [`Source::deadline`] (a timer
-//! the source armed via [`Ctl::set_deadline`] fired). Callbacks get a
-//! [`Ctl`] to re-register interest (the `EAGAIN` → `EPOLLOUT` dance),
-//! swap file descriptors (reconnects), arm timers (backoff, injected
-//! link delays) and spawn new sources (accepted connections). Cross-thread
-//! wakeups ride one `eventfd` with a pending-flag so a burst of sends
+//! [`Source::notified`] (the loop's own thread called [`Reactor::mark`],
+//! e.g. after pushing onto a lane queue, or another thread called
+//! [`Handle::notify`]), and [`Source::deadline`] (a timer the source armed
+//! via [`Ctl::set_deadline`] fired). Callbacks get a [`Ctl`] to re-register
+//! interest (the `EAGAIN` → `EPOLLOUT` dance), swap file descriptors
+//! (reconnects), arm timers (backoff, injected link delays) and spawn new
+//! sources (accepted connections). A mark costs no syscall; cross-thread
+//! wakeups ride one `eventfd` with a pending-flag so a burst of notifies
 //! costs at most one `write(2)`.
 
 use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
@@ -48,6 +51,7 @@ pub mod sys {
     use std::io;
     use std::net::{SocketAddr, TcpStream};
     use std::os::unix::io::{FromRawFd, RawFd};
+    use std::time::Duration;
 
     /// `EPOLLIN`: readable.
     pub const EPOLLIN: u32 = 0x001;
@@ -94,6 +98,13 @@ pub mod sys {
         pub len: usize,
     }
 
+    /// `struct timespec`, the x86-64 layout.
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+
     #[repr(C)]
     struct SockAddrIn {
         family: u16,
@@ -114,11 +125,12 @@ pub mod sys {
     extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
+        fn epoll_pwait2(
             epfd: c_int,
             events: *mut EpollEvent,
             maxevents: c_int,
-            timeout: c_int,
+            timeout: *const Timespec,
+            sigmask: *const c_void,
         ) -> c_int;
         fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
@@ -127,8 +139,6 @@ pub mod sys {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         fn connect(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
-        fn sched_getaffinity(pid: c_int, cpusetsize: usize, mask: *mut u64) -> c_int;
-        fn sched_setaffinity(pid: c_int, cpusetsize: usize, mask: *const u64) -> c_int;
     }
 
     /// Creates an epoll instance (close-on-exec).
@@ -171,12 +181,26 @@ pub mod sys {
         let _ = ctl(epfd, EPOLL_CTL_DEL, fd, 0, 0);
     }
 
-    /// Waits up to `timeout_ms` (`-1` = forever) for events; `EINTR`
-    /// surfaces as zero events.
-    pub fn epoll_pwait(epfd: RawFd, events: &mut [EpollEvent], timeout_ms: i32) -> usize {
+    /// Waits up to `timeout`, to the nanosecond (`epoll_pwait2`: glibc ≥
+    /// 2.35, Linux ≥ 5.11), for events; `EINTR` surfaces as zero events.
+    pub fn epoll_pwait(epfd: RawFd, events: &mut [EpollEvent], timeout: Duration) -> usize {
+        let ts = Timespec {
+            sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+            nsec: i64::from(timeout.subsec_nanos()),
+        };
         // SAFETY: `events` is a valid mutable slice; maxevents equals its
-        // length, so the kernel writes at most `events.len()` entries.
-        let n = unsafe { epoll_wait(epfd, events.as_mut_ptr(), events.len() as c_int, timeout_ms) };
+        // length, so the kernel writes at most `events.len()` entries. `ts`
+        // is a live stack value the kernel only reads; a null sigmask
+        // leaves the signal mask alone.
+        let n = unsafe {
+            epoll_pwait2(
+                epfd,
+                events.as_mut_ptr(),
+                events.len() as c_int,
+                &ts,
+                std::ptr::null(),
+            )
+        };
         if n < 0 {
             return 0; // EINTR or a dying epoll fd: treat as a timeout
         }
@@ -300,33 +324,6 @@ pub mod sys {
         }
         Err(err)
     }
-
-    /// Pins the calling thread to one CPU of those it may run on: the
-    /// `slot`-th, counting round the set. Placement is a refinement, never
-    /// a requirement: if the kernel refuses either call, or the set has
-    /// one CPU, the thread stays where it is.
-    pub fn pin_current_thread(slot: usize) {
-        /// A 1024-CPU set, glibc's `cpu_set_t`.
-        const WORDS: usize = 16;
-        let mut allowed = [0u64; WORDS];
-        let bytes = std::mem::size_of_val(&allowed);
-        // SAFETY: pid 0 names the calling thread; the kernel writes at most
-        // `bytes` into `allowed`, which is live, writable and that large.
-        let rc = unsafe { sched_getaffinity(0, bytes, allowed.as_mut_ptr()) };
-        let cpus: Vec<usize> = (0..WORDS * 64)
-            .filter(|cpu| allowed[cpu / 64] >> (cpu % 64) & 1 == 1)
-            .collect();
-        if rc != 0 || cpus.len() < 2 {
-            return;
-        }
-        let cpu = cpus[slot % cpus.len()];
-        let mut one = [0u64; WORDS];
-        one[cpu / 64] = 1 << (cpu % 64);
-        // SAFETY: pid 0 names the calling thread; the kernel reads `bytes`
-        // from `one`, which is live and that large. A refusal leaves the
-        // old mask in place.
-        let _ = unsafe { sched_setaffinity(0, bytes, one.as_ptr()) };
-    }
 }
 
 /// Identifies one registered [`Source`] for the lifetime of the reactor.
@@ -384,17 +381,18 @@ pub enum Action {
 
 /// One fd-owning participant of the event loop.
 ///
-/// All callbacks run on the reactor thread; a source never needs its own
-/// synchronization. Level-triggered semantics: `ready` fires again as
-/// long as the condition holds, so handlers may stop early, but should
-/// drain until `EAGAIN` to keep syscall counts low.
+/// All callbacks run on the thread polling the reactor; a source never
+/// needs its own synchronization (`Send` only lets the reactor move to
+/// that thread after construction). Level-triggered semantics: `ready`
+/// fires again as long as the condition holds, so handlers may stop early,
+/// but should drain until `EAGAIN` to keep syscall counts low.
 pub trait Source: Send {
     /// The fd registered for this source became ready. `readable` /
     /// `writable` include error and hangup conditions (an attempted I/O
     /// then surfaces the error).
     fn ready(&mut self, ctl: &mut Ctl<'_>, readable: bool, writable: bool) -> Action;
 
-    /// Another thread called [`Handle::notify`] with this source's token.
+    /// [`Reactor::mark`] or [`Handle::notify`] named this source's token.
     fn notified(&mut self, ctl: &mut Ctl<'_>) -> Action {
         let _ = ctl;
         Action::Keep
@@ -425,21 +423,18 @@ struct Inject {
 struct Shared {
     eventfd: RawFd,
     wake_pending: AtomicBool,
-    shutdown: AtomicBool,
     notified: Mutex<Vec<Token>>,
-    injects: Mutex<Vec<Inject>>,
-    next_token: AtomicU64,
 }
 
 impl Drop for Shared {
     fn drop(&mut self) {
         // Closed only when the last Handle *and* the reactor are gone, so
-        // a post-shutdown notify can never write into a recycled fd.
+        // a late notify can never write into a recycled fd.
         sys::close_fd(self.eventfd);
     }
 }
 
-/// A cloneable cross-thread handle to a running [`Reactor`].
+/// A cloneable cross-thread waker for a [`Reactor`].
 #[derive(Clone)]
 pub struct Handle {
     shared: Arc<Shared>,
@@ -447,41 +442,10 @@ pub struct Handle {
 
 impl Handle {
     /// Queues a [`Source::notified`] callback for `token` and wakes the
-    /// loop. Duplicate notifies between two loop iterations coalesce.
+    /// loop. Duplicate notifies between two polls coalesce; a notify for
+    /// a source that is gone is ignored.
     pub fn notify(&self, token: Token) {
         relock(&self.shared.notified).push(token);
-        self.wake();
-    }
-
-    /// Registers a new source from outside the loop; its fd is added to
-    /// the poller on the next iteration. Returns the source's token.
-    pub fn register(
-        &self,
-        source: Box<dyn Source>,
-        fd: Option<RawFd>,
-        interest: Interest,
-    ) -> Token {
-        // ORDER: the counter only needs unique values; no other memory is
-        // published through it.
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
-        relock(&self.shared.injects).push(Inject {
-            token,
-            source,
-            fd,
-            interest,
-        });
-        self.wake();
-        token
-    }
-
-    /// Asks the loop to exit; every source (and its socket) is dropped.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Bypass the wake-pending suppression: shutdown must always land.
-        sys::eventfd_post(self.shared.eventfd);
-    }
-
-    fn wake(&self) {
         if !self.shared.wake_pending.swap(true, Ordering::SeqCst) {
             sys::eventfd_post(self.shared.eventfd);
         }
@@ -499,7 +463,7 @@ pub struct Ctl<'a> {
     interest: &'a mut Interest,
     deadline: &'a mut Option<Instant>,
     spawned: &'a mut Vec<Inject>,
-    next_token: &'a AtomicU64,
+    next_token: &'a mut Token,
 }
 
 impl Ctl<'_> {
@@ -549,9 +513,8 @@ impl Ctl<'_> {
         fd: Option<RawFd>,
         interest: Interest,
     ) -> Token {
-        // ORDER: the counter only needs unique values; no other memory is
-        // published through it.
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = *self.next_token;
+        *self.next_token += 1;
         self.spawned.push(Inject {
             token,
             source,
@@ -570,13 +533,16 @@ enum Event {
 
 /// The event loop: owns the epoll fd and every registered source.
 ///
-/// Construct with [`Reactor::new`], register the initial sources, take a
-/// [`Handle`], then hand the reactor to a dedicated thread running
-/// [`Reactor::run`].
+/// Construct with [`Reactor::new`], register the initial sources, then
+/// call [`Reactor::poll`] from the one thread that drives the node.
+/// Dropping the reactor closes the epoll fd and every source's socket.
 pub struct Reactor {
     epfd: RawFd,
     entries: HashMap<Token, Entry>,
     shared: Arc<Shared>,
+    next_token: Token,
+    /// Tokens [`Reactor::mark`]ed since the last poll.
+    marked: Vec<Token>,
 }
 
 impl Reactor {
@@ -592,7 +558,6 @@ impl Reactor {
         };
         if let Err(e) = sys::epoll_add(epfd, eventfd, sys::EPOLLIN, WAKE_TOKEN) {
             sys::close_fd(epfd);
-            // eventfd closed by Shared's Drop below? Not constructed yet:
             sys::close_fd(eventfd);
             return Err(e);
         }
@@ -602,23 +567,21 @@ impl Reactor {
             shared: Arc::new(Shared {
                 eventfd,
                 wake_pending: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
                 notified: Mutex::new(Vec::new()),
-                injects: Mutex::new(Vec::new()),
-                next_token: AtomicU64::new(0),
             }),
+            next_token: 0,
+            marked: Vec::new(),
         })
     }
 
-    /// A cross-thread handle (cloneable) to this reactor.
+    /// A cross-thread waker (cloneable) for this reactor.
     pub fn handle(&self) -> Handle {
         Handle {
             shared: Arc::clone(&self.shared),
         }
     }
 
-    /// Registers a source before the loop starts (startup path; use
-    /// [`Handle::register`] once the loop runs).
+    /// Registers a source; its fd is polled from the next [`Self::poll`].
     ///
     /// # Errors
     /// Propagates the `epoll_ctl` failure when `fd` cannot be added.
@@ -628,12 +591,11 @@ impl Reactor {
         fd: Option<RawFd>,
         interest: Interest,
     ) -> io::Result<Token> {
-        // ORDER: the counter only needs unique values; no other memory is
-        // published through it.
-        let token = self.shared.next_token.fetch_add(1, Ordering::Relaxed);
+        let token = self.next_token;
         if let Some(fd) = fd {
             sys::epoll_add(self.epfd, fd, interest.events(), token)?;
         }
+        self.next_token += 1;
         self.entries.insert(
             token,
             Entry {
@@ -646,38 +608,41 @@ impl Reactor {
         Ok(token)
     }
 
-    /// Runs the loop until [`Handle::shutdown`]; consumes the reactor.
-    /// Dropping it closes the epoll fd and every source's socket.
-    pub fn run(mut self) {
-        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
-        loop {
-            self.apply_injects();
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let timeout = self.next_timeout_ms();
-            let n = sys::epoll_pwait(self.epfd, &mut events, timeout);
-            for ev in events.iter().take(n) {
-                let token = ev.data;
-                if token == WAKE_TOKEN {
-                    continue; // drained below, every iteration
-                }
-                let bits = ev.events;
-                let err = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                let readable = err || bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0;
-                let writable = err || bits & sys::EPOLLOUT != 0;
-                self.dispatch(token, Event::Ready(readable, writable));
-            }
-            self.drain_notifications();
-            self.fire_deadlines();
-        }
+    /// [`Handle::notify`] from the loop's own thread, without the syscall:
+    /// `token`'s `notified` runs in the next [`Self::poll`], which then does
+    /// not block.
+    pub fn mark(&mut self, token: Token) {
+        self.marked.push(token);
     }
 
-    fn apply_injects(&mut self) {
-        let injects = std::mem::take(&mut *relock(&self.shared.injects));
-        for inj in injects {
-            self.install(inj);
+    /// Runs one iteration of the loop: waits up to `wait` — less if a
+    /// source deadline falls due sooner, not at all if a token is marked —
+    /// then dispatches readiness, notifications and due deadlines, in that
+    /// order.
+    pub fn poll(&mut self, wait: Duration) {
+        let timeout = if self.marked.is_empty() {
+            let next = self.entries.values().filter_map(|e| e.deadline).min();
+            next.map_or(wait, |at| {
+                wait.min(at.saturating_duration_since(Instant::now()))
+            })
+        } else {
+            Duration::ZERO
+        };
+        let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
+        let n = sys::epoll_pwait(self.epfd, &mut events, timeout);
+        for ev in events.iter().take(n) {
+            let token = ev.data;
+            if token == WAKE_TOKEN {
+                continue; // drained with the notifications below
+            }
+            let bits = ev.events;
+            let err = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
+            let readable = err || bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0;
+            let writable = err || bits & sys::EPOLLOUT != 0;
+            self.dispatch(token, Event::Ready(readable, writable));
         }
+        self.drain_notifications();
+        self.fire_deadlines();
     }
 
     fn install(&mut self, inj: Inject) {
@@ -698,19 +663,21 @@ impl Reactor {
     }
 
     fn drain_notifications(&mut self) {
+        let mut tokens = std::mem::take(&mut self.marked);
         // Order matters for the lost-wakeup race: drain the eventfd,
         // clear the pending flag, *then* take the token list. A token
         // pushed after the take is paired with a flag set after the
-        // clear, whose eventfd write lands in the next epoll_wait.
-        sys::eventfd_drain(self.shared.eventfd);
-        self.shared.wake_pending.store(false, Ordering::SeqCst);
-        let mut tokens = std::mem::take(&mut *relock(&self.shared.notified));
+        // clear, whose eventfd write lands in the next epoll_pwait2.
+        if self.shared.wake_pending.load(Ordering::SeqCst) {
+            sys::eventfd_drain(self.shared.eventfd);
+            self.shared.wake_pending.store(false, Ordering::SeqCst);
+            tokens.append(&mut relock(&self.shared.notified));
+        }
         tokens.sort_unstable();
         tokens.dedup();
         for token in tokens {
             self.dispatch(token, Event::Notify);
         }
-        self.apply_injects();
     }
 
     fn fire_deadlines(&mut self) {
@@ -730,20 +697,6 @@ impl Reactor {
         }
     }
 
-    fn next_timeout_ms(&self) -> i32 {
-        let next = self.entries.values().filter_map(|e| e.deadline).min();
-        match next {
-            Some(at) => {
-                let left = at.saturating_duration_since(Instant::now());
-                // Round up so the loop never spins at a sub-ms remainder.
-                left.as_millis().min(500) as i32 + i32::from(left.subsec_nanos() % 1_000_000 != 0)
-            }
-            // No timer armed: sleep until a readiness event or a wakeup.
-            // Capped as a safety net, not a correctness requirement.
-            None => 500,
-        }
-    }
-
     fn dispatch(&mut self, token: Token, event: Event) {
         let Some(mut entry) = self.entries.remove(&token) else {
             return; // stale event for a dropped source
@@ -757,7 +710,7 @@ impl Reactor {
                 interest: &mut entry.interest,
                 deadline: &mut entry.deadline,
                 spawned: &mut spawned,
-                next_token: &self.shared.next_token,
+                next_token: &mut self.next_token,
             };
             match event {
                 Event::Ready(r, w) => entry.source.ready(&mut ctl, r, w),
@@ -795,9 +748,9 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
     use std::thread;
-    use std::time::Duration;
 
     /// Echoes everything it reads back on the same socket, buffering
     /// across EAGAIN with interest re-registration.
@@ -886,21 +839,24 @@ mod tests {
                 Interest::READ,
             )
             .unwrap();
-        let handle = reactor.handle();
-        let t = thread::spawn(move || reactor.run());
 
-        let mut a = TcpStream::connect(addr).unwrap();
-        let mut b = TcpStream::connect(addr).unwrap();
-        a.write_all(b"hello reactor").unwrap();
-        b.write_all(b"second client").unwrap();
-        let mut buf = [0u8; 13];
-        a.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"hello reactor");
-        b.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"second client");
-
-        handle.shutdown();
-        t.join().unwrap();
+        // Blocking clients on their own thread; this one drives the loop.
+        let clients = thread::spawn(move || {
+            let mut a = TcpStream::connect(addr).unwrap();
+            let mut b = TcpStream::connect(addr).unwrap();
+            a.write_all(b"hello reactor").unwrap();
+            b.write_all(b"second client").unwrap();
+            let mut buf = [0u8; 13];
+            a.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"hello reactor");
+            b.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"second client");
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !clients.is_finished() && Instant::now() < deadline {
+            reactor.poll(Duration::from_millis(10));
+        }
+        clients.join().unwrap();
     }
 
     struct Ticker {
@@ -939,24 +895,20 @@ mod tests {
                 Interest::NONE,
             )
             .unwrap();
-        let handle = reactor.handle();
-        let t = thread::spawn(move || reactor.run());
         let start = Instant::now();
-        handle.notify(token); // arms the first deadline
-        for _ in 0..3 {
-            rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        reactor.mark(token); // arms the first deadline
+        let mut fired = 0;
+        while fired < 3 && start.elapsed() < Duration::from_secs(2) {
+            // A long wait: the armed deadline, not `wait`, ends each poll.
+            reactor.poll(Duration::from_secs(1));
+            fired += rx.try_iter().count();
         }
-        assert!(start.elapsed() >= Duration::from_millis(25), "fired early");
-        handle.shutdown();
-        t.join().unwrap();
+        assert_eq!(fired, 3, "three periods within the poll budget");
+        assert!(start.elapsed() >= Duration::from_millis(30), "fired early");
     }
 
     #[test]
     fn late_registration_and_notify_coalescing() {
-        let reactor = Reactor::new().unwrap();
-        let handle = reactor.handle();
-        let t = thread::spawn(move || reactor.run());
-
         struct Counter {
             hits: Arc<AtomicU64>,
         }
@@ -969,26 +921,49 @@ mod tests {
                 Action::Keep
             }
         }
+        let mut reactor = Reactor::new().unwrap();
+        reactor.poll(Duration::ZERO);
+        // Registered after the loop has run.
         let hits = Arc::new(AtomicU64::new(0));
-        let token = handle.register(
-            Box::new(Counter {
-                hits: Arc::clone(&hits),
-            }),
-            None,
-            Interest::NONE,
-        );
+        let token = reactor
+            .register(
+                Box::new(Counter {
+                    hits: Arc::clone(&hits),
+                }),
+                None,
+                Interest::NONE,
+            )
+            .unwrap();
+
+        // Marks from the loop's thread coalesce into one callback, and a
+        // poll with a mark pending does not block.
         for _ in 0..100 {
-            handle.notify(token);
+            reactor.mark(token);
         }
+        let start = Instant::now();
+        reactor.poll(Duration::from_secs(5));
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a mark must not wait"
+        );
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "marks coalesce");
+
+        // Notifies from another thread wake a blocked poll and coalesce.
+        let handle = reactor.handle();
+        let notifier = thread::spawn(move || {
+            for _ in 0..100 {
+                handle.notify(token);
+            }
+        });
         let deadline = Instant::now() + Duration::from_secs(2);
-        while hits.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
+        while hits.load(Ordering::SeqCst) == 1 && Instant::now() < deadline {
+            reactor.poll(Duration::from_millis(500));
         }
-        let seen = hits.load(Ordering::SeqCst);
+        notifier.join().unwrap();
+        reactor.poll(Duration::ZERO);
+        let seen = hits.load(Ordering::SeqCst) - 1;
         assert!(seen >= 1, "notify never delivered");
         assert!(seen <= 100, "notify multiplied");
-        handle.shutdown();
-        t.join().unwrap();
     }
 
     #[test]
@@ -1014,38 +989,5 @@ mod tests {
         let mut buf = [0u8; 4];
         accepted.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"ping");
-    }
-
-    /// The CPUs the calling thread may run on, as the kernel lists them.
-    fn allowed_cpus() -> String {
-        let status = std::fs::read_to_string("/proc/thread-self/status").unwrap();
-        let list = status
-            .lines()
-            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"));
-        list.expect("kernel reports the list").trim().to_string()
-    }
-
-    #[test]
-    fn pinning_leaves_one_cpu_and_children_inherit_it() {
-        // On its own thread: the mask must not leak into the test runner.
-        thread::spawn(|| {
-            let before = allowed_cpus();
-            sys::pin_current_thread(1);
-            let pinned = allowed_cpus();
-            if before.contains([',', '-']) {
-                assert!(!pinned.contains([',', '-']), "{before} -> {pinned}");
-            } else {
-                assert_eq!(pinned, before, "one allowed CPU: nothing to choose");
-            }
-            // A pinned thread's children start on its CPU, and pinning them
-            // again (whatever the slot) keeps them there.
-            let child = thread::spawn(|| {
-                sys::pin_current_thread(0);
-                allowed_cpus()
-            });
-            assert_eq!(child.join().unwrap(), pinned);
-        })
-        .join()
-        .unwrap();
     }
 }

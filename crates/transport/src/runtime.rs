@@ -1,24 +1,32 @@
-//! The event loop driving an [`Actor`] over real sockets and a real clock.
+//! The event loop driving an [`Actor`] over real sockets and a real clock —
+//! the only loop of a node. [`Runtime`] runs on the node's one thread and
+//! drives the node's [`Transport`] (and with it every socket the node owns)
+//! itself, polling it between handler turns; no other thread hands it
+//! messages or flushes its sends.
 //!
-//! [`Runtime`] implements the contract the discrete-event simulator gives
-//! its actors, with wall-clock semantics:
+//! It implements the contract the discrete-event simulator gives its
+//! actors, with wall-clock semantics:
 //!
 //! * `ctx.now()` is nanoseconds of monotonic time since the runtime epoch
 //!   (the simulator's virtual clock becomes a real one);
 //! * `ctx.send(..)` hands the encoded message to the TCP transport;
 //! * `ctx.set_timer(..)` schedules on a monotonic-clock timer wheel;
-//! * `ctx.charge_cpu(..)` **spends the charged time** (the handler thread
-//!   stays busy for it), so the calibrated verification costs shape the
-//!   live cluster's latency exactly as they shape the simulator's — see
-//!   [`CpuMode`] for scaling or disabling this.
+//! * `ctx.charge_cpu(..)` **defers the turn by the charged time**: the
+//!   turn's sends and timers take effect, and the next message or timer is
+//!   delivered, only once that much real time has passed — so the
+//!   calibrated verification costs shape the live cluster's latency
+//!   exactly as they shape the simulator's. The deferral never ends early
+//!   and blocks nothing else: meanwhile the runtime keeps polling, so
+//!   inbound frames are read, earlier sends flushed and clients served.
+//!   [`CpuMode::Off`] ignores charges.
 //!
 //! Messages are delivered in arrival order (the order frames drained from
-//! the sockets into the inbound queue); timers fire in deadline order and
-//! take priority over messages once due, mirroring the simulator's
+//! the sockets into the inbox); timers fire in deadline order and take
+//! priority over messages once due, mirroring the simulator's
 //! single-server queue per node.
 
 use crate::faults::NodeFaults;
-use crate::transport::{Incoming, Transport};
+use crate::transport::Transport;
 use iniva_net::wire::Codec;
 use iniva_net::{Actor, Context, Time};
 use std::cmp::Reverse;
@@ -32,18 +40,17 @@ use std::time::{Duration, Instant};
 /// can be deferred behind a message flood.
 const MAX_DELIVERY_BATCH: usize = 32;
 
-/// Longest the event loop blocks before it looks at the run deadline, the
+/// Longest the event loop waits before it looks at the run deadline, the
 /// stop hook and the crash/heal switch again.
 const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// How `charge_cpu` translates to real time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuMode {
-    /// Spend the charged nanoseconds on the handler thread (default): the
-    /// cost model calibrated from the BLS benchmarks shapes live latency.
+    /// Defer each turn by its charged nanoseconds (default): the cost
+    /// model calibrated from the BLS benchmarks shapes live latency. Scale
+    /// the model itself (`CostModel::scaled`) to model faster CPUs.
     Real,
-    /// Spend a scaled fraction (e.g. `0.1` to model 10× faster CPUs).
-    Scaled(f64),
     /// Ignore charges entirely (pure transport benchmarking).
     Off,
 }
@@ -51,9 +58,9 @@ pub enum CpuMode {
 /// Counters mirroring the simulator's per-node [`iniva_net::NodeStats`].
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeStats {
-    /// Total CPU time charged by handlers (ns, before [`CpuMode`] scaling).
+    /// Total CPU time charged by handlers (ns, whatever the [`CpuMode`]).
     pub cpu_charged: Time,
-    /// Real time spent busy in handlers, including charges (ns).
+    /// Real time spent busy in handlers, including charges served (ns).
     pub busy: Time,
     /// Messages delivered to the actor.
     pub msgs_delivered: u64,
@@ -69,7 +76,7 @@ struct RuntimeObs {
     /// [`tune_for_real_crypto`](iniva_net::Actor) consumers use to size
     /// Δ against scheduling noise rather than guesswork.
     timer_lag_ns: iniva_obs::Histogram,
-    /// Real time per handler dispatch (including charged CPU spends).
+    /// Real time per handler dispatch (excluding charges).
     handler_ns: iniva_obs::Histogram,
 }
 
@@ -193,7 +200,9 @@ where
     /// `true` (polled once per loop iteration, so within ~50 ms of being
     /// raised). The stop hook is what lets a restart-capable harness tear
     /// a replica down mid-run — a process-level `kill -9` — and later
-    /// rebuild it from its write-ahead log.
+    /// rebuild it from its write-ahead log. A turn deferred by its charge
+    /// is always served out first, so a run can end late by up to one
+    /// charge.
     pub fn run_deadline<F: Fn() -> bool>(&mut self, deadline: Instant, stop: F) {
         let faults = self.transport.node_faults();
         while Instant::now() < deadline && !stop() {
@@ -206,19 +215,13 @@ where
             // rejoins when the protocol next contacts it").
             if faults.is_down() {
                 self.started = true;
-                while matches!(
-                    self.timers.peek(),
-                    Some(Reverse((at, _, _))) if *at <= self.now()
-                ) {
-                    self.timers.pop();
-                }
-                while self.transport.try_recv().is_some() {}
-                // Look again at the cadence an idle live node wakes at: a
-                // dead replica polling every 2 ms was a fifth of the
-                // process's thread wake-ups on `crash21`.
-                std::thread::sleep(
-                    IDLE_POLL.min(deadline.saturating_duration_since(Instant::now())),
-                );
+                while self.pop_due_timer().is_some() {}
+                self.transport.take_incoming(usize::MAX);
+                // Its sockets are still read — the fault filter drops what
+                // arrives — or every peer's lane toward it would fill up to
+                // its capacity.
+                self.transport
+                    .poll(IDLE_POLL.min(deadline.saturating_duration_since(Instant::now())));
                 continue;
             }
             if !self.started {
@@ -229,15 +232,7 @@ where
                 self.apply(ctx);
             }
             // Fire every due timer, in deadline order.
-            loop {
-                let due = matches!(
-                    self.timers.peek(),
-                    Some(Reverse((at, _, _))) if *at <= self.now()
-                );
-                if !due {
-                    break;
-                }
-                let Reverse((at, _, id)) = self.timers.pop().expect("peeked a due timer");
+            while let Some((at, id)) = self.pop_due_timer() {
                 self.stats.timers_fired += 1;
                 if let Some(obs) = &self.obs {
                     obs.timer_lag_ns.record(self.now().saturating_sub(at));
@@ -247,29 +242,29 @@ where
                 let ctx = self.dispatch(ctx, |actor, ctx| actor.on_timer(ctx, id));
                 self.apply(ctx);
             }
-            // Wait for the next message, but no longer than the next timer
+            // Flush the sends and read the sockets; with nothing to deliver
+            // yet, wait for a frame, but no longer than the next timer
             // deadline or the run deadline.
-            let now = self.now();
-            let until_timer = self
-                .timers
-                .peek()
-                .map(|Reverse((at, _, _))| Duration::from_nanos(at.saturating_sub(now)))
-                .unwrap_or(IDLE_POLL);
-            let until_deadline = deadline.saturating_duration_since(Instant::now());
-            let wait = until_timer.min(until_deadline).min(IDLE_POLL);
-            if let Some(Incoming { from, msg }) = self.transport.recv_timeout(wait) {
-                // Drain whatever else is already queued into the same
-                // handler turn (bounded, so a flood cannot starve timers):
-                // actors that batch same-view signature verification get
-                // their batch from here, and per-message actors see the
-                // identical per-message callbacks via the trait default.
-                let mut batch = vec![(from, msg)];
-                while batch.len() < MAX_DELIVERY_BATCH {
-                    match self.transport.try_recv() {
-                        Some(Incoming { from, msg }) => batch.push((from, msg)),
-                        None => break,
-                    }
-                }
+            let wait = if self.transport.has_incoming() {
+                Duration::ZERO
+            } else {
+                let now = self.now();
+                let until_timer = self
+                    .timers
+                    .peek()
+                    .map(|Reverse((at, _, _))| Duration::from_nanos(at.saturating_sub(now)))
+                    .unwrap_or(IDLE_POLL);
+                let until_deadline = deadline.saturating_duration_since(Instant::now());
+                until_timer.min(until_deadline).min(IDLE_POLL)
+            };
+            self.transport.poll(wait);
+            // Deliver what is queued in one handler turn (bounded, so a
+            // flood cannot starve timers): actors that batch same-view
+            // signature verification get their batch from here, and
+            // per-message actors see the identical per-message callbacks
+            // via the trait default.
+            let batch = self.transport.take_incoming(MAX_DELIVERY_BATCH);
+            if !batch.is_empty() {
                 self.stats.msgs_delivered += batch.len() as u64;
                 let node = self.transport.node();
                 let ctx = Context::external(node, self.now());
@@ -280,10 +275,19 @@ where
     }
 
     /// Tears down the transport and returns the actor plus final counters.
-    pub fn finish(mut self) -> (A, RuntimeStats, crate::transport::TransportSnapshot) {
+    pub fn finish(self) -> (A, RuntimeStats, crate::transport::TransportSnapshot) {
         let transport = self.transport.snapshot();
-        self.transport.shutdown();
         (self.actor, self.stats, transport)
+    }
+
+    /// Pops the earliest timer if it is due: `(deadline, id)`.
+    fn pop_due_timer(&mut self) -> Option<(Time, u64)> {
+        let Reverse((at, _, _)) = self.timers.peek()?;
+        if *at > self.now() {
+            return None;
+        }
+        let Reverse((at, _, id)) = self.timers.pop()?;
+        Some((at, id))
     }
 
     fn dispatch<F>(&mut self, mut ctx: Context<A::Msg>, f: F) -> Context<A::Msg>
@@ -300,20 +304,15 @@ where
         ctx
     }
 
-    /// Applies drained context effects: burn charged CPU, ship sends,
+    /// Applies a turn's effects: serve the charged CPU, then ship sends and
     /// schedule timers (relative to the post-charge instant, matching the
     /// simulator's `handler_start + cpu + delay`).
     fn apply(&mut self, ctx: Context<A::Msg>) {
         let effects = ctx.into_effects();
         self.stats.cpu_charged += effects.cpu;
-        let spend = match self.cpu_mode {
-            CpuMode::Real => effects.cpu,
-            CpuMode::Scaled(k) => (effects.cpu as f64 * k) as Time,
-            CpuMode::Off => 0,
-        };
-        if spend > 0 {
-            busy_spend(Duration::from_nanos(spend));
-            self.stats.busy += spend;
+        if self.cpu_mode == CpuMode::Real && effects.cpu > 0 {
+            self.serve_charge(Duration::from_nanos(effects.cpu));
+            self.stats.busy += effects.cpu;
         }
         for (to, msg, _modeled_bytes) in effects.outbox {
             self.transport.send(to, &msg);
@@ -322,6 +321,34 @@ where
         for (delay, id) in effects.timers {
             self.timer_seq += 1;
             self.timers.push(Reverse((now + delay, self.timer_seq, id)));
+        }
+    }
+
+    /// Lets `d` of real time pass, never less, before the caller applies
+    /// the turn's effects: polling the transport — so the node's sockets
+    /// and clients keep moving — from [`SLEEP_FLOOR`] up, spinning below.
+    /// A charge models CPU the replica would have burned, but burning the
+    /// host's cores for it starves the other replicas sharing them (21
+    /// replicas on 2 cores); the wall-clock delay is what shapes latency.
+    /// A deferral ends late by the wake-up overshoot rather than waking
+    /// early to spin to the deadline: the spin would burn whatever the
+    /// wake-up latency leaves of its margin, so the process's CPU would
+    /// follow how fast the host wakes sleepers — which changes with what
+    /// else keeps a core awake (a 200 µs margin: 13 µs per `crash21`
+    /// request on a quiet host, 40–50 µs beside a part-time spinner) — to
+    /// shorten an 18 ms view by under 1 ms.
+    fn serve_charge(&mut self, d: Duration) {
+        let until = Instant::now() + d;
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            if d < SLEEP_FLOOR {
+                std::hint::spin_loop();
+            } else {
+                self.transport.poll(left);
+            }
         }
     }
 }
@@ -342,34 +369,12 @@ pub fn export_runtime_stats(stats: &RuntimeStats, registry: &iniva_obs::Registry
         .store(stats.timers_fired);
 }
 
-/// Shortest spend that sleeps. `thread::sleep` returns late, never early:
-/// measured on the 2-core reference host, sleeps of 0.1–4 ms overshoot by
-/// ~0.1 ms at the median and ~0.2 ms at p90, alone or with 16 threads
-/// sleeping at once — a quarter to a half of a spend this short, so
-/// anything shorter spins. A constant of the host, not a setting.
+/// Shortest charge that is served by polling; shorter ones spin. A poll's
+/// wait returns late, never early: measured on the 2-core reference host,
+/// sleeps of 0.1–4 ms overshoot by ~0.1 ms at the median and ~0.2 ms at
+/// p90, alone or with 16 threads sleeping at once — a quarter to a half of
+/// a charge this short. A constant of the host, not a setting.
 const SLEEP_FLOOR: Duration = Duration::from_micros(400);
-
-/// Spends `d` of real time on this thread and never returns early: sleeps
-/// it whole from [`SLEEP_FLOOR`] up, spins it below. A charge models CPU
-/// the replica would have burned, but burning the host's cores for it
-/// starves the other replicas sharing them (21 replicas' spin tails on 2
-/// cores); the wall-clock cost to the handler thread is what shapes
-/// latency. A slept spend ends late by the overshoot rather than waking
-/// early to spin to the deadline: the spin would burn whatever the
-/// wake-up latency leaves of its margin, so the process's CPU would
-/// follow how fast the host wakes sleepers — which changes with what else
-/// keeps a core awake (a 200 µs margin: 13 µs per `crash21` request on a
-/// quiet host, 40–50 µs beside a part-time spinner) — to shorten an
-/// 18 ms view by under 1 ms.
-fn busy_spend(d: Duration) {
-    let start = Instant::now();
-    if d >= SLEEP_FLOOR {
-        std::thread::sleep(d);
-    }
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -488,14 +493,58 @@ mod tests {
         assert_eq!(rt.stats().timers_fired, 2);
     }
 
+    /// Runs `turns` charged turns back to back — `on_start`, then a 0-delay
+    /// timer each — and stamps when the first turn's timer fires: the
+    /// first instant that turn's effects are visible.
+    struct Charger {
+        charge: Time,
+        turns: u32,
+        effect_at: Option<Time>,
+    }
+
+    impl Charger {
+        fn turn(&mut self, ctx: &mut Context<Num>) {
+            if self.turns > 0 {
+                self.turns -= 1;
+                ctx.charge_cpu(self.charge);
+                ctx.set_timer(0, 0);
+            }
+        }
+    }
+
+    impl Actor for Charger {
+        type Msg = Num;
+        fn on_start(&mut self, ctx: &mut Context<Num>) {
+            self.turn(ctx);
+        }
+        fn on_message(&mut self, _: &mut Context<Num>, _: NodeId, _: Num) {}
+        fn on_timer(&mut self, ctx: &mut Context<Num>, _: u64) {
+            self.effect_at.get_or_insert(ctx.now());
+            self.turn(ctx);
+        }
+    }
+
+    fn charger(charge: Time, turns: u32, mode: CpuMode) -> Runtime<Charger> {
+        let t = Transport::<Num>::bind(0, loopback(0), &[]).unwrap();
+        let actor = Charger {
+            charge,
+            turns,
+            effect_at: None,
+        };
+        Runtime::new(actor, t, mode)
+    }
+
     #[test]
-    fn busy_spend_never_returns_early() {
+    fn charges_never_end_early() {
+        // Spun (below `SLEEP_FLOOR`) and served by polling (above it).
         for micros in [50, 500, 4_000] {
-            let d = Duration::from_micros(micros);
-            for _ in 0..20 {
-                let start = Instant::now();
-                busy_spend(d);
-                assert!(start.elapsed() >= d, "a {d:?} spend returned early");
+            let charge = micros * iniva_net::MICROS;
+            for _ in 0..10 {
+                let mut rt = charger(charge, 1, CpuMode::Real);
+                let started = rt.now();
+                rt.run_for(Duration::from_micros(1));
+                let at = rt.actor().effect_at.expect("the effects apply");
+                assert!(at >= started + charge, "a {micros} µs charge ended early");
             }
         }
     }
@@ -507,14 +556,14 @@ mod tests {
         stat.split_whitespace().next()?.parse().ok()
     }
 
-    /// 16 leaves receive a proposal at the same instant and each charge a
-    /// 4 ms verification. What the spends cost the *host* is bounded: a
-    /// slept spend burns only its sleep call and wake-up (0.11–0.26 ms per
-    /// round of 16, barrier included, on the 2-CPU reference host; a 1 ms
-    /// spin tail burns 1.0 ms there and fails the bound). CPU burned is
-    /// the quantity to bound, not the finishing time: a descheduled
-    /// spinner finds its deadline passed and returns at once, so the
-    /// slowest spender ends at ~4.5 ms whatever the tail.
+    /// 16 leaves start together and each serve 50 charged 4 ms turns — a
+    /// view's verifications, back to back. What the charges cost the
+    /// *host* is bounded: a deferral burns only its polls and wake-ups (a
+    /// 1 ms spin tail would burn 1.0 ms per round of 16 on the 2-CPU
+    /// reference host and fail the bound). CPU burned is the quantity to
+    /// bound, not the finishing time: a descheduled spinner finds its
+    /// deadline passed and returns at once, so a spin tail shows up only
+    /// in CPU.
     #[test]
     fn concurrent_spends_leave_the_cores_to_others() {
         const THREADS: usize = 16;
@@ -523,20 +572,22 @@ mod tests {
             eprintln!("no /proc/thread-self/schedstat on this host; skipping");
             return;
         }
-        let spend = Duration::from_millis(4);
+        let charge = 4 * iniva_net::MILLIS;
         let barrier = std::sync::Barrier::new(THREADS);
         let burned: Duration = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     scope.spawn(|| {
+                        let mut rt = charger(charge, ROUNDS, CpuMode::Real);
+                        barrier.wait();
                         let before = thread_on_cpu_ns().expect("probed above");
-                        for _ in 0..ROUNDS {
-                            barrier.wait();
-                            busy_spend(spend);
-                        }
+                        // Due timers fire back to back: one run serves all.
+                        rt.run_for(Duration::from_micros(1));
                         // Fold the running slice into the counter.
                         std::thread::yield_now();
-                        Duration::from_nanos(thread_on_cpu_ns().expect("probed above") - before)
+                        let after = thread_on_cpu_ns().expect("probed above");
+                        assert_eq!(rt.stats().timers_fired, u64::from(ROUNDS));
+                        Duration::from_nanos(after - before)
                     })
                 })
                 .collect();
@@ -549,33 +600,25 @@ mod tests {
         let per_round = burned / ROUNDS;
         assert!(
             per_round < bound,
-            "{THREADS} concurrent {spend:?} spends burned {per_round:?} of CPU per round \
+            "{THREADS} concurrent {charge} ns charges burned {per_round:?} of CPU per round \
              (bound {bound:?})"
         );
     }
 
     #[test]
     fn cpu_charges_become_real_elapsed_time() {
-        struct Burner;
-        impl Actor for Burner {
-            type Msg = Num;
-            fn on_start(&mut self, ctx: &mut Context<Num>) {
-                ctx.charge_cpu(30 * iniva_net::MILLIS);
-            }
-            fn on_message(&mut self, _: &mut Context<Num>, _: NodeId, _: Num) {}
-        }
-        let t = Transport::<Num>::bind(0, loopback(0), &[]).unwrap();
-        let mut rt = Runtime::new(Burner, t, CpuMode::Real);
+        let mut rt = charger(30 * iniva_net::MILLIS, 1, CpuMode::Real);
         let wall = Instant::now();
         rt.run_for(Duration::from_millis(1));
         assert!(
             wall.elapsed() >= Duration::from_millis(30),
             "a 30 ms charge must cost 30 ms of real time"
         );
+        let at = rt.actor().effect_at.expect("the run serves the charge out");
+        assert!(at >= 30 * iniva_net::MILLIS, "effects wait for the charge");
         assert_eq!(rt.stats().cpu_charged, 30 * iniva_net::MILLIS);
 
-        let t = Transport::<Num>::bind(0, loopback(0), &[]).unwrap();
-        let mut rt = Runtime::new(Burner, t, CpuMode::Off);
+        let mut rt = charger(30 * iniva_net::MILLIS, 1, CpuMode::Off);
         let wall = Instant::now();
         rt.run_for(Duration::from_millis(1));
         assert!(

@@ -1,11 +1,14 @@
 //! The peer fabric: a listener accepting inbound connections and a
 //! reconnecting outbound lane per peer, every socket of the node — and,
-//! via [`Transport::serve_clients`], its ingress clients' — driven by one
-//! epoll poller thread ([`crate::reactor`]; the socket state machines are
-//! the [`Source`](crate::reactor::Source)s in `fabric.rs`). Decoded
-//! messages cross to the node's handler thread on an mpsc channel
-//! ([`Transport::recv_timeout`]); [`Transport::send`] pushes onto the
-//! destination lane's queue and wakes the poller.
+//! via [`Transport::serve_clients`], its ingress clients' — on one epoll
+//! [`Reactor`] the transport owns (the socket state machines are the
+//! [`Source`](crate::reactor::Source)s in `fabric.rs`). The transport
+//! spawns no thread: whoever owns it — the node's
+//! [`Runtime`](crate::runtime::Runtime), on the node's one thread — moves
+//! its sockets by calling [`Transport::poll`]. Decoded messages wait in a
+//! node-local inbox for the runtime to drain; [`Transport::send`] pushes
+//! onto the destination lane's queue and marks the lane, which flushes in
+//! the next poll without a syscall to wake anyone.
 //!
 //! Connections are asymmetric: each node *dials* every peer for its own
 //! outbound traffic and *accepts* the peers' dials for inbound traffic, so
@@ -22,8 +25,10 @@
 //! injected drop is counted in [`TransportStats::faults_dropped`].
 
 use crate::dedup::DedupCache;
+use crate::fabric::{ClientCtx, ClientListener, OutboundLane, PeerCtx, PeerListener};
 use crate::faults::{LinkFaults, NodeFaults};
 use crate::frame;
+use crate::reactor::{relock, Interest, Reactor, Token};
 use iniva_net::wire::Codec;
 use iniva_net::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -31,19 +36,8 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::Duration;
-
-/// A message delivered by the transport.
-#[derive(Debug)]
-pub struct Incoming<M> {
-    /// Sending node.
-    pub from: NodeId,
-    /// Decoded message.
-    pub msg: M,
-}
 
 /// Tuning knobs for a [`Transport`].
 #[derive(Debug, Clone, Copy)]
@@ -184,30 +178,23 @@ pub(crate) const DEDUP_CAPACITY: usize = 4096;
 pub(crate) const BACKOFF_START: Duration = Duration::from_millis(10);
 pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(500);
 
-/// A bounded, epoch-tagged frame queue feeding one outbound lane: the
-/// handler thread pushes and notifies the poller, whose
-/// [`OutboundLane`](crate::fabric::OutboundLane) source pops.
+/// A bounded, epoch-tagged frame queue feeding one outbound lane:
+/// [`Transport::send`] pushes, the lane's
+/// [`OutboundLane`](crate::fabric::OutboundLane) source pops, both on the
+/// node's thread (the mutex is never contended; it makes the queue `Sync`
+/// for the `Send` source that shares it).
 ///
-/// Drop-oldest on overflow; closable. A hand-rolled `Mutex` queue instead
-/// of `mpsc` because the bound and the eviction must happen on the
-/// *sender* side, which channels cannot do.
+/// Drop-oldest on overflow: the bound and the eviction happen on the
+/// sender side.
 pub(crate) struct LaneQueue {
-    state: Mutex<LaneState>,
+    frames: Mutex<VecDeque<(u32, Vec<u8>)>>,
     capacity: usize,
-}
-
-struct LaneState {
-    frames: VecDeque<(u32, Vec<u8>)>,
-    closed: bool,
 }
 
 impl LaneQueue {
     fn new(capacity: usize) -> Self {
         LaneQueue {
-            state: Mutex::new(LaneState {
-                frames: VecDeque::new(),
-                closed: false,
-            }),
+            frames: Mutex::new(VecDeque::new()),
             capacity,
         }
     }
@@ -215,50 +202,36 @@ impl LaneQueue {
     /// Enqueues a frame under `epoch`; returns `true` if the oldest queued
     /// frame was evicted to make room.
     fn push(&self, epoch: u32, framed: Vec<u8>) -> bool {
-        let mut st = crate::reactor::relock(&self.state);
-        if st.closed {
-            return false;
+        let mut frames = relock(&self.frames);
+        let evicted = frames.len() >= self.capacity.max(1);
+        if evicted {
+            frames.pop_front();
         }
-        let evicted = if st.frames.len() >= self.capacity.max(1) {
-            st.frames.pop_front();
-            true
-        } else {
-            false
-        };
-        st.frames.push_back((epoch, framed));
+        frames.push_back((epoch, framed));
         evicted
     }
 
-    /// Pops without waiting: the lane drains when the poller is notified
-    /// or its socket turns writable, never by blocking on the queue.
+    /// Pops without waiting: the lane drains when it is marked or its
+    /// socket turns writable, never by blocking on the queue.
     pub(crate) fn try_pop(&self) -> Option<(u32, Vec<u8>)> {
-        crate::reactor::relock(&self.state).frames.pop_front()
-    }
-
-    fn close(&self) {
-        crate::reactor::relock(&self.state).closed = true;
+        relock(&self.frames).pop_front()
     }
 
     pub(crate) fn len(&self) -> usize {
-        crate::reactor::relock(&self.state).frames.len()
+        relock(&self.frames).len()
     }
 }
 
-/// The TCP message fabric for one node.
+/// The TCP message fabric for one node. Dropping it closes every socket.
 pub struct Transport<M> {
-    node: NodeId,
     local_addr: SocketAddr,
     /// The node's poller: every socket is a source registered on it.
-    reactor: crate::reactor::Handle,
-    thread: Option<JoinHandle<()>>,
+    reactor: Reactor,
     /// Per-peer outbound queue and the token of the lane source draining it.
-    lanes: HashMap<NodeId, (Arc<LaneQueue>, crate::reactor::Token)>,
-    /// Loopback: self-sends skip the socket layer entirely.
-    incoming_tx: Sender<Incoming<M>>,
-    incoming_rx: Receiver<Incoming<M>>,
-    stats: Arc<TransportStats>,
-    node_faults: Arc<NodeFaults>,
-    link_faults: Arc<LinkFaults>,
+    lanes: HashMap<NodeId, (Arc<LaneQueue>, Token)>,
+    /// What every peer source shares: the node id, counters, fault
+    /// switches, dedup filter and the inbox decoded frames wait in.
+    ctx: Arc<PeerCtx<M>>,
     seq: u64,
     /// Incarnation under which `seq` counts; a heal resets the sequence.
     sent_epoch: u32,
@@ -284,48 +257,29 @@ impl<M: Codec + Send + 'static> Transport<M> {
         listener: TcpListener,
         peers: &[(NodeId, SocketAddr)],
     ) -> io::Result<Self> {
-        Self::start_with(
+        Self::start_with_stats(
             node,
             listener,
             peers,
             TransportOptions::default(),
             Arc::new(NodeFaults::new()),
             Arc::new(LinkFaults::new()),
-        )
-    }
-
-    /// Starts the fabric over an already-bound listener. `node_faults` is
-    /// this node's crash switch; `link_faults` is the (typically
-    /// cluster-shared) link filter. Useful when a whole cluster binds
-    /// ephemeral ports first and exchanges the actual addresses afterwards
-    /// (see [`crate::cluster`]).
-    pub fn start_with(
-        node: NodeId,
-        listener: TcpListener,
-        peers: &[(NodeId, SocketAddr)],
-        options: TransportOptions,
-        node_faults: Arc<NodeFaults>,
-        link_faults: Arc<LinkFaults>,
-    ) -> io::Result<Self> {
-        Self::start_with_stats(
-            node,
-            listener,
-            peers,
-            options,
-            node_faults,
-            link_faults,
             Arc::new(TransportStats::default()),
         )
     }
 
-    /// [`Transport::start_with`], but counting into a caller-provided
-    /// stats block instead of a fresh one. A restart-capable harness
-    /// passes the *same* `Arc` to every incarnation of a node, so the
-    /// counters are cumulative across rebuilds: nothing a dying lane
-    /// counted (evictions, fault drops) is lost when the next
-    /// incarnation starts from zero. Callers doing so must treat the
-    /// final snapshot as the node's total, not fold per-incarnation
-    /// snapshots on top (that would double-count).
+    /// Starts the fabric over an already-bound listener, counting into
+    /// `stats`. `node_faults` is this node's crash switch; `link_faults` is
+    /// the (typically cluster-shared) link filter. Useful when a whole
+    /// cluster binds ephemeral ports first and exchanges the actual
+    /// addresses afterwards (see [`crate::cluster`]).
+    ///
+    /// A restart-capable harness passes the *same* `stats` to every
+    /// incarnation of a node, so the counters are cumulative across
+    /// rebuilds: nothing a dying lane counted (evictions, fault drops) is
+    /// lost when the next incarnation starts from zero. Callers doing so
+    /// must treat the final snapshot as the node's total, not fold
+    /// per-incarnation snapshots on top (that would double-count).
     #[allow(clippy::too_many_arguments)]
     pub fn start_with_stats(
         node: NodeId,
@@ -337,23 +291,22 @@ impl<M: Codec + Send + 'static> Transport<M> {
         stats: Arc<TransportStats>,
     ) -> io::Result<Self> {
         let local_addr = listener.local_addr()?;
-        let (incoming_tx, incoming_rx) = mpsc::channel();
         listener.set_nonblocking(true)?;
 
-        let mut reactor = crate::reactor::Reactor::new()?;
-        let ctx = Arc::new(crate::fabric::PeerCtx {
+        let mut reactor = Reactor::new()?;
+        let ctx = Arc::new(PeerCtx {
             node,
-            tx: incoming_tx.clone(),
-            stats: Arc::clone(&stats),
-            node_faults: Arc::clone(&node_faults),
-            link_faults: Arc::clone(&link_faults),
+            inbox: Mutex::new(VecDeque::new()),
+            stats,
+            node_faults,
+            link_faults,
             dedup: Mutex::new(DedupCache::new(DEDUP_CAPACITY)),
         });
         let listener_fd = listener.as_raw_fd();
         reactor.register(
-            Box::new(crate::fabric::PeerListener::new(listener, Arc::clone(&ctx))),
+            Box::new(PeerListener::new(listener, Arc::clone(&ctx))),
             Some(listener_fd),
-            crate::reactor::Interest::READ,
+            Interest::READ,
         )?;
         let mut lanes = HashMap::new();
         for &(peer, addr) in peers {
@@ -363,36 +316,22 @@ impl<M: Codec + Send + 'static> Transport<M> {
             let queue = Arc::new(LaneQueue::new(options.lane_capacity));
             // No fd yet: the lane dials lazily, on its first frame.
             let token = reactor.register(
-                Box::new(crate::fabric::OutboundLane::new(
+                Box::new(OutboundLane::new(
                     peer,
                     addr,
                     Arc::clone(&queue),
                     Arc::clone(&ctx),
                 )),
                 None,
-                crate::reactor::Interest::NONE,
+                Interest::NONE,
             )?;
             lanes.insert(peer, (queue, token));
         }
-        let handle = reactor.handle();
-        let thread = thread::Builder::new()
-            .name(format!("iniva-reactor-{node}"))
-            .spawn(move || {
-                pin_node_thread(node);
-                reactor.run()
-            })?;
-
         Ok(Transport {
-            node,
             local_addr,
-            reactor: handle,
-            thread: Some(thread),
+            reactor,
             lanes,
-            incoming_tx,
-            incoming_rx,
-            stats,
-            node_faults,
-            link_faults,
+            ctx,
             seq: 0,
             sent_epoch: 0,
         })
@@ -400,7 +339,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// This node's id.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.ctx.node
     }
 
     /// The listener's actual address.
@@ -410,7 +349,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// Transport counters.
     pub fn stats(&self) -> &TransportStats {
-        &self.stats
+        &self.ctx.stats
     }
 
     /// A point-in-time copy of the counters with the lane-queue gauge
@@ -419,8 +358,8 @@ impl<M: Codec + Send + 'static> Transport<M> {
         let depth = self.queue_depth() as u64;
         // ORDER: advisory gauge refresh; the value is read back only via
         // `TransportStats::snapshot`, with no ordering dependency.
-        self.stats.queue_depth.store(depth, Ordering::Relaxed);
-        self.stats.snapshot()
+        self.ctx.stats.queue_depth.store(depth, Ordering::Relaxed);
+        self.ctx.stats.snapshot()
     }
 
     /// Frames currently queued across all outbound lanes.
@@ -430,49 +369,48 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// This node's crash/heal switch.
     pub fn node_faults(&self) -> Arc<NodeFaults> {
-        Arc::clone(&self.node_faults)
+        Arc::clone(&self.ctx.node_faults)
     }
 
     /// The link filter this transport consults.
     pub fn link_faults(&self) -> Arc<LinkFaults> {
-        Arc::clone(&self.link_faults)
+        Arc::clone(&self.ctx.link_faults)
     }
 
     /// Sends `msg` to `to`. Self-sends are delivered directly; unknown
     /// destinations and oversized messages are dropped (matching the
     /// simulator, where a send to a crashed node vanishes). Never blocks:
-    /// frames queue on the (bounded) outbound lane until the peer is
-    /// reachable. A crashed (killed) node or a blocked link drops the
-    /// frame instead, counted in [`TransportStats::faults_dropped`].
+    /// frames queue on the (bounded) outbound lane, which writes them in
+    /// the next [`Self::poll`] once the peer is reachable. A crashed
+    /// (killed) node or a blocked link drops the frame instead, counted in
+    /// [`TransportStats::faults_dropped`].
     pub fn send(&mut self, to: NodeId, msg: &M) {
-        if self.node_faults.is_down() {
-            TransportStats::bump(&self.stats.faults_dropped, 1);
+        let ctx = &self.ctx;
+        if ctx.node_faults.is_down() {
+            TransportStats::bump(&ctx.stats.faults_dropped, 1);
             return;
         }
-        let epoch = self.node_faults.epoch();
+        let epoch = ctx.node_faults.epoch();
         if epoch != self.sent_epoch {
             // Healed under a new incarnation: restart the sequence space.
             self.sent_epoch = epoch;
             self.seq = 0;
         }
         let body = msg.to_frame();
-        if to == self.node {
-            TransportStats::bump(&self.stats.msgs_sent, 1);
-            TransportStats::bump(&self.stats.bytes_sent, body.len() as u64);
-            TransportStats::bump(&self.stats.msgs_received, 1);
-            TransportStats::bump(&self.stats.bytes_received, body.len() as u64);
+        if to == ctx.node {
+            TransportStats::bump(&ctx.stats.msgs_sent, 1);
+            TransportStats::bump(&ctx.stats.bytes_sent, body.len() as u64);
+            TransportStats::bump(&ctx.stats.msgs_received, 1);
+            TransportStats::bump(&ctx.stats.bytes_received, body.len() as u64);
             // Re-decode instead of cloning: M need not be Clone, and the
             // loopback path then exercises the same codec as the sockets.
             if let Ok(decoded) = M::from_frame(body) {
-                let _ = self.incoming_tx.send(Incoming {
-                    from: to,
-                    msg: decoded,
-                });
+                relock(&ctx.inbox).push_back((to, decoded));
             }
             return;
         }
-        if self.link_faults.blocked(self.node, to) {
-            TransportStats::bump(&self.stats.faults_dropped, 1);
+        if ctx.link_faults.blocked(ctx.node, to) {
+            TransportStats::bump(&ctx.stats.faults_dropped, 1);
             return;
         }
         let Some((queue, token)) = self.lanes.get(&to) else {
@@ -487,89 +425,65 @@ impl<M: Codec + Send + 'static> Transport<M> {
         if len > frame::MAX_FRAME_BYTES {
             return;
         }
-        TransportStats::bump(&self.stats.msgs_sent, 1);
-        TransportStats::bump(&self.stats.bytes_sent, body.len() as u64);
+        TransportStats::bump(&ctx.stats.msgs_sent, 1);
+        TransportStats::bump(&ctx.stats.bytes_sent, body.len() as u64);
         self.seq += 1;
         let mut framed = Vec::with_capacity(12 + body.len());
         framed.extend_from_slice(&len.to_le_bytes());
         framed.extend_from_slice(&self.seq.to_le_bytes());
         framed.extend_from_slice(&body);
         if queue.push(epoch, framed) {
-            TransportStats::bump(&self.stats.lane_evicted, 1);
+            TransportStats::bump(&ctx.stats.lane_evicted, 1);
         }
-        self.reactor.notify(*token);
+        self.reactor.mark(*token);
     }
 
-    /// Receives the next message, waiting up to `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Incoming<M>> {
-        self.incoming_rx.recv_timeout(timeout).ok()
+    /// Runs one iteration of the node's event loop: flushes the lanes
+    /// [`Self::send`] marked, waits up to `wait` for socket readiness (not
+    /// at all with a lane marked; less if a socket timer falls due
+    /// sooner), and serves it. Frames read land in the inbox. Sockets move
+    /// only while their owner polls.
+    pub fn poll(&mut self, wait: Duration) {
+        self.reactor.poll(wait);
     }
 
-    /// Receives without waiting.
-    pub fn try_recv(&self) -> Option<Incoming<M>> {
-        self.incoming_rx.try_recv().ok()
+    /// Whether decoded messages wait in the inbox.
+    pub(crate) fn has_incoming(&self) -> bool {
+        !relock(&self.ctx.inbox).is_empty()
+    }
+
+    /// Takes up to `max` messages from the inbox, oldest first.
+    pub(crate) fn take_incoming(&self, max: usize) -> Vec<(NodeId, M)> {
+        let mut inbox = relock(&self.ctx.inbox);
+        let n = inbox.len().min(max);
+        inbox.drain(..n).collect()
     }
 
     /// Registers `listener`'s client sockets on this transport's reactor:
     /// accepted connections speak the `iniva-ingress` client wire protocol
     /// (submit/ack, query, commit follow) against `mempool`, multiplexed on
     /// the *same* poller as the peer fabric — client count never implies
-    /// thread count. The listener closes when the transport shuts down.
+    /// thread count. The listener closes when the transport is dropped.
     pub fn serve_clients(
-        &self,
+        &mut self,
         listener: TcpListener,
         mempool: Arc<iniva_ingress::Mempool>,
         opts: &iniva_ingress::IngressOptions,
     ) -> io::Result<()> {
         listener.set_nonblocking(true)?;
         let fd = listener.as_raw_fd();
-        let ctx = Arc::new(crate::fabric::ClientCtx {
+        let ctx = Arc::new(ClientCtx {
             mempool,
             opts: opts.clone(),
-            handle: self.reactor.clone(),
+            handle: self.reactor.handle(),
         });
         self.reactor.register(
-            Box::new(crate::fabric::ClientListener::new(listener, ctx)),
+            Box::new(ClientListener::new(listener, ctx)),
             Some(fd),
-            crate::reactor::Interest::READ,
-        );
+            Interest::READ,
+        )?;
         Ok(())
     }
-}
-
-impl<M> Transport<M> {
-    /// Closes the lanes, stops the poller thread — closing every socket
-    /// it owns — and joins it (idempotent). Called by `Drop`; exposed for
-    /// explicit, joined shutdown in tests.
-    pub fn shutdown(&mut self) {
-        for (_, (queue, _)) in self.lanes.drain() {
-            queue.close();
-        }
-        self.reactor.shutdown();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl<M> Drop for Transport<M> {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Puts the calling thread on node `node`'s CPU: nodes are dealt round
-/// the CPUs the process may use, and a node's poller and handler threads
-/// — which hand every message to each other — share one. Left to the
-/// scheduler, a cluster whose threads mostly sleep settles one of two
-/// ways, each self-sustaining: every thread packed on one CPU, or spread
-/// over all of them, where a wake-up crosses CPUs and costs an
-/// inter-processor interrupt (in a VM, an exit to wake the halted vCPU).
-/// Which one follows what the machine ran before the launch, and the
-/// process's CPU per request differs by a quarter between them
-/// (`crash21`: 80 against 100 µs). Fixed placement takes the choice away.
-pub(crate) fn pin_node_thread(node: NodeId) {
-    crate::reactor::sys::pin_current_thread(node as usize);
 }
 
 pub(crate) fn would_block(e: &io::Error) -> bool {

@@ -6,9 +6,13 @@ use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::wire::{DecodeError, Decoder, Encoder, WireDecode, WireEncode};
 use iniva_net::{Actor, Context, NodeId};
 use iniva_transport::cluster::ClusterBuilder;
-use iniva_transport::{CpuMode, LinkFaults, NodeFaults, Runtime, Transport, TransportOptions};
+use iniva_transport::{
+    CpuMode, LinkFaults, NodeFaults, Runtime, Transport, TransportOptions, TransportStats,
+};
 use std::net::{TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A 4-replica Iniva cluster on loopback TCP must commit at least 10
@@ -71,10 +75,10 @@ fn four_replica_cluster_commits_and_agrees() {
 /// sockets are torn down by `finish`).
 #[test]
 fn clusters_tear_down_cleanly() {
-    let cfg = InivaConfig::for_tests(4, 1);
+    let mut cfg = InivaConfig::for_tests(4, 1);
+    cfg.cost = cfg.cost.scaled(0.2);
     for _ in 0..2 {
         let run = ClusterBuilder::new(&cfg, Duration::from_millis(400))
-            .cpu(CpuMode::Scaled(0.2))
             .spawn()
             .expect("cluster starts");
         assert!(run.agreed_prefix_height().is_ok());
@@ -180,10 +184,20 @@ impl Actor for Sink {
     }
 }
 
-fn wait_for(rt: &mut Runtime<Sink>, count: usize, limit: Duration) {
+/// Runs `rt` until its sink holds `count` numbers, polling `sender` — a
+/// bare transport, whose lanes move only while it is polled — in between.
+fn wait_for(
+    rt: &mut Runtime<Sink>,
+    mut sender: Option<&mut Transport<Num>>,
+    count: usize,
+    limit: Duration,
+) {
     let deadline = Instant::now() + limit;
     while rt.actor().got.len() < count && Instant::now() < deadline {
-        rt.run_for(Duration::from_millis(50));
+        if let Some(t) = sender.as_deref_mut() {
+            t.poll(Duration::ZERO);
+        }
+        rt.run_for(Duration::from_millis(5));
     }
 }
 
@@ -206,7 +220,7 @@ fn duplicate_frames_across_reconnects_are_dropped() {
     let mut c1 = TcpStream::connect(addr).unwrap();
     frame::write_handshake(&mut c1, 5, 0).unwrap();
     frame::write_frame(&mut c1, 1, &Num(41).to_frame()).unwrap();
-    wait_for(&mut rb, 1, Duration::from_secs(5));
+    wait_for(&mut rb, None, 1, Duration::from_secs(5));
     drop(c1);
 
     // Second connection, same sender id: replay seq=1, then send seq=2.
@@ -214,7 +228,7 @@ fn duplicate_frames_across_reconnects_are_dropped() {
     frame::write_handshake(&mut c2, 5, 0).unwrap();
     frame::write_frame(&mut c2, 1, &Num(41).to_frame()).unwrap();
     frame::write_frame(&mut c2, 2, &Num(42).to_frame()).unwrap();
-    wait_for(&mut rb, 2, Duration::from_secs(5));
+    wait_for(&mut rb, None, 2, Duration::from_secs(5));
 
     assert_eq!(
         rb.actor().got,
@@ -244,16 +258,20 @@ fn outbound_lane_reconnects_after_peer_restart() {
     for i in 0..5 {
         ta.send(1, &Num(i));
     }
-    wait_for(&mut rb, 5, Duration::from_secs(5));
+    wait_for(&mut rb, Some(&mut ta), 5, Duration::from_secs(5));
     assert_eq!(rb.actor().got, vec![0, 1, 2, 3, 4]);
 
     // Phase 2: kill the receiver's sockets mid-run (listener and accepted
     // connections all close) …
     let (_, _, snapshot_b) = rb.finish();
     assert_eq!(snapshot_b.msgs_received, 5);
-    // Give the FIN a moment to reach the sender, so its next write probes
-    // the connection as dead instead of racing the close.
-    std::thread::sleep(Duration::from_millis(100));
+    // Give the FIN a moment to reach the sender, and the sender a poll to
+    // read it, so its next write probes the connection as dead instead of
+    // racing the close.
+    let fin = Instant::now() + Duration::from_millis(100);
+    while Instant::now() < fin {
+        ta.poll(Duration::from_millis(10));
+    }
     // … keep sending while the peer is down (frames queue on the lane) …
     for i in 5..10 {
         ta.send(1, &Num(i));
@@ -273,7 +291,7 @@ fn outbound_lane_reconnects_after_peer_restart() {
     };
     let tb2 = Transport::<Num>::start(1, listener, &[]).unwrap();
     let mut rb2 = Runtime::new(Sink { got: vec![] }, tb2, CpuMode::Off);
-    wait_for(&mut rb2, 5, Duration::from_secs(10));
+    wait_for(&mut rb2, Some(&mut ta), 5, Duration::from_secs(10));
     assert_eq!(
         rb2.actor().got,
         vec![5, 6, 7, 8, 9],
@@ -380,13 +398,14 @@ fn bounded_lane_sheds_oldest_while_peer_unreachable() {
         l.local_addr().unwrap()
     };
     let listener = TcpListener::bind(loopback).unwrap();
-    let mut ta = Transport::<Num>::start_with(
+    let mut ta = Transport::<Num>::start_with_stats(
         0,
         listener,
         &[(1, dead_addr)],
         TransportOptions { lane_capacity: 8 },
         Arc::new(NodeFaults::new()),
         Arc::new(LinkFaults::new()),
+        Arc::new(TransportStats::default()),
     )
     .unwrap();
 
@@ -416,8 +435,6 @@ fn bounded_lane_sheds_oldest_while_peer_unreachable() {
 /// before the rebuild included.
 #[test]
 fn rebuilt_transport_keeps_cumulative_stats() {
-    use iniva_transport::TransportStats;
-
     let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
     // A peer address nothing listens on, so every send backs up the lane.
     let dead_addr = {
@@ -446,7 +463,6 @@ fn rebuilt_transport_keeps_cumulative_stats() {
     let before = shared.snapshot();
     assert_eq!(before.msgs_sent, 50);
     assert!(before.lane_evicted >= 41, "first incarnation must evict");
-    t1.shutdown();
     drop(t1);
 
     // Incarnation 2 starts from the same stats block; its traffic lands
@@ -463,29 +479,57 @@ fn rebuilt_transport_keeps_cumulative_stats() {
         before.lane_evicted,
         after.lane_evicted
     );
-    t2.shutdown();
+}
+
+/// A transport polled on a thread of its own until dropped.
+struct Polled {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Polled {
+    fn new(mut transport: Transport<Num>) -> Polled {
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    transport.poll(Duration::from_millis(10));
+                }
+            })
+        };
+        Polled {
+            stop,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Polled {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
 }
 
 /// A client listener served by a peerless transport's poller, admitting
 /// into a fresh mempool: the reactor client path with no consensus
 /// behind it, so a test can play the proposer (`draft` / `committed`)
-/// itself. The transport owns the poller; keep it alive for the test.
+/// itself. Keep the polled transport alive for the test.
 fn serve_pool(
     opts: iniva_ingress::IngressOptions,
-) -> (
-    Arc<iniva_ingress::Mempool>,
-    Transport<Num>,
-    std::net::SocketAddr,
-) {
+) -> (Arc<iniva_ingress::Mempool>, Polled, std::net::SocketAddr) {
     let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
     let pool = Arc::new(iniva_ingress::Mempool::new(&opts));
-    let transport = Transport::<Num>::bind(0, loopback, &[]).unwrap();
+    let mut transport = Transport::<Num>::bind(0, loopback, &[]).unwrap();
     let listener = TcpListener::bind(loopback).unwrap();
     let addr = listener.local_addr().unwrap();
     transport
         .serve_clients(listener, Arc::clone(&pool), &opts)
         .unwrap();
-    (pool, transport, addr)
+    (pool, Polled::new(transport), addr)
 }
 
 fn connect_client(addr: std::net::SocketAddr) -> std::net::TcpStream {
@@ -594,7 +638,7 @@ fn hostile_client_frame_drops_that_connection_only() {
     assert_eq!(pool.stats().admitted, 1);
 }
 
-/// Fabric scale: 50 replicas on one machine — 50 pollers, 2,450 lanes and
+/// Fabric scale: 50 replicas on one machine — 50 reactors, 2,450 lanes and
 /// as many inbound connections (≈ 4.9k fds, hence `#[ignore]`; CI runs it
 /// by name) — must still commit a prefix every replica agrees on. CPU
 /// costs are scaled down so 50 replicas share the host; the offered rate
@@ -604,8 +648,8 @@ fn hostile_client_frame_drops_that_connection_only() {
 fn fifty_replicas_commit_an_agreed_prefix() {
     let mut cfg = InivaConfig::for_tests(50, 7);
     cfg.request_rate = 500;
+    cfg.cost = cfg.cost.scaled(0.01);
     let run = ClusterBuilder::new(&cfg, Duration::from_secs(4))
-        .cpu(CpuMode::Scaled(0.01))
         .spawn()
         .expect("cluster starts");
     let agreed = run.agreed_prefix_height().expect("prefixes agree");
@@ -721,5 +765,179 @@ fn hostile_flood_is_shed_at_the_edge() {
     assert!(
         flooded >= 0.8 * unloaded,
         "the flood dragged consensus to {flooded:.1} blocks/s from {unloaded:.1} unloaded"
+    );
+}
+
+/// A turn's CPU charge defers its effects without stalling the node's
+/// sockets: during a 200 ms charge in `on_start`, a client's `Submit` on the
+/// node's ingress listener is acked and a peer's frame is read off its
+/// socket — but the frame reaches the actor, and the turn's own send
+/// reaches the wire, only once the charge is over.
+#[test]
+fn a_charged_turn_keeps_serving_io() {
+    use iniva_ingress::{IngressOptions, Mempool, SubmitStatus};
+    use iniva_net::wire::Codec;
+    use iniva_net::{Time, MILLIS};
+    use iniva_transport::frame;
+    use std::io::Read;
+
+    /// Charges 200 ms and sends to node 1 in its first turn; stamps each
+    /// delivery.
+    struct Charger {
+        got: Vec<(u64, Time)>,
+    }
+    impl Actor for Charger {
+        type Msg = Num;
+        fn on_start(&mut self, ctx: &mut Context<Num>) {
+            ctx.charge_cpu(200 * MILLIS);
+            ctx.send(1, Num(7), 8);
+        }
+        fn on_message(&mut self, ctx: &mut Context<Num>, _from: NodeId, msg: Num) {
+            self.got.push((msg.0, ctx.now()));
+        }
+    }
+
+    let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
+    // This test plays node 1: node 0's lane dials this listener.
+    let peer = TcpListener::bind(loopback).unwrap();
+    let stats = Arc::new(TransportStats::default());
+    let mut transport = Transport::<Num>::start_with_stats(
+        0,
+        TcpListener::bind(loopback).unwrap(),
+        &[(1, peer.local_addr().unwrap())],
+        TransportOptions::default(),
+        Arc::new(NodeFaults::new()),
+        Arc::new(LinkFaults::new()),
+        Arc::clone(&stats),
+    )
+    .unwrap();
+    let node_addr = transport.local_addr();
+    let clients = TcpListener::bind(loopback).unwrap();
+    let client_addr = clients.local_addr().unwrap();
+    let opts = IngressOptions::default();
+    transport
+        .serve_clients(clients, Arc::new(Mempool::new(&opts)), &opts)
+        .unwrap();
+
+    let charge = Duration::from_millis(200);
+    let mut runtime = Runtime::new(Charger { got: vec![] }, transport, CpuMode::Real);
+    // The charge starts after this instant, so it ends after `started +
+    // charge`.
+    let started = Instant::now();
+    let node = std::thread::spawn(move || {
+        runtime.run_for(Duration::from_millis(400));
+        runtime
+    });
+
+    let mut client = connect_client(client_addr);
+    assert_eq!(submit(&mut client, 1, 0), SubmitStatus::Accepted);
+    let mut from_peer = std::net::TcpStream::connect(node_addr).unwrap();
+    frame::write_handshake(&mut from_peer, 1, 0).unwrap();
+    frame::write_frame(&mut from_peer, 1, &Num(41).to_frame()).unwrap();
+    while stats.snapshot().msgs_received == 0 && started.elapsed() < charge {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(stats.snapshot().msgs_received, 1, "the frame is read");
+    let served = started.elapsed();
+    assert!(
+        served < charge,
+        "ack and read took {served:?}, not within the {charge:?} charge"
+    );
+
+    let (mut lane, _) = peer.accept().unwrap();
+    let mut wire = [0u8; frame::HANDSHAKE_BYTES + 20];
+    lane.read_exact(&mut wire).unwrap();
+    assert!(
+        started.elapsed() >= charge,
+        "the turn's send was on the wire after {:?}, inside its charge",
+        started.elapsed()
+    );
+
+    let runtime = node.join().unwrap();
+    let got = &runtime.actor().got;
+    assert_eq!(got.len(), 1, "the peer's frame is delivered once");
+    assert!(
+        got[0].1 >= 200 * MILLIS,
+        "delivered at {} ns, inside the charge",
+        got[0].1
+    );
+}
+
+/// A frame body of opaque bytes.
+struct Blob(Vec<u8>);
+
+impl WireEncode for Blob {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_bytes(&self.0);
+    }
+}
+
+impl WireDecode for Blob {
+    fn decode(dec: &mut Decoder) -> Result<Self, DecodeError> {
+        Ok(Blob(dec.get_bytes()?.to_vec()))
+    }
+}
+
+/// A killed node keeps reading its sockets, and its fault filter drops
+/// (and counts) what arrives: a peer streaming 32 MB/s at it for a second
+/// sees its lane toward it stay near empty. Unread, the dead node's
+/// sockets would fill, and every peer's lane toward it after them, up to
+/// `lane_capacity` frames.
+#[test]
+fn a_killed_node_keeps_draining_its_sockets() {
+    struct Drop0;
+    impl Actor for Drop0 {
+        type Msg = Blob;
+        fn on_message(&mut self, _: &mut Context<Blob>, _: NodeId, _: Blob) {
+            panic!("a killed node delivers nothing");
+        }
+    }
+
+    let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
+    let faults = Arc::new(NodeFaults::new());
+    faults.kill();
+    let dead_stats = Arc::new(TransportStats::default());
+    let dead = Transport::<Blob>::start_with_stats(
+        1,
+        TcpListener::bind(loopback).unwrap(),
+        &[],
+        TransportOptions::default(),
+        faults,
+        Arc::new(LinkFaults::new()),
+        Arc::clone(&dead_stats),
+    )
+    .unwrap();
+    let dead_addr = dead.local_addr();
+    let node = std::thread::spawn(move || {
+        Runtime::new(Drop0, dead, CpuMode::Off).run_for(Duration::from_millis(1300));
+    });
+
+    let mut sender = Transport::<Blob>::bind(0, loopback, &[(1, dead_addr)]).unwrap();
+    let blob = Blob(vec![0x5a; 64 * 1024]);
+    let start = Instant::now();
+    let (mut sent, mut depth_max, mut dropped_mid) = (0u128, 0, 0);
+    while start.elapsed() < Duration::from_secs(1) {
+        // One frame per 2 ms, far more than a socket buffers unread.
+        if sent <= start.elapsed().as_millis() / 2 {
+            sender.send(1, &blob);
+            sent += 1;
+        }
+        sender.poll(Duration::from_millis(1));
+        depth_max = depth_max.max(sender.queue_depth());
+        if dropped_mid == 0 && start.elapsed() >= Duration::from_millis(500) {
+            dropped_mid = dead_stats.snapshot().faults_dropped;
+        }
+    }
+    let dropped_end = dead_stats.snapshot().faults_dropped;
+    node.join().unwrap();
+
+    assert!(
+        depth_max <= 64,
+        "the lane toward the killed node backed up to {depth_max} frames of {sent} sent"
+    );
+    assert!(dropped_mid > 0, "nothing dropped in the first half second");
+    assert!(
+        dropped_end > dropped_mid,
+        "drops stopped rising: {dropped_mid} then {dropped_end}"
     );
 }

@@ -258,7 +258,7 @@ fn one_process<S: WireScheme>(
         S::NAME,
         cluster.duration_secs
     );
-    let transport = Transport::bind(id, addr, &cluster.peer_addrs()).expect("bind listener");
+    let mut transport = Transport::bind(id, addr, &cluster.peer_addrs()).expect("bind listener");
     let scheme = Arc::new(S::new_committee(cluster.n(), CLUSTER_SEED));
     let scheme_handle = Arc::clone(&scheme);
     // Observability: one registry + tracer for the process, both on the
