@@ -182,8 +182,14 @@ pub mod sys {
     }
 
     /// Waits up to `timeout`, to the nanosecond (`epoll_pwait2`: glibc ≥
-    /// 2.35, Linux ≥ 5.11), for events; `EINTR` surfaces as zero events.
-    pub fn epoll_pwait(epfd: RawFd, events: &mut [EpollEvent], timeout: Duration) -> usize {
+    /// 2.35, Linux ≥ 5.11), for events; `EINTR` surfaces as zero events,
+    /// any other failure (`ENOSYS` on an older kernel, `EPERM` under a
+    /// seccomp filter) as the error.
+    pub fn epoll_pwait(
+        epfd: RawFd,
+        events: &mut [EpollEvent],
+        timeout: Duration,
+    ) -> io::Result<usize> {
         let ts = Timespec {
             sec: timeout.as_secs().min(i64::MAX as u64) as i64,
             nsec: i64::from(timeout.subsec_nanos()),
@@ -202,9 +208,13 @@ pub mod sys {
             )
         };
         if n < 0 {
-            return 0; // EINTR or a dying epoll fd: treat as a timeout
+            let err = io::Error::last_os_error();
+            if err.raw_os_error() == Some(EINTR) {
+                return Ok(0);
+            }
+            return Err(err);
         }
-        n as usize
+        Ok(n as usize)
     }
 
     /// Creates the wakeup eventfd (non-blocking, close-on-exec).
@@ -547,6 +557,12 @@ pub struct Reactor {
 
 impl Reactor {
     /// Creates the poller and its wakeup eventfd.
+    ///
+    /// # Errors
+    /// Fails when the kernel refuses any of the syscalls — `epoll_pwait2`
+    /// included, which is probed once here so a kernel older than 5.11 (or
+    /// a seccomp filter without it) stops the node at start rather than
+    /// leaving every later poll returning at once.
     pub fn new() -> io::Result<Reactor> {
         let epfd = sys::epoll_create()?;
         let eventfd = match sys::eventfd_new() {
@@ -556,7 +572,10 @@ impl Reactor {
                 return Err(e);
             }
         };
-        if let Err(e) = sys::epoll_add(epfd, eventfd, sys::EPOLLIN, WAKE_TOKEN) {
+        let mut probe = [sys::EpollEvent { events: 0, data: 0 }; 1];
+        let ready = sys::epoll_add(epfd, eventfd, sys::EPOLLIN, WAKE_TOKEN)
+            .and_then(|()| sys::epoll_pwait(epfd, &mut probe, Duration::ZERO));
+        if let Err(e) = ready {
             sys::close_fd(epfd);
             sys::close_fd(eventfd);
             return Err(e);
@@ -629,11 +648,15 @@ impl Reactor {
             Duration::ZERO
         };
         let mut events = [sys::EpollEvent { events: 0, data: 0 }; 256];
-        let n = sys::epoll_pwait(self.epfd, &mut events, timeout);
+        // `new` probed the call with this epoll fd, so the kernel supports
+        // and permits it; nothing left to fail on but EINTR, already zero.
+        let n = sys::epoll_pwait(self.epfd, &mut events, timeout).unwrap_or(0);
+        let mut woken = false;
         for ev in events.iter().take(n) {
             let token = ev.data;
             if token == WAKE_TOKEN {
-                continue; // drained with the notifications below
+                woken = true; // drained with the notifications below
+                continue;
             }
             let bits = ev.events;
             let err = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
@@ -641,7 +664,7 @@ impl Reactor {
             let writable = err || bits & sys::EPOLLOUT != 0;
             self.dispatch(token, Event::Ready(readable, writable));
         }
-        self.drain_notifications();
+        self.drain_notifications(woken);
         self.fire_deadlines();
     }
 
@@ -662,13 +685,19 @@ impl Reactor {
         );
     }
 
-    fn drain_notifications(&mut self) {
+    /// Runs the `notified` callbacks of every marked and notified token.
+    /// `woken`: epoll reported the eventfd readable in this poll.
+    fn drain_notifications(&mut self, woken: bool) {
         let mut tokens = std::mem::take(&mut self.marked);
         // Order matters for the lost-wakeup race: drain the eventfd,
         // clear the pending flag, *then* take the token list. A token
         // pushed after the take is paired with a flag set after the
         // clear, whose eventfd write lands in the next epoll_pwait2.
-        if self.shared.wake_pending.load(Ordering::SeqCst) {
+        // A readable eventfd is drained even with the flag clear: a
+        // notify whose flag an earlier drain cleared before its write
+        // landed leaves the (level-triggered) eventfd readable, and
+        // every poll would return at once until it is read.
+        if woken || self.shared.wake_pending.load(Ordering::SeqCst) {
             sys::eventfd_drain(self.shared.eventfd);
             self.shared.wake_pending.store(false, Ordering::SeqCst);
             tokens.append(&mut relock(&self.shared.notified));
@@ -964,6 +993,25 @@ mod tests {
         let seen = hits.load(Ordering::SeqCst) - 1;
         assert!(seen >= 1, "notify never delivered");
         assert!(seen <= 100, "notify multiplied");
+    }
+
+    /// A notify's eventfd write can land after the loop already cleared
+    /// its pending flag (the loop was awake between the notifier's flag
+    /// set and its write). The readable eventfd must still be drained, or
+    /// every later poll returns at once and the node's thread spins.
+    #[test]
+    fn a_late_wakeup_is_drained_and_polls_block_again() {
+        let mut reactor = Reactor::new().unwrap();
+        assert!(!reactor.shared.wake_pending.load(Ordering::SeqCst));
+        sys::eventfd_post(reactor.shared.eventfd);
+        reactor.poll(Duration::from_millis(100)); // sees the write
+        let start = Instant::now();
+        reactor.poll(Duration::from_millis(100));
+        assert!(
+            start.elapsed() >= Duration::from_millis(90),
+            "a poll with nothing pending returned after {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -272,6 +272,9 @@ where
                 self.apply(ctx);
             }
         }
+        // Flush the last turn's sends now rather than at the next run: a
+        // harness may spend a while between run slices.
+        self.transport.poll(Duration::ZERO);
     }
 
     /// Tears down the transport and returns the actor plus final counters.
@@ -465,6 +468,63 @@ mod tests {
         assert!(a.done || b.done, "countdown should have completed");
     }
 
+    /// A run slice flushes what its last turn sent: the caller may hold
+    /// the runtime, unpolled, for a while before the next slice.
+    #[test]
+    fn a_run_slice_flushes_its_last_turns_sends() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        struct Replier {
+            stop: Arc<AtomicBool>,
+        }
+        impl Actor for Replier {
+            type Msg = Num;
+            fn on_start(&mut self, ctx: &mut Context<Num>) {
+                ctx.send(1, Num(0), 8); // dials the lane to node 1
+            }
+            fn on_message(&mut self, ctx: &mut Context<Num>, from: NodeId, msg: Num) {
+                if msg.0 == 1 {
+                    ctx.send(from, Num(2), 8);
+                    self.stop.store(true, Ordering::SeqCst);
+                }
+            }
+        }
+        let la = std::net::TcpListener::bind(loopback(0)).unwrap();
+        let lb = std::net::TcpListener::bind(loopback(0)).unwrap();
+        let peers = vec![(0, la.local_addr().unwrap()), (1, lb.local_addr().unwrap())];
+        let ta = Transport::<Num>::start(0, la, &peers).unwrap();
+        let mut tb = Transport::<Num>::start(1, lb, &peers).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let replier = Replier {
+            stop: Arc::clone(&stop),
+        };
+        let (release, held) = std::sync::mpsc::channel::<()>();
+        let node0 = std::thread::spawn(move || {
+            let mut rt = Runtime::new(replier, ta, CpuMode::Off);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            rt.run_deadline(deadline, || stop.load(Ordering::SeqCst));
+            let _ = held.recv(); // the runtime stays alive, unpolled
+        });
+        fn received(tb: &mut Transport<Num>, want: u64) -> bool {
+            let until = Instant::now() + Duration::from_secs(2);
+            while Instant::now() < until {
+                tb.poll(Duration::from_millis(10));
+                if tb
+                    .take_incoming(usize::MAX)
+                    .iter()
+                    .any(|(_, m)| m.0 == want)
+                {
+                    return true;
+                }
+            }
+            false
+        }
+        assert!(received(&mut tb, 0), "node 0's lane never connected");
+        tb.send(0, &Num(1));
+        assert!(received(&mut tb, 2), "the last turn's reply stayed queued");
+        release.send(()).unwrap();
+        node0.join().unwrap();
+    }
+
     #[test]
     fn timers_fire_in_order_and_on_time() {
         struct TimerActor {
@@ -534,6 +594,16 @@ mod tests {
         Runtime::new(actor, t, mode)
     }
 
+    /// Runs `rt` in 1 µs slices until every turn is served. Due timers
+    /// fire back to back, so one slice serves all — if it runs at all: a
+    /// thread preempted before the slice's first deadline check runs
+    /// nothing, which a loaded host does now and then.
+    fn serve_all(rt: &mut Runtime<Charger>) {
+        while rt.actor().turns > 0 || !rt.timers.is_empty() {
+            rt.run_for(Duration::from_micros(1));
+        }
+    }
+
     #[test]
     fn charges_never_end_early() {
         // Spun (below `SLEEP_FLOOR`) and served by polling (above it).
@@ -542,7 +612,7 @@ mod tests {
             for _ in 0..10 {
                 let mut rt = charger(charge, 1, CpuMode::Real);
                 let started = rt.now();
-                rt.run_for(Duration::from_micros(1));
+                serve_all(&mut rt);
                 let at = rt.actor().effect_at.expect("the effects apply");
                 assert!(at >= started + charge, "a {micros} µs charge ended early");
             }
@@ -581,8 +651,7 @@ mod tests {
                         let mut rt = charger(charge, ROUNDS, CpuMode::Real);
                         barrier.wait();
                         let before = thread_on_cpu_ns().expect("probed above");
-                        // Due timers fire back to back: one run serves all.
-                        rt.run_for(Duration::from_micros(1));
+                        serve_all(&mut rt);
                         // Fold the running slice into the counter.
                         std::thread::yield_now();
                         let after = thread_on_cpu_ns().expect("probed above");
@@ -609,7 +678,7 @@ mod tests {
     fn cpu_charges_become_real_elapsed_time() {
         let mut rt = charger(30 * iniva_net::MILLIS, 1, CpuMode::Real);
         let wall = Instant::now();
-        rt.run_for(Duration::from_millis(1));
+        serve_all(&mut rt);
         assert!(
             wall.elapsed() >= Duration::from_millis(30),
             "a 30 ms charge must cost 30 ms of real time"
