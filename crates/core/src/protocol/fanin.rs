@@ -1,0 +1,688 @@
+//! Tree dissemination and fan-in (Algorithm 1): the proposal travels down
+//! the view's tree and votes travel up it, folded in verified batches,
+//! with ACK inclusion proofs, the root's 2ND-CHANCE fallback, and
+//! finalization into a QC.
+
+use super::pacemaker::{timer_id, TIMER_AGG, TIMER_SECOND_CHANCE};
+use super::{InivaMsg, InivaReplica};
+use crate::rewards::validate_subtree_multiplicities;
+use iniva_consensus::types::{quorum, vote_message, Block, Qc, AGG_SIG_BYTES, PER_SIGNER_BYTES};
+use iniva_crypto::multisig::{Multiplicities, VoteScheme};
+use iniva_net::wire::WireEncode;
+use iniva_net::{Context, NodeId, Time};
+use iniva_obs::trace::{EventKind, TimerKind};
+use iniva_tree::{Role, TreeView};
+
+/// Bound on the `early_sigs` reorder buffer, as a multiple of committee
+/// size: the buffer keeps at most one signature per `(sender, view)` pair
+/// (honest senders send one per view), at most `n` entries per view, and
+/// at most `EARLY_SIGS_TOTAL_FACTOR · n` entries overall, dropping the
+/// oldest on overflow. Without the caps a hostile peer flooding one
+/// future view would grow the buffer without bound.
+pub(super) const EARLY_SIGS_TOTAL_FACTOR: usize = 4;
+
+/// Per-view aggregation state.
+pub(super) struct AggState<S: VoteScheme> {
+    pub(super) view: u64,
+    /// The tree derived when the proposal was accepted — pinned so that a
+    /// Carousel-context update mid-view cannot re-derive a different tree.
+    tree: TreeView,
+    block: Block,
+    /// Accumulated aggregate (starts with the node's own vote).
+    pub(super) agg: S::Aggregate,
+    /// Children whose signatures have been folded in.
+    children_in: Vec<u32>,
+    /// ACK aggregate received from the parent (inclusion proof).
+    ack_agg: Option<S::Aggregate>,
+    /// Whether this node already sent its aggregate/vote up.
+    sent_up: bool,
+    /// Root only: subtree aggregates received from internal children.
+    subtrees_in: u32,
+    /// Root only: whether 2ND-CHANCE messages have been sent.
+    second_chance_sent: bool,
+    /// Root only: whether the second-chance timer has expired.
+    sc_expired: bool,
+    /// Root only: whether the final QC was emitted.
+    finalized: bool,
+}
+
+impl<S: VoteScheme> AggState<S> {
+    /// The state of a view whose block this node just voted, holding its
+    /// own vote `own`.
+    fn new(view: u64, tree: TreeView, block: Block, own: S::Aggregate, sent_up: bool) -> Self {
+        AggState {
+            view,
+            tree,
+            block,
+            agg: own,
+            children_in: Vec::new(),
+            ack_agg: None,
+            sent_up,
+            subtrees_in: 0,
+            second_chance_sent: false,
+            sc_expired: false,
+            finalized: false,
+        }
+    }
+}
+
+impl<S: VoteScheme> InivaReplica<S>
+where
+    S::Aggregate: WireEncode,
+{
+    /// `L_v` proposes: sends the block to the tree root and the root's
+    /// children (paper Fig. 1-A), then processes it locally.
+    pub(super) fn propose(&mut self, ctx: &mut Context<InivaMsg<S>>) {
+        let view = self.current_view;
+        let block = self.chain.draft_block(
+            view,
+            self.id,
+            ctx.now(),
+            self.cfg.max_batch,
+            self.cfg.payload_per_req,
+        );
+        let qc = self.chain.highest_qc().cloned();
+        self.chain.insert_block(block.clone());
+        self.tracer.emit(
+            ctx.now(),
+            EventKind::ProposalSent {
+                view,
+                height: block.height,
+                txs: block.batch_len,
+            },
+        );
+        // Process the proposal locally *first* so the pinned tree (and the
+        // Carousel leader bookkeeping) is derived in exactly the same order
+        // as on every receiver.
+        self.handle_proposal(ctx, block.clone(), qc.clone());
+        let Some(st) = &self.agg else { return };
+        if st.view != view {
+            return;
+        }
+        let tree = st.tree.clone();
+        let bytes = block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
+        let root = tree.root();
+        let mut targets: Vec<u32> = vec![root];
+        targets.extend(tree.children_of(root));
+        for t in targets {
+            if t != self.id {
+                ctx.send(
+                    t,
+                    InivaMsg::Proposal {
+                        block: block.clone(),
+                        qc: qc.clone(),
+                    },
+                    bytes,
+                );
+            }
+        }
+    }
+
+    /// Lines 7–17 of Algorithm 1.
+    pub(super) fn handle_proposal(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        block: Block,
+        qc: Option<Qc<S>>,
+    ) {
+        if !self.validate_and_store(ctx, &block, &qc) {
+            return;
+        }
+        if block.view <= self.last_voted_view {
+            return;
+        }
+        if block.view < self.current_view && block.view != 1 {
+            return;
+        }
+        let view = block.view;
+        self.tracer.emit(
+            ctx.now(),
+            EventKind::ProposalReceived {
+                view,
+                height: block.height,
+                leader: block.proposer,
+            },
+        );
+        let tree = self.tree_for_view(view);
+        let role = tree.role_of(self.id);
+        let parent = tree.parent_of(self.id);
+        let agg_timer = 2 * self.cfg.delta * tree.height_of(self.id) as Time;
+
+        // Forward down the tree.
+        let bytes = block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
+        if role == Role::Internal {
+            for c in tree.children_of(self.id) {
+                if c != self.id {
+                    ctx.send(
+                        c,
+                        InivaMsg::Proposal {
+                            block: block.clone(),
+                            qc: qc.clone(),
+                        },
+                        bytes,
+                    );
+                }
+            }
+        }
+
+        let own = self.vote(ctx, tree, block, role == Role::Leaf);
+        if role != Role::Leaf {
+            // Aggregators start the aggregation timer 2Δ·height(p).
+            ctx.set_timer(agg_timer, timer_id(view, TIMER_AGG));
+        } else if let Some(parent) = parent {
+            // Leaves send their signature to their parent immediately.
+            ctx.send(
+                parent,
+                InivaMsg::Signature { view, agg: own },
+                AGG_SIG_BYTES + PER_SIGNER_BYTES + 16,
+            );
+        }
+        // Replay signatures that raced ahead of this proposal — as one
+        // batch, so the whole buffered fan-in costs a single
+        // multi-pairing.
+        let ready: Vec<_> = {
+            let (ready, keep): (Vec<_>, Vec<_>) = std::mem::take(&mut self.early_sigs)
+                .into_iter()
+                .partition(|(_, v, _)| *v == view);
+            self.early_sigs = keep;
+            ready
+        };
+        if !ready.is_empty() {
+            self.handle_signatures(ctx, ready);
+        }
+    }
+
+    /// deliver(B); vote(B): signs `block`, opens its view's aggregation
+    /// state with that vote, and enters the next view. Both vote paths
+    /// come through here, so `last_voted_view` never moves without the
+    /// pacemaker journaling a view past it (see [`Self::recover`]).
+    fn vote(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        tree: TreeView,
+        block: Block,
+        sent_up: bool,
+    ) -> S::Aggregate {
+        let view = block.view;
+        self.last_voted_view = view;
+        ctx.charge_cpu(self.cfg.cost.sign);
+        let own = self
+            .scheme
+            .sign(self.id, &vote_message(&block.hash(), view));
+        self.agg = Some(AggState::new(view, tree, block, own.clone(), sent_up));
+        self.enter_view(ctx, view + 1, false);
+        own
+    }
+
+    /// Buffers a signature that raced ahead of its view's proposal.
+    /// Bounded three ways, so a hostile peer flooding future views cannot
+    /// grow the buffer without bound: newest-wins per `(sender, view)`
+    /// pair, drop-oldest per view at `n` entries, and at
+    /// [`EARLY_SIGS_TOTAL_FACTOR`]`·n` overall the entry for the
+    /// *farthest-future* view yields — near views are the ones whose
+    /// proposals arrive next, so evicting far views keeps one flooding
+    /// peer from displacing other senders' imminent votes.
+    fn buffer_early_sig(&mut self, from: NodeId, view: u64, agg: S::Aggregate) {
+        // Saturating: `view` is raw wire input, and an entry buffered at
+        // `u64::MAX` must not turn this prune into a debug-build
+        // overflow panic.
+        self.early_sigs
+            .retain(|(_, v, _)| v.saturating_add(2) > self.current_view);
+        if let Some(slot) = self
+            .early_sigs
+            .iter_mut()
+            .find(|(f, v, _)| *f == from && *v == view)
+        {
+            slot.2 = agg;
+            return;
+        }
+        let per_view_cap = self.cfg.n.max(1);
+        if self
+            .early_sigs
+            .iter()
+            .filter(|(_, v, _)| *v == view)
+            .count()
+            >= per_view_cap
+        {
+            if let Some(oldest) = self.early_sigs.iter().position(|(_, v, _)| *v == view) {
+                self.early_sigs.remove(oldest);
+            }
+        }
+        if self.early_sigs.len() >= EARLY_SIGS_TOTAL_FACTOR * per_view_cap {
+            let farthest = self
+                .early_sigs
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, (_, v, _))| *v)
+                .map(|(i, (_, v, _))| (i, *v));
+            if let Some((i, farthest_view)) = farthest {
+                if view >= farthest_view {
+                    return; // incoming is the farthest future — drop it instead
+                }
+                self.early_sigs.remove(i);
+            }
+        }
+        self.early_sigs.push((from, view, agg));
+    }
+
+    /// Lines 18–20 over a *batch* of SIGNATURE messages: everything queued
+    /// in one handler turn (live-transport drain) plus the `early_sigs`
+    /// replay lands here together, so one multi-pairing batch
+    /// verification covers the whole fan-in instead of two Miller loops
+    /// per message. Cheap structural checks (duplicates, membership,
+    /// multiplicity patterns) run *before* any pairing, so spam that
+    /// would be rejected anyway never reaches the expensive path.
+    pub(super) fn handle_signatures(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        sigs: Vec<(NodeId, u64, S::Aggregate)>,
+    ) {
+        // Split off the signatures addressed to the live aggregation
+        // state; buffer the early ones, drop stale ones.
+        let live = self.agg.as_ref().map(|st| st.view);
+        let mut batch: Vec<(NodeId, S::Aggregate)> = Vec::new();
+        for (from, view, agg) in sigs {
+            if live == Some(view) {
+                batch.push((from, agg));
+            } else if live.is_none_or(|live| live < view) && view >= self.current_view {
+                // The proposal has not reached us yet: buffer and replay
+                // later.
+                self.buffer_early_sig(from, view, agg);
+            }
+        }
+        if !batch.is_empty() {
+            self.fold_signatures(ctx, batch);
+        }
+    }
+
+    /// Folds one view's signatures into its aggregate in waves: each wave
+    /// structurally selects pairwise-disjoint shares well-formed for this
+    /// node's role, verifies the whole wave in one batch, and folds the
+    /// survivors; items skipped only because an in-batch rival claimed the
+    /// same signer are retried in the next wave when that rival turned out
+    /// to be a forgery. An internal node folds its leaves' votes and sends
+    /// its subtree up once all are in; the root folds subtree aggregates
+    /// and 2ND-CHANCE replies, then checks for 2ND-CHANCE or finalization.
+    fn fold_signatures(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        mut queue: Vec<(NodeId, S::Aggregate)>,
+    ) {
+        let Some(st) = &self.agg else { return };
+        let (view, tree) = (st.view, st.tree.clone());
+        let role = tree.role_of(self.id);
+        if role == Role::Leaf {
+            return;
+        }
+        let children = tree.children_of(self.id);
+        let msg = vote_message(&st.block.hash(), view);
+        loop {
+            let Some(st) = self.agg.as_ref() else { return };
+            if st.view != view || st.finalized {
+                return;
+            }
+            // Structural selection: accepted state plus in-batch
+            // tentatively-selected signers must stay disjoint.
+            let current = self.scheme.multiplicities(&st.agg);
+            let mut tentative = Multiplicities::new();
+            let mut selected: Vec<S::Aggregate> = Vec::new();
+            let mut selected_from: Vec<NodeId> = Vec::new();
+            let mut selected_signers = 0usize;
+            let mut retry: Vec<(NodeId, S::Aggregate)> = Vec::new();
+            for (from, agg) in queue {
+                let mults = self.scheme.multiplicities(&agg);
+                // Overlapping or redundant against accepted state, or
+                // malformed for the sender's place in the tree — skip for
+                // good (keeps multiplicities canonical).
+                if mults.is_empty()
+                    || mults.signers().any(|s| current.contains(s))
+                    || !self.well_formed(&tree, role, &children, from, mults)
+                {
+                    continue;
+                }
+                if mults.signers().any(|s| tentative.contains(s)) {
+                    // Blocked by an in-batch rival; retry if the rival
+                    // fails verification.
+                    retry.push((from, agg));
+                    continue;
+                }
+                tentative = tentative.merge(mults);
+                selected_signers += mults.distinct();
+                selected_from.push(from);
+                selected.push(agg);
+            }
+            if selected.is_empty() {
+                return;
+            }
+            // assert verifies(sig, sig.signers), batched — charge the
+            // multi-pairing, not per-item pairings.
+            let outcome = self.verify_recorded(ctx, view, &msg, &selected, selected_signers);
+            let culprits = outcome.culprits();
+            let Some(st) = self.agg.as_mut() else { return };
+            let mut folded = false;
+            for (i, (from, agg)) in selected_from.iter().zip(&selected).enumerate() {
+                if culprits.contains(&(0, i)) {
+                    continue;
+                }
+                ctx.charge_cpu(self.cfg.cost.aggregate_combine);
+                let mults = self.scheme.multiplicities(agg);
+                if role == Role::Internal {
+                    st.children_in.extend(mults.signers());
+                } else {
+                    if st.second_chance_sent {
+                        self.agg_metrics.second_chance_recoveries += mults.distinct() as u64;
+                    }
+                    if children.contains(from) {
+                        st.subtrees_in += 1;
+                    }
+                }
+                st.agg = self.scheme.combine(&st.agg, agg);
+                folded = true;
+            }
+            let subtree_complete = st.children_in.len() == children.len();
+            let sc_expired = st.sc_expired;
+            if folded {
+                match role {
+                    Role::Internal if subtree_complete => self.send_subtree_up(ctx),
+                    // Late quorum after the second-chance window: finalize
+                    // as soon as it is possible again.
+                    Role::Root if sc_expired => self.finalize(ctx),
+                    Role::Root => self.maybe_second_chance_or_finalize(ctx, false),
+                    _ => {}
+                }
+            }
+            if culprits.is_empty() || retry.is_empty() {
+                return;
+            }
+            queue = retry;
+        }
+    }
+
+    /// Whether a share from `from` carrying `mults` has a shape this node
+    /// may fold: an internal node takes single votes from its own leaves;
+    /// the root takes single votes, Eq. 1 subtree aggregates from internal
+    /// nodes, and any other aggregate (an ACK echoed back as a 2ND-CHANCE
+    /// reply).
+    fn well_formed(
+        &self,
+        tree: &TreeView,
+        role: Role,
+        children: &[u32],
+        from: NodeId,
+        mults: &Multiplicities,
+    ) -> bool {
+        let single_vote = mults.distinct() == 1 && mults.total() == 1;
+        match role {
+            Role::Internal => single_vote && mults.signers().all(|s| children.contains(&s)),
+            Role::Root if mults.distinct() == 1 => single_vote,
+            Role::Root if tree.role_of(from) == Role::Internal && from != self.id => {
+                validate_subtree_multiplicities(tree, from, mults)
+            }
+            Role::Root => true,
+            Role::Leaf => false,
+        }
+    }
+
+    /// Internal node: send the subtree aggregate to the root and ACKs to the
+    /// included children (lines 27–28). Children are folded in with
+    /// multiplicity 2 and the own signature 1 + #children times (Eq. 1).
+    fn send_subtree_up(&mut self, ctx: &mut Context<InivaMsg<S>>) {
+        let Some(st) = self.agg.as_mut() else { return };
+        if st.sent_up {
+            return;
+        }
+        st.sent_up = true;
+        // Eq. 1 from `st.agg` = own×1 + Σ children×1, without subtraction
+        // (indivisible): doubling gives children×2 and own×2; own needs k + 1.
+        let subtree = match st.children_in.len() as u64 {
+            0 => st.agg.clone(),
+            1 => self.scheme.scale(&st.agg, 2),
+            k => {
+                let own = self
+                    .scheme
+                    .sign(self.id, &vote_message(&st.block.hash(), st.view));
+                self.scheme.combine(
+                    &self.scheme.scale(&st.agg, 2),
+                    &self.scheme.scale(&own, k - 1),
+                )
+            }
+        };
+        let root = st.tree.root();
+        let wire =
+            AGG_SIG_BYTES + PER_SIGNER_BYTES * self.scheme.multiplicities(&subtree).distinct() + 16;
+        if root != self.id {
+            ctx.send(
+                root,
+                InivaMsg::Signature {
+                    view: st.view,
+                    agg: subtree.clone(),
+                },
+                wire,
+            );
+        }
+        for &c in &st.children_in {
+            ctx.send(
+                c,
+                InivaMsg::Ack {
+                    view: st.view,
+                    agg: subtree.clone(),
+                },
+                wire,
+            );
+        }
+    }
+
+    /// Root: give missing processes a 2ND-CHANCE (lines 22–25) once the
+    /// tree has reported (all subtree aggregates in) or the aggregation
+    /// timer fired, then finalize when the second-chance timer expires
+    /// (lines 39–40).
+    ///
+    /// Deviation from the paper's "once a QC has been collected" trigger:
+    /// we wait for tree *completion* rather than a bare quorum, so the
+    /// fallback stays dormant in fault-free runs (the paper's own claim in
+    /// Section V-C); under faults the aggregation timer provides the same
+    /// bound the paper's analysis uses.
+    fn maybe_second_chance_or_finalize(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        timer_fired: bool,
+    ) {
+        let n = self.cfg.n;
+        let Some(st) = self.agg.as_mut() else { return };
+        if st.finalized {
+            return;
+        }
+        let internal_children = st.tree.children_of(st.tree.root()).len() as u32;
+        let included = self.scheme.multiplicities(&st.agg).distinct();
+        let have_quorum = included >= quorum(n);
+        let tree_complete = st.subtrees_in >= internal_children;
+
+        if !self.cfg.second_chance {
+            // Iniva-No2C: finalize when the tree has reported (or the
+            // timer forces the issue) and a quorum exists.
+            if (tree_complete && have_quorum) || timer_fired {
+                self.finalize(ctx);
+            }
+            return;
+        }
+
+        let trigger = if self.cfg.sc_on_quorum {
+            have_quorum || tree_complete || timer_fired
+        } else {
+            tree_complete || timer_fired
+        };
+        if !st.second_chance_sent && trigger {
+            st.second_chance_sent = true;
+            let current = self.scheme.multiplicities(&st.agg).clone();
+            let missing: Vec<u32> = (0..n as u32).filter(|m| !current.contains(*m)).collect();
+            if missing.is_empty() {
+                self.agg_metrics.clean_views += 1;
+                self.finalize(ctx);
+                return;
+            }
+            if let Some(obs) = &self.obs {
+                obs.second_chances.inc();
+            }
+            self.tracer.emit(
+                ctx.now(),
+                EventKind::SecondChance {
+                    view: st.view,
+                    missing: missing.len() as u32,
+                },
+            );
+            let qc = self.chain.highest_qc().cloned();
+            let bytes =
+                st.block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
+            for m in missing {
+                self.agg_metrics.second_chances_sent += 1;
+                ctx.send(
+                    m,
+                    InivaMsg::SecondChance {
+                        block: st.block.clone(),
+                        qc: qc.clone(),
+                    },
+                    bytes,
+                );
+            }
+            ctx.set_timer(self.cfg.sc_timer(), timer_id(st.view, TIMER_SECOND_CHANCE));
+        }
+    }
+
+    /// Root: emit the QC and, as `L_{v+1}`, propose the next block.
+    fn finalize(&mut self, ctx: &mut Context<InivaMsg<S>>) {
+        let Some(st) = self.agg.as_mut() else { return };
+        if st.finalized {
+            return;
+        }
+        let included = self.scheme.multiplicities(&st.agg).distinct();
+        if included < quorum(self.cfg.n) {
+            return; // cannot form a QC; the view will time out
+        }
+        st.finalized = true;
+        let qc = Qc {
+            block_hash: st.block.hash(),
+            view: st.view,
+            height: st.block.height,
+            agg: st.agg.clone(),
+        };
+        let view = st.view;
+        let height = st.block.height;
+        self.tracer
+            .emit(ctx.now(), EventKind::QcFormed { view, height });
+        self.adopt_qc(ctx.now(), qc);
+        self.enter_view(ctx, view + 1, false);
+        // The tree root *is* L_{v+1} by construction (every replica pinned
+        // this node into the root slot when building the view-v tree), so
+        // it proposes unconditionally — re-deriving leader_of(v+1) here
+        // would use the *new* QC's voter set, which the tree predates.
+        self.propose(ctx);
+    }
+
+    /// The aggregation timer of `view` fired: an internal node sends up
+    /// what it has, the root moves on to 2ND-CHANCE.
+    pub(super) fn on_agg_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
+        let Some(st) = &self.agg else { return };
+        if st.view != view || st.finalized {
+            return;
+        }
+        self.tracer.emit(
+            ctx.now(),
+            EventKind::TimerFired {
+                view,
+                kind: TimerKind::Agg,
+            },
+        );
+        match st.tree.role_of(self.id) {
+            Role::Internal => self.send_subtree_up(ctx),
+            Role::Root => self.maybe_second_chance_or_finalize(ctx, true),
+            Role::Leaf => {}
+        }
+    }
+
+    /// The second-chance timer of `view` fired: the root finalizes with
+    /// what it has.
+    pub(super) fn on_second_chance_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
+        let Some(st) = &mut self.agg else { return };
+        if st.view != view || st.finalized {
+            return;
+        }
+        st.sc_expired = true;
+        self.tracer.emit(
+            ctx.now(),
+            EventKind::TimerFired {
+                view,
+                kind: TimerKind::SecondChance,
+            },
+        );
+        self.finalize(ctx);
+    }
+
+    pub(super) fn handle_ack(&mut self, view: u64, agg: S::Aggregate) {
+        let Some(st) = &mut self.agg else { return };
+        if st.view != view {
+            return;
+        }
+        // Line 30's `assert verifies(sig)` is applied *lazily*: the ACK is
+        // only a proof forwarded verbatim in a 2ND-CHANCE reply (the root
+        // verifies it then), so eager pairing verification here would burn
+        // CPU on every block for no protocol effect. We check the cheap
+        // metadata claim (our signature must be inside).
+        if !self.scheme.multiplicities(&agg).contains(self.id) {
+            return; // an ACK that does not include us is no inclusion proof
+        }
+        st.ack_agg = Some(agg);
+    }
+
+    /// Lines 32–38: reply to 2ND-CHANCE with the parent's ACK aggregate when
+    /// available (so the sender cannot exclude us), otherwise our signature.
+    pub(super) fn handle_second_chance(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        from: NodeId,
+        block: Block,
+        qc: Option<Qc<S>>,
+    ) {
+        let view = block.view;
+        // isValid: the sender must be the root of this view's tree (derive
+        // it from the pinned state when available).
+        let tree = match &self.agg {
+            Some(st) if st.view == view => st.tree.clone(),
+            _ => self.tree_for_view(view),
+        };
+        if tree.root() != from {
+            return;
+        }
+        // If the block is new (we never received the proposal), deliver and
+        // vote now (lines 34–37) — this is Reliable Dissemination's fallback.
+        let fresh = self.agg.as_ref().is_none_or(|st| st.view < view);
+        if fresh {
+            if !self.validate_and_store(ctx, &block, &qc) {
+                return;
+            }
+            if view > self.last_voted_view {
+                self.vote(ctx, tree, block, true);
+            }
+        }
+        let Some(st) = &self.agg else { return };
+        if st.view != view {
+            return;
+        }
+        let reply = match &st.ack_agg {
+            Some(ack) => ack.clone(),
+            None => {
+                let msg = vote_message(&st.block.hash(), view);
+                self.scheme.sign(self.id, &msg)
+            }
+        };
+        let wire =
+            AGG_SIG_BYTES + PER_SIGNER_BYTES * self.scheme.multiplicities(&reply).distinct() + 16;
+        ctx.send(from, InivaMsg::Signature { view, agg: reply }, wire);
+    }
+
+    /// The final QC formed for the current aggregation (test/metric hook).
+    pub fn current_agg_signers(&self) -> usize {
+        self.agg
+            .as_ref()
+            .map_or(0, |st| self.scheme.multiplicities(&st.agg).distinct())
+    }
+}
