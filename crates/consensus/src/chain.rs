@@ -25,6 +25,7 @@
 //! (adoption accepts any height past its prefix, because the QC alone
 //! proves commitment), exactly as it would past a hole in a peer's log.
 
+use crate::audit::CommitAudit;
 use crate::leader::CAROUSEL_WINDOW_EPOCH;
 use crate::types::{quorum, vote_message, Block, BlockHash, Qc, GENESIS_HASH};
 use iniva_crypto::multisig::VoteScheme;
@@ -37,11 +38,9 @@ use std::sync::Arc;
 /// grow without bound while short live-cluster runs get exact percentiles.
 pub const LATENCY_SAMPLE_CAP: usize = 100_000;
 
-/// Cap on the committed `(height, hash)` audit record
-/// ([`ChainState::committed_log`]) that cluster harnesses check
-/// cross-replica agreement on. Past it the record stops growing; nothing
-/// in the protocol reads it, so consensus is unaffected.
-pub const COMMITTED_LOG_CAP: usize = 65_536;
+/// Cap on the recorded progress curve ([`ChainMetrics::commit_points`]):
+/// past it the curve stops growing.
+pub const COMMIT_POINTS_CAP: usize = 65_536;
 
 /// Committed blocks (with their certificates) kept in memory. It must
 /// cover what the protocol reads back from the committed prefix:
@@ -105,7 +104,7 @@ pub struct ChainMetrics {
     /// committing *after* a heal, not merely that totals grew.
     pub last_commit_time: Time,
     /// `(time, committed height)` per commit, ascending (first
-    /// [`COMMITTED_LOG_CAP`] commits) — the chain's progress curve.
+    /// [`COMMIT_POINTS_CAP`] commits) — the chain's progress curve.
     pub commit_points: Vec<(Time, u64)>,
     /// Committed blocks rehydrated from a write-ahead log at startup
     /// (excluded from `committed_blocks` and the progress curve: they were
@@ -284,10 +283,10 @@ pub struct ChainState<S: VoteScheme> {
     /// conservative direction — committed ≤ offered — is the invariant
     /// the metrics rely on.
     draft_cursor: u64,
-    /// Audit record of the committed prefix as `(height, hash)`, ascending
-    /// (first [`COMMITTED_LOG_CAP`] commits) — written on every commit,
-    /// read only by cross-replica agreement checks, never by the protocol.
-    committed_log: Vec<(u64, BlockHash)>,
+    /// The cluster's commit audit and this replica's id in it: every
+    /// block joining the prefix is reported there. Never read by the
+    /// protocol.
+    audit: Option<(Arc<CommitAudit>, u32)>,
     /// QCs observed for not-yet-committed blocks, keyed by certified block
     /// hash; pruned at each commit. When a block commits, its certificate
     /// moves into `window` so state transfer can serve it as proof.
@@ -320,7 +319,7 @@ impl<S: VoteScheme> ChainState<S> {
                 .unwrap_or(0),
             next_req: 0,
             draft_cursor: 0,
-            committed_log: Vec::new(),
+            audit: None,
             seen_qcs: HashMap::new(),
             // Full size up front: grown by doubling, the window's buffer
             // would end at 512 slots for the 257 it ever holds.
@@ -343,6 +342,13 @@ impl<S: VoteScheme> ChainState<S> {
     /// reported via [`Self::note_view`]) is handed to it synchronously.
     pub fn set_commit_sink(&mut self, sink: Box<dyn CommitSink<S> + Send>) {
         self.sink = Some(sink);
+    }
+
+    /// Reports every block that joins the committed prefix from now on —
+    /// through the three-chain rule, state transfer or WAL replay — to
+    /// `audit` as replica `member`'s.
+    pub fn set_commit_audit(&mut self, audit: Arc<CommitAudit>, member: u32) {
+        self.audit = Some((audit, member));
     }
 
     /// Reports a view entry to the attached sink (no-op without one).
@@ -368,14 +374,14 @@ impl<S: VoteScheme> ChainState<S> {
     }
 
     /// Replays a committed prefix recovered from durable storage into a
-    /// **fresh** chain: the committed log and height advance, recovered
+    /// **fresh** chain: the committed height advances, recovered
     /// QCs seed the high QC, the last [`RETAINED_COMMITS`] entries fill the
     /// window, and the request cursors skip past every recovered batch so
     /// a recovered leader never re-proposes requests it already committed.
     /// Recovered blocks are counted in [`ChainMetrics::recovered_blocks`]
     /// only — this run's throughput/latency metrics start from zero.
     ///
-    /// Entries must be strictly ascending in height (the committed log may
+    /// Entries must be strictly ascending in height (the committed prefix may
     /// legitimately contain gaps — see [`Self::committed_entry`]);
     /// duplicates and regressions are skipped, matching the WAL reader's
     /// tolerance of duplicated tail appends.
@@ -509,15 +515,15 @@ impl<S: VoteScheme> ChainState<S> {
     }
 
     /// Records one committed block: the request cursor skips its batch, it
-    /// joins the audit log and the window (its body goes to `blocks`), and a full
-    /// window drops its oldest entry's body. Callers advance
-    /// `committed_height` and run [`Self::prune_below_window`] once per
-    /// commit step.
+    /// is reported to the audit and joins the window (its body goes to
+    /// `blocks`), and a full window drops its oldest entry's body. Callers
+    /// advance `committed_height` and run [`Self::prune_below_window`] once
+    /// per commit step.
     fn record_commit(&mut self, block: Block, qc: Option<Qc<S>>) {
         self.next_req = self.next_req.max(batch_end(&block));
         let (height, hash) = (block.height, block.hash());
-        if self.committed_log.len() < COMMITTED_LOG_CAP {
-            self.committed_log.push((height, hash));
+        if let Some((audit, member)) = &self.audit {
+            audit.record(*member, height, hash);
         }
         self.insert_block(block);
         self.window.push_back(Retained { height, hash, qc });
@@ -614,15 +620,6 @@ impl<S: VoteScheme> ChainState<S> {
     /// Highest committed height.
     pub fn committed_height(&self) -> u64 {
         self.committed_height
-    }
-
-    /// The audit record of the committed chain as `(height, hash)` pairs,
-    /// ascending (first [`COMMITTED_LOG_CAP`] commits). Safety means this
-    /// is a prefix-consistent log across correct replicas: for any height
-    /// two replicas both committed, the hashes agree. For agreement
-    /// checks only — the protocol reads the retention window instead.
-    pub fn committed_log(&self) -> &[(u64, BlockHash)] {
-        &self.committed_log
     }
 
     /// The QC certifying the latest *committed* block, if retained — the
@@ -775,7 +772,7 @@ impl<S: VoteScheme> ChainState<S> {
         }
         for (b, qc) in batch {
             self.metrics.last_commit_time = now;
-            if self.metrics.commit_points.len() < COMMITTED_LOG_CAP {
+            if self.metrics.commit_points.len() < COMMIT_POINTS_CAP {
                 self.metrics.commit_points.push((now, b.height));
             }
             self.metrics.committed_blocks += 1;
@@ -845,6 +842,12 @@ mod tests {
         }
     }
 
+    /// The window as `(height, hash)` pairs: in these short chains, the
+    /// whole committed prefix.
+    fn window_log(chain: &ChainState<SimScheme>) -> Vec<(u64, BlockHash)> {
+        chain.window.iter().map(|e| (e.height, e.hash)).collect()
+    }
+
     fn extend(chain: &mut ChainState<SimScheme>, view: u64, s: &SimScheme) -> Block {
         let b = chain.draft_block(view, 0, 0, 0, 0);
         chain.insert_block(b.clone());
@@ -865,8 +868,8 @@ mod tests {
         assert_eq!(chain.committed_height(), 1);
         extend(&mut chain, 4, &s);
         assert_eq!(chain.committed_height(), 2);
-        // The committed log records the prefix in order.
-        let log = chain.committed_log();
+        // The window records the prefix in order.
+        let log = window_log(&chain);
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].0, 1);
         assert_eq!(log[1].0, 2);
@@ -1067,7 +1070,7 @@ mod tests {
         assert!(chain.committed_proposers_ending_at(0, 2).is_empty());
     }
 
-    /// Past the old fill-and-stop cap of the committed log, everything the
+    /// Past the old fill-and-stop cap of the per-replica commit log, everything the
     /// protocol reads back — the tip's certificate, a state-transfer
     /// range, Carousel's sample — still tracks the tip, and memory holds
     /// a window plus the in-flight blocks.
@@ -1078,7 +1081,7 @@ mod tests {
         // One aggregate for every QC: the chain never verifies, and
         // signing 66k blocks would dominate a debug test run.
         let agg = qc_for(&s, &Block::genesis()).agg;
-        let target = (COMMITTED_LOG_CAP + 1_000) as u64;
+        let target = (COMMIT_POINTS_CAP + 1_000) as u64;
         let mut view = 0u64;
         while chain.committed_height() < target {
             view += 1;
@@ -1095,7 +1098,11 @@ mod tests {
         }
         let tip = chain.committed_height();
         assert_eq!(tip, target);
-        assert_eq!(chain.committed_log().len(), COMMITTED_LOG_CAP, "audit cap");
+        assert_eq!(
+            chain.metrics.commit_points.len(),
+            COMMIT_POINTS_CAP,
+            "progress curve cap"
+        );
 
         let tip_qc = chain.committed_tip_qc().expect("the tip is certified");
         let (tip_block, _) = chain.committed_entry(tip).expect("tip retained");
@@ -1145,8 +1152,8 @@ mod tests {
         assert_eq!(recovered.metrics.recovered_blocks, 4);
         assert_eq!(recovered.metrics.committed_blocks, 0, "previous run's work");
         assert_eq!(recovered.metrics.commit_points.len(), 0);
-        assert_eq!(recovered.committed_log().len(), 4);
-        assert_eq!(recovered.committed_log(), &source.committed_log()[..4]);
+        assert_eq!(window_log(&recovered).len(), 4);
+        assert_eq!(window_log(&recovered), window_log(&source)[..4]);
         // The high QC is the certificate of the recovered tip, so the
         // replica proposes/votes from where it left off.
         assert_eq!(recovered.high_tip().1, 4);
@@ -1172,7 +1179,7 @@ mod tests {
         assert_eq!(lagging.committed_height(), 2);
         assert_eq!(lagging.metrics.state_transfer_blocks, 2);
         assert_eq!(lagging.metrics.committed_blocks, 0);
-        assert_eq!(lagging.committed_log(), &source.committed_log()[..2]);
+        assert_eq!(window_log(&lagging), window_log(&source)[..2]);
         // Heights at or below the prefix are refused (already adopted).
         assert!(!lagging.adopt_committed(b1, q1, &s));
         // Gap adoption: height 4 grafts past a hole the server could not
@@ -1181,7 +1188,7 @@ mod tests {
         let (b4, q4) = (b4.clone(), q4.clone());
         assert!(lagging.adopt_committed(b4, q4, &s));
         assert_eq!(lagging.committed_height(), 4);
-        let heights: Vec<u64> = lagging.committed_log().iter().map(|&(h, _)| h).collect();
+        let heights: Vec<u64> = window_log(&lagging).iter().map(|&(h, _)| h).collect();
         assert_eq!(heights, vec![1, 2, 4]);
         // The range lookup serves around the hole.
         assert_eq!(lagging.committed_range(1, 10).len(), 3);
@@ -1228,7 +1235,7 @@ mod tests {
         assert_eq!(outcome.verified_signers, 15, "3 signers per QC");
         assert_eq!(lagging.committed_height(), 5);
         assert_eq!(lagging.metrics.state_transfer_blocks, 5);
-        assert_eq!(lagging.committed_log(), source.committed_log());
+        assert_eq!(window_log(&lagging), window_log(&source));
         assert_eq!(
             &*sink_calls.lock().unwrap(),
             &[5],
@@ -1264,7 +1271,7 @@ mod tests {
             }
         }
         assert_eq!(per_item.committed_height(), 5);
-        assert_eq!(per_item.committed_log(), source.committed_log());
+        assert_eq!(window_log(&per_item), window_log(&source));
     }
 
     #[test]

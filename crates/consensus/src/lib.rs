@@ -7,6 +7,8 @@
 //!
 //! * [`types`] — blocks, quorum certificates, workload modeling.
 //! * [`chain`] — block store, three-chain commit rule, metrics.
+//! * [`audit`] — one cluster-wide check that replicas commit the same
+//!   blocks.
 //! * [`leader`] — round-robin and Carousel leader election.
 //! * [`star`] — the baseline star-topology HotStuff replica (leader collects
 //!   and verifies every vote individually).
@@ -17,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod audit;
 pub mod chain;
 pub mod leader;
 pub mod perf;

@@ -1,5 +1,6 @@
 use super::fanin::EARLY_SIGS_TOTAL_FACTOR;
-use super::testkit::{child_block, genesis_block, qc_over};
+use super::pacemaker::{timer_id, TIMER_RELAYED};
+use super::testkit::{chain, child_block, genesis_block, qc_over};
 use super::*;
 use iniva_crypto::multisig::{BatchOutcome, Multiplicities, SignerId};
 use iniva_crypto::sim_scheme::{SimAggregate, SimScheme};
@@ -391,4 +392,133 @@ fn extreme_view_numbers_do_not_panic_the_buffer() {
     replica.handle_signatures(&mut ctx, vec![(2, 5, scheme.sign(2, b"spam"))]);
     assert!(replica.early_sigs.iter().any(|(_, v, _)| *v == 5));
     assert_eq!(scheme.verified(), 0);
+}
+
+/// A round-robin view of the 7-member committee whose leader is a leaf,
+/// and that leaf's parent: the internal node that relays the view's
+/// proposal to it, and with it the view's chain (block `h` at view and
+/// height `h`, proposed by its round-robin leader `h % 7`).
+fn relay_setup(
+    scheme: &Arc<CountingScheme>,
+) -> (InivaReplica<CountingScheme>, Vec<Block>, TreeView) {
+    let cfg = InivaConfig::for_tests(7, 2);
+    let blocks = chain(40, 7);
+    let tree_of = |view| {
+        let ctx = LeaderContext::default();
+        tree_for_view(7, 2, &cfg.epoch_seed, view, &cfg.leader_policy, &ctx)
+    };
+    let (view, parent) = (2..40u64)
+        .find_map(|view| {
+            let leader = (view % 7) as u32;
+            let tree = tree_of(view);
+            (tree.role_of(leader) == Role::Leaf)
+                .then(|| tree.parent_of(leader))
+                .flatten()
+                .map(|parent| (view, parent))
+        })
+        .expect("some view's leader is a leaf");
+    // In `view`, having voted in the view before.
+    let tree = tree_of(view);
+    let mut r = InivaReplica::recover(parent, cfg, Arc::clone(scheme), Vec::new(), view - 1);
+    r.enter_view(&mut Context::external(parent, 0), view, false);
+    (r, blocks, tree)
+}
+
+/// The proposals in an outbox, by destination, ascending.
+fn proposals_to(outbox: &[(NodeId, InivaMsg<CountingScheme>, usize)]) -> Vec<NodeId> {
+    let mut to: Vec<NodeId> = outbox
+        .iter()
+        .filter(|(_, msg, _)| matches!(msg, InivaMsg::Proposal { .. }))
+        .map(|&(to, _, _)| to)
+        .collect();
+    to.sort_unstable();
+    to
+}
+
+/// Cut-through: an internal node relays its leader's proposal before it
+/// verifies the carried QC — the relay turn verifies nothing and votes
+/// nothing — skipping the proposer, which needs no copy of its own
+/// proposal. The next turn verifies once and votes, relaying nothing
+/// again. Under round-robin no carrier changes the relay set: the tree
+/// does not read the leader context a QC could update.
+#[test]
+fn an_internal_node_relays_before_it_verifies() {
+    let scheme = Arc::new(CountingScheme::new(7, b"cut-through"));
+    let (mut r, blocks, tree) = relay_setup(&scheme);
+    let view = r.current_view();
+    let block = blocks[view as usize - 1].clone();
+    let leader = block.proposer;
+    let qc = qc_over(&scheme, &blocks[view as usize - 2], COMMITTEE);
+
+    let mut ctx = Context::external(r.id, 0);
+    r.on_message(
+        &mut ctx,
+        leader,
+        InivaMsg::Proposal {
+            block,
+            qc: Some(qc),
+        },
+    );
+    let effects = ctx.into_effects();
+    let mut leaves = tree.children_of(r.id);
+    assert!(leaves.contains(&leader));
+    leaves.retain(|&c| c != leader);
+    leaves.sort_unstable();
+    assert_eq!(proposals_to(&effects.outbox), leaves);
+    assert_eq!(scheme.verified(), 0, "relayed before any verification");
+    assert_eq!(r.last_voted_view, view - 1, "nothing voted yet");
+    assert_eq!(effects.timers, vec![(0, timer_id(view, TIMER_RELAYED))]);
+
+    let mut ctx = Context::external(r.id, 1);
+    r.on_timer(&mut ctx, timer_id(view, TIMER_RELAYED));
+    assert_eq!(scheme.verified(), 1, "the carried QC, once");
+    assert_eq!(r.last_voted_view, view);
+    assert!(proposals_to(&ctx.into_effects().outbox).is_empty());
+
+    let mut pool = LeaderContext::default();
+    pool.set_committed_voters(vec![3, 5]);
+    pool.anchor_view = view;
+    let cfg = InivaConfig::for_tests(7, 2);
+    let carried = tree_for_view(7, 2, &cfg.epoch_seed, view, &cfg.leader_policy, &pool);
+    assert!((0..7).all(|m| carried.children_of(m) == tree.children_of(m)));
+}
+
+/// The relay's amplification is bounded: only the view's leader is
+/// relayed unverified, once per view. Anyone else's proposal — and the
+/// leader's second one — is verified before it is relayed, so a forged
+/// carrier from them goes nowhere; the relayed forgery is refused in its
+/// own turn, after each leaf was sent the one copy it verifies anyway.
+#[test]
+fn a_relay_is_the_leaders_and_once_per_view() {
+    let scheme = Arc::new(CountingScheme::new(7, b"relay-bound"));
+    let (mut r, blocks, _) = relay_setup(&scheme);
+    let view = r.current_view();
+    let block = blocks[view as usize - 1].clone();
+    let leader = block.proposer;
+    let forged = forged_qc_over(&scheme, &blocks[view as usize - 2]);
+    let send = |r: &mut InivaReplica<CountingScheme>, from, block: &Block| {
+        let mut ctx = Context::external(r.id, 0);
+        let qc = Some(forged.clone());
+        let block = block.clone();
+        r.on_message(&mut ctx, from, InivaMsg::Proposal { block, qc });
+        proposals_to(&ctx.into_effects().outbox).len()
+    };
+    let bystander = (0..7).find(|&m| m != leader && m != r.id).unwrap_or(0);
+    assert_eq!(send(&mut r, bystander, &block), 0);
+    assert_eq!(scheme.verified(), 1, "a bystander's copy is verified first");
+    assert!(send(&mut r, leader, &block) > 0, "the leader's is relayed");
+    assert_eq!(scheme.verified(), 1);
+    let second = Block {
+        batch_len: 1,
+        ..block.clone()
+    };
+    assert_eq!(send(&mut r, leader, &second), 0, "once per view");
+    assert_eq!(send(&mut r, leader, &block), 0);
+    assert_eq!(scheme.verified(), 3);
+
+    let mut ctx = Context::external(r.id, 1);
+    r.on_timer(&mut ctx, timer_id(view, TIMER_RELAYED));
+    assert_eq!(scheme.verified(), 4);
+    assert_eq!(r.last_voted_view, view - 1, "the forgery is never voted");
+    assert!(proposals_to(&ctx.into_effects().outbox).is_empty());
 }

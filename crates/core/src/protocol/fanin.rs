@@ -3,9 +3,10 @@
 //! with ACK inclusion proofs, the root's 2ND-CHANCE fallback, and
 //! finalization into a QC.
 
-use super::pacemaker::{timer_id, TIMER_AGG, TIMER_SECOND_CHANCE};
+use super::pacemaker::{timer_id, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE};
 use super::{InivaMsg, InivaReplica};
 use crate::rewards::validate_subtree_multiplicities;
+use iniva_consensus::leader::LeaderPolicy;
 use iniva_consensus::types::{quorum, vote_message, Block, Qc, AGG_SIG_BYTES, PER_SIGNER_BYTES};
 use iniva_crypto::multisig::{Multiplicities, VoteScheme};
 use iniva_net::wire::WireEncode;
@@ -118,6 +119,86 @@ where
         }
     }
 
+    /// A proposal off the wire. Cut-through: an internal node relays its
+    /// leader's proposal to its leaves *before* it verifies the QC the
+    /// proposal carries, and takes the proposal up (verify, store, vote)
+    /// in the handler turn right after, so the relay does not wait out
+    /// the verification and the leaves start theirs one verification
+    /// earlier. An unverified relay costs each leaf the verification it
+    /// pays for the proposal anyway, and it is bounded: only the view's
+    /// leader is relayed, only in the view this node is in, at most once
+    /// per view, and only a block placed right on its certificate.
+    ///
+    /// Round-robin views only. The tree of view `v` is rooted at the
+    /// leader of `v + 1`; under Carousel that leader is drawn from the
+    /// committed prefix, which the carried QC may extend, so the relay set
+    /// would be derived from context the proposal has not proven yet.
+    /// Under round-robin the tree is a function of the view alone, so no
+    /// carrier, genuine or forged, changes which leaves are relayed to.
+    /// Carousel views verify first and relay after, as every proposal did
+    /// before.
+    pub(super) fn receive_proposal(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        from: NodeId,
+        block: Block,
+        qc: Option<Qc<S>>,
+    ) {
+        let view = block.view;
+        let cut_through = matches!(self.cfg.leader_policy, LeaderPolicy::RoundRobin)
+            && view == self.current_view
+            && view > self.last_voted_view.max(self.relayed_view)
+            && from == block.proposer
+            && from == self.leader_of(view)
+            && self.placement(&block, &qc) == Some(true);
+        let tree = cut_through.then(|| self.tree_for_view(view));
+        match tree {
+            Some(tree) if tree.role_of(self.id) == Role::Internal => {
+                self.relay(ctx, &tree, &block, &qc);
+                self.relayed = Some((block, qc));
+                ctx.set_timer(0, timer_id(view, TIMER_RELAYED));
+            }
+            _ => self.handle_proposal(ctx, block, qc),
+        }
+    }
+
+    /// The turn after a cut-through relay: the relayed proposal is taken
+    /// up like any other.
+    pub(super) fn on_relayed_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
+        if let Some((block, qc)) = self.relayed.take_if(|(block, _)| block.view == view) {
+            self.handle_proposal(ctx, block, qc);
+        }
+    }
+
+    /// Forwards `block` from this internal node to its children in `tree`,
+    /// at most once per view. The block's proposer is skipped: it
+    /// processed the proposal when it made it.
+    fn relay(
+        &mut self,
+        ctx: &mut Context<InivaMsg<S>>,
+        tree: &TreeView,
+        block: &Block,
+        qc: &Option<Qc<S>>,
+    ) {
+        if block.view <= self.relayed_view {
+            return;
+        }
+        self.relayed_view = block.view;
+        let bytes = block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
+        for c in tree.children_of(self.id) {
+            if c != self.id && c != block.proposer {
+                ctx.send(
+                    c,
+                    InivaMsg::Proposal {
+                        block: block.clone(),
+                        qc: qc.clone(),
+                    },
+                    bytes,
+                );
+            }
+        }
+    }
+
     /// Lines 7–17 of Algorithm 1.
     pub(super) fn handle_proposal(
         &mut self,
@@ -148,23 +229,9 @@ where
         let parent = tree.parent_of(self.id);
         let agg_timer = 2 * self.cfg.delta * tree.height_of(self.id) as Time;
 
-        // Forward down the tree.
-        let bytes = block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
         if role == Role::Internal {
-            for c in tree.children_of(self.id) {
-                if c != self.id {
-                    ctx.send(
-                        c,
-                        InivaMsg::Proposal {
-                            block: block.clone(),
-                            qc: qc.clone(),
-                        },
-                        bytes,
-                    );
-                }
-            }
+            self.relay(ctx, &tree, &block, &qc);
         }
-
         let own = self.vote(ctx, tree, block, role == Role::Leaf);
         if role != Role::Leaf {
             // Aggregators start the aggregation timer 2Δ·height(p).

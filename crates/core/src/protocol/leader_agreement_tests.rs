@@ -1,10 +1,11 @@
 use super::pacemaker::{timer_id, TIMER_VIEW};
-use super::testkit::{genesis_block, signed_prefix};
+use super::testkit::{chain, genesis_block, qc_over, signed_prefix};
 use super::*;
 use iniva_consensus::leader::CAROUSEL_WINDOW_EPOCH;
 use iniva_crypto::multisig::Multiplicities;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::sync::StateResponse;
+use iniva_tree::Role;
 
 const N: usize = 4;
 
@@ -512,4 +513,86 @@ fn a_carried_qc_verification_is_recorded() {
         })
         .count();
     assert_eq!(verifies, 1);
+}
+
+/// The cut-through ruling: under Carousel the tree of view `v` is rooted
+/// at a leader drawn from context the carried QC may update, so a relay
+/// set derived before verification could be the wrong one. A Carousel
+/// replica therefore verifies before it relays: a forged carrier from the
+/// view's leader is refused with nothing relayed, and the genuine one is
+/// relayed, in the same turn, along the tree the adopted QC picked.
+#[test]
+fn carousel_views_verify_before_they_relay() {
+    // Seven members, so the relaying node has leaves besides the leader.
+    const M: usize = 7;
+    let scheme = Arc::new(SimScheme::new(M, b"carousel-relay"));
+    let mut cfg = InivaConfig::for_tests(M, 2);
+    cfg.leader_policy = LeaderPolicy::Carousel;
+    let blocks = chain(40, M as u32);
+    let ctx_free = |view| {
+        let ctx = LeaderContext::default();
+        tree_for_view(M, 2, &cfg.epoch_seed, view, &cfg.leader_policy, &ctx)
+    };
+    // A view whose leader has a parent that relays to it.
+    let (view, parent) = (2..40u64)
+        .find_map(|view| {
+            let tree = ctx_free(view);
+            tree.parent_of((view % M as u64) as u32)
+                .filter(|&p| tree.role_of(p) == Role::Internal)
+                .map(|p| (view, p))
+        })
+        .expect("some view's leader sits below an internal node");
+    let mut r = InivaReplica::recover(
+        parent,
+        cfg.clone(),
+        Arc::clone(&scheme),
+        Vec::new(),
+        view - 1,
+    );
+    r.enter_view(&mut Context::external(parent, 0), view, false);
+    let block = blocks[view as usize - 1].clone();
+    let leader = block.proposer;
+    let genuine = qc_over(&scheme, &blocks[view as usize - 2], &[0, 1, 2, 3, 4]);
+    let mut forged = genuine.clone();
+    forged.agg = scheme.sign(1, b"wrong message");
+    forged.agg.mults = genuine.agg.mults.clone();
+    let relayed = |out: &[(NodeId, InivaMsg<SimScheme>, usize)]| {
+        out.iter()
+            .filter(|(_, msg, _)| matches!(msg, InivaMsg::Proposal { .. }))
+            .count()
+    };
+
+    let out = deliver(
+        &mut r,
+        leader,
+        InivaMsg::Proposal {
+            block: block.clone(),
+            qc: Some(forged),
+        },
+        0,
+    );
+    assert_eq!(relayed(&out), 0, "a forged carrier is refused unrelayed");
+    let out = deliver(
+        &mut r,
+        leader,
+        InivaMsg::Proposal {
+            block,
+            qc: Some(genuine),
+        },
+        1,
+    );
+    assert_eq!(r.last_voted_view, view, "verified and voted in one turn");
+    let tree = r.tree_for_view(view);
+    let expected = match tree.role_of(parent) {
+        Role::Internal => tree.children_of(parent),
+        _ => Vec::new(),
+    };
+    let expected = expected.iter().filter(|&&c| c != leader).count();
+    assert_eq!(relayed(&out), expected);
+    // The adopted QC moved the Carousel pool off round-robin, and with it
+    // the trees: what a relay before verification would have read.
+    assert!(
+        (2..40).any(|v| r.tree_for_view(v).root() != ctx_free(v).root()),
+        "the carried QC changes which trees Carousel derives"
+    );
 }

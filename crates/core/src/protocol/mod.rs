@@ -4,10 +4,12 @@
 //!
 //! Dissemination (paper Fig. 1): `L_v` sends the proposal directly to the
 //! tree root (`L_{v+1}`) *and* the root's internal children; internal nodes
-//! forward to their leaves. Leaves sign immediately and send their vote to
-//! their parent; internal nodes aggregate with multiplicity 2 per child
-//! (plus their own signature once per child + once), send the aggregate to
-//! the root and an ACK (inclusion proof) to their children. The root gives
+//! forward to their leaves (on round-robin views before they verify the QC
+//! the proposal carries — the cut-through relay in `fanin`). Leaves sign
+//! immediately and send their vote to their parent; internal nodes
+//! aggregate with multiplicity 2 per child (plus their own signature once
+//! per child + once), send the aggregate to the root and an ACK
+//! (inclusion proof) to their children. The root gives
 //! missing processes a 2ND-CHANCE; replies carry the parent ACK aggregate if
 //! available (so a malicious root cannot use the reply to surgically omit
 //! the replier), otherwise the individual signature (which the reward
@@ -51,7 +53,7 @@ use iniva_net::{Actor, Context, NodeId, Time};
 use iniva_obs::trace::EventKind;
 use iniva_obs::{Registry, Tracer};
 use iniva_tree::Topology;
-use pacemaker::{timer_kind, MAX_VIEW, TIMER_AGG, TIMER_SECOND_CHANCE, TIMER_VIEW};
+use pacemaker::{timer_kind, MAX_VIEW, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE, TIMER_VIEW};
 use std::sync::Arc;
 
 /// Configuration of an Iniva replica fleet.
@@ -193,6 +195,13 @@ pub struct InivaReplica<S: VoteScheme> {
     last_voted_view: u64,
     leader_ctx: LeaderContext,
     agg: Option<AggState<S>>,
+    /// The highest view this replica relayed a proposal down its tree in:
+    /// it relays at most once per view.
+    relayed_view: u64,
+    /// A proposal relayed before its carried QC was verified, taken up in
+    /// the handler turn after the relay (see
+    /// [`Self::receive_proposal`]).
+    relayed: Option<(Block, Option<Qc<S>>)>,
     /// Signatures that arrived before their view's proposal (message
     /// reordering under jitter); replayed once the proposal is delivered.
     early_sigs: Vec<(NodeId, u64, S::Aggregate)>,
@@ -235,6 +244,8 @@ where
             last_voted_view: 0,
             leader_ctx: LeaderContext::default(),
             agg: None,
+            relayed_view: 0,
+            relayed: None,
             early_sigs: Vec::new(),
             last_state_request: None,
             tracer: Tracer::disabled(),
@@ -384,10 +395,40 @@ where
         view: u64,
     ) -> Self {
         let mut replica = Self::new(id, cfg, scheme);
-        replica.chain.rehydrate(commits);
-        replica.current_view = view.max(1);
-        replica.last_voted_view = view;
+        replica.resume(commits, view);
         replica
+    }
+
+    /// [`Self::recover`]'s second half, for a fresh replica whose chain
+    /// already has its hooks attached (a commit audit that should see the
+    /// replayed prefix, say): rehydrates `commits` and resumes the
+    /// pacemaker at `view`, pinning `last_voted_view` to it.
+    pub fn resume(&mut self, commits: Vec<(Block, Option<Qc<S>>)>, view: u64) {
+        self.chain.rehydrate(commits);
+        self.current_view = view.max(1);
+        self.last_voted_view = view;
+    }
+
+    /// Whether `block` sits where the certificate it carries puts it —
+    /// linked to the certified block (genesis without one) and one above
+    /// it — and, if so, whether that certificate still has to be
+    /// verified. Charges nothing, so it runs before anything is verified,
+    /// relayed or stored: a replayed QC under forged blocks must not park
+    /// them at heights no retention floor reaches. A held certificate's
+    /// own height counts, not the carrier's — the height field is not
+    /// signed.
+    fn placement(&self, block: &Block, qc: &Option<Qc<S>>) -> Option<bool> {
+        let linked = match qc {
+            Some(q) => q.block_hash == block.parent,
+            None => block.parent == GENESIS_HASH,
+        };
+        let held_height = qc
+            .as_ref()
+            .and_then(|q| self.chain.held_qc(q.view, &q.block_hash))
+            .map(|held| held.height);
+        let parent_height = held_height.or(qc.as_ref().map(|q| q.height));
+        let placed = linked && parent_height.unwrap_or(0).checked_add(1) == Some(block.height);
+        placed.then_some(qc.is_some() && held_height.is_none())
     }
 
     fn validate_and_store(
@@ -396,43 +437,28 @@ where
         block: &Block,
         qc: &Option<Qc<S>>,
     ) -> bool {
-        // A block sits one above the certificate it extends (height 1 on
-        // genesis), checked before anything is charged or stored: a
-        // replayed QC under forged blocks must not park them at heights
-        // no retention floor reaches. A held certificate's own height
-        // counts, not the carrier's — the height field is not signed.
-        let held_height = qc
-            .as_ref()
-            .filter(|q| q.block_hash == block.parent)
-            .and_then(|q| self.chain.held_qc(q.view, &q.block_hash))
-            .map(|held| held.height);
-        let parent_height = held_height.or(qc.as_ref().map(|q| q.height));
-        if parent_height.unwrap_or(0).checked_add(1) != Some(block.height) {
+        let Some(unverified) = self.placement(block, qc) else {
             return false;
-        }
+        };
         match qc {
+            Some(q) if unverified => {
+                if !self.verify_qc(ctx, block.view, q) {
+                    return false;
+                }
+                self.adopt_qc(ctx.now(), q.clone());
+            }
             // Verify each QC once: a certificate the chain already holds
             // for this `(view, hash)` was verified when it was stored (own
             // finalization, a TIMEOUT broadcast, an earlier proposal). The
             // held one stays and the carried aggregate is never stored, so
             // a forgery under a known `(view, hash)` costs no pairing and
             // cannot displace the QC rewards are computed from.
-            Some(_) if held_height.is_some() => {
+            Some(_) => {
                 if let Some(obs) = &self.obs {
                     obs.qc_verify_skipped.inc();
                 }
             }
-            Some(q) => {
-                if q.block_hash != block.parent || !self.verify_qc(ctx, block.view, q) {
-                    return false;
-                }
-                self.adopt_qc(ctx.now(), q.clone());
-            }
-            None => {
-                if block.parent != GENESIS_HASH {
-                    return false;
-                }
-            }
+            None => {}
         }
         ctx.charge_cpu(self.cfg.cost.validate_block(block.payload_bytes()));
         self.chain.insert_block(block.clone());
@@ -488,7 +514,7 @@ where
                 // it, charged or stored.
                 InivaMsg::Proposal { block, .. } | InivaMsg::SecondChance { block, .. }
                     if block.view > MAX_VIEW => {}
-                InivaMsg::Proposal { block, qc } => self.handle_proposal(ctx, block, qc),
+                InivaMsg::Proposal { block, qc } => self.receive_proposal(ctx, from, block, qc),
                 InivaMsg::Ack { view, agg } => self.handle_ack(view, agg),
                 InivaMsg::SecondChance { block, qc } => {
                     self.handle_second_chance(ctx, from, block, qc)
@@ -516,6 +542,7 @@ where
             TIMER_VIEW => self.on_view_timer(ctx, view),
             TIMER_AGG => self.on_agg_timer(ctx, view),
             TIMER_SECOND_CHANCE => self.on_second_chance_timer(ctx, view),
+            TIMER_RELAYED => self.on_relayed_timer(ctx, view),
             // Ids are minted only by `timer_id`, with the kinds above.
             _ => {}
         }

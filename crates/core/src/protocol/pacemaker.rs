@@ -11,6 +11,8 @@ use iniva_obs::trace::{EventKind, TimerKind};
 pub(super) const TIMER_VIEW: u64 = 0;
 pub(super) const TIMER_AGG: u64 = 1;
 pub(super) const TIMER_SECOND_CHANCE: u64 = 2;
+/// Fires right after a cut-through relay: the relayed proposal is taken up.
+pub(super) const TIMER_RELAYED: u64 = 3;
 
 /// The highest view a replica acts on. A view picks its tree through
 /// `view + 1` and its timers through `view * 4 + kind`; stopping at an

@@ -135,7 +135,11 @@ fn requester_adopts_the_window_across_the_gap_then_commits() {
     requester.handle_state_response(&mut ctx, 0, resp);
     assert_eq!(requester.chain.committed_height(), tip);
     assert_eq!(requester.chain.metrics.state_transfer_blocks, window);
-    let first = requester.chain.committed_log().first().map(|&(h, _)| h);
+    let first = requester
+        .chain
+        .committed_range(0, 1)
+        .first()
+        .map(|(b, _)| b.height);
     assert_eq!(first, Some(window + 1), "adopted across the gap");
 
     // Four more proposals, each carrying its parent's QC: the fourth

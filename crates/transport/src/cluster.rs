@@ -55,6 +55,7 @@ use crate::transport::{
     export_transport_snapshot, Transport, TransportOptions, TransportSnapshot, TransportStats,
 };
 use iniva::protocol::{InivaConfig, InivaMsg, InivaReplica};
+use iniva_consensus::audit::CommitAudit;
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_ingress::{IngressOptions, Mempool, RequestSource};
@@ -133,6 +134,8 @@ pub struct ClusterRun<S: WireScheme = SimScheme> {
     /// one. The listeners are already closed; the mempool's counters
     /// and latency histogram hold the run's client-side totals.
     pub ingress: Option<IngressRun>,
+    /// The one record every replica reported its commits to.
+    audit: Arc<CommitAudit>,
 }
 
 impl<S: WireScheme> ClusterRun<S> {
@@ -140,31 +143,16 @@ impl<S: WireScheme> ClusterRun<S> {
     /// group's agreed prefix length), or an error naming the first
     /// divergence.
     ///
-    /// Agreement is checked pairwise over the full committed logs: any two
-    /// replicas that both committed a height must have the same block hash
-    /// there — the safety property of the protocol, asserted over real
-    /// sockets. Chaos tests pass the *surviving* replicas as `ids`;
-    /// crashed nodes still must not have committed a conflicting block,
-    /// so their logs are checked for consistency too, but their (stalled)
-    /// heights don't drag the prefix down.
+    /// Agreement is checked by the cluster's one [`CommitAudit`], which
+    /// every replica reported each block to as it joined its committed
+    /// prefix, in every incarnation: any two replicas that both committed
+    /// a height must have the same block hash there — the safety property
+    /// of the protocol, asserted over real sockets. Chaos tests pass the
+    /// *surviving* replicas as `ids`; crashed nodes still must not have
+    /// committed a conflicting block, so their commits are audited too,
+    /// but their (stalled) heights don't drag the prefix down.
     pub fn agreed_prefix_height_of(&self, ids: &[usize]) -> Result<u64, String> {
-        use std::collections::HashMap;
-        let mut canonical: HashMap<u64, ([u8; 32], usize)> = HashMap::new();
-        for (id, node) in self.nodes.iter().enumerate() {
-            for &(height, hash) in node.replica.chain.committed_log() {
-                match canonical.get(&height) {
-                    None => {
-                        canonical.insert(height, (hash, id));
-                    }
-                    Some(&(other, owner)) if other != hash => {
-                        return Err(format!(
-                            "replicas {owner} and {id} disagree at height {height}"
-                        ));
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
+        self.audit.check()?;
         Ok(ids
             .iter()
             .map(|&i| self.nodes[i].replica.chain.committed_height())
@@ -632,7 +620,8 @@ impl<S: WireScheme> ClusterBuilder<S> {
         };
         // Every poller — and with it every client session — is gone when
         // this returns, so the admission counters read below are final.
-        let nodes = self.run_replicas(ingress.as_ref(), client_listeners)?;
+        let audit = Arc::new(CommitAudit::new());
+        let nodes = self.run_replicas(ingress.as_ref(), client_listeners, &audit)?;
         if let (Some(obs), Some(run)) = (&self.obs, &ingress) {
             std::fs::create_dir_all(&obs.metrics_dir)?;
             std::fs::write(
@@ -650,6 +639,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
             nodes,
             duration: self.duration,
             ingress,
+            audit,
         })
     }
 
@@ -660,6 +650,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
         &self,
         ingress: Option<&IngressRun>,
         client_listeners: Vec<TcpListener>,
+        audit: &Arc<CommitAudit>,
     ) -> io::Result<Vec<NodeRun<S>>> {
         let n = self.cfg.n;
         if let Some(wal_root) = &self.wal {
@@ -703,6 +694,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
                 cpu: self.cpu,
                 wal_dir: self.wal.as_ref().map(|r| r.join(format!("replica-{id}"))),
                 obs: self.obs.clone(),
+                audit: Arc::clone(audit),
                 ingress: ingress
                     .zip(self.ingress.as_ref())
                     .map(|(run, opts)| NodeIngress {
@@ -920,6 +912,7 @@ struct ReplicaNode<S: WireScheme> {
     /// `Some` makes the replica durable and restartable.
     wal_dir: Option<PathBuf>,
     obs: Option<ObsOptions>,
+    audit: Arc<CommitAudit>,
     ingress: Option<NodeIngress>,
 }
 
@@ -951,24 +944,20 @@ impl<S: WireScheme> ReplicaNode<S> {
     /// journaling to — the same code path an actual restarted
     /// `live_cluster --config --id --wal-dir` process takes.
     fn build_replica(&self, node_obs: Option<&(Registry, Tracer)>) -> io::Result<InivaReplica<S>> {
-        let mut replica = match &self.wal_dir {
-            None => InivaReplica::new(self.id, self.cfg.clone(), Arc::clone(&self.scheme)),
-            Some(dir) => {
-                let (mut wal, recovered) = ChainWal::<S>::open(dir)?;
-                if let Some((registry, tracer)) = node_obs {
-                    wal.set_observability(registry, tracer.clone());
-                }
-                let mut replica = InivaReplica::recover(
-                    self.id,
-                    self.cfg.clone(),
-                    Arc::clone(&self.scheme),
-                    recovered.commits,
-                    recovered.view,
-                );
-                replica.chain.set_commit_sink(Box::new(wal));
-                replica
+        let mut replica = InivaReplica::new(self.id, self.cfg.clone(), Arc::clone(&self.scheme));
+        // Attached before the WAL replays, so a recovered prefix is
+        // checked against what the other replicas committed too.
+        replica
+            .chain
+            .set_commit_audit(Arc::clone(&self.audit), self.id);
+        if let Some(dir) = &self.wal_dir {
+            let (mut wal, recovered) = ChainWal::<S>::open(dir)?;
+            if let Some((registry, tracer)) = node_obs {
+                wal.set_observability(registry, tracer.clone());
             }
-        };
+            replica.resume(recovered.commits, recovered.view);
+            replica.chain.set_commit_sink(Box::new(wal));
+        }
         if let Some((registry, tracer)) = node_obs {
             replica.set_observability(registry, tracer.clone());
         }
