@@ -1,5 +1,5 @@
 //! Leader election policies: round-robin (the default LSO rotation) and
-//! Carousel (reputation-based, Cohen et al. [10]).
+//! Carousel (reputation-based, Cohen et al. \[10\]).
 
 use std::collections::VecDeque;
 
@@ -56,7 +56,7 @@ pub const CAROUSEL_WINDOW_EPOCH: u64 = 8;
 pub enum LeaderPolicy {
     /// `leader(v) = v mod n`.
     RoundRobin,
-    /// Carousel [10]: pick leaders among the voters of the QC of the latest
+    /// Carousel \[10\]: pick leaders among the voters of the QC of the latest
     /// *committed* block, never re-picking the proposers of the last `f`
     /// committed blocks (the recent-leader exclusion of Cohen et al.).
     /// Falls back to round-robin until a commit is known. This avoids

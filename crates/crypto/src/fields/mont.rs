@@ -246,7 +246,7 @@ macro_rules! mont_field {
                 $name($crate::fields::mont::mont_mul(&limbs, &p.r2, &p.modulus, p.inv))
             }
 
-            /// Embeds a [`Nat`] (reduced mod the field modulus).
+            /// Embeds a [`Nat`]($crate::nat::Nat) (reduced mod the field modulus).
             pub fn from_nat(v: &$crate::nat::Nat) -> Self {
                 let p = $params();
                 let reduced = v.rem(&p.modulus_nat);

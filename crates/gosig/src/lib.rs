@@ -1,7 +1,7 @@
 //! # iniva-gosig
 //!
 //! A model of **Gosig**'s randomized gossip-based vote aggregation
-//! (Li et al. [15]), as simulated in the Iniva paper's Section VII-B to
+//! (Li et al. \[15\]), as simulated in the Iniva paper's Section VII-B to
 //! quantify targeted vote-omission and the effect of free-riding.
 //!
 //! Model (paper Sections II-B.3 / IV-D): every round each process sends its

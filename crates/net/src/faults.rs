@@ -3,9 +3,10 @@
 //! A [`FaultPlan`] is a time-indexed script of crash, restart, partition
 //! and slow-link events. The same plan replays against the discrete-event
 //! simulator (via [`FaultPlan::run_on_sim`]) and against the live TCP
-//! runtime (via `iniva_transport::cluster::ClusterFaults`), which is what
-//! lets the Fig. 4 resilience sweeps — and any chaos test — compare the
-//! two backends cell by cell: one seeded scenario, two executions.
+//! runtime (via `iniva_transport::cluster::ClusterBuilder::faults`),
+//! which is what lets the Fig. 4 resilience sweeps — and any chaos test —
+//! compare the two backends cell by cell: one seeded scenario, two
+//! executions.
 //!
 //! Victim selection for the paper's random-crash sweeps uses the seeded
 //! shuffle the simulator-only harness (`iniva_sim::resilience`) has used
@@ -23,16 +24,14 @@ pub enum FaultEvent {
     Crash(NodeId),
     /// Restart a crashed `node` under a fresh incarnation; it resumes
     /// inert and rejoins when the protocol next contacts it.
+    ///
+    /// A replica with durable storage (the live harness with a
+    /// write-ahead log) comes back as a new process instead: its runtime
+    /// and sockets, torn down by the [`Self::Crash`], are rebuilt, its
+    /// committed prefix and view are recovered from the log, and it
+    /// catches up on what it missed via state transfer. Without a disk,
+    /// as on the simulator, the revived node keeps its memory.
     Restart(NodeId),
-    /// Process-level restart: the node comes back **from durable
-    /// storage** — its in-memory protocol state is rebuilt from the
-    /// write-ahead log, then it catches up via state transfer. On the
-    /// simulator (which has no disk) this behaves as [`Self::Restart`]:
-    /// the revived actor's retained memory plays the role of the
-    /// recovered prefix. The live WAL-enabled cluster harness tears the
-    /// whole runtime down on the preceding [`Self::Crash`] and rebuilds
-    /// replica + transport from disk on this event.
-    RestartFromDisk(NodeId),
     /// Symmetric partition: every link between group `a` and group `b`
     /// is cut, both directions.
     Partition {
@@ -123,12 +122,6 @@ impl FaultPlan {
         self.push(at, FaultEvent::Restart(node))
     }
 
-    /// Schedules a restart-from-durable-storage of `node` at `at` (see
-    /// [`FaultEvent::RestartFromDisk`]).
-    pub fn restart_from_disk(self, at: Time, node: NodeId) -> Self {
-        self.push(at, FaultEvent::RestartFromDisk(node))
-    }
-
     /// Schedules a symmetric partition of `a` from `b` at `at`.
     pub fn partition(self, at: Time, a: &[NodeId], b: &[NodeId]) -> Self {
         self.push(
@@ -203,7 +196,7 @@ impl FaultPlan {
 pub fn apply_to_sim<A: Actor>(sim: &mut Simulation<A>, fault: &FaultEvent) {
     match fault {
         FaultEvent::Crash(node) => sim.crash(*node),
-        FaultEvent::Restart(node) | FaultEvent::RestartFromDisk(node) => sim.revive(*node),
+        FaultEvent::Restart(node) => sim.revive(*node),
         FaultEvent::Partition { a, b } => {
             for &x in a {
                 for &y in b {

@@ -1,6 +1,6 @@
 //! Offline drop-in shim for the subset of the `proptest` API this workspace
 //! uses: the `proptest!` macro over named `arg in strategy` bindings, the
-//! [`Strategy`] trait with `prop_map`, `any::<T>()`, integer/float range
+//! [`Strategy`](strategy::Strategy) trait with `prop_map`, `any::<T>()`, integer/float range
 //! strategies, tuple strategies, `collection::vec` and `array::uniform{4,6}`,
 //! plus `prop_assert*` / `prop_assume` and [`ProptestConfig`].
 //!
@@ -160,7 +160,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: core::ops::Range<usize>,

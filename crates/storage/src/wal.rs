@@ -345,10 +345,9 @@ impl<S: VoteScheme> Default for Recovered<S> {
 }
 
 /// The typed write-ahead log of one replica's chain: committed blocks with
-/// their QCs, plus the current view. Implements
-/// [`CommitSink`](iniva_consensus::chain::CommitSink), so plugging it into
-/// a `ChainState` makes every commit durable before the replica acts on
-/// it further.
+/// their QCs, plus the current view. Implements [`CommitSink`], so
+/// plugging it into a `ChainState` makes every commit durable before the
+/// replica acts on it further.
 pub struct ChainWal<S: VoteScheme> {
     wal: Wal,
     _scheme: std::marker::PhantomData<fn() -> S>,

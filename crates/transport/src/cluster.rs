@@ -30,22 +30,22 @@
 //!
 //! Chaos runs replay a seeded [`FaultPlan`] — the *same* plan type the
 //! simulator replays via `FaultPlan::run_on_sim` — against the live
-//! sockets from a driver thread ([`ClusterFaults`] aggregates every
-//! replica's [`NodeFaults`] switch plus the shared [`LinkFaults`]
-//! filter), so the Fig. 4 resilience sweeps compare one scenario on the
-//! simulator and on sockets. With [`ClusterBuilder::ingress`], every
-//! replica's poller also serves a client-facing listener feeding one
-//! shared fee-ordered mempool (`iniva-ingress`), and the proposer drafts
-//! blocks from *that* instead of the synthetic workload model;
-//! [`ClusterBuilder::launch`] returns a non-blocking [`ClusterHandle`] so
-//! load generators can drive clients
+//! sockets from a driver thread, flipping each replica's [`NodeFaults`]
+//! switch and the shared [`LinkFaults`] filter, so the Fig. 4 resilience
+//! sweeps compare one scenario on the simulator and on sockets. With
+//! [`ClusterBuilder::wal`], a crash is a process death and a restart
+//! rebuilds the replica from its write-ahead log. With
+//! [`ClusterBuilder::ingress`], every replica's poller also serves a
+//! client-facing listener feeding one shared fee-ordered mempool
+//! (`iniva-ingress`), and the proposer drafts blocks from *that* instead
+//! of the synthetic workload model; [`ClusterBuilder::launch`] returns a
+//! non-blocking [`ClusterHandle`] so load generators can drive clients
 //! while the cluster runs.
 //!
-//! The whole harness is generic over the vote scheme
-//! ([`WireScheme`](iniva_crypto::multisig::WireScheme)): the same builder
-//! runs the calibrated [`SimScheme`] stand-in *or* real BLS pairing
-//! crypto ([`iniva_crypto::bls::BlsScheme`]) end to end — codec,
-//! framing, WAL and state transfer included — selected by one type
+//! The whole harness is generic over the vote scheme ([`WireScheme`]):
+//! the same builder runs the calibrated [`SimScheme`] stand-in *or* real
+//! BLS pairing crypto ([`iniva_crypto::bls::BlsScheme`]) end to end —
+//! codec, framing, WAL and state transfer included — selected by one type
 //! parameter (`.scheme::<BlsScheme>()`). `SimScheme` remains the default
 //! type parameter so scheme-agnostic code keeps reading naturally.
 
@@ -167,166 +167,30 @@ impl<S: WireScheme> ClusterRun<S> {
     }
 }
 
-/// Lifecycle phase of one replica "process" in a restart-capable cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// The replica process is (or should be) running.
-    Running,
-    /// The replica process is dead; its runtime and sockets are torn down.
-    Down,
-    /// A restart from durable storage was requested; the lifecycle thread
-    /// consumes this and rebuilds replica + transport from the WAL.
-    RestartPending,
-}
-
-/// Process-lifecycle switch for one replica in a WAL-enabled cluster run:
-/// the restart-capable harness's analogue of `kill -9` + "start the
-/// binary again". Where [`NodeFaults`] silences a node *inside* a living
-/// transport, this tells the replica's lifecycle thread to tear the whole
-/// runtime down and, later, rebuild it from disk.
-#[derive(Debug)]
-pub struct NodeControl {
-    phase: Mutex<Phase>,
-    cv: Condvar,
-}
-
-impl Default for NodeControl {
-    fn default() -> Self {
-        NodeControl {
-            phase: Mutex::new(Phase::Running),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-impl NodeControl {
-    /// Marks the process dead: the lifecycle thread exits its runtime and
-    /// drops the transport (sockets close, peers see dead connections).
-    pub fn set_down(&self) {
-        *self.phase.lock().expect("control lock") = Phase::Down;
-        self.cv.notify_all();
-    }
-
-    /// Requests a restart from durable storage.
-    pub fn request_restart(&self) {
-        *self.phase.lock().expect("control lock") = Phase::RestartPending;
-        self.cv.notify_all();
-    }
-
-    /// True while the process should not be running (the runtime's stop
-    /// hook: also true when a restart is pending, since a restart begins
-    /// by tearing the current incarnation down).
-    pub fn stop_requested(&self) -> bool {
-        *self.phase.lock().expect("control lock") != Phase::Running
-    }
-
-    /// True while the process is down with no restart pending.
-    fn is_down(&self) -> bool {
-        *self.phase.lock().expect("control lock") == Phase::Down
-    }
-
-    /// Blocks until the process should run (consuming a pending restart)
-    /// or `deadline` passes while down; returns `false` in the latter
-    /// case.
-    fn wait_runnable(&self, deadline: Instant) -> bool {
-        let mut phase = self.phase.lock().expect("control lock");
-        loop {
-            match *phase {
-                Phase::Running => return true,
-                Phase::RestartPending => {
-                    *phase = Phase::Running;
-                    return true;
-                }
-                Phase::Down => {
-                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                        return false;
-                    };
-                    let (guard, _) = self.cv.wait_timeout(phase, left).expect("control wait");
-                    phase = guard;
-                }
-            }
-        }
-    }
-}
-
-/// Kill/heal/partition surface for one in-process cluster: every node's
-/// crash switch plus the shared link filter, addressed by committee id.
-/// WAL-enabled runs additionally consult each node's [`NodeControl`] for
-/// process-level kill/restart-from-disk.
-#[derive(Clone)]
-pub struct ClusterFaults {
+/// Every replica's crash switch plus the shared link filter, addressed by
+/// committee id: what the fault driver flips as a [`FaultPlan`] replays.
+struct ClusterFaults {
     nodes: Vec<Arc<NodeFaults>>,
     links: Arc<LinkFaults>,
-    controls: Vec<Arc<NodeControl>>,
 }
 
 impl ClusterFaults {
     /// Fault handles for an `n`-replica cluster, initially all healthy.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         ClusterFaults {
             nodes: (0..n).map(|_| Arc::new(NodeFaults::new())).collect(),
             links: Arc::new(LinkFaults::new()),
-            controls: (0..n).map(|_| Arc::new(NodeControl::default())).collect(),
         }
     }
 
-    /// The process-lifecycle switch of replica `id` (observed only in
-    /// WAL-enabled runs).
-    pub fn control(&self, id: NodeId) -> Arc<NodeControl> {
-        Arc::clone(&self.controls[id as usize])
-    }
-
-    /// The crash switch of replica `id` (shared with its transport).
-    pub fn node(&self, id: NodeId) -> Arc<NodeFaults> {
-        Arc::clone(&self.nodes[id as usize])
-    }
-
-    /// The cluster-wide link filter.
-    pub fn links(&self) -> Arc<LinkFaults> {
-        Arc::clone(&self.links)
-    }
-
-    /// Crashes replica `id`.
-    pub fn kill(&self, id: NodeId) {
-        self.nodes[id as usize].kill();
-    }
-
-    /// Heals replica `id` under a fresh incarnation epoch.
-    pub fn heal(&self, id: NodeId) {
-        self.nodes[id as usize].heal();
-    }
-
-    /// Symmetrically partitions group `a` from group `b`.
-    pub fn partition(&self, a: &[NodeId], b: &[NodeId]) {
-        self.links.partition(a, b);
-    }
-
-    /// Heals every cut link and removes every injected delay.
-    pub fn heal_all_links(&self) {
-        self.links.heal_all();
-    }
-
-    /// Injects `delay` before every frame shipped on `from → to`.
-    pub fn slow_link(&self, from: NodeId, to: NodeId, delay: Duration) {
-        self.links.slow_link(from, to, delay);
-    }
-
-    /// Injects one [`FaultPlan`] event.
-    pub fn apply(&self, fault: &FaultEvent) {
+    /// Injects one [`FaultPlan`] event. A WAL replica's lifecycle thread
+    /// reads a crash or restart off the same switch and turns it into a
+    /// process death or a rebuild from disk ([`ReplicaNode::run`]).
+    fn apply(&self, fault: &FaultEvent) {
         match fault {
-            FaultEvent::Crash(node) => {
-                // Transport-level silence takes effect immediately; the
-                // process-level control is observed only by WAL-enabled
-                // lifecycle threads, which then tear the runtime down.
-                self.kill(*node);
-                self.controls[*node as usize].set_down();
-            }
-            FaultEvent::Restart(node) => self.heal(*node),
-            FaultEvent::RestartFromDisk(node) => {
-                self.heal(*node);
-                self.controls[*node as usize].request_restart();
-            }
-            FaultEvent::Partition { a, b } => self.partition(a, b),
+            FaultEvent::Crash(node) => self.nodes[*node as usize].kill(),
+            FaultEvent::Restart(node) => self.nodes[*node as usize].heal(),
+            FaultEvent::Partition { a, b } => self.links.partition(a, b),
             FaultEvent::PartitionOneWay { from, to } => {
                 for &x in from {
                     for &y in to {
@@ -334,9 +198,10 @@ impl ClusterFaults {
                     }
                 }
             }
-            FaultEvent::HealAllLinks => self.heal_all_links(),
+            FaultEvent::HealAllLinks => self.links.heal_all(),
             FaultEvent::SlowLink { from, to, extra } => {
-                self.slow_link(*from, *to, Duration::from_nanos(*extra));
+                self.links
+                    .slow_link(*from, *to, Duration::from_nanos(*extra))
             }
         }
     }
@@ -346,7 +211,7 @@ impl ClusterFaults {
     /// skipped (mirroring `FaultPlan::run_on_sim`'s cutoff, so a plan
     /// outliving the run cannot stall the harness). Runs on the calling
     /// thread (the cluster harness dedicates a driver thread to it).
-    pub fn drive(&self, plan: &FaultPlan, start: Instant, until: Duration) {
+    fn drive(&self, plan: &FaultPlan, start: Instant, until: Duration) {
         for ev in plan.events() {
             if Duration::from_nanos(ev.at) > until {
                 break;
@@ -368,8 +233,8 @@ impl ClusterFaults {
 /// 7 replicas whose commit cadence is dominated by the (identical)
 /// protocol timers rather than CPU or propagation time — one node stays
 /// crashed from t=0, keeping the 2ND-CHANCE timer δ on every view's
-/// critical path, deterministic in both backends, while the scaled-down
-/// cost model keeps 7 spinning replica threads within one core. The plan:
+/// critical path in both backends, while the scaled-down cost model keeps
+/// the 7 replica threads' CPU small next to that timer. The plan:
 /// crash the seeded victim at 0, cut the survivors 3|4 (both sides below
 /// quorum(7) = 5 with the victim down, so commits stall completely) at
 /// 2 s, heal the links at 3.5 s.
@@ -510,9 +375,9 @@ impl<S: WireScheme> ClusterBuilder<S> {
 
     /// Replays `plan` against the live sockets from a driver thread:
     /// crash, heal, partition and slow-link events fire at their
-    /// scheduled wall-clock offsets. With [`Self::wal`], process-level
-    /// faults ([`FaultEvent::Crash`], [`FaultEvent::RestartFromDisk`])
-    /// tear down and rebuild whole replica runtimes.
+    /// scheduled wall-clock offsets. With [`Self::wal`], a
+    /// [`FaultEvent::Crash`] tears the victim's whole runtime down and a
+    /// [`FaultEvent::Restart`] rebuilds it from disk.
     pub fn faults(mut self, plan: &FaultPlan) -> Self {
         self.plan = plan.clone();
         self
@@ -686,9 +551,8 @@ impl<S: WireScheme> ClusterBuilder<S> {
                 scheme: Arc::clone(&scheme),
                 peers: Arc::clone(&peers),
                 options: self.options,
-                node_faults: faults.node(id),
-                link_faults: faults.links(),
-                control: faults.control(id),
+                node_faults: Arc::clone(&faults.nodes[id as usize]),
+                link_faults: Arc::clone(&faults.links),
                 stats: Arc::new(TransportStats::default()),
                 duration: self.duration,
                 cpu: self.cpu,
@@ -704,7 +568,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
                     }),
             };
             let client_listener = client_listeners.next();
-            let first = if node.wal_dir.is_some() && node.control.is_down() {
+            let first = if node.wal_dir.is_some() && node.node_faults.is_down() {
                 // A process dead at time zero: both its listeners close
                 // (dropped here), so peers' and clients' dials are refused
                 // instead of queueing against a corpse's backlog.
@@ -714,7 +578,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
             };
             replicas.push((node, first));
         }
-        launch_cluster(replicas, &self.plan, &faults, self.duration)
+        launch_cluster(replicas, &self.plan, faults, self.duration)
     }
 }
 
@@ -731,8 +595,9 @@ struct StartGate {
     cv: Condvar,
 }
 
-/// How often a worker waiting at the [`StartGate`] looks at it.
-const GATE_POLL: Duration = Duration::from_millis(1);
+/// How often a waiting worker looks again: at the [`StartGate`], or at
+/// its crash switch while its process is down.
+const WAIT_POLL: Duration = Duration::from_millis(1);
 
 impl StartGate {
     fn new() -> Self {
@@ -743,7 +608,7 @@ impl StartGate {
     }
 
     /// Worker side: report readiness, then run `idle` (at most
-    /// [`GATE_POLL`] long) until the verdict: the time zero to go at, or
+    /// [`WAIT_POLL`] long) until the verdict: the time zero to go at, or
     /// `None` to abort.
     fn arrive_and_wait(&self, mut idle: impl FnMut()) -> Option<Instant> {
         self.state.lock().expect("gate lock").0 += 1;
@@ -795,7 +660,7 @@ fn join_runs<S: WireScheme>(
 fn launch_cluster<S: WireScheme>(
     replicas: Vec<(ReplicaNode<S>, Option<NodeTransport<S>>)>,
     plan: &FaultPlan,
-    faults: &ClusterFaults,
+    faults: ClusterFaults,
     duration: Duration,
 ) -> io::Result<Vec<NodeRun<S>>> {
     let n = replicas.len();
@@ -816,13 +681,12 @@ fn launch_cluster<S: WireScheme>(
         }
     }
     let driver = {
-        let faults = faults.clone();
         let plan = plan.deferred();
         let gate = Arc::clone(&gate);
         thread::Builder::new()
             .name("iniva-fault-driver".into())
             .spawn(move || {
-                if let Some(time_zero) = gate.arrive_and_wait(|| thread::sleep(GATE_POLL)) {
+                if let Some(time_zero) = gate.arrive_and_wait(|| thread::sleep(WAIT_POLL)) {
                     faults.drive(&plan, time_zero, duration);
                 }
             })
@@ -901,7 +765,6 @@ struct ReplicaNode<S: WireScheme> {
     options: TransportOptions,
     node_faults: Arc<NodeFaults>,
     link_faults: Arc<LinkFaults>,
-    control: Arc<NodeControl>,
     /// One stats block spans every incarnation: restarts keep counting
     /// into the same series instead of starting fresh blocks whose
     /// predecessors' tails (lane evictions counted while a lane died,
@@ -941,8 +804,9 @@ impl<S: WireScheme> ReplicaNode<S> {
 
     /// One incarnation's replica: fresh without a WAL; with one, the
     /// committed prefix and view rehydrated from the log it goes on
-    /// journaling to — the same code path an actual restarted
-    /// `live_cluster --config --id --wal-dir` process takes.
+    /// journaling to. A restarted `live_cluster --config --id --wal-dir`
+    /// process recovers the same way through its own copy of these steps,
+    /// minus the commit audit, which only an in-process cluster has.
     fn build_replica(&self, node_obs: Option<&(Registry, Tracer)>) -> io::Result<InivaReplica<S>> {
         let mut replica = InivaReplica::new(self.id, self.cfg.clone(), Arc::clone(&self.scheme));
         // Attached before the WAL replays, so a recovered prefix is
@@ -973,16 +837,16 @@ impl<S: WireScheme> ReplicaNode<S> {
     }
 
     /// The replica's process lifecycle: run an incarnation until the
-    /// deadline or a process-level fault, tear it down, wait for a
-    /// restart, rebuild sockets and replica, repeat. `first` is the
-    /// transport built before the gate (`None`: dead at time zero).
-    /// Without a WAL nothing ever stops the first incarnation, so it is
-    /// the only one.
+    /// deadline or a crash, tear it down, wait for the restart, rebuild
+    /// sockets and replica from the WAL, repeat. `first` is the transport
+    /// built before the gate (`None`: dead at time zero). Without a WAL
+    /// nothing ever stops the first incarnation, so it is the only one: a
+    /// crash leaves it inert and a restart resumes it from memory.
     fn run(self, mut first: Option<NodeTransport<S>>, gate: &StartGate) -> io::Result<NodeRun<S>> {
         // Waiting, the replica keeps accepting peers and serving clients.
         let released = gate.arrive_and_wait(|| match &mut first {
-            Some(transport) => transport.poll(GATE_POLL),
-            None => thread::sleep(GATE_POLL),
+            Some(transport) => transport.poll(WAIT_POLL),
+            None => thread::sleep(WAIT_POLL),
         });
         let Some(time_zero) = released else {
             return Err(io::Error::other("cluster setup aborted"));
@@ -1003,7 +867,11 @@ impl<S: WireScheme> ReplicaNode<S> {
             let transport = match next.take() {
                 Some(transport) => transport,
                 None => {
-                    if !self.control.wait_runnable(deadline) || Instant::now() >= deadline {
+                    // A torn-down process waits for its restart.
+                    while self.node_faults.is_down() && Instant::now() < deadline {
+                        thread::sleep(WAIT_POLL);
+                    }
+                    if Instant::now() >= deadline {
                         break; // the run ended (possibly while still down)
                     }
                     // The dead incarnation's poller closed both listeners
@@ -1017,6 +885,10 @@ impl<S: WireScheme> ReplicaNode<S> {
                     self.start_transport(listener, client_listener)?
                 }
             };
+            // A WAL incarnation ends when its switch goes down or when it
+            // comes back under a newer epoch than this incarnation's: a
+            // crash and restart between two checks still rebuild from disk.
+            let epoch = self.node_faults.epoch();
             let replica = self.build_replica(node_obs.as_ref())?;
             // Every incarnation shares the cluster's time zero, so metrics
             // stay on one time axis across restarts.
@@ -1024,7 +896,9 @@ impl<S: WireScheme> ReplicaNode<S> {
             if let Some((registry, _)) = &node_obs {
                 runtime.set_observability(registry);
             }
-            runtime.run_deadline(deadline, || restartable && self.control.stop_requested());
+            runtime.run_deadline(deadline, || {
+                restartable && (self.node_faults.is_down() || self.node_faults.epoch() != epoch)
+            });
             let (replica, stats, _snapshot) = runtime.finish();
             fold_runtime(&mut runtime_total, stats);
             last_incarnation = Some(replica);

@@ -4,23 +4,26 @@
 //! The simulator has had `Sim::crash()` since the seed; this module gives
 //! the socket runtime the same surface so the paper's resilience sweeps
 //! (Fig. 4) can run where they matter — over real connections. Faults are
-//! injected *inside* the transport rather than by killing processes, which
-//! keeps chaos runs deterministic per plan and lets a single test drive
-//! crash → partition → heal sequences without racing the OS:
+//! switches the transport and runtime read, so a single test drives
+//! crash → partition → heal sequences from one plan without racing the OS:
 //!
 //! * [`NodeFaults`] is one node's crash switch. While down, the node's
 //!   transport neither sends (queued frames are discarded by the lanes)
-//!   nor delivers (reader threads drop parsed frames), and its [`Runtime`]
-//!   discards due timers — exactly the simulator's crashed-node semantics.
-//!   [`NodeFaults::heal`] bumps the node's *incarnation epoch*: outbound
-//!   sequence numbers restart and every lane re-handshakes, so peers'
-//!   duplicate filters treat the healed node as a fresh sender.
+//!   nor delivers (frames read off its sockets are dropped), and its
+//!   [`Runtime`] discards due timers — exactly the simulator's
+//!   crashed-node semantics. [`NodeFaults::heal`] bumps the node's
+//!   *incarnation epoch*: outbound sequence numbers restart and every lane
+//!   re-handshakes, so peers' duplicate filters treat the healed node as a
+//!   fresh sender. A replica with a write-ahead log reads the same switch
+//!   as its process's life: a kill tears its runtime and sockets down, and
+//!   a heal rebuilds them from disk ([`ClusterBuilder::wal`]).
 //! * [`LinkFaults`] is the cluster-wide link filter, shared by every
 //!   in-process transport: directed `(from, to)` pairs can be blocked
-//!   (checked on the send path *and* the reader path, so asymmetric
+//!   (checked on the send path *and* on inbound connections, so asymmetric
 //!   partitions work) or slowed by a per-frame delay in the outbound lane.
 //!
 //! [`Runtime`]: crate::runtime::Runtime
+//! [`ClusterBuilder::wal`]: crate::cluster::ClusterBuilder::wal
 
 use iniva_net::NodeId;
 use std::collections::{HashMap, HashSet};
@@ -118,15 +121,6 @@ impl LinkFaults {
         self.active.store(false, Ordering::SeqCst);
     }
 
-    /// Unblocks the directed link `from → to`.
-    pub fn unblock_one_way(&self, from: NodeId, to: NodeId) {
-        self.blocked
-            .lock()
-            .expect("blocked lock")
-            .remove(&(from, to));
-        self.refresh_active();
-    }
-
     /// Injects `delay` before every frame shipped on `from → to`
     /// (`Duration::ZERO` removes the injection).
     ///
@@ -209,8 +203,6 @@ mod tests {
         l.block_one_way(4, 5);
         assert!(l.blocked(4, 5));
         assert!(!l.blocked(5, 4));
-        l.unblock_one_way(4, 5);
-        assert!(!l.blocked(4, 5));
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! u32-le body length | u64-le sender sequence number | message bytes
 //! ```
 //!
-//! where the message bytes are one complete [`Codec`] encoding — the same
-//! bytes whose *size* the simulator models, now actually on the wire.
+//! where the message bytes are one complete
+//! [`Codec`](iniva_net::wire::Codec) encoding — the same bytes whose
+//! *size* the simulator models, now actually on the wire.
 
-use iniva_net::wire::Codec;
 use iniva_net::NodeId;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::TcpStream;
 
 /// Handshake magic.
@@ -51,28 +51,6 @@ pub fn write_handshake(stream: &mut TcpStream, node: NodeId, epoch: u32) -> io::
     stream.write_all(&handshake_bytes(node, epoch))
 }
 
-/// Reads and validates the handshake, returning `(peer id, peer epoch)`.
-pub fn read_handshake(stream: &mut TcpStream) -> io::Result<(NodeId, u32)> {
-    let mut hello = [0u8; HANDSHAKE_BYTES];
-    stream.read_exact(&mut hello)?;
-    if hello[..4] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "bad handshake magic",
-        ));
-    }
-    if hello[4] != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported frame version {}", hello[4]),
-        ));
-    }
-    Ok((
-        NodeId::from_le_bytes([hello[5], hello[6], hello[7], hello[8]]),
-        u32::from_le_bytes([hello[9], hello[10], hello[11], hello[12]]),
-    ))
-}
-
 /// Writes one frame: `seq` plus the encoded message.
 pub fn write_frame(stream: &mut TcpStream, seq: u64, body: &[u8]) -> io::Result<()> {
     let len = u32::try_from(body.len() + 8).map_err(|_| {
@@ -92,33 +70,6 @@ pub fn write_frame(stream: &mut TcpStream, seq: u64, body: &[u8]) -> io::Result<
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(body);
     stream.write_all(&buf)
-}
-
-/// Reads one frame, returning `(seq, decoded message)`.
-///
-/// # Errors
-/// I/O errors propagate; an oversized length prefix or an undecodable body
-/// is reported as [`io::ErrorKind::InvalidData`] (the connection should be
-/// dropped — framing is unrecoverable after a corrupt length).
-pub fn read_frame<M: Codec>(stream: &mut TcpStream) -> io::Result<(u64, M)> {
-    let mut header = [0u8; 4];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header);
-    if !(8..=MAX_FRAME_BYTES).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut seq = [0u8; 8];
-    stream.read_exact(&mut seq)?;
-    // CAP: `len` was range-checked against MAX_FRAME_BYTES above; a hostile
-    // length prefix can not size this allocation.
-    let mut body = vec![0u8; len as usize - 8];
-    stream.read_exact(&mut body)?;
-    let msg = M::from_frame(bytes::Bytes::from(body))
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    Ok((u64::from_le_bytes(seq), msg))
 }
 
 /// Incremental handshake parser: `Ok(Some((consumed, peer, epoch)))` once
@@ -166,9 +117,9 @@ pub enum FrameParse {
     },
 }
 
-/// Incremental frame parser over a receive buffer — the read path used by
-/// the transport's reader threads, which must survive reads that time out
-/// mid-frame without losing stream position.
+/// Incremental frame parser over a receive buffer — the transport's one
+/// read path: a non-blocking socket hands over whatever bytes have
+/// arrived, so a frame may be split across any number of reads.
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidData`] on a length prefix outside
@@ -201,8 +152,7 @@ pub fn parse_frame(buf: &[u8]) -> io::Result<FrameParse> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iniva_net::wire::{DecodeError, Decoder, Encoder, WireDecode, WireEncode};
-    use std::net::TcpListener;
+    use iniva_net::wire::{Codec, DecodeError, Decoder, Encoder, WireDecode, WireEncode};
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct TestMsg(u64, Vec<u8>);
@@ -219,26 +169,10 @@ mod tests {
         }
     }
 
-    fn stream_pair() -> (TcpStream, TcpStream) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let a = TcpStream::connect(addr).unwrap();
-        let (b, _) = listener.accept().unwrap();
-        (a, b)
-    }
-
-    #[test]
-    fn handshake_roundtrips() {
-        let (mut a, mut b) = stream_pair();
-        write_handshake(&mut a, 42, 7).unwrap();
-        assert_eq!(read_handshake(&mut b).unwrap(), (42, 7));
-    }
-
     #[test]
     fn corrupt_magic_rejected() {
-        let (mut a, mut b) = stream_pair();
-        a.write_all(b"JUNKJUNKJUNKJ").unwrap();
-        assert!(read_handshake(&mut b).is_err());
+        let err = parse_handshake(b"JUNKJUNKJUNKJ").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -259,37 +193,10 @@ mod tests {
         let mut v1 = wire.clone();
         v1[4] = 1;
         assert!(parse_handshake(&v1).is_err());
-    }
-
-    #[test]
-    fn frames_roundtrip_in_order() {
-        let (mut a, mut b) = stream_pair();
-        for seq in 0..10u64 {
-            let m = TestMsg(seq, vec![seq as u8; seq as usize]);
-            write_frame(&mut a, seq, &m.to_frame()).unwrap();
-        }
-        for seq in 0..10u64 {
-            let (got_seq, m): (u64, TestMsg) = read_frame(&mut b).unwrap();
-            assert_eq!(got_seq, seq);
-            assert_eq!(m, TestMsg(seq, vec![seq as u8; seq as usize]));
-        }
-    }
-
-    #[test]
-    fn oversized_length_prefix_rejected() {
-        let (mut a, mut b) = stream_pair();
-        a.write_all(&(MAX_FRAME_BYTES + 1).to_le_bytes()).unwrap();
-        let err = read_frame::<TestMsg>(&mut b).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn undecodable_body_is_invalid_data_not_panic() {
-        let (mut a, mut b) = stream_pair();
-        // Valid framing, body that is not a TestMsg encoding.
-        write_frame(&mut a, 1, &[0xff, 0xee]).unwrap();
-        let err = read_frame::<TestMsg>(&mut b).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // So is a handshake whose magic is off by one byte.
+        let mut bad_magic = wire.clone();
+        bad_magic[0] ^= 0xff;
+        assert!(parse_handshake(&bad_magic).is_err());
     }
 
     #[test]
@@ -328,14 +235,5 @@ mod tests {
     fn incremental_parser_rejects_bad_lengths() {
         assert!(parse_frame(&0u32.to_le_bytes()).is_err());
         assert!(parse_frame(&(MAX_FRAME_BYTES + 1).to_le_bytes()).is_err());
-    }
-
-    #[test]
-    fn truncated_stream_reports_eof() {
-        let (mut a, b) = stream_pair();
-        a.write_all(&100u32.to_le_bytes()).unwrap();
-        drop(a);
-        let mut b = b;
-        assert!(read_frame::<TestMsg>(&mut b).is_err());
     }
 }

@@ -41,14 +41,13 @@
 //!   loopback threads behind one entry point,
 //!   [`ClusterBuilder`](cluster::ClusterBuilder), used by the integration
 //!   tests, the `live_cluster` example and the yardstick benchmark.
-//!   `.faults(plan)` replays an `iniva_net::faults::FaultPlan`
-//!   against the live cluster (via
-//!   [`ClusterFaults`](cluster::ClusterFaults)), so the same seeded chaos
-//!   scenario runs on the simulator and on sockets; `.wal(dir)` adds
-//!   process-level chaos — `Crash` tears a replica's entire runtime and
-//!   sockets down, and `RestartFromDisk` rebuilds it from its
-//!   `iniva-storage` write-ahead log, after which it catches up via
-//!   state transfer; `.ingress(opts)` bolts on the `iniva-ingress`
+//!   `.faults(plan)` replays an `iniva_net::faults::FaultPlan` against
+//!   the live cluster's [`NodeFaults`] and [`LinkFaults`], so the same
+//!   seeded chaos scenario runs on the simulator and on sockets;
+//!   `.wal(dir)` makes each replica a process with a disk — `Crash`
+//!   tears its entire runtime and sockets down, and `Restart` rebuilds it
+//!   from its `iniva-storage` write-ahead log, after which it catches up
+//!   via state transfer; `.ingress(opts)` bolts on the `iniva-ingress`
 //!   client tier feeding the proposer from a real fee-ordered mempool.
 
 #![warn(missing_docs)]

@@ -25,13 +25,11 @@
 //! priority over messages once due, mirroring the simulator's
 //! single-server queue per node.
 
-use crate::faults::NodeFaults;
 use crate::transport::Transport;
 use iniva_net::wire::Codec;
 use iniva_net::{Actor, Context, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Most messages delivered to an actor in one handler turn. The drain
@@ -180,14 +178,6 @@ where
     /// Transport counters.
     pub fn transport_stats(&self) -> &crate::transport::TransportStats {
         self.transport.stats()
-    }
-
-    /// This node's crash/heal switch (shared with the transport). Killing
-    /// it silences the actor — due timers are discarded, messages dropped —
-    /// and healing resumes it under a fresh incarnation epoch, mirroring
-    /// the simulator's crash semantics (`Simulation::crash`/`revive`).
-    pub fn fault_handle(&self) -> Arc<NodeFaults> {
-        self.transport.node_faults()
     }
 
     /// Runs the event loop for `wall` of real time, calling `on_start`
@@ -473,6 +463,7 @@ mod tests {
     #[test]
     fn a_run_slice_flushes_its_last_turns_sends() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
         struct Replier {
             stop: Arc<AtomicBool>,
         }

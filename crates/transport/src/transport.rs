@@ -372,11 +372,6 @@ impl<M: Codec + Send + 'static> Transport<M> {
         Arc::clone(&self.ctx.node_faults)
     }
 
-    /// The link filter this transport consults.
-    pub fn link_faults(&self) -> Arc<LinkFaults> {
-        Arc::clone(&self.ctx.link_faults)
-    }
-
     /// Sends `msg` to `to`. Self-sends are delivered directly; unknown
     /// destinations and oversized messages are dropped (matching the
     /// simulator, where a send to a crashed node vanishes). Never blocks:

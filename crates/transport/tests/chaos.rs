@@ -187,7 +187,7 @@ fn killed_process_restarts_from_wal_and_catches_up() {
     let resumed_margin = 4 * SECS; // commits at/after this prove (c)
     let plan = FaultPlan::new()
         .crash(kill_at, victim)
-        .restart_from_disk(restart_at, victim);
+        .restart(restart_at, victim);
     // Small lanes: peers shed the bulk of the backlog addressed to the
     // dead replica (as a production transport would), so the gap must
     // close through `StateRequest`/`StateResponse` rather than
@@ -257,11 +257,45 @@ fn check_recovery(run: &ClusterRun, victim: NodeId, resumed_margin: Time) -> Res
     Ok(())
 }
 
+/// A crash and a restart at the same instant are still a process death:
+/// the victim's runtime sees its switch come back under a newer epoch,
+/// tears the incarnation down anyway and rebuilds it from its WAL.
+#[test]
+fn wal_replica_crashed_and_restarted_at_once_comes_back_from_disk() {
+    let (cfg, _, _, _) = chaos_demo_scenario(SEED);
+    let victim = FaultPlan::shuffled_members(cfg.n, SEED + 4)[0];
+    // Late enough that the victim has journaled commits even when other
+    // clusters share the cores (its first commit can take ~1.7 s then).
+    let bounce_at = 2_500 * MILLIS;
+    let plan = FaultPlan::new()
+        .crash(bounce_at, victim)
+        .restart(bounce_at, victim);
+    let wal_root = wal_scratch("bounce");
+    let run = ClusterBuilder::new(&cfg, Duration::from_secs(5))
+        .faults(&plan)
+        .wal(&wal_root)
+        .spawn()
+        .expect("cluster starts");
+
+    run.agreed_prefix_height().expect("no divergence anywhere");
+    let m = &run.nodes[victim as usize].replica.chain.metrics;
+    assert!(
+        m.recovered_blocks > 0,
+        "the bounced replica kept its memory instead of recovering from its WAL"
+    );
+    assert!(
+        m.commits_since(bounce_at) > 0,
+        "the bounced replica never committed after recovery (recovered {})",
+        m.recovered_blocks
+    );
+    let _ = std::fs::remove_dir_all(&wal_root);
+}
+
 /// A WAL replica crashed at time zero is a dead *process*: its client
 /// listener must be closed like its peer listener, so a client dialling
 /// it is refused at once — not parked in the accept backlog of a socket
-/// nobody will ever accept on — and after `RestartFromDisk` the same
-/// address is served by the new incarnation.
+/// nobody will ever accept on — and after its `Restart` the same address
+/// is served by the new incarnation.
 #[test]
 fn wal_replica_dead_at_time_zero_refuses_clients_until_restarted() {
     use iniva_ingress::{read_frame, write_frame, ClientMsg, IngressOptions};
@@ -271,9 +305,7 @@ fn wal_replica_dead_at_time_zero_refuses_clients_until_restarted() {
 
     let (cfg, _, _, _) = chaos_demo_scenario(SEED);
     let victim = FaultPlan::shuffled_members(cfg.n, SEED + 3)[0];
-    let plan = FaultPlan::new()
-        .crash(0, victim)
-        .restart_from_disk(2 * SECS, victim);
+    let plan = FaultPlan::new().crash(0, victim).restart(2 * SECS, victim);
     let wal_root = wal_scratch("dead-at-zero");
     let launched = Instant::now();
     let handle = ClusterBuilder::new(&cfg, Duration::from_secs(5))
