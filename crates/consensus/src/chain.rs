@@ -14,7 +14,9 @@
 //! tip's QC comes from; the block store keeps that window plus the
 //! uncommitted blocks above it. Every commit step — three-chain commit,
 //! state-transfer adoption, WAL replay — slides the window and drops every
-//! block below its oldest entry, forks included, so memory stays flat
+//! block below its oldest entry, forks included, and every fork at a
+//! height the step committed (a dead fork this replica drafted hands its
+//! requests back to the [`RequestSource`] there), so memory stays flat
 //! however long a replica runs (the 21-replica `tree21` benchmark process
 //! on a 2-vCPU host peaked at 41.4 MB at 30 s and 68.3 MB at 60 s keeping
 //! the whole chain; with the window, 23.6 and 30.5 MB). The WAL keeps
@@ -57,27 +59,43 @@ const _: () = assert!(RETAINED_COMMITS as u64 > CAROUSEL_WINDOW_EPOCH + 3);
 /// drafts — the hook a live mempool (`iniva-ingress`) plugs into. When a
 /// source is attached ([`ChainState::set_request_source`]) it replaces
 /// the synthetic `ns_per_req` arrival model as the block source: `draft`
-/// decides how many admitted requests fill a block's sequence range, and
+/// decides how many admitted requests fill a block's sequence range,
 /// `committed` settles a committed range and reports each request's
 /// submit-to-commit latency on the *source's* clock (the chain's `now`
-/// and the source's admission timestamps need not share an epoch).
+/// and the source's admission timestamps need not share an epoch), and
+/// `release` takes back the range of a block that can no longer commit.
 ///
 /// Blocks keep carrying pure `(batch_start, batch_len)` ranges either
 /// way, so the wire format and the committed ≤ admitted ≤ offered
 /// accounting invariant are identical in both modes.
 pub trait RequestSource: Send + Sync {
     /// Claims up to `max` admitted requests for the contiguous sequence
-    /// range beginning at `start`, returning how many were claimed.
-    /// Ranges claimed for views that later fail are abandoned by the
-    /// source — the same open-loop trade-off as the draft cursor.
+    /// range beginning at `start`, returning how many were claimed. Each
+    /// sequence number names at most one claim: a draft starting below
+    /// [`Self::drafted_end`] claims nothing.
     fn draft(&self, start: u64, max: u32) -> u32;
+
+    /// One past the highest sequence number this source has drafted (0
+    /// when it keeps no such mark). The chain starts each draft at or
+    /// above it, so a range claimed by a block this replica never
+    /// received does not leave its drafts empty.
+    fn drafted_end(&self) -> u64 {
+        0
+    }
 
     /// Settles the committed range `start..start+len` at block `height`,
     /// returning the submit-to-commit latency (ns) of every request in
     /// the range this source still had in flight. A range may settle
     /// fewer than `len` entries (another replica already settled it, or
-    /// part of it was abandoned).
+    /// the source gave part of it up to its own memory bound).
     fn committed(&self, height: u64, start: u64, len: u32) -> Vec<u64>;
+
+    /// Puts the requests `dead` claimed back in the queue: a different
+    /// block has joined the committed prefix at `dead.height`, so `dead`
+    /// never commits. The chain calls it once per block this replica
+    /// drafted that lost its height, and never on a timeout or a view
+    /// change alone. Releasing a range twice changes nothing.
+    fn release(&self, _dead: &Block) {}
 }
 
 /// Per-chain metrics harvested by the experiment harness.
@@ -276,12 +294,14 @@ pub struct ChainState<S: VoteScheme> {
     /// it, committed throughput exceeds the offered rate at saturation
     /// (each request would be counted by up to three overlapping blocks).
     ///
-    /// Deliberate trade-off: a range batched by a block whose view fails
-    /// is abandoned (≤ `max_batch` requests per disseminated-then-failed
-    /// view), modeling open-loop clients whose in-flight requests need
-    /// resubmission rather than being replayed by the protocol. The
-    /// conservative direction — committed ≤ offered — is the invariant
-    /// the metrics rely on.
+    /// A range batched by a block whose view fails is skipped for good.
+    /// Under the synthetic model those requests are lost (≤ `max_batch`
+    /// per disseminated-then-failed view, open-loop clients that would
+    /// have to resubmit); a request source gets them back through
+    /// [`RequestSource::release`] once a conflicting block commits, and
+    /// re-drafts them under fresh sequence numbers. The conservative
+    /// direction — committed ≤ offered — is the invariant the metrics
+    /// rely on.
     draft_cursor: u64,
     /// The cluster's commit audit and this replica's id in it: every
     /// block joining the prefix is reported there. Never read by the
@@ -300,6 +320,13 @@ pub struct ChainState<S: VoteScheme> {
     /// Client-request supply: when set, drafts pull admitted requests
     /// from here instead of the synthetic arrival model.
     source: Option<Arc<dyn RequestSource>>,
+    /// `(height, hash)` of the blocks this replica drafted with requests
+    /// claimed from `source` whose height has not committed yet: the
+    /// blocks it releases if another block commits at their height. At
+    /// most [`RETAINED_COMMITS`], oldest dropped first (a replica that
+    /// keeps proposing while nothing commits leaves those to the source's
+    /// own bound).
+    proposed: Vec<(u64, BlockHash)>,
     /// Metrics.
     pub metrics: ChainMetrics,
 }
@@ -326,14 +353,16 @@ impl<S: VoteScheme> ChainState<S> {
             window: VecDeque::with_capacity(RETAINED_COMMITS + 1),
             sink: None,
             source: None,
+            proposed: Vec::new(),
             metrics: ChainMetrics::default(),
         }
     }
 
     /// Attaches a client-request source (a live mempool): subsequent
-    /// drafts claim admitted requests from it, and commits settle their
-    /// ranges against it; the synthetic `request_rate_per_sec` arrival
-    /// model stops applying.
+    /// drafts claim admitted requests from it, commits settle their
+    /// ranges against it, and a block drafted here that loses its height
+    /// to another commit is released back to it; the synthetic
+    /// `request_rate_per_sec` arrival model stops applying.
     pub fn set_request_source(&mut self, source: Arc<dyn RequestSource>) {
         self.source = Some(source);
     }
@@ -390,6 +419,7 @@ impl<S: VoteScheme> ChainState<S> {
     /// durable. Attach the sink after rehydrating (or before — the replay
     /// bypasses it either way).
     pub fn rehydrate(&mut self, commits: Vec<(Block, Option<Qc<S>>)>) {
+        let since = self.committed_height;
         for (block, qc) in commits {
             if block.height <= self.committed_height {
                 continue;
@@ -397,7 +427,7 @@ impl<S: VoteScheme> ChainState<S> {
             self.metrics.recovered_blocks += 1;
             self.graft(block, qc);
         }
-        self.prune_below_window();
+        self.prune(since);
     }
 
     /// Grafts one peer-served committed block onto the prefix (state
@@ -429,7 +459,8 @@ impl<S: VoteScheme> ChainState<S> {
         scheme: &S,
     ) -> BatchAdoption {
         // Structural pass against the advancing (simulated) prefix.
-        let mut height = self.committed_height;
+        let since = self.committed_height;
+        let mut height = since;
         let mut checked: Vec<(Block, Qc<S>)> = Vec::new();
         let mut msgs: Vec<Vec<u8>> = Vec::new();
         let mut verified_signers = 0usize;
@@ -474,7 +505,7 @@ impl<S: VoteScheme> ChainState<S> {
             self.metrics.state_transfer_blocks += 1;
             self.graft(block, qc);
         }
-        self.prune_below_window();
+        self.prune(since);
         BatchAdoption {
             adopted,
             verified_entries,
@@ -517,8 +548,8 @@ impl<S: VoteScheme> ChainState<S> {
     /// Records one committed block: the request cursor skips its batch, it
     /// is reported to the audit and joins the window (its body goes to
     /// `blocks`), and a full window drops its oldest entry's body. Callers
-    /// advance `committed_height` and run [`Self::prune_below_window`] once
-    /// per commit step.
+    /// advance `committed_height` and run [`Self::prune`] once per commit
+    /// step.
     fn record_commit(&mut self, block: Block, qc: Option<Qc<S>>) {
         self.next_req = self.next_req.max(batch_end(&block));
         let (height, hash) = (block.height, block.hash());
@@ -534,14 +565,45 @@ impl<S: VoteScheme> ChainState<S> {
         }
     }
 
-    /// Drops every stored block below the window's oldest entry: blocks
-    /// that slid out of it and forks that can no longer commit (a forged
-    /// proposal stored against a held QC included). What stays is the
-    /// window plus the uncommitted blocks above it.
-    fn prune_below_window(&mut self) {
-        if let Some(floor) = self.window.front().map(|e| e.height) {
-            self.blocks.retain(|_, b| b.height >= floor);
-        }
+    /// Ends a commit step that moved the prefix up from `since`. Drops
+    /// every stored block below the window's oldest entry — blocks that
+    /// slid out of it and old forks (a forged proposal stored against a
+    /// held QC included) — and every block that lost its height to this
+    /// step: one at a height in `since + 1..=committed_height` where the
+    /// window holds a different block. Those are the dead forks, and the
+    /// ones this replica drafted go back to the request source. A height
+    /// the step skipped (an ancestor never delivered, a state-transfer
+    /// gap) proves nothing, so its blocks stay until the floor passes.
+    /// What stays is the window plus the uncommitted blocks above it.
+    ///
+    /// One pass over the store, and a window lookup only for the few
+    /// blocks at the heights this step committed: every commit of every
+    /// replica runs it.
+    fn prune(&mut self, since: u64) {
+        let Some(floor) = self.window.front().map(|e| e.height) else {
+            return;
+        };
+        let committed = self.committed_height;
+        let (window, source, proposed) = (&self.window, &self.source, &mut self.proposed);
+        self.blocks.retain(|hash, b| {
+            if b.height <= since || b.height > committed {
+                return b.height >= floor;
+            }
+            let Ok(idx) = window.binary_search_by_key(&b.height, |e| e.height) else {
+                return b.height >= floor;
+            };
+            if window[idx].hash == *hash {
+                return true;
+            }
+            if let Some(i) = proposed.iter().position(|(_, h)| h == hash) {
+                proposed.swap_remove(i);
+                if let Some(src) = source {
+                    src.release(b);
+                }
+            }
+            false
+        });
+        self.proposed.retain(|&(height, _)| height > committed);
     }
 
     /// A window entry as a provable pair, if both the body and a
@@ -674,9 +736,12 @@ impl<S: VoteScheme> ChainState<S> {
     }
 
     /// Drafts the next block for `view`, batching up to `max_batch` pending
-    /// requests that have arrived by `now`.
+    /// requests that have arrived by `now`. With a request source the
+    /// range starts at or past [`RequestSource::drafted_end`], and a
+    /// non-empty draft is remembered as this replica's, to be released
+    /// if another block commits at its height.
     pub fn draft_block(
-        &self,
+        &mut self,
         view: u64,
         proposer: u32,
         now: Time,
@@ -684,9 +749,10 @@ impl<S: VoteScheme> ChainState<S> {
         payload_per_req: u32,
     ) -> Block {
         let (parent_hash, parent_height) = self.high_tip();
-        let batch_start = self.next_req.max(self.draft_cursor);
+        let mut batch_start = self.next_req.max(self.draft_cursor);
         let mut batch_len = 0u32;
         if let Some(src) = &self.source {
+            batch_start = batch_start.max(src.drafted_end());
             batch_len = src.draft(batch_start, max_batch);
         } else if let Some(arrived) = now.checked_div(self.ns_per_req) {
             // Requests 0..=arrived have arrived by `now`; those below the
@@ -694,7 +760,7 @@ impl<S: VoteScheme> ChainState<S> {
             let pending = (arrived + 1).saturating_sub(batch_start);
             batch_len = pending.min(max_batch as u64) as u32;
         }
-        Block {
+        let block = Block {
             view,
             height: parent_height + 1,
             parent: parent_hash,
@@ -702,7 +768,14 @@ impl<S: VoteScheme> ChainState<S> {
             batch_start,
             batch_len,
             payload_per_req,
+        };
+        if batch_len > 0 && self.source.is_some() {
+            if self.proposed.len() == RETAINED_COMMITS {
+                self.proposed.remove(0);
+            }
+            self.proposed.push((block.height, block.hash()));
         }
+        block
     }
 
     /// Records a freshly formed or observed QC; updates the high QC and runs
@@ -746,6 +819,7 @@ impl<S: VoteScheme> ChainState<S> {
 
     fn commit_chain(&mut self, tip: &Block, now: Time) {
         let source = self.source.clone();
+        let since = self.committed_height;
         // Commit tip and all uncommitted ancestors (recursively, oldest
         // first for metric ordering; order does not affect the totals).
         let mut chain = Vec::new();
@@ -807,7 +881,7 @@ impl<S: VoteScheme> ChainState<S> {
         // no longer graduate; drop them so the map stays bounded by the
         // number of in-flight (uncommitted) blocks.
         self.seen_qcs.retain(|_, q| q.height > tip.height);
-        self.prune_below_window();
+        self.prune(since);
     }
 }
 
@@ -897,8 +971,8 @@ mod tests {
 
     #[test]
     fn batching_respects_arrival_times() {
-        let chain: ChainState<SimScheme> = ChainState::new(1000); // 1 req/ms
-                                                                  // At t = 10 ms, 11 requests have arrived (0..=10).
+        let mut chain: ChainState<SimScheme> = ChainState::new(1000); // 1 req/ms
+                                                                      // At t = 10 ms, 11 requests have arrived (0..=10).
         let b = chain.draft_block(1, 0, 10_000_000, 100, 64);
         assert_eq!(b.batch_len, 11);
         // Batch cap applies.
@@ -948,6 +1022,55 @@ mod tests {
         assert_eq!(chain.metrics.last_commit_time, 6_000_000);
         assert_eq!(chain.metrics.commits_since(6_000_000), 1);
         assert_eq!(chain.metrics.commits_since(6_000_001), 0);
+    }
+
+    /// A replica that never received the block holding a request
+    /// source's latest claims still drafts past them: its own cursor
+    /// cannot see that range, the source's `drafted_end` can.
+    #[test]
+    fn drafts_start_past_the_sources_claimed_range() {
+        struct Claimed(u64);
+        impl RequestSource for Claimed {
+            fn draft(&self, start: u64, max: u32) -> u32 {
+                if start < self.0 {
+                    0
+                } else {
+                    max
+                }
+            }
+            fn drafted_end(&self) -> u64 {
+                self.0
+            }
+            fn committed(&self, _: u64, _: u64, _: u32) -> Vec<u64> {
+                Vec::new()
+            }
+        }
+        let mut chain: ChainState<SimScheme> = ChainState::new(0);
+        chain.set_request_source(Arc::new(Claimed(40)));
+        let b = chain.draft_block(1, 0, 0, 5, 0);
+        assert_eq!((b.batch_start, b.batch_len), (40, 5));
+    }
+
+    /// A replica that keeps drafting while nothing commits (its side of a
+    /// partition has no quorum) remembers a bounded number of drafts.
+    #[test]
+    fn remembered_drafts_stay_bounded_while_nothing_commits() {
+        struct Endless;
+        impl RequestSource for Endless {
+            fn draft(&self, _: u64, max: u32) -> u32 {
+                max
+            }
+            fn committed(&self, _: u64, _: u64, _: u32) -> Vec<u64> {
+                Vec::new()
+            }
+        }
+        let mut chain: ChainState<SimScheme> = ChainState::new(0);
+        chain.set_request_source(Arc::new(Endless));
+        for view in 1..=2 * RETAINED_COMMITS as u64 {
+            let b = chain.draft_block(view, 0, 0, 1, 0);
+            chain.insert_block(b);
+        }
+        assert_eq!(chain.proposed.len(), RETAINED_COMMITS);
     }
 
     #[test]
@@ -1284,5 +1407,242 @@ mod tests {
         // Replaying the old QC must not move the high block backwards.
         chain.on_qc(qc_for(&s, &b1), 99, &s);
         assert_eq!(chain.high_block().unwrap().height, high);
+    }
+
+    /// Which blocks go back to the request source: this replica's drafts
+    /// that lost their height to a commit, once each, through every
+    /// commit path — and nothing else.
+    mod release_tests {
+        use super::*;
+        use std::sync::Mutex;
+
+        /// Claims every draft in full and records each settled and each
+        /// released `(height, start, len)`.
+        #[derive(Default)]
+        struct Recorder {
+            settled: Mutex<Vec<(u64, u64, u32)>>,
+            released: Mutex<Vec<(u64, u64, u32)>>,
+        }
+
+        impl RequestSource for Recorder {
+            fn draft(&self, _start: u64, max: u32) -> u32 {
+                max
+            }
+            fn committed(&self, height: u64, start: u64, len: u32) -> Vec<u64> {
+                self.settled.lock().unwrap().push((height, start, len));
+                Vec::new()
+            }
+            fn release(&self, dead: &Block) {
+                self.released
+                    .lock()
+                    .unwrap()
+                    .push((dead.height, dead.batch_start, dead.batch_len));
+            }
+        }
+
+        impl Recorder {
+            fn released(&self) -> Vec<(u64, u64, u32)> {
+                self.released.lock().unwrap().clone()
+            }
+        }
+
+        fn sourced() -> (ChainState<SimScheme>, Arc<Recorder>) {
+            let mut chain = ChainState::new(0);
+            let source = Arc::new(Recorder::default());
+            chain.set_request_source(Arc::clone(&source) as Arc<dyn RequestSource>);
+            (chain, source)
+        }
+
+        /// This replica drafts a block of five requests for `view` (one
+        /// second per view) on its high QC and stores it, uncertified.
+        fn draft(chain: &mut ChainState<SimScheme>, view: u64) -> Block {
+            let b = chain.draft_block(view, 0, view * 1_000_000_000, 5, 0);
+            chain.insert_block(b.clone());
+            b
+        }
+
+        /// This replica's draft for `view`, certified.
+        fn propose(chain: &mut ChainState<SimScheme>, view: u64, s: &SimScheme) -> Block {
+            let b = draft(chain, view);
+            chain.on_qc(qc_for(s, &b), 1000, s);
+            b
+        }
+
+        /// Replica 2's block for `view` on `parent`, with a range of its
+        /// own past `after`, stored and certified.
+        fn foreign(
+            chain: &mut ChainState<SimScheme>,
+            view: u64,
+            parent: &Block,
+            after: u64,
+            s: &SimScheme,
+        ) -> Block {
+            let b = Block {
+                view,
+                height: parent.height + 1,
+                parent: parent.hash(),
+                proposer: 2,
+                batch_start: after,
+                batch_len: 3,
+                payload_per_req: 0,
+            };
+            chain.insert_block(b.clone());
+            chain.on_qc(qc_for(s, &b), 1000, s);
+            b
+        }
+
+        /// Views 1-2 certify b1 and b2; view 3's block `dead` never gets a
+        /// QC (the next leader, its tree's root, is down); view 5's block
+        /// at the same height does, and views 6-7 commit it.
+        fn orphan_view_3(
+            chain: &mut ChainState<SimScheme>,
+            dead: impl FnOnce(&mut ChainState<SimScheme>, &Block) -> Block,
+            s: &SimScheme,
+        ) -> (Block, Block) {
+            propose(chain, 1, s);
+            let b2 = propose(chain, 2, s);
+            let dead = dead(chain, &b2);
+            assert_eq!(dead.height, 3);
+            let winner = foreign(chain, 5, &b2, batch_end(&dead), s);
+            assert_eq!(chain.committed_height(), 0);
+            propose(chain, 6, s);
+            propose(chain, 7, s);
+            assert_eq!(chain.committed_height(), 3, "view 5's block committed");
+            (dead, winner)
+        }
+
+        #[test]
+        fn a_dead_own_block_is_released_once_by_the_three_chain_commit() {
+            let s = scheme();
+            let (mut chain, source) = sourced();
+            let (dead, winner) = orphan_view_3(&mut chain, |c, _| draft(c, 3), &s);
+            assert_eq!(
+                source.released(),
+                vec![(3, dead.batch_start, 5)],
+                "released once, with its own range"
+            );
+            assert!(chain.block(&dead.hash()).is_none(), "dropped at once");
+            assert!(chain.block(&winner.hash()).is_some());
+            // More commits, the dead block's re-delivery included, release
+            // nothing further.
+            chain.insert_block(dead.clone());
+            for v in 8..=12 {
+                propose(&mut chain, v, &s);
+            }
+            assert_eq!(source.released().len(), 1);
+            // Every committed range settled, and none is the dead one.
+            let settled = source.settled.lock().unwrap().clone();
+            assert_eq!(settled.len() as u64, chain.committed_height());
+            assert!(settled
+                .iter()
+                .all(|&(_, start, _)| start != dead.batch_start));
+        }
+
+        #[test]
+        fn a_dead_own_block_is_released_once_by_state_transfer() {
+            let s = scheme();
+            // What the rest of the cluster committed: heights 1..=4,
+            // proposed by others.
+            let mut others = ChainState::new(0);
+            for v in 1..=6 {
+                extend(&mut others, v, &s);
+            }
+            let chunk: Vec<(Block, Qc<SimScheme>)> = (1..=4)
+                .map(|h| {
+                    let (b, qc) = others.committed_entry(h).unwrap();
+                    (b.clone(), qc.clone())
+                })
+                .collect();
+            // This replica drafted its own height-1 block, which nobody
+            // certified, then fell behind.
+            let (mut chain, source) = sourced();
+            let dead = draft(&mut chain, 1);
+            assert_eq!(chain.adopt_committed_batch(chunk.clone(), &s).adopted, 4);
+            assert_eq!(source.released(), vec![(1, dead.batch_start, 5)]);
+            assert!(chain.block(&dead.hash()).is_none());
+            for (b, _) in &chunk {
+                assert!(chain.block(&b.hash()).is_some(), "adopted blocks stay");
+            }
+            // A repeated chunk adopts nothing and releases nothing.
+            assert_eq!(chain.adopt_committed_batch(chunk, &s).adopted, 0);
+            assert_eq!(source.released().len(), 1);
+        }
+
+        #[test]
+        fn a_height_the_prefix_skipped_proves_nothing() {
+            let s = scheme();
+            let mut others = ChainState::new(0);
+            for v in 1..=6 {
+                extend(&mut others, v, &s);
+            }
+            let entry = |h: u64| {
+                let (b, qc) = others.committed_entry(h).unwrap();
+                (b.clone(), qc.clone())
+            };
+            let (mut chain, source) = sourced();
+            assert_eq!(chain.adopt_committed_batch(vec![entry(1)], &s).adopted, 1);
+            let unproven = draft(&mut chain, 9);
+            assert_eq!(unproven.height, 2);
+            // The peer serves heights 3 and 4 across a hole at 2: the block
+            // committed there may be this replica's own.
+            assert_eq!(
+                chain
+                    .adopt_committed_batch(vec![entry(3), entry(4)], &s)
+                    .adopted,
+                2
+            );
+            assert!(source.released().is_empty());
+            assert!(chain.block(&unproven.hash()).is_some());
+        }
+
+        #[test]
+        fn a_fault_free_chain_releases_nothing() {
+            let s = scheme();
+            let (mut chain, source) = sourced();
+            for v in 1..=40 {
+                propose(&mut chain, v, &s);
+                assert!(chain.proposed.len() <= 2, "only the uncommitted drafts");
+            }
+            assert_eq!(chain.committed_height(), 38);
+            assert!(source.released().is_empty());
+            assert_eq!(source.settled.lock().unwrap().len(), 38);
+        }
+
+        #[test]
+        fn a_dead_block_without_a_source_is_dropped_unreleased() {
+            let s = scheme();
+            let mut chain = ChainState::new(1_000);
+            let (dead, _) = orphan_view_3(&mut chain, |c, _| draft(c, 3), &s);
+            assert!(dead.batch_len > 0, "the synthetic model batched requests");
+            assert!(chain.proposed.is_empty(), "nothing to release to");
+            assert!(chain.block(&dead.hash()).is_none(), "dropped at once");
+        }
+
+        #[test]
+        fn another_proposers_dead_block_is_dropped_unreleased() {
+            let s = scheme();
+            let (mut chain, source) = sourced();
+            let (dead, _) = orphan_view_3(
+                &mut chain,
+                |c, parent| {
+                    // Replica 3's view-3 block, stored uncertified; it
+                    // claims the very range this replica drafts next.
+                    let b = Block {
+                        view: 3,
+                        height: parent.height + 1,
+                        parent: parent.hash(),
+                        proposer: 3,
+                        batch_start: batch_end(parent),
+                        batch_len: 5,
+                        payload_per_req: 0,
+                    };
+                    c.insert_block(b.clone());
+                    b
+                },
+                &s,
+            );
+            assert!(source.released().is_empty());
+            assert!(chain.block(&dead.hash()).is_none(), "dropped at once");
+        }
     }
 }

@@ -16,6 +16,7 @@ const COMMITTEE: &[u32] = &[0, 1, 2, 3, 4, 5, 6];
 struct CountingScheme {
     inner: SimScheme,
     verified_items: AtomicUsize,
+    signed: AtomicUsize,
 }
 
 impl CountingScheme {
@@ -23,11 +24,16 @@ impl CountingScheme {
         CountingScheme {
             inner: SimScheme::new(n, seed),
             verified_items: AtomicUsize::new(0),
+            signed: AtomicUsize::new(0),
         }
     }
 
     fn verified(&self) -> usize {
         self.verified_items.load(Ordering::SeqCst)
+    }
+
+    fn signed(&self) -> usize {
+        self.signed.load(Ordering::SeqCst)
     }
 }
 
@@ -35,6 +41,7 @@ impl VoteScheme for CountingScheme {
     type Aggregate = SimAggregate;
 
     fn sign(&self, signer: SignerId, msg: &[u8]) -> SimAggregate {
+        self.signed.fetch_add(1, Ordering::SeqCst);
         self.inner.sign(signer, msg)
     }
     fn combine(&self, a: &SimAggregate, b: &SimAggregate) -> SimAggregate {
@@ -113,6 +120,44 @@ fn duplicate_spam_costs_no_extra_verifications() {
     let double = scheme.scale(&scheme.sign(child, &msg), 2);
     replica.handle_signatures(&mut ctx, vec![(child, 1, double)]);
     assert_eq!(scheme.verified() - before, 1);
+}
+
+/// An internal node signs (and is charged for) its vote once per view:
+/// the subtree aggregate for two or more children and a 2ND-CHANCE reply
+/// without an ACK reuse the vote instead of signing again.
+#[test]
+fn an_internal_node_signs_its_vote_once() {
+    let scheme = Arc::new(CountingScheme::new(7, b"sign-once"));
+    let (mut replica, block, tree) = replica_with_role(Role::Internal, Arc::clone(&scheme));
+    let id = replica.id;
+    assert_eq!(scheme.signed(), 1, "the vote");
+    let children = tree.children_of(id);
+    assert!(children.len() >= 2, "k >= 2 children");
+    let msg = vote_message(&block.hash(), 1);
+    let votes = children
+        .iter()
+        .map(|&c| (c, 1, scheme.inner.sign(c, &msg)))
+        .collect();
+    let mut ctx = Context::external(id, 0);
+    replica.handle_signatures(&mut ctx, votes);
+    replica.handle_second_chance(&mut ctx, tree.root(), block, None);
+    assert_eq!(scheme.signed(), 1, "signed again");
+    let sent: Vec<SimAggregate> = ctx
+        .into_effects()
+        .outbox
+        .into_iter()
+        .filter_map(|(to, msg, _)| match msg {
+            InivaMsg::Signature { agg, .. } if to == tree.root() => Some(agg),
+            _ => None,
+        })
+        .collect();
+    // Eq. 1: own vote 1 + #children times, each child twice; then the
+    // plain vote for the 2ND-CHANCE. Both verify.
+    assert_eq!(sent.len(), 2);
+    assert_eq!(sent[0].mults.get(id), 1 + children.len() as u64);
+    assert!(children.iter().all(|&c| sent[0].mults.get(c) == 2));
+    assert_eq!(sent[1].mults, Multiplicities::singleton(id));
+    assert!(sent.iter().all(|agg| scheme.inner.verify(&msg, agg)));
 }
 
 #[test]

@@ -31,6 +31,9 @@ pub(super) struct AggState<S: VoteScheme> {
     block: Block,
     /// Accumulated aggregate (starts with the node's own vote).
     pub(super) agg: S::Aggregate,
+    /// The node's own vote, signed (and charged) once by `vote` and
+    /// reused wherever it is sent again.
+    own: S::Aggregate,
     /// Children whose signatures have been folded in.
     children_in: Vec<u32>,
     /// ACK aggregate received from the parent (inclusion proof).
@@ -55,7 +58,8 @@ impl<S: VoteScheme> AggState<S> {
             view,
             tree,
             block,
-            agg: own,
+            agg: own.clone(),
+            own,
             children_in: Vec::new(),
             ack_agg: None,
             sent_up,
@@ -504,15 +508,10 @@ where
         let subtree = match st.children_in.len() as u64 {
             0 => st.agg.clone(),
             1 => self.scheme.scale(&st.agg, 2),
-            k => {
-                let own = self
-                    .scheme
-                    .sign(self.id, &vote_message(&st.block.hash(), st.view));
-                self.scheme.combine(
-                    &self.scheme.scale(&st.agg, 2),
-                    &self.scheme.scale(&own, k - 1),
-                )
-            }
+            k => self.scheme.combine(
+                &self.scheme.scale(&st.agg, 2),
+                &self.scheme.scale(&st.own, k - 1),
+            ),
         };
         let root = st.tree.root();
         let wire =
@@ -734,13 +733,7 @@ where
         if st.view != view {
             return;
         }
-        let reply = match &st.ack_agg {
-            Some(ack) => ack.clone(),
-            None => {
-                let msg = vote_message(&st.block.hash(), view);
-                self.scheme.sign(self.id, &msg)
-            }
-        };
+        let reply = st.ack_agg.as_ref().unwrap_or(&st.own).clone();
         let wire =
             AGG_SIG_BYTES + PER_SIGNER_BYTES * self.scheme.multiplicities(&reply).distinct() + 16;
         ctx.send(from, InivaMsg::Signature { view, agg: reply }, wire);

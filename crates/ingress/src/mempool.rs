@@ -6,14 +6,22 @@
 //! it through the [`RequestSource`] hook (`draft` claims the
 //! highest-fee entries for a block's sequence range, `committed`
 //! settles a range once the commit rule fires and returns
-//! submit-to-commit latencies).
+//! submit-to-commit latencies, `release` re-queues the range of a block
+//! that lost its height to another commit).
+//!
+//! Each sequence number names exactly one claim: a draft starting below
+//! the highest sequence number drafted so far claims nothing. So the
+//! entries under a block's range are that block's and no other's, and
+//! neither a commit nor a release can settle or take back another
+//! block's requests.
 //!
 //! Accounting invariant, preserved end to end:
-//! `committed ≤ drafted ≤ admitted ≤ offered`. Every counter below is
-//! monotone; `admitted − (drafted + evicted)` is the current queue
-//! depth, and drafted entries either commit or are eventually
-//! abandoned (their block's view failed) — the same open-loop
-//! trade-off the synthetic draft cursor makes.
+//! `committed ≤ drafted − released ≤ admitted ≤ offered`. Every counter
+//! below is monotone; a released entry that is drafted again counts in
+//! `drafted` twice and in `released` once. The current queue depth is
+//! `admitted − (drafted − released) − evicted`, and a drafted entry
+//! commits, is released back to the queue, or — past the ledger bound
+//! only — is abandoned.
 //!
 //! Policy:
 //! - **ordering** — highest fee drafts first; FIFO within a fee level.
@@ -21,8 +29,12 @@
 //!   if it outbids it (strictly higher fee); the evicted client may
 //!   resubmit. Otherwise the newcomer is shed with an explicit `Busy`.
 //! - **dedup** — (client, nonce) pairs stay reserved from admission
-//!   until commit or abandonment, so replayed submits get `Duplicate`
-//!   instead of burning block space.
+//!   until commit, eviction or abandonment (a release keeps the
+//!   reservation), so replayed submits get `Duplicate` instead of
+//!   burning block space.
+//! - **release** — a released entry goes back where it stood: its fee,
+//!   its admission order and its admission time (latency still runs
+//!   from there). The queue bound holds for it like for a submission.
 //!
 //! Blocks in this reproduction carry size-modeled payloads (`batch_start`,
 //! `batch_len`, `payload_per_req`), so the mempool accounts for payload
@@ -36,6 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use iniva_consensus::chain::RequestSource;
+use iniva_consensus::types::Block;
 use iniva_obs::{Counter, EventKind, Gauge, Histogram, Registry, Tracer};
 
 use crate::wire::SubmitStatus;
@@ -72,10 +85,13 @@ struct Queued {
 }
 
 /// A drafted entry awaiting commit, keyed by its block sequence number.
+/// It keeps its queue place (`fee`, admission `order`) for a release.
 struct Drafted {
     client: u64,
     nonce: u64,
     admitted_ns: u64,
+    fee: u64,
+    order: u64,
 }
 
 #[derive(Default)]
@@ -88,8 +104,11 @@ struct Inner {
     by_fee: BTreeSet<(u64, Reverse<u64>)>,
     /// Reserved (client, nonce) pairs: queued or drafted-not-settled.
     dedup: HashSet<(u64, u64)>,
-    /// seq → drafted entry, settled (or abandoned) in seq order.
+    /// seq → drafted entry, settled, released or abandoned.
     ledger: BTreeMap<u64, Drafted>,
+    /// One past the highest seq ever drafted: every seq below it names
+    /// a claim already, so a draft starting below it claims nothing.
+    drafted_end: u64,
     next_order: u64,
 }
 
@@ -114,7 +133,10 @@ pub struct IngressStats {
     pub drafted: u64,
     /// Drafted entries whose block committed.
     pub committed: u64,
-    /// Drafted entries given up on (failed views, overwritten ranges).
+    /// Drafted entries put back in the queue because their block lost
+    /// its height to another commit.
+    pub released: u64,
+    /// Drafted entries given up on: the oldest past the ledger bound.
     pub abandoned: u64,
     /// Current queue depth.
     pub depth: u64,
@@ -206,6 +228,7 @@ pub struct Mempool {
     evicted: Counter,
     drafted: Counter,
     committed: Counter,
+    released: Counter,
     abandoned: Counter,
     payload_bytes: Counter,
     depth: Gauge,
@@ -234,6 +257,7 @@ impl Mempool {
             evicted: registry.counter("ingress.evicted"),
             drafted: registry.counter("ingress.drafted"),
             committed: registry.counter("ingress.committed"),
+            released: registry.counter("ingress.released"),
             abandoned: registry.counter("ingress.abandoned"),
             payload_bytes: registry.counter("ingress.payload_bytes"),
             depth: registry.gauge("ingress.depth"),
@@ -256,7 +280,8 @@ impl Mempool {
         self.next_client.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Attaches a tracer; drafts emit [`EventKind::IngressBatch`].
+    /// Attaches a tracer; drafts emit [`EventKind::IngressBatch`] and
+    /// releases [`EventKind::IngressRelease`].
     pub fn set_tracer(&self, tracer: Tracer) {
         *crate::relock(&self.tracer) = tracer;
     }
@@ -271,22 +296,12 @@ impl Mempool {
         }
         if g.queued.len() >= self.capacity {
             // Full: the newcomer must outbid the cheapest queued entry.
-            match g.by_fee.iter().next().copied() {
-                Some((low_fee, Reverse(order))) if low_fee < fee => {
-                    g.by_fee.remove(&(low_fee, Reverse(order)));
-                    // by_fee and queued are kept in sync, but a desync must
-                    // degrade to a mis-counted eviction, not a panic on the
-                    // submit path.
-                    if let Some(old) = g.queued.remove(&order) {
-                        g.dedup.remove(&(old.client, old.nonce));
-                    }
-                    self.evicted.inc();
-                }
-                _ => {
-                    g.dedup.remove(&(client, nonce));
-                    self.shed_full.inc();
-                    return SubmitStatus::Busy;
-                }
+            if g.by_fee.first().is_some_and(|&(low_fee, _)| low_fee < fee) {
+                self.evict_cheapest(&mut g);
+            } else {
+                g.dedup.remove(&(client, nonce));
+                self.shed_full.inc();
+                return SubmitStatus::Busy;
             }
         }
         let order = g.next_order;
@@ -304,6 +319,21 @@ impl Mempool {
         self.payload_bytes.add(payload_len as u64);
         self.depth.set(g.queued.len() as u64);
         SubmitStatus::Accepted
+    }
+
+    /// Drops the cheapest queued entry (newest within its fee) and frees
+    /// its nonce; `false` when nothing is queued.
+    fn evict_cheapest(&self, g: &mut Inner) -> bool {
+        let Some((_, Reverse(order))) = g.by_fee.pop_first() else {
+            return false;
+        };
+        // by_fee and queued are kept in sync, but a desync must degrade to
+        // a mis-counted eviction, not a panic on the submit path.
+        if let Some(old) = g.queued.remove(&order) {
+            g.dedup.remove(&(old.client, old.nonce));
+        }
+        self.evicted.inc();
+        true
     }
 
     /// Records a submit shed by a connection's token bucket (the
@@ -342,6 +372,7 @@ impl Mempool {
             evicted: self.evicted.get(),
             drafted: self.drafted.get(),
             committed: self.committed.get(),
+            released: self.released.get(),
             abandoned: self.abandoned.get(),
             depth: self.depth.get(),
             committed_height: self.committed_height(),
@@ -373,6 +404,9 @@ impl Mempool {
 impl RequestSource for Mempool {
     fn draft(&self, start: u64, max: u32) -> u32 {
         let mut g = crate::relock(&self.inner);
+        if start < g.drafted_end {
+            return 0;
+        }
         let mut n: u32 = 0;
         while n < max {
             let Some(&(fee, Reverse(order))) = g.by_fee.iter().next_back() else {
@@ -384,24 +418,24 @@ impl RequestSource for Mempool {
             let Some(e) = g.queued.remove(&order) else {
                 continue;
             };
-            let seq = start + n as u64;
-            if let Some(prev) = g.ledger.insert(
-                seq,
+            g.ledger.insert(
+                start + n as u64,
                 Drafted {
                     client: e.client,
                     nonce: e.nonce,
                     admitted_ns: e.admitted_ns,
+                    fee,
+                    order,
                 },
-            ) {
-                // A competing proposer already drafted this seq (forked
-                // view); the earlier claim can never settle.
-                g.dedup.remove(&(prev.client, prev.nonce));
-                self.abandoned.inc();
-            }
+            );
             n += 1;
         }
+        if n > 0 {
+            g.drafted_end = start.saturating_add(n as u64);
+        }
         // Bound drafted-but-unsettled state: abandon the oldest ranges
-        // (their views failed long ago) and free the nonces.
+        // (their blocks died unreleased long ago — a dead proposer's, or
+        // one past a state-transfer gap) and free the nonces.
         while g.ledger.len() > self.ledger_cap {
             let Some((_, d)) = g.ledger.pop_first() else {
                 break; // len() > cap >= 1 implies non-empty; never panic here
@@ -427,6 +461,58 @@ impl RequestSource for Mempool {
             );
         }
         n
+    }
+
+    fn drafted_end(&self) -> u64 {
+        crate::relock(&self.inner).drafted_end
+    }
+
+    fn release(&self, dead: &Block) {
+        let end = dead.batch_start.saturating_add(dead.batch_len as u64);
+        let mut g = crate::relock(&self.inner);
+        let seqs: Vec<u64> = g
+            .ledger
+            .range(dead.batch_start..end)
+            .map(|(&seq, _)| seq)
+            .collect();
+        let mut requeued = 0u32;
+        for seq in seqs {
+            let Some(d) = g.ledger.remove(&seq) else {
+                continue;
+            };
+            g.queued.insert(
+                d.order,
+                Queued {
+                    client: d.client,
+                    nonce: d.nonce,
+                    admitted_ns: d.admitted_ns,
+                },
+            );
+            g.by_fee.insert((d.fee, Reverse(d.order)));
+            requeued += 1;
+        }
+        // Past capacity the cheapest, newest entries give way, as they
+        // would to a higher bid — a released one included.
+        while g.queued.len() > self.capacity && self.evict_cheapest(&mut g) {}
+        if requeued == 0 {
+            return;
+        }
+        self.released.add(requeued as u64);
+        self.depth.set(g.queued.len() as u64);
+        drop(g);
+        let tracer = crate::relock(&self.tracer).clone();
+        if tracer.enabled() {
+            tracer.emit(
+                tracer.now(),
+                EventKind::IngressRelease {
+                    view: dead.view,
+                    height: dead.height,
+                    start: dead.batch_start,
+                    len: dead.batch_len,
+                    requeued,
+                },
+            );
+        }
     }
 
     fn committed(&self, height: u64, start: u64, len: u32) -> Vec<u64> {
@@ -555,30 +641,151 @@ mod tests {
         assert_eq!(pool.submit(0, 0, 1, 0), SubmitStatus::Duplicate);
     }
 
+    /// A block of `view` at `height` over the range `start..start+len`.
+    fn block(view: u64, height: u64, start: u64, len: u32) -> Block {
+        Block {
+            view,
+            height,
+            parent: iniva_consensus::types::GENESIS_HASH,
+            proposer: 0,
+            batch_start: start,
+            batch_len: len,
+            payload_per_req: 0,
+        }
+    }
+
     #[test]
     fn accounting_invariant_holds_under_churn() {
         let pool = small_pool(16);
-        for i in 0..200u64 {
-            pool.submit(i % 8, i, i % 13, 32);
-        }
         let mut next = 0u64;
-        for round in 0..10u64 {
+        for round in 0..40u64 {
+            // Oversubscribed (evictions), with replays (duplicates).
+            for i in 0..9u64 {
+                let id = round * 9 + i;
+                pool.submit(id % 8, id % 50, id % 13, 32);
+            }
             let n = pool.draft(next, 7);
-            if round % 2 == 0 {
-                pool.committed(round + 1, next, n);
-            } // odd rounds: abandoned range
+            assert_eq!(pool.draft(next, 7), 0, "a seq names one claim");
+            let drafted = block(round + 1, round + 1, next, n);
+            match round % 3 {
+                0 => {
+                    pool.committed(round + 1, next, n);
+                }
+                1 => {
+                    // Lost its height: back to the queue, twice to no
+                    // further effect.
+                    pool.release(&drafted);
+                    pool.release(&drafted);
+                }
+                _ => {} // still in flight
+            }
             next += n as u64;
+            let s = pool.stats();
+            let net_drafted = s.drafted - s.released;
+            assert!(s.committed <= net_drafted, "{s:?}");
+            assert!(net_drafted <= s.admitted, "{s:?}");
+            assert!(s.admitted <= s.offered, "{s:?}");
+            assert_eq!(s.admitted - net_drafted - s.evicted, s.depth, "{s:?}");
+            assert_eq!(s.depth, pool.depth() as u64, "{s:?}");
+            assert_eq!(
+                s.offered,
+                s.admitted + s.duplicates + s.shed_full + s.shed_busy,
+                "{s:?}"
+            );
         }
+        // Every way out of the queue and the ledger was taken (the
+        // never-settled thirds overflow the ledger bound of 64).
         let s = pool.stats();
-        assert!(s.committed <= s.drafted, "{s:?}");
-        assert!(s.drafted <= s.admitted, "{s:?}");
-        assert!(s.admitted <= s.offered, "{s:?}");
-        assert_eq!(s.admitted - s.drafted - s.evicted, s.depth, "{s:?}");
-        assert_eq!(
-            s.offered,
-            s.admitted + s.duplicates + s.shed_full + s.shed_busy,
-            "{s:?}"
-        );
+        assert!(s.released > 0 && s.evicted > 0 && s.abandoned > 0, "{s:?}");
+        assert!(s.duplicates > 0 && s.shed_full > 0, "{s:?}");
+    }
+
+    /// A dead block's requests come back: to their old queue place, under
+    /// their reserved nonces, with their admission time — once.
+    mod release_tests {
+        use super::*;
+
+        #[test]
+        fn a_release_requeues_in_the_old_fee_and_fifo_place() {
+            let pool = small_pool(8);
+            pool.submit(0, 0, 5, 0);
+            pool.submit(1, 0, 9, 0);
+            pool.submit(2, 0, 9, 0);
+            assert_eq!(pool.draft(0, 2), 2); // clients 1 and 2
+            pool.submit(3, 0, 9, 0); // same fee, admitted after them
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            let dead = block(4, 3, 0, 2);
+            pool.release(&dead);
+            let s = pool.stats();
+            assert_eq!((s.released, s.depth), (2, 4), "{s:?}");
+            // Still reserved while re-queued: a replay is refused.
+            assert_eq!(pool.submit(1, 0, 99, 0), SubmitStatus::Duplicate);
+            assert_eq!(pool.submit(2, 0, 99, 0), SubmitStatus::Duplicate);
+            // A second release changes nothing.
+            pool.release(&dead);
+            let again = pool.stats();
+            assert_eq!((again.released, again.depth), (2, 4), "{again:?}");
+            // Re-drafted ahead of client 3's equal bid, oldest first, under
+            // fresh seqs: settle one seq at a time and see whose nonce
+            // frees.
+            assert_eq!(pool.draft(2, 4), 4);
+            for (seq, client) in [(2, 1), (3, 2), (4, 3), (5, 0)] {
+                assert_eq!(pool.submit(client, 0, 1, 0), SubmitStatus::Duplicate);
+                let latencies = pool.committed(seq, seq, 1);
+                assert_eq!(latencies.len(), 1);
+                assert_eq!(pool.submit(client, 0, 1, 0), SubmitStatus::Accepted);
+                if client == 1 || client == 2 {
+                    assert!(
+                        latencies[0] >= 20_000_000,
+                        "latency runs from the first admission: {latencies:?}"
+                    );
+                }
+            }
+            assert_eq!(pool.stats().committed, 4);
+        }
+
+        #[test]
+        fn a_stale_draft_below_the_high_water_drafts_nothing() {
+            let pool = small_pool(8);
+            for client in 0..4 {
+                pool.submit(client, 0, 5, 0);
+            }
+            assert_eq!(pool.draft(10, 2), 2);
+            assert_eq!(pool.drafted_end(), 12);
+            // A proposer that never saw that block drafts the same or an
+            // overlapping range: it claims nothing.
+            assert_eq!(pool.draft(10, 2), 0);
+            assert_eq!(pool.draft(11, 2), 0);
+            assert_eq!(pool.draft(0, 2), 0);
+            let s = pool.stats();
+            assert_eq!((s.drafted, s.depth, s.abandoned), (2, 2, 0), "{s:?}");
+            // The stale block's range [10, 12) — were it to die — takes back
+            // the first block's entries only, and they are still whole.
+            pool.release(&block(3, 2, 10, 2));
+            assert_eq!(pool.stats().released, 2);
+            assert_eq!(pool.draft(12, 8), 4);
+            assert_eq!(pool.committed(3, 12, 4).len(), 4);
+        }
+
+        #[test]
+        fn a_release_stays_inside_the_queue_bound() {
+            let pool = small_pool(2);
+            pool.submit(0, 0, 5, 0);
+            pool.submit(1, 0, 5, 0);
+            assert_eq!(pool.draft(0, 2), 2);
+            pool.submit(2, 0, 9, 0);
+            pool.submit(3, 0, 1, 0);
+            pool.release(&block(1, 1, 0, 2));
+            // Four entries for two slots: the cheapest (client 3) and the
+            // newest of the fee-5 pair (client 1) give way.
+            let s = pool.stats();
+            assert_eq!((s.depth, s.released, s.evicted), (2, 2, 2), "{s:?}");
+            assert_eq!(pool.submit(0, 0, 1, 0), SubmitStatus::Duplicate);
+            assert_eq!(pool.submit(2, 0, 1, 0), SubmitStatus::Duplicate);
+            // Freed (Busy, not Duplicate: the full pool sheds the low bid).
+            assert_eq!(pool.submit(1, 0, 1, 0), SubmitStatus::Busy);
+            assert_eq!(pool.submit(3, 0, 1, 0), SubmitStatus::Busy);
+        }
     }
 
     #[test]

@@ -71,7 +71,9 @@ pub enum ClientMsg {
         /// lowest-fee-first when full.
         fee: u64,
         /// Client-chosen sequence number; (connection, nonce) pairs are
-        /// deduplicated until the request commits or is abandoned.
+        /// deduplicated until the request commits or leaves the pool
+        /// (evicted, or abandoned past the ledger bound); a request taken
+        /// back from a dead block stays reserved.
         nonce: u64,
         /// Opaque request body, at most [`MAX_CLIENT_PAYLOAD`] bytes.
         payload: Bytes,

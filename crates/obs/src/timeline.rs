@@ -313,7 +313,8 @@ impl Timeline {
                     | EventKind::StateChunk { .. }
                     | EventKind::TimeoutSent { .. }
                     | EventKind::TimeoutQcAdopted { .. }
-                    | EventKind::IngressBatch { .. } => {}
+                    | EventKind::IngressBatch { .. }
+                    | EventKind::IngressRelease { .. } => {}
                 }
             }
             per_node_commits.push((d.node, commits));

@@ -174,6 +174,20 @@ pub enum EventKind {
         /// Entries still queued in the mempool after the draft.
         depth: u64,
     },
+    /// The mempool took back a dead block's requests: another block
+    /// committed at its height (live ingress only).
+    IngressRelease {
+        /// View the dead block was proposed in.
+        view: u64,
+        /// Height it lost to the committed block.
+        height: u64,
+        /// First request sequence number of its range.
+        start: u64,
+        /// Length of its range.
+        len: u32,
+        /// Requests of the range put back in the queue.
+        requeued: u32,
+    },
 }
 
 /// A timestamped [`EventKind`] on the node's runtime time axis.
@@ -274,6 +288,17 @@ impl Event {
                     "\"ingress_batch\", \"start\": {start}, \"len\": {len}, \"depth\": {depth}"
                 ));
             }
+            EventKind::IngressRelease {
+                view,
+                height,
+                start,
+                len,
+                requeued,
+            } => {
+                s.push_str(&format!(
+                    "\"ingress_release\", \"view\": {view}, \"height\": {height}, \"start\": {start}, \"len\": {len}, \"requeued\": {requeued}"
+                ));
+            }
         }
         s.push('}');
         s
@@ -361,6 +386,13 @@ impl Event {
                 start: u("start")?,
                 len: u("len")? as u32,
                 depth: u("depth")?,
+            },
+            "ingress_release" => EventKind::IngressRelease {
+                view: u("view")?,
+                height: u("height")?,
+                start: u("start")?,
+                len: u("len")? as u32,
+                requeued: u("requeued")? as u32,
             },
             other => return Err(format!("unknown event kind {other:?}")),
         };
@@ -653,6 +685,16 @@ mod tests {
                 kind: EventKind::TimeoutQcAdopted {
                     view: 9,
                     qc_view: 8,
+                },
+            },
+            Event {
+                at: 18,
+                kind: EventKind::IngressRelease {
+                    view: 9,
+                    height: 6,
+                    start: 700,
+                    len: 100,
+                    requeued: 98,
                 },
             },
         ]

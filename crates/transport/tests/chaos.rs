@@ -156,6 +156,99 @@ fn killed_replica_heals_and_rejoins() {
     assert!(run.nodes[victim as usize].transport.faults_dropped > 0);
 }
 
+/// The tree of view `v` is rooted at the leader of `v + 1`, so a crashed
+/// replica orphans the block of the view before each of its own: that
+/// block never gets a QC, and a later leader's block commits at its
+/// height. Its proposer must hand the requests it carried back to the
+/// pool, where they are drafted again and commit — the client never
+/// resubmits anything, under the old nonce or a fresh one.
+#[test]
+fn a_crashed_next_leaders_orphaned_requests_commit_without_resubmission() {
+    use iniva_ingress::{read_frame, write_frame, ClientMsg, IngressOptions, SubmitStatus};
+    use std::collections::BTreeSet;
+    use std::net::TcpStream;
+    use std::time::Instant;
+
+    let (cfg, _, _, _) = chaos_demo_scenario(SEED);
+    let victim = FaultPlan::shuffled_members(cfg.n, SEED + 5)
+        .into_iter()
+        .find(|&m| m != 0)
+        .expect("a replica other than the client's");
+    let plan = FaultPlan::new().crash(SECS, victim);
+    let launched = Instant::now();
+    let handle = ClusterBuilder::new(&cfg, Duration::from_millis(6_500))
+        .faults(&plan)
+        .ingress(IngressOptions::default())
+        .launch()
+        .expect("cluster launches");
+    let pool = std::sync::Arc::clone(&handle.ingress().expect("ingress tier").mempool);
+    let addr = handle.ingress().expect("ingress tier").client_addrs[0];
+    let mut writer = TcpStream::connect(addr).expect("client connects");
+    let mut stream = writer.try_clone().expect("clone the client socket");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    // Verdicts and pushes, until the run ends and the replica closes the
+    // connection.
+    let reader = std::thread::spawn(move || {
+        let (mut accepted, mut committed) = (BTreeSet::new(), BTreeSet::new());
+        while let Ok(Some(msg)) = read_frame(&mut stream) {
+            match msg {
+                ClientMsg::SubmitAck {
+                    nonce,
+                    status: SubmitStatus::Accepted,
+                } => {
+                    accepted.insert(nonce);
+                }
+                ClientMsg::Committed { nonce, .. } => {
+                    assert!(committed.insert(nonce), "nonce {nonce} committed twice");
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        (accepted, committed)
+    });
+    write_frame(&mut writer, &ClientMsg::Follow).expect("send Follow");
+    // Load starts once the victim is down (setup takes well under a
+    // second), so no request can be stranded in a draft the victim made
+    // as it died; it stops 2.5 s before the end, for the last round's
+    // orphans to come back and commit.
+    while launched.elapsed() < Duration::from_secs(2) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut submitted = 0u64;
+    while launched.elapsed() < Duration::from_secs(4) {
+        let submit = ClientMsg::Submit {
+            fee: 1,
+            nonce: submitted,
+            payload: bytes::Bytes::copy_from_slice(b"orphaned"),
+        };
+        write_frame(&mut writer, &submit).expect("send Submit");
+        submitted += 1;
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let run = handle.join().expect("cluster shuts down cleanly");
+    let (accepted, committed) = reader.join().expect("client reader");
+
+    run.agreed_prefix_height().expect("no divergence anywhere");
+    assert!(
+        run.nodes[victim as usize].transport.faults_dropped > 0,
+        "the victim never went down"
+    );
+    assert_eq!(accepted.len() as u64, submitted, "every submit admitted");
+    let stats = pool.stats();
+    let lost: Vec<&u64> = accepted.difference(&committed).collect();
+    assert!(
+        lost.is_empty(),
+        "{} of {submitted} requests never committed: {lost:?} ({stats:?})",
+        lost.len()
+    );
+    assert!(
+        stats.released > 0,
+        "no orphaned block was released: {stats:?}"
+    );
+}
+
 /// Scratch directory for WAL chaos runs. `CHAOS_ARTIFACT_DIR` (set by CI
 /// to a path it uploads on failure) overrides the system temp dir, so a
 /// failing run leaves its replica logs behind for triage.
