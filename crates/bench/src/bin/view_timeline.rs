@@ -11,7 +11,9 @@
 //! cargo run --release -p iniva-bench --bin view_timeline -- <dump-dir> --check
 //! ```
 //!
-//! `--views` prints the per-view table on top of the summary. `--check`
+//! `--views` prints the per-view table on top of the summary; its
+//! `silent` column counts the known-silent members (absent from the last
+//! `n` QCs) the view's root gave a 2ND-CHANCE but did not wait for. `--check`
 //! is the CI smoke gate: exit 0 only when every dump parses, at least
 //! one view committed, and every replica that was alive near the end of
 //! the run (events in the last 20% of the traced span) observed at
@@ -93,14 +95,14 @@ fn outcome_label(o: ViewOutcome) -> &'static str {
 
 fn print_views(tl: &Timeline) {
     println!(
-        "{:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8}  outcome",
-        "view", "leader", "span ms", "net ms", "verify", "timer", "entered", "commits"
+        "{:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8} {:>7}  outcome",
+        "view", "leader", "span ms", "net ms", "verify", "timer", "entered", "commits", "silent"
     );
     for r in &tl.views {
         let b = r.budget();
         let ms = |ns: u64| ns as f64 / 1e6;
         println!(
-            "{:>6} {:>7} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>8} {:>8}  {}",
+            "{:>6} {:>7} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>8} {:>8} {:>7}  {}",
             r.view,
             r.leader.map_or("?".into(), |l| l.to_string()),
             ms(b.span_ns),
@@ -109,6 +111,7 @@ fn print_views(tl: &Timeline) {
             ms(b.timer_ns),
             r.entered.len(),
             r.commits.len(),
+            r.silent,
             outcome_label(r.outcome),
         );
     }

@@ -40,8 +40,10 @@ pub(super) struct AggState<S: VoteScheme> {
     ack_agg: Option<S::Aggregate>,
     /// Whether this node already sent its aggregate/vote up.
     sent_up: bool,
-    /// Root only: subtree aggregates received from internal children.
-    subtrees_in: u32,
+    /// Root only: the internal children whose subtree aggregates were
+    /// folded, by id, so a known-silent child's late aggregate cannot
+    /// stand in for a live child's.
+    subtrees_from: Vec<u32>,
     /// Root only: whether 2ND-CHANCE messages have been sent.
     second_chance_sent: bool,
     /// Root only: whether the second-chance timer has expired.
@@ -63,7 +65,7 @@ impl<S: VoteScheme> AggState<S> {
             children_in: Vec::new(),
             ack_agg: None,
             sent_up,
-            subtrees_in: 0,
+            subtrees_from: Vec::new(),
             second_chance_sent: false,
             sc_expired: false,
             finalized: false,
@@ -443,8 +445,8 @@ where
                     if st.second_chance_sent {
                         self.agg_metrics.second_chance_recoveries += mults.distinct() as u64;
                     }
-                    if children.contains(from) {
-                        st.subtrees_in += 1;
+                    if children.contains(from) && !st.subtrees_from.contains(from) {
+                        st.subtrees_from.push(*from);
                     }
                 }
                 st.agg = self.scheme.combine(&st.agg, agg);
@@ -548,20 +550,59 @@ where
     /// fallback stays dormant in fault-free runs (the paper's own claim in
     /// Section V-C); under faults the aggregation timer provides the same
     /// bound the paper's analysis uses.
+    ///
+    /// In that tree-completion mode the root does not wait for a
+    /// *known-silent* member: one missing from each of the last `n`
+    /// certified QCs this replica counted (one leader rotation; see
+    /// `Silence`). Two waits change. The tree is complete once every
+    /// internal child that is not known-silent has reported. After
+    /// 2ND-CHANCE the root finalizes as soon as every member still missing
+    /// is known-silent, instead of sleeping out δ. Everything else stands.
+    /// Every missing member, silent or not, still gets the 2ND-CHANCE, and
+    /// a reply that lands before finalization is folded. Internal nodes
+    /// keep the `2Δ·height` aggregation timer.
+    ///
+    /// Why a member that answers an honest root within δ never becomes
+    /// known-silent: take the first honest replica to call a member X
+    /// silent. It counted `n` consecutive QCs without X, all formed before
+    /// any honest replica called X silent, so every honest root among them
+    /// sent X a 2ND-CHANCE and waited δ for it, and X answered none in
+    /// time. A replica that missed some of those QCs counts fewer, so it
+    /// only waits longer. The streak is soft state, never journaled: a
+    /// replica rebuilt from its WAL starts from zero and waits for everyone
+    /// again.
+    ///
+    /// How a returning member gets back in: at the latest within one
+    /// rotation, in the view it roots, since a root always holds its own
+    /// vote, and one QC with X resets X's streak. It gets in sooner as a
+    /// leaf, because its parent still waits `2Δ` for it and folds its
+    /// vote, or when its 2ND-CHANCE reply lands before the root finalizes.
+    ///
+    /// Why the paper-faithful mode (`sc_on_quorum`) is exempt: it models
+    /// the protocol the paper evaluates, which always spends δ after the
+    /// quorum. Every simulated figure and the chaos demo run it, so their
+    /// costs stay the paper's. The Iniva-No2C ablation has no 2ND-CHANCE
+    /// to fall back on, so it waits for every subtree too.
     fn maybe_second_chance_or_finalize(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
         timer_fired: bool,
     ) {
         let n = self.cfg.n;
+        let waive_silent = self.cfg.second_chance && !self.cfg.sc_on_quorum;
+        let silence = &self.silence;
+        let silent = |member: u32| waive_silent && silence.known_silent(member);
         let Some(st) = self.agg.as_mut() else { return };
         if st.finalized {
             return;
         }
-        let internal_children = st.tree.children_of(st.tree.root()).len() as u32;
         let included = self.scheme.multiplicities(&st.agg).distinct();
         let have_quorum = included >= quorum(n);
-        let tree_complete = st.subtrees_in >= internal_children;
+        let tree_complete = st
+            .tree
+            .children_of(st.tree.root())
+            .into_iter()
+            .all(|child| st.subtrees_from.contains(&child) || silent(child));
 
         if !self.cfg.second_chance {
             // Iniva-No2C: finalize when the tree has reported (or the
@@ -579,7 +620,7 @@ where
         };
         if !st.second_chance_sent && trigger {
             st.second_chance_sent = true;
-            let current = self.scheme.multiplicities(&st.agg).clone();
+            let current = self.scheme.multiplicities(&st.agg);
             let missing: Vec<u32> = (0..n as u32).filter(|m| !current.contains(*m)).collect();
             if missing.is_empty() {
                 self.agg_metrics.clean_views += 1;
@@ -589,13 +630,12 @@ where
             if let Some(obs) = &self.obs {
                 obs.second_chances.inc();
             }
-            self.tracer.emit(
-                ctx.now(),
-                EventKind::SecondChance {
+            self.tracer
+                .emit_with(ctx.now(), || EventKind::SecondChance {
                     view: st.view,
                     missing: missing.len() as u32,
-                },
-            );
+                    silent: missing.iter().filter(|&&m| silent(m)).count() as u32,
+                });
             let qc = self.chain.highest_qc().cloned();
             let bytes =
                 st.block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
@@ -611,6 +651,12 @@ where
                 );
             }
             ctx.set_timer(self.cfg.sc_timer(), timer_id(st.view, TIMER_SECOND_CHANCE));
+        }
+        if waive_silent && st.second_chance_sent {
+            let current = self.scheme.multiplicities(&st.agg);
+            if (0..n as u32).all(|m| current.contains(m) || silent(m)) {
+                self.finalize(ctx);
+            }
         }
     }
 

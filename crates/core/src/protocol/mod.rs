@@ -33,6 +33,8 @@ mod batching_tests;
 #[cfg(test)]
 mod leader_agreement_tests;
 #[cfg(test)]
+mod silence_tests;
+#[cfg(test)]
 mod state_sync_tests;
 #[cfg(test)]
 mod testkit;
@@ -46,7 +48,7 @@ use fanin::AggState;
 use iniva_consensus::chain::ChainState;
 use iniva_consensus::leader::{LeaderContext, LeaderPolicy};
 use iniva_consensus::types::{quorum, vote_message, Block, Qc, GENESIS_HASH};
-use iniva_crypto::multisig::{BatchOutcome, VoteScheme};
+use iniva_crypto::multisig::{BatchOutcome, Multiplicities, VoteScheme};
 use iniva_net::cost::CostModel;
 use iniva_net::wire::WireEncode;
 use iniva_net::{Actor, Context, NodeId, Time};
@@ -84,7 +86,11 @@ pub struct InivaConfig {
     /// a *quorum* is collected (or on timer), always spending the δ wait;
     /// `false` waits for tree *completion* (or the timer), keeping the
     /// fallback dormant in fault-free runs — an optimization ablation
-    /// benchmarked separately.
+    /// benchmarked separately. Only `false` lets the root stop waiting for
+    /// a *known-silent* member, one absent from the last `n` certified QCs
+    /// (the ruling is on `maybe_second_chance_or_finalize` in
+    /// `protocol/fanin.rs`); `true` waits for every member as the paper
+    /// does, so the simulated figures keep the paper's costs.
     pub sc_on_quorum: bool,
     /// Leader election policy (root of the aggregation tree).
     pub leader_policy: LeaderPolicy,
@@ -168,6 +174,50 @@ struct ReplicaObs {
     qc_verify_skipped: iniva_obs::Counter,
 }
 
+/// Each member's run of consecutive certified QCs without it, the record
+/// the root reads to stop waiting for a member that has stopped answering
+/// (see `maybe_second_chance_or_finalize`). Soft state, never journaled:
+/// a replica rebuilt from its WAL starts from zero.
+struct Silence {
+    /// Per member: consecutive counted QCs that lack it.
+    streak: Vec<u32>,
+    /// The view of the last QC counted; each QC counts once, in view order.
+    counted_view: u64,
+}
+
+impl Silence {
+    fn new(n: usize) -> Self {
+        Silence {
+            streak: vec![0; n],
+            counted_view: 0,
+        }
+    }
+
+    /// Counts the QC of `view` signed by `signers`, unless a QC of that
+    /// view or a later one was counted already.
+    fn count(&mut self, view: u64, signers: &Multiplicities) {
+        if view <= self.counted_view {
+            return;
+        }
+        self.counted_view = view;
+        for (member, streak) in (0u32..).zip(self.streak.iter_mut()) {
+            *streak = if signers.contains(member) {
+                0
+            } else {
+                streak.saturating_add(1)
+            };
+        }
+    }
+
+    /// Whether `member` is missing from the last `n` counted QCs, one full
+    /// leader rotation.
+    fn known_silent(&self, member: u32) -> bool {
+        self.streak
+            .get(member as usize)
+            .is_some_and(|&streak| streak as usize >= self.streak.len())
+    }
+}
+
 /// Per-view metrics of the aggregation layer.
 #[derive(Debug, Clone, Default)]
 pub struct AggMetrics {
@@ -195,6 +245,8 @@ pub struct InivaReplica<S: VoteScheme> {
     last_voted_view: u64,
     leader_ctx: LeaderContext,
     agg: Option<AggState<S>>,
+    /// Who has been missing from the certified record, and for how long.
+    silence: Silence,
     /// The highest view this replica relayed a proposal down its tree in:
     /// it relays at most once per view.
     relayed_view: u64,
@@ -233,6 +285,7 @@ where
             // lint: allow(hot-path-panic) a configuration error, caught at construction; no message reaches this
             .expect("committee hosts the tree shape");
         let chain = ChainState::new(cfg.request_rate);
+        let silence = Silence::new(cfg.n);
         InivaReplica {
             id,
             cfg,
@@ -244,6 +297,7 @@ where
             last_voted_view: 0,
             leader_ctx: LeaderContext::default(),
             agg: None,
+            silence,
             relayed_view: 0,
             relayed: None,
             early_sigs: Vec::new(),
@@ -326,10 +380,13 @@ where
             .all_valid()
     }
 
-    /// Adopts a certificate that verified or that this replica formed: the
-    /// chain advances (committing what the three-chain rule allows), the
-    /// commits are traced, and the Carousel context follows.
+    /// Adopts a certificate that verified or that this replica formed: its
+    /// signers are counted into the silence record, the chain advances
+    /// (committing what the three-chain rule allows), the commits are
+    /// traced, and the Carousel context follows.
     fn adopt_qc(&mut self, now: Time, qc: Qc<S>) {
+        self.silence
+            .count(qc.view, self.scheme.multiplicities(&qc.agg));
         let before = self.chain.committed_height();
         self.chain.on_qc(qc, now, &self.scheme);
         self.trace_commits(now, before);

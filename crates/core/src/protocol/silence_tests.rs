@@ -1,0 +1,346 @@
+//! Known-silence, driven by hand: a root that counted a member missing
+//! from the last `n` certified QCs stops waiting for it at tree completion
+//! and after 2ND-CHANCE, in the tree-completion trigger mode only. Each
+//! test names the broken rule it catches.
+
+use super::pacemaker::{timer_id, TIMER_SECOND_CHANCE};
+use super::testkit::{chain, qc_over};
+use super::*;
+use iniva_crypto::sim_scheme::{SimAggregate, SimScheme};
+use iniva_net::ContextEffects;
+use iniva_tree::{Role, TreeView};
+
+/// Committee size: a root, two internal nodes, four leaves.
+const N: u64 = 7;
+
+fn config() -> InivaConfig {
+    InivaConfig::for_tests(N as usize, 2)
+}
+
+/// The tree of `view` under `cfg`'s round-robin rotation.
+fn tree_at(cfg: &InivaConfig, view: u64) -> TreeView {
+    tree_for_view(
+        cfg.n,
+        cfg.internal,
+        &cfg.epoch_seed,
+        view,
+        &cfg.leader_policy,
+        &LeaderContext::default(),
+    )
+}
+
+/// The root of one view's tree, primed with a chosen certified record.
+struct Primed {
+    root: InivaReplica<SimScheme>,
+    scheme: Arc<SimScheme>,
+    block: Block,
+}
+
+impl Primed {
+    /// The root of `view`'s tree after it adopted one QC for each entry
+    /// of `qc_views`, in that order, the QC of view `v` signed by every
+    /// member but `absent(v)`, and then took up `view`'s proposal, which
+    /// carries the QC of `view - 1` (the last entry of `qc_views`).
+    fn new(
+        cfg: InivaConfig,
+        view: u64,
+        qc_views: &[u64],
+        absent: impl Fn(u64) -> Vec<u32>,
+    ) -> Self {
+        assert_eq!(qc_views.last(), Some(&(view - 1)), "the carried QC is held");
+        let scheme = Arc::new(SimScheme::new(N as usize, b"silence"));
+        let tree = tree_at(&cfg, view);
+        let mut root = InivaReplica::new(tree.root(), cfg, Arc::clone(&scheme));
+        root.set_observability(&Registry::new(), Tracer::new(tree.root(), 256));
+        let blocks = chain(view, N as u32);
+        let qc_of = |v: u64| {
+            let signers: Vec<u32> = (0..N as u32).filter(|m| !absent(v).contains(m)).collect();
+            qc_over(&scheme, &blocks[v as usize - 1], &signers)
+        };
+        for block in &blocks[..view as usize - 1] {
+            root.chain.insert_block(block.clone());
+        }
+        for &v in qc_views {
+            root.adopt_qc(0, qc_of(v));
+        }
+        let block = blocks[view as usize - 1].clone();
+        let mut ctx = Context::external(root.id, 0);
+        root.handle_proposal(&mut ctx, block.clone(), Some(qc_of(view - 1)));
+        assert_eq!(
+            root.agg.as_ref().map(|st| st.view),
+            Some(view),
+            "the root voted"
+        );
+        Primed {
+            root,
+            scheme,
+            block,
+        }
+    }
+
+    fn sign(&self, member: u32) -> SimAggregate {
+        self.scheme
+            .sign(member, &vote_message(&self.block.hash(), self.block.view))
+    }
+
+    /// Delivers `shares` to the root in one turn; returns what it queued.
+    fn deliver(
+        &mut self,
+        shares: Vec<(NodeId, SimAggregate)>,
+    ) -> ContextEffects<InivaMsg<SimScheme>> {
+        let view = self.block.view;
+        let mut ctx = Context::external(self.root.id, 0);
+        self.root.handle_signatures(
+            &mut ctx,
+            shares
+                .into_iter()
+                .map(|(from, agg)| (from, view, agg))
+                .collect(),
+        );
+        ctx.into_effects()
+    }
+
+    /// Internal node `child`'s Eq. 1 subtree aggregate with the votes of
+    /// `leaves` folded in, delivered to the root.
+    fn subtree(&mut self, child: u32, leaves: &[u32]) -> ContextEffects<InivaMsg<SimScheme>> {
+        let agg = leaves.iter().fold(
+            self.scheme
+                .scale(&self.sign(child), 1 + leaves.len() as u64),
+            |agg, &leaf| {
+                self.scheme
+                    .combine(&agg, &self.scheme.scale(&self.sign(leaf), 2))
+            },
+        );
+        self.deliver(vec![(child, agg)])
+    }
+
+    /// `member`'s 2ND-CHANCE reply, its own vote, delivered to the root.
+    fn reply(&mut self, member: u32) -> ContextEffects<InivaMsg<SimScheme>> {
+        let vote = self.sign(member);
+        self.deliver(vec![(member, vote)])
+    }
+
+    /// The QC the root formed for this view, once it has.
+    fn qc(&self) -> Option<&Qc<SimScheme>> {
+        self.root
+            .chain
+            .highest_qc()
+            .filter(|qc| qc.view == self.block.view)
+    }
+
+    fn qc_holds(&self, member: u32) -> bool {
+        self.qc()
+            .is_some_and(|qc| self.scheme.multiplicities(&qc.agg).contains(member))
+    }
+
+    fn sc_timer(&self) -> (Time, u64) {
+        (
+            2 * self.root.cfg.delta,
+            timer_id(self.block.view, TIMER_SECOND_CHANCE),
+        )
+    }
+}
+
+/// Members the root sent a 2ND-CHANCE to, ascending.
+fn second_chances(effects: &ContextEffects<InivaMsg<SimScheme>>) -> Vec<NodeId> {
+    let mut to: Vec<NodeId> = effects
+        .outbox
+        .iter()
+        .filter(|(_, msg, _)| matches!(msg, InivaMsg::SecondChance { .. }))
+        .map(|&(to, _, _)| to)
+        .collect();
+    to.sort_unstable();
+    to
+}
+
+/// A leaf of `view`'s tree, the tree, and the leaf's parent, the other
+/// leaf under that parent, and the root's other child.
+fn leaf_setup(cfg: &InivaConfig, view: u64) -> (u32, TreeView, u32, u32, u32) {
+    let tree = tree_at(cfg, view);
+    let leaf = (0..N as u32)
+        .find(|&m| tree.role_of(m) == Role::Leaf)
+        .expect("a 7-node tree has leaves");
+    let parent = tree.parent_of(leaf).expect("a leaf has a parent");
+    let sibling = tree
+        .children_of(parent)
+        .into_iter()
+        .find(|&c| c != leaf)
+        .expect("two leaves per internal node");
+    let other = tree
+        .children_of(tree.root())
+        .into_iter()
+        .find(|&c| c != parent)
+        .expect("the root has two children");
+    (leaf, tree, parent, sibling, other)
+}
+
+/// Views `1..view`, each adopted once, in order.
+fn views_before(view: u64) -> Vec<u64> {
+    (1..view).collect()
+}
+
+/// `view`'s root after both subtrees reported without a leaf `x`, which
+/// the QCs of `qc_views` lack wherever `absent(v)` holds. Returns the
+/// root, `x`, and what the second subtree made the root queue.
+fn leaf_missing(
+    cfg: InivaConfig,
+    view: u64,
+    qc_views: &[u64],
+    absent: impl Fn(u64) -> bool,
+) -> (Primed, u32, ContextEffects<InivaMsg<SimScheme>>) {
+    let (x, tree, parent, sibling, other) = leaf_setup(&cfg, view);
+    let mut p = Primed::new(cfg, view, qc_views, |v| {
+        if absent(v) {
+            vec![x]
+        } else {
+            vec![]
+        }
+    });
+    p.subtree(other, &tree.children_of(other));
+    let effects = p.subtree(parent, &[sibling]);
+    (p, x, effects)
+}
+
+/// The root gave `x` its 2ND-CHANCE, armed δ and waits: `x`'s reply
+/// lands in the QC.
+fn assert_waits_for(mut p: Primed, x: u32, effects: &ContextEffects<InivaMsg<SimScheme>>) {
+    assert_eq!(second_chances(effects), vec![x]);
+    assert!(effects.timers.contains(&p.sc_timer()), "δ is armed");
+    assert!(p.qc().is_none(), "the root waits for the reply");
+    p.reply(x);
+    assert!(p.qc_holds(x), "the reply is in the QC");
+}
+
+/// `n − 1` QCs without a leaf: the root gives it a 2ND-CHANCE, arms δ and
+/// waits for the reply. Catches a threshold of `n − 1`.
+#[test]
+fn n_minus_one_absent_qcs_still_arm_delta_and_wait_for_the_reply() {
+    let (p, x, effects) = leaf_missing(config(), N, &views_before(N), |_| true);
+    assert_waits_for(p, x, &effects);
+}
+
+/// `n` QCs without a leaf: the root still sends it a 2ND-CHANCE but
+/// finalizes at tree completion. Catches the rule left out (a threshold
+/// above `n`).
+#[test]
+fn n_absent_qcs_finalize_at_tree_completion() {
+    let (p, x, effects) = leaf_missing(config(), N + 1, &views_before(N + 1), |_| true);
+    assert_eq!(second_chances(&effects), vec![x], "silent, still asked");
+    let qc = p.qc().expect("finalized at tree completion");
+    assert_eq!(p.scheme.multiplicities(&qc.agg).distinct(), N as usize - 1);
+    let dump = p.root.tracer().dump_jsonl();
+    assert!(
+        dump.contains("\"second_chance\", \"view\": 8, \"missing\": 1, \"silent\": 1"),
+        "the trace names the member not waited for: {dump}"
+    );
+}
+
+/// One QC with the member in it resets its streak: `n` absences in all,
+/// but only `n − 1` since it was last certified, so the root waits.
+/// Catches a streak that is never reset.
+#[test]
+fn one_qc_with_the_member_resets_the_streak() {
+    let (p, x, effects) = leaf_missing(config(), N + 2, &views_before(N + 2), |v| v != 2);
+    assert_waits_for(p, x, &effects);
+}
+
+/// QCs adopted again, or below a view already counted, count nothing: the
+/// nine adoptions here are six QCs, so the root waits. Catches counting
+/// every adoption.
+#[test]
+fn a_qc_adopted_twice_or_out_of_view_order_counts_once() {
+    let (p, x, effects) = leaf_missing(config(), N, &[1, 2, 3, 3, 2, 1, 4, 5, 6], |_| true);
+    assert_waits_for(p, x, &effects);
+}
+
+/// A known-silent internal child does not hold tree completion, yet its
+/// leaves get their 2ND-CHANCE and their replies are folded. And its own
+/// late aggregate does not stand in for the live child's: completion
+/// counts children by id. Catches count-based completion.
+#[test]
+fn a_known_silent_internal_child_does_not_hold_tree_completion() {
+    let cfg = config();
+    let view = N + 1;
+    let tree = tree_at(&cfg, view);
+    let children = tree.children_of(tree.root());
+    let (s, live) = (children[0], children[1]);
+    let views = views_before(view);
+
+    // The silent child stays silent: the live subtree completes the tree.
+    let mut p = Primed::new(cfg.clone(), view, &views, |_| vec![s]);
+    let effects = p.subtree(live, &tree.children_of(live));
+    let mut expected = tree.children_of(s);
+    expected.push(s);
+    expected.sort_unstable();
+    assert_eq!(
+        second_chances(&effects),
+        expected,
+        "the child and its leaves"
+    );
+    assert!(p.qc().is_none(), "the leaves are not silent");
+    for leaf in tree.children_of(s) {
+        p.reply(leaf);
+    }
+    assert!(tree.children_of(s).into_iter().all(|leaf| p.qc_holds(leaf)));
+    assert!(!p.qc_holds(s), "finalized without the silent child");
+
+    // The silent child comes back first: the tree still waits for the
+    // live child, then finalizes clean.
+    let mut p = Primed::new(cfg, view, &views, |_| vec![s]);
+    let effects = p.subtree(s, &tree.children_of(s));
+    assert!(second_chances(&effects).is_empty(), "the live child is out");
+    assert!(p.qc().is_none());
+    let effects = p.subtree(live, &tree.children_of(live));
+    assert!(second_chances(&effects).is_empty());
+    assert_eq!(
+        p.qc().map(|qc| p.scheme.multiplicities(&qc.agg).distinct()),
+        Some(N as usize)
+    );
+}
+
+/// After 2ND-CHANCE the root waits for a live missing leaf, and finalizes
+/// before δ once only the known-silent one is left. Catches finalizing
+/// only when δ runs out.
+#[test]
+fn the_root_finalizes_before_delta_once_only_silent_members_are_left() {
+    let cfg = config();
+    let view = N + 1;
+    let (x, tree, parent, sibling, other) = leaf_setup(&cfg, view);
+    let y = tree.children_of(other)[0];
+    let mut p = Primed::new(cfg, view, &views_before(view), |_| vec![x]);
+    p.subtree(parent, &[sibling]);
+    let others: Vec<u32> = tree
+        .children_of(other)
+        .into_iter()
+        .filter(|&l| l != y)
+        .collect();
+    let effects = p.subtree(other, &others);
+    assert_eq!(second_chances(&effects), {
+        let mut both = vec![x, y];
+        both.sort_unstable();
+        both
+    });
+    assert!(effects.timers.contains(&p.sc_timer()));
+    assert!(p.qc().is_none(), "the live leaf is outstanding");
+    p.reply(y);
+    assert!(p.qc_holds(y), "finalized on the live leaf's reply");
+    assert!(!p.qc_holds(x));
+}
+
+/// The paper-faithful trigger waits for everyone: the silent leaf still
+/// costs the root its δ. Catches the rule applied in quorum mode.
+#[test]
+fn paper_faithful_mode_still_sleeps_out_delta() {
+    let mut cfg = config();
+    cfg.sc_on_quorum = true;
+    let (mut p, x, _) = leaf_missing(cfg, N + 1, &views_before(N + 1), |_| true);
+    assert!(p.qc().is_none(), "the root sleeps out δ");
+    let mut ctx = Context::external(p.root.id, 0);
+    p.root.on_second_chance_timer(&mut ctx, N + 1);
+    assert!(p.qc().is_some() && !p.qc_holds(x));
+    assert!(p
+        .root
+        .tracer()
+        .dump_jsonl()
+        .contains("\"missing\": 1, \"silent\": 0"));
+}

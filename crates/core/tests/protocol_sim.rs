@@ -6,6 +6,7 @@
 use iniva::protocol::{InivaConfig, InivaReplica};
 use iniva_consensus::quorum;
 use iniva_crypto::sim_scheme::SimScheme;
+use iniva_net::faults::FaultPlan;
 use iniva_net::{NetConfig, Simulation, MILLIS, SECS};
 use std::sync::Arc;
 
@@ -277,4 +278,108 @@ fn iniva_round_latency_exceeds_star_but_stays_bounded() {
         blocks >= 25,
         "expected steady block flow, got {blocks} in 5s"
     );
+}
+
+/// Every committed QC `observer` holds, as `(view, holds member)`.
+fn committed_qcs(
+    sim: &Simulation<InivaReplica<SimScheme>>,
+    observer: u32,
+    member: u32,
+) -> Vec<(u64, bool)> {
+    sim.actor(observer)
+        .chain
+        .committed_range(0, usize::MAX)
+        .into_iter()
+        .map(|(_, qc)| (qc.view, qc.agg.mults.contains(member)))
+        .collect()
+}
+
+/// A crashed member that comes back is certified again within one
+/// rotation: roots stopped waiting for it once it was absent from `n`
+/// QCs, but its parent still waits for its vote, its 2ND-CHANCE reply
+/// still counts, and at the latest it roots a view of its own.
+#[test]
+fn a_restarted_member_is_back_in_a_qc_within_one_rotation() {
+    let n = 21u64;
+    let (victim, observer) = (5, 0);
+    let mut sim = build(n as usize, 4, |_| {});
+    FaultPlan::new()
+        .crash(SECS, victim)
+        .run_on_sim(&mut sim, SECS);
+    let crashed_at = sim.actor(observer).current_view();
+    while sim.actor(observer).current_view() < crashed_at + 2 * n {
+        assert!(sim.step(), "the survivors keep going");
+    }
+    let restarted_at = sim.actor(observer).current_view();
+    let absent: Vec<u64> = committed_qcs(&sim, observer, victim)
+        .into_iter()
+        .filter(|&(view, holds)| view > crashed_at && !holds)
+        .map(|(view, _)| view)
+        .collect();
+    assert!(
+        absent.len() as u64 >= n,
+        "the crash left the victim out of a full rotation of QCs: {absent:?}"
+    );
+    let now = sim.now();
+    FaultPlan::new()
+        .restart(now, victim)
+        .run_on_sim(&mut sim, now);
+    while sim.actor(observer).current_view() < restarted_at + n + 5 {
+        assert!(sim.step(), "the cluster keeps going");
+    }
+    let back: Vec<u64> = committed_qcs(&sim, observer, victim)
+        .into_iter()
+        .filter(|&(view, holds)| view > restarted_at && holds)
+        .map(|(view, _)| view)
+        .collect();
+    assert!(
+        back.first().is_some_and(|&view| view <= restarted_at + n),
+        "restarted in view {restarted_at}, certified again in {back:?}"
+    );
+}
+
+/// A member whose every outbound link is slowed to 3 ms under Δ answers
+/// in time, so it is never known-silent and keeps its place while the
+/// roots stop waiting for a crashed member: it stays in ≥ 99% of the QCs
+/// after warm-up.
+#[test]
+fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
+    let n = 21u32;
+    let (slow, dead, observer) = (4, 9, 0);
+    let mut sim = build(n as usize, 4, |_| {});
+    let delta = InivaConfig::for_tests(n as usize, 4).delta;
+    let registry = iniva_obs::Registry::new();
+    for id in 0..n {
+        sim.actor_mut(id)
+            .set_observability(&registry, iniva_obs::Tracer::new(id, 8192));
+    }
+    (0..n)
+        .filter(|&to| to != slow)
+        .fold(FaultPlan::new().crash(0, dead), |plan, to| {
+            plan.slow_link(0, slow, to, delta - 3 * MILLIS)
+        })
+        .run_on_sim(&mut sim, 2 * SECS);
+    let warm = sim.actor(observer).current_view();
+    sim.run_until(10 * SECS);
+    let qcs: Vec<bool> = committed_qcs(&sim, observer, slow)
+        .into_iter()
+        .filter(|&(view, _)| view > warm)
+        .map(|(_, holds)| holds)
+        .collect();
+    assert!(qcs.len() > 100, "{} QCs after warm-up", qcs.len());
+    let held = qcs.iter().filter(|&&holds| holds).count();
+    assert!(
+        held as f64 >= 0.99 * qcs.len() as f64,
+        "the slow member is in {held} of {} QCs",
+        qcs.len()
+    );
+    let waived = (0..n)
+        .filter(|&id| {
+            sim.actor(id)
+                .tracer()
+                .dump_jsonl()
+                .contains("\"silent\": 1")
+        })
+        .count();
+    assert!(waived > 0, "no root stopped waiting for the crashed member");
 }

@@ -119,6 +119,9 @@ pub struct ViewRecord {
     pub verify_batches: u32,
     /// Second-chance rounds opened.
     pub second_chances: u32,
+    /// Known-silent members among those rounds' missing ones: the members
+    /// the root did not wait for.
+    pub silent: u32,
     /// End of the view on the reference axis (first entry into the
     /// next observed view, or the last event of this one).
     pub end: i64,
@@ -292,10 +295,11 @@ impl Timeline {
                         r.verify_charged_ns += charged_ns;
                         r.verify_batches += 1;
                     }
-                    EventKind::SecondChance { view, .. } => {
+                    EventKind::SecondChance { view, silent, .. } => {
                         let r = views.entry(*view).or_default();
                         r.view = *view;
                         r.second_chances += 1;
+                        r.silent += silent;
                     }
                     EventKind::QcFormed { view, .. } => {
                         let r = views.entry(*view).or_default();

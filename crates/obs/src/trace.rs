@@ -113,6 +113,9 @@ pub enum EventKind {
         view: u64,
         /// Replicas being offered the second chance.
         missing: u32,
+        /// Of those, the known-silent ones (absent from the last `n`
+        /// certified QCs) the root did not wait for.
+        silent: u32,
     },
     /// A quorum certificate was assembled at the root.
     QcFormed {
@@ -244,9 +247,13 @@ impl Event {
                     "\"verify_batch\", \"view\": {view}, \"items\": {items}, \"wall_ns\": {wall_ns}, \"charged_ns\": {charged_ns}"
                 ));
             }
-            EventKind::SecondChance { view, missing } => {
+            EventKind::SecondChance {
+                view,
+                missing,
+                silent,
+            } => {
                 s.push_str(&format!(
-                    "\"second_chance\", \"view\": {view}, \"missing\": {missing}"
+                    "\"second_chance\", \"view\": {view}, \"missing\": {missing}, \"silent\": {silent}"
                 ));
             }
             EventKind::QcFormed { view, height } => {
@@ -351,6 +358,7 @@ impl Event {
             "second_chance" => EventKind::SecondChance {
                 view: u("view")?,
                 missing: u("missing")? as u32,
+                silent: u("silent")? as u32,
             },
             "qc_formed" => EventKind::QcFormed {
                 view: u("view")?,
@@ -643,6 +651,7 @@ mod tests {
                 kind: EventKind::SecondChance {
                     view: 1,
                     missing: 2,
+                    silent: 1,
                 },
             },
             Event {
