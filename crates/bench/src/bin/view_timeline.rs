@@ -18,7 +18,11 @@
 //! one view committed, and every replica that was alive near the end of
 //! the run (events in the last 20% of the traced span) observed at
 //! least one commit — a revived node that caught up via state transfer
-//! passes, a stuck one fails. It also reads every `metrics-<id>.json`
+//! passes, a stuck one fails. Any two dumps that report different block
+//! hashes at one committed height fail it, naming both replicas and the
+//! height: the agreement check, which reads the traces alone and so holds
+//! for the dumps of one process and of many (`live_cluster --config --id`)
+//! alike. It also reads every `metrics-<id>.json`
 //! beside the traces and fails when a replica's chain retention exceeds
 //! its bound: `chain.retained_commits` above [`RETAINED_COMMITS`], or
 //! `chain.retained_blocks` above [`RETAINED_BLOCKS_BOUND`].
@@ -30,7 +34,7 @@ use iniva_consensus::chain::RETAINED_COMMITS;
 use iniva_obs::json::{field_u64, parse_flat_object};
 use iniva_obs::timeline::parse_dump;
 use iniva_obs::trace::EventKind;
-use iniva_obs::{NodeDump, Timeline, ViewOutcome};
+use iniva_obs::{check_agreement, NodeDump, Timeline, ViewOutcome};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -117,10 +121,12 @@ fn print_views(tl: &Timeline) {
     }
 }
 
-/// The CI gate: every parsed node that was still producing events in
-/// the last `tail_fraction` of the traced span must have observed at
-/// least one commit.
-fn check(dumps: &[NodeDump], tl: &Timeline, max_failed_pct: Option<f64>) -> Result<(), String> {
+/// The CI gate: the dumps agree on every committed height they share, and
+/// every parsed node that was still producing events in the last
+/// `tail_fraction` of the traced span must have observed at least one
+/// commit. Returns how many heights were compared across replicas.
+fn check(dumps: &[NodeDump], tl: &Timeline, max_failed_pct: Option<f64>) -> Result<usize, String> {
+    let agreed = check_agreement(dumps)?;
     if tl.views.iter().all(|r| r.commits.is_empty()) {
         return Err("no committed view anywhere in the traces".into());
     }
@@ -158,7 +164,7 @@ fn check(dumps: &[NodeDump], tl: &Timeline, max_failed_pct: Option<f64>) -> Resu
             ));
         }
     }
-    Ok(())
+    Ok(agreed)
 }
 
 fn main() -> ExitCode {
@@ -231,8 +237,10 @@ fn main() -> ExitCode {
     print!("{}", tl.summary().render());
 
     if want_check {
-        match check(&dumps, &tl, max_failed_pct).and_then(|()| check_retention(Path::new(dir))) {
-            Ok(()) => println!("check: OK"),
+        let checked = check(&dumps, &tl, max_failed_pct)
+            .and_then(|agreed| check_retention(Path::new(dir)).map(|()| agreed));
+        match checked {
+            Ok(agreed) => println!("check: OK ({agreed} committed heights agree across replicas)"),
             Err(e) => {
                 eprintln!("check: FAILED — {e}");
                 return ExitCode::FAILURE;

@@ -41,5 +41,6 @@ pub mod omission;
 pub mod protocol;
 pub mod rewards;
 
+pub use iniva_tree::Topology;
 pub use protocol::{InivaConfig, InivaMsg, InivaReplica};
 pub use rewards::{RewardDistribution, RewardParams};

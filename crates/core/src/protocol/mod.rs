@@ -393,10 +393,11 @@ where
         self.update_carousel();
     }
 
-    /// Emits `Committed` events (and bumps the commit counter) for every
-    /// height the chain's committed prefix gained since `before` — one
-    /// choke point for all three commit paths (proposal-carried QC,
-    /// root finalization, state-transfer adoption).
+    /// Emits `Committed` events, each with its block's hash prefix (and
+    /// bumps the commit counter), for every height the chain's committed
+    /// prefix gained since `before` — one choke point for all three
+    /// commit paths (proposal-carried QC, root finalization,
+    /// state-transfer adoption).
     fn trace_commits(&self, now: Time, before: u64) {
         let after = self.chain.committed_height();
         if after <= before {
@@ -407,11 +408,18 @@ where
         }
         if self.tracer.enabled() {
             for height in before + 1..=after {
+                // The hash prefix is what lets the timeline check that
+                // replicas, in one process or many, committed alike.
+                let hash = self.chain.committed_entry(height).map(|(_, qc)| {
+                    let [a, b, c, d, e, f, g, h, ..] = qc.block_hash;
+                    u64::from_be_bytes([a, b, c, d, e, f, g, h])
+                });
                 self.tracer.emit(
                     now,
                     EventKind::Committed {
                         view: self.current_view,
                         height,
+                        hash,
                     },
                 );
             }

@@ -17,7 +17,7 @@
 //!    runtime epoch (correcting wall-clock skew against commit
 //!    anchors) into a per-view [`Timeline`]: who led, who entered
 //!    when, and where the view's Δ budget went — network, verify, or
-//!    timer wait.
+//!    timer wait; [`check_agreement`] compares their committed hashes.
 //!
 //! The `view_timeline` binary in `crates/bench` is the command-line
 //! face of layer 3; `live_cluster --metrics-dir` and the resilience
@@ -32,5 +32,5 @@ pub mod timeline;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use timeline::{NodeDump, Timeline, TimelineSummary, ViewOutcome, ViewRecord};
+pub use timeline::{check_agreement, NodeDump, Timeline, TimelineSummary, ViewOutcome, ViewRecord};
 pub use trace::{Event, EventKind, TimerKind, Tracer};

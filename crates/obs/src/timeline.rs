@@ -306,7 +306,7 @@ impl Timeline {
                         r.view = *view;
                         r.qc_at = Some(r.qc_at.map_or(at, |prev| prev.min(at)));
                     }
-                    EventKind::Committed { view, height } => {
+                    EventKind::Committed { view, height, .. } => {
                         let r = views.entry(*view).or_default();
                         r.view = *view;
                         r.commits.push((d.node, at, *height));
@@ -404,6 +404,36 @@ impl Timeline {
         }
         s
     }
+}
+
+/// Checks that the dumps agree: `Committed` events with a hash at one
+/// height carry the same hash. Only the traces are read, so the dumps of
+/// separate processes are checked like those of one. Returns how many
+/// heights more than one replica reported.
+///
+/// # Errors
+/// Names both replicas, the height and both hashes of the first conflict.
+pub fn check_agreement(dumps: &[NodeDump]) -> Result<usize, String> {
+    // height -> (first reporter, its hash, whether another replica agreed)
+    let mut first: std::collections::BTreeMap<u64, (u32, u64, bool)> = Default::default();
+    for d in dumps {
+        for ev in &d.events {
+            let EventKind::Committed { height, hash, .. } = ev.kind else {
+                continue;
+            };
+            let Some(hash) = hash else { continue };
+            let (owner, seen, shared) = first.entry(height).or_insert((d.node, hash, false));
+            if *seen != hash {
+                return Err(format!(
+                    "replicas {owner} and {} committed different blocks at height {height} \
+                     ({seen:016x} vs {hash:016x})",
+                    d.node
+                ));
+            }
+            *shared |= *owner != d.node;
+        }
+    }
+    Ok(first.values().filter(|e| e.2).count())
 }
 
 fn leader_majority(votes: Option<&Vec<u32>>) -> Option<u32> {
@@ -580,6 +610,7 @@ mod tests {
                     kind: EventKind::Committed {
                         view: v,
                         height: v - 1,
+                        hash: Some(v - 1),
                     },
                 });
             }
@@ -663,6 +694,36 @@ mod tests {
             let spread = ats.iter().max().unwrap() - ats.iter().min().unwrap();
             assert_eq!(spread, 0, "view {} entries misaligned", r.view);
         }
+    }
+
+    #[test]
+    fn agreement_compares_commit_hashes_across_dumps() {
+        let e = 1_700_000_000_000_000_000u64;
+        let mut dumps = vec![scripted_dump(0, e, 6, 0), scripted_dump(1, e, 6, 0)];
+        assert_eq!(check_agreement(&dumps), Ok(4), "heights 1..=4 agree");
+        // One flipped hash on node 1 at height 3.
+        for ev in &mut dumps[1].events {
+            if let EventKind::Committed {
+                height: 3,
+                hash: Some(h),
+                ..
+            } = &mut ev.kind
+            {
+                *h ^= 1;
+            }
+        }
+        let err = check_agreement(&dumps).unwrap_err();
+        assert!(
+            err.contains("replicas 0 and 1") && err.contains("height 3"),
+            "{err}"
+        );
+        // A commit without a hash is not compared.
+        for ev in &mut dumps[1].events {
+            if let EventKind::Committed { hash, .. } = &mut ev.kind {
+                *hash = None;
+            }
+        }
+        assert_eq!(check_agreement(&dumps), Ok(0));
     }
 
     #[test]

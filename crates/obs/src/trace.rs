@@ -130,6 +130,10 @@ pub enum EventKind {
         view: u64,
         /// Committed height.
         height: u64,
+        /// The block hash's first 8 bytes, big-endian; `None` when the
+        /// replica holds no certified block at the height. Dumped as 16
+        /// hex digits (`""` when unknown), so no JSON reader rounds it.
+        hash: Option<u64>,
     },
     /// A chaos-plan fault was injected on this node's runtime.
     FaultInjected {
@@ -261,9 +265,10 @@ impl Event {
                     "\"qc_formed\", \"view\": {view}, \"height\": {height}"
                 ));
             }
-            EventKind::Committed { view, height } => {
+            EventKind::Committed { view, height, hash } => {
+                let hash = hash.map_or(String::new(), |h| format!("{h:016x}"));
                 s.push_str(&format!(
-                    "\"committed\", \"view\": {view}, \"height\": {height}"
+                    "\"committed\", \"view\": {view}, \"height\": {height}, \"hash\": \"{hash}\""
                 ));
             }
             EventKind::FaultInjected { what } => {
@@ -367,6 +372,13 @@ impl Event {
             "committed" => EventKind::Committed {
                 view: u("view")?,
                 height: u("height")?,
+                hash: match get("hash").and_then(JsonVal::as_str) {
+                    Some("") => None,
+                    Some(hex) if hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit()) => {
+                        u64::from_str_radix(hex, 16).ok()
+                    }
+                    _ => return Err("missing or malformed \"hash\"".into()),
+                },
             },
             "fault_injected" => EventKind::FaultInjected {
                 what: get("what")
@@ -660,7 +672,19 @@ mod tests {
             },
             Event {
                 at: 12,
-                kind: EventKind::Committed { view: 1, height: 7 },
+                kind: EventKind::Committed {
+                    view: 1,
+                    height: 7,
+                    hash: Some(0x00c0_ffee_0000_0001),
+                },
+            },
+            Event {
+                at: 12,
+                kind: EventKind::Committed {
+                    view: 1,
+                    height: 8,
+                    hash: None,
+                },
             },
             Event {
                 at: 13,
@@ -716,6 +740,10 @@ mod tests {
             let back = Event::from_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(back, ev, "{line}");
         }
+        // A commit without its hash is a dump from before hashes were
+        // traced: it no longer parses.
+        let hashless = "{\"at\": 1, \"k\": \"committed\", \"view\": 1, \"height\": 2}";
+        assert!(Event::from_json(hashless).is_err());
     }
 
     #[test]

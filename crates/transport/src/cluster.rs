@@ -42,6 +42,9 @@
 //! non-blocking [`ClusterHandle`] so load generators can drive clients
 //! while the cluster runs.
 //!
+//! A process of a multi-process cluster (`live_cluster --config --id`)
+//! runs its replica through the same lifecycle: [`run_member`].
+//!
 //! The whole harness is generic over the vote scheme ([`WireScheme`]):
 //! the same builder runs the calibrated [`SimScheme`] stand-in *or* real
 //! BLS pairing crypto ([`iniva_crypto::bls::BlsScheme`]) end to end —
@@ -49,6 +52,7 @@
 //! parameter (`.scheme::<BlsScheme>()`). `SimScheme` remains the default
 //! type parameter so scheme-agnostic code keeps reading naturally.
 
+use crate::config::ClusterConfig;
 use crate::faults::{LinkFaults, NodeFaults};
 use crate::runtime::{export_runtime_stats, CpuMode, Runtime, RuntimeStats};
 use crate::transport::{
@@ -66,7 +70,7 @@ use iniva_storage::ChainWal;
 use std::io;
 use std::marker::PhantomData;
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -98,6 +102,10 @@ impl ObsOptions {
         }
     }
 }
+
+/// How often a member process ([`run_member`]) rewrites its dumps: unlike
+/// a thread, a process can be killed before its end-of-run dump.
+const MEMBER_DUMP_EVERY: Duration = Duration::from_secs(2);
 
 /// Writes one node's registry + trace dumps into `obs.metrics_dir`.
 fn dump_node_obs(
@@ -558,6 +566,7 @@ impl<S: WireScheme> ClusterBuilder<S> {
                 cpu: self.cpu,
                 wal_dir: self.wal.as_ref().map(|r| r.join(format!("replica-{id}"))),
                 obs: self.obs.clone(),
+                dump_every: None, // a thread outlives its end-of-run dump
                 audit: Arc::clone(audit),
                 ingress: ingress
                     .zip(self.ingress.as_ref())
@@ -580,6 +589,71 @@ impl<S: WireScheme> ClusterBuilder<S> {
         }
         launch_cluster(replicas, &self.plan, faults, self.duration)
     }
+}
+
+/// Runs replica `id` of the cluster `config` describes in this process,
+/// through the lifecycle of an in-process replica. With `wal_root` it
+/// resumes from what an earlier process left in `wal_root/replica-<id>/`
+/// (a `kill -9` and a rerun) and journals there. Its crash switch never
+/// flips and its commit audit is its own: agreement across processes is
+/// checked on their dumps (`view_timeline --check`), rewritten every 2 s.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`] when `config.scheme` is not `S`'s or
+/// `id` is not a peer; otherwise socket, WAL and dump-file failures.
+pub fn run_member<S: WireScheme>(
+    config: &ClusterConfig,
+    id: NodeId,
+    wal_root: Option<&Path>,
+) -> io::Result<NodeRun<S>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    if config.scheme != S::NAME {
+        let (ran, named) = (S::NAME, &config.scheme);
+        return Err(invalid(format!(
+            "this process runs \"{ran}\", not scheme = \"{named}\""
+        )));
+    }
+    let Some(addr) = config.addr_of(id) else {
+        return Err(invalid(format!("replica {id} is not in the peer list")));
+    };
+    let mut cfg = InivaConfig::for_tests(config.n(), config.internal);
+    cfg.request_rate = config.request_rate;
+    cfg.max_batch = config.max_batch;
+    cfg.payload_per_req = config.payload_per_req;
+    if S::REAL_CRYPTO {
+        cfg.tune_for_real_crypto();
+    }
+    let opts = config.ingress_options();
+    let node = ReplicaNode {
+        id,
+        cfg,
+        scheme: Arc::new(S::new_committee(config.n(), CLUSTER_SEED)),
+        peers: config.peer_addrs().into(),
+        options: TransportOptions::default(),
+        node_faults: Arc::new(NodeFaults::new()),
+        link_faults: Arc::new(LinkFaults::new()),
+        stats: Arc::new(TransportStats::default()),
+        duration: Duration::from_secs(config.duration_secs),
+        cpu: CpuMode::Real,
+        wal_dir: wal_root.map(|root| root.join(format!("replica-{id}"))),
+        obs: config.metrics_dir.as_ref().map(ObsOptions::new),
+        dump_every: Some(MEMBER_DUMP_EVERY),
+        audit: Arc::new(CommitAudit::new()),
+        ingress: config.client_addr_of(id).map(|client_addr| NodeIngress {
+            mempool: Arc::new(Mempool::new(&opts)),
+            opts,
+            client_addr,
+        }),
+    };
+    let client = node
+        .ingress
+        .as_ref()
+        .map(|ing| TcpListener::bind(ing.client_addr));
+    let first = node.start_transport(TcpListener::bind(addr)?, client.transpose()?)?;
+    // No other replica to wait for: the gate opens at this process's start.
+    let gate = StartGate::new();
+    gate.go(0);
+    node.run(Some(first), &gate)
 }
 
 /// A releasable start line: workers arrive and wait for a verdict — go,
@@ -775,6 +849,8 @@ struct ReplicaNode<S: WireScheme> {
     /// `Some` makes the replica durable and restartable.
     wal_dir: Option<PathBuf>,
     obs: Option<ObsOptions>,
+    /// `Some` for a member process: its dumps are rewritten this often.
+    dump_every: Option<Duration>,
     audit: Arc<CommitAudit>,
     ingress: Option<NodeIngress>,
 }
@@ -805,8 +881,7 @@ impl<S: WireScheme> ReplicaNode<S> {
     /// One incarnation's replica: fresh without a WAL; with one, the
     /// committed prefix and view rehydrated from the log it goes on
     /// journaling to. A restarted `live_cluster --config --id --wal-dir`
-    /// process recovers the same way through its own copy of these steps,
-    /// minus the commit audit, which only an in-process cluster has.
+    /// process is such an incarnation too ([`run_member`]).
     fn build_replica(&self, node_obs: Option<&(Registry, Tracer)>) -> io::Result<InivaReplica<S>> {
         let mut replica = InivaReplica::new(self.id, self.cfg.clone(), Arc::clone(&self.scheme));
         // Attached before the WAL replays, so a recovered prefix is
@@ -896,9 +971,20 @@ impl<S: WireScheme> ReplicaNode<S> {
             if let Some((registry, _)) = &node_obs {
                 runtime.set_observability(registry);
             }
-            runtime.run_deadline(deadline, || {
-                restartable && (self.node_faults.is_down() || self.node_faults.epoch() != epoch)
-            });
+            let stop =
+                || restartable && (self.node_faults.is_down() || self.node_faults.epoch() != epoch);
+            match (self.dump_every, &self.obs, &node_obs) {
+                (Some(every), Some(o), Some((registry, tracer))) => {
+                    while Instant::now() < deadline && !stop() {
+                        runtime.run_deadline((Instant::now() + every).min(deadline), stop);
+                        runtime.export_stats(registry);
+                        runtime.actor_mut().chain.export(registry);
+                        // Best effort: the end-of-run dump reports a failure.
+                        let _ = dump_node_obs(o, self.id, registry, tracer);
+                    }
+                }
+                _ => runtime.run_deadline(deadline, stop),
+            }
             let (replica, stats, _snapshot) = runtime.finish();
             fold_runtime(&mut runtime_total, stats);
             last_incarnation = Some(replica);
@@ -917,8 +1003,8 @@ impl<S: WireScheme> ReplicaNode<S> {
             export_runtime_stats(&runtime_total, registry);
             export_transport_snapshot(&transport_total, registry);
             replica.chain.export(registry);
-            // One keyring is shared by the whole in-process cluster, so
-            // `crypto.*` reads as the cluster total on every node.
+            // `crypto.*` is the keyring's: the cluster total on every node
+            // of an in-process cluster, a member process's own otherwise.
             self.scheme.export_observability(registry);
             dump_node_obs(o, self.id, registry, tracer)?;
         }
@@ -927,5 +1013,33 @@ impl<S: WireScheme> ReplicaNode<S> {
             runtime: runtime_total,
             transport: transport_total,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_member_of_another_scheme_is_refused() {
+        let cluster = ClusterConfig {
+            scheme: "bls".into(),
+            ..ClusterConfig::local(2, 9000)
+        };
+        let err = run_member::<SimScheme>(&cluster, 0, None)
+            .err()
+            .expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("scheme = \"bls\""), "{err}");
+    }
+
+    #[test]
+    fn a_member_outside_the_peer_list_is_refused() {
+        let cluster = ClusterConfig::local(2, 9000);
+        let err = run_member::<SimScheme>(&cluster, 2, None)
+            .err()
+            .expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("not in the peer list"), "{err}");
     }
 }

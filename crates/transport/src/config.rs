@@ -7,7 +7,7 @@
 //! ```toml
 //! [cluster]
 //! scheme = "sim"        # vote scheme, "sim" or "bls" (cluster-wide)
-//! internal = 2          # aggregators per tree
+//! internal = 2          # aggregators per tree (default: round(√(n−1)), at least 1)
 //! batch = 100           # max requests per block
 //! payload = 64          # bytes per request
 //! rate = 10000          # open-loop client requests/second
@@ -30,6 +30,7 @@
 //! Comments (`# ...`), blank lines, integer and quoted-string values are
 //! supported; anything else is rejected with a line-numbered error.
 
+use iniva::Topology;
 use std::fmt;
 use std::net::SocketAddr;
 
@@ -75,7 +76,7 @@ pub struct ClusterConfig {
     /// (mirroring how [`Self::local`] lays out peer ports). `None`
     /// (default) disables ingress — replicas draft from the synthetic
     /// open-loop workload model instead.
-    pub client_listen: Option<String>,
+    pub client_listen: Option<SocketAddr>,
     /// Ingress mempool capacity in requests (admissions beyond it evict
     /// the cheapest queued request or shed with `Busy`).
     pub mempool: u64,
@@ -103,11 +104,10 @@ impl ClusterConfig {
     }
 
     /// The client ingress listen address of peer `id`: `client_listen`'s
-    /// port plus `id`. `None` when ingress is disabled.
+    /// port plus `id`; `None` when ingress is off or the port passes 65535.
     pub fn client_addr_of(&self, id: u32) -> Option<SocketAddr> {
-        let base: SocketAddr = self.client_listen.as_ref()?.parse().ok()?;
-        let mut addr = base;
-        addr.set_port(base.port() + id as u16);
+        let mut addr = self.client_listen?;
+        addr.set_port(addr.port().checked_add(u16::try_from(id).ok()?)?);
         Some(addr)
     }
 
@@ -131,6 +131,7 @@ impl ClusterConfig {
                         .unwrap(),
                 })
                 .collect(),
+            internal: Topology::balanced(n as u32).map_or(0, |t| t.internal_count()),
             ..ClusterConfig::defaults()
         }
     }
@@ -139,7 +140,7 @@ impl ClusterConfig {
         let ingress = iniva_ingress::IngressOptions::default();
         ClusterConfig {
             peers: Vec::new(),
-            internal: 2,
+            internal: 0, // set from the committee size
             max_batch: 100,
             payload_per_req: 64,
             request_rate: 10_000,
@@ -157,8 +158,9 @@ impl ClusterConfig {
     ///
     /// # Errors
     /// Returns [`ConfigError`] with the offending line on malformed input,
-    /// unknown keys, duplicate or non-contiguous peer ids, or an empty
-    /// peer list.
+    /// unknown keys, an integer too large for its key, duplicate or
+    /// non-contiguous peer ids, an empty peer list, an `internal` count
+    /// the committee cannot host, or client ports past 65535.
     pub fn parse(text: &str) -> Result<Self, ConfigError> {
         #[derive(PartialEq)]
         enum Section {
@@ -167,6 +169,9 @@ impl ClusterConfig {
             Peer,
         }
         let mut cfg = ClusterConfig::defaults();
+        let last = text.lines().count();
+        // Checked against the whole committee, so their lines are kept.
+        let (mut internal, mut client_line): (Option<(u32, usize)>, usize) = (None, last);
         let mut section = Section::None;
         let mut pending: Option<(Option<u32>, Option<SocketAddr>)> = None;
 
@@ -214,9 +219,9 @@ impl ClusterConfig {
             match section {
                 Section::None => return Err(ConfigError::at(lineno, "key outside any section")),
                 Section::Cluster => match key {
-                    "internal" => cfg.internal = parse_int(value, lineno)? as u32,
-                    "batch" => cfg.max_batch = parse_int(value, lineno)? as u32,
-                    "payload" => cfg.payload_per_req = parse_int(value, lineno)? as u32,
+                    "internal" => internal = Some((parse_u32(value, lineno)?, lineno)),
+                    "batch" => cfg.max_batch = parse_u32(value, lineno)?,
+                    "payload" => cfg.payload_per_req = parse_u32(value, lineno)?,
                     "rate" => cfg.request_rate = parse_int(value, lineno)?,
                     "duration_secs" => cfg.duration_secs = parse_int(value, lineno)?,
                     "scheme" => {
@@ -231,14 +236,11 @@ impl ClusterConfig {
                     }
                     "metrics_dir" => cfg.metrics_dir = Some(parse_string(value, lineno)?),
                     "client_listen" => {
-                        let s = parse_string(value, lineno)?;
-                        if s.parse::<SocketAddr>().is_err() {
-                            return Err(ConfigError::at(
-                                lineno,
-                                "client_listen is not a socket address",
-                            ));
-                        }
-                        cfg.client_listen = Some(s);
+                        let addr = parse_string(value, lineno)?.parse().map_err(|_| {
+                            ConfigError::at(lineno, "client_listen is not a socket address")
+                        })?;
+                        cfg.client_listen = Some(addr);
+                        client_line = lineno;
                     }
                     "mempool" => cfg.mempool = parse_int(value, lineno)?,
                     "client_rate" => cfg.client_rate = parse_int(value, lineno)?,
@@ -248,7 +250,7 @@ impl ClusterConfig {
                 Section::Peer => {
                     let slot = pending.as_mut().expect("inside [[peers]]");
                     match key {
-                        "id" => slot.0 = Some(parse_int(value, lineno)? as u32),
+                        "id" => slot.0 = Some(parse_u32(value, lineno)?),
                         "addr" => {
                             let s = parse_string(value, lineno)?;
                             let addr = s.parse().map_err(|_| {
@@ -261,7 +263,6 @@ impl ClusterConfig {
                 }
             }
         }
-        let last = text.lines().count();
         finish_peer(&mut pending, &mut cfg.peers, last)?;
 
         if cfg.peers.is_empty() {
@@ -276,6 +277,20 @@ impl ClusterConfig {
                 ));
             }
         }
+        // A tree shape the committee hosts; unset, the balanced one.
+        let n = cfg.peers.len() as u32;
+        let (shape, line) = match internal {
+            Some((k, line)) => (Topology::new(n, k), line),
+            None => (Topology::balanced(n), last),
+        };
+        let bad_shape = "internal must be at least 1 and below the committee size";
+        cfg.internal = shape
+            .map_err(|_| ConfigError::at(line, bad_shape))?
+            .internal_count();
+        if cfg.client_listen.is_some() && cfg.client_addr_of(n - 1).is_none() {
+            let message = "client_listen leaves no port for every peer (port + id > 65535)";
+            return Err(ConfigError::at(client_line, message));
+        }
         Ok(cfg)
     }
 }
@@ -285,6 +300,11 @@ fn parse_int(value: &str, line: usize) -> Result<u64, ConfigError> {
         .replace('_', "")
         .parse()
         .map_err(|_| ConfigError::at(line, "expected an integer"))
+}
+
+fn parse_u32(value: &str, line: usize) -> Result<u32, ConfigError> {
+    u32::try_from(parse_int(value, line)?)
+        .map_err(|_| ConfigError::at(line, "integer does not fit in 32 bits"))
 }
 
 fn parse_string(value: &str, line: usize) -> Result<String, ConfigError> {
@@ -356,6 +376,8 @@ addr = "127.0.0.1:7102"
         assert_eq!(cfg.metrics_dir.as_deref(), Some("/tmp/iniva-metrics"));
         let bare = ClusterConfig::parse("[[peers]]\nid = 0\naddr = \"127.0.0.1:7100\"").unwrap();
         assert_eq!(bare.metrics_dir, None, "observability defaults off");
+        assert_eq!(bare.internal, 0, "unset, internal follows the committee");
+        assert_eq!(ClusterConfig::local(21, 9000).internal, 4);
         // Peers come out sorted by id regardless of file order.
         assert_eq!(cfg.peers[0].id, 0);
         assert_eq!(cfg.addr_of(2).unwrap().port(), 7102);
@@ -363,34 +385,62 @@ addr = "127.0.0.1:7102"
 
     #[test]
     fn rejects_malformed_input_with_line_numbers() {
-        for (text, needle) in [
+        const TWO_PEERS: &str =
+            "[[peers]]\nid = 0\naddr = \"1.2.3.4:1\"\n[[peers]]\nid = 1\naddr = \"1.2.3.4:2\"";
+        let cluster = |keys: &str| format!("[cluster]\n{keys}\n{TWO_PEERS}");
+        for (text, needle, line) in [
             (
-                "[cluster]\nwhat = 1\n[[peers]]\nid = 0\naddr = \"1.2.3.4:1\"",
+                "[cluster]\nwhat = 1\n[[peers]]\nid = 0\naddr = \"1.2.3.4:1\"".into(),
                 "unknown",
+                2,
             ),
-            ("[[peers]]\nid = 0", "both id and addr"),
-            ("rate = 1", "outside any section"),
+            ("[[peers]]\nid = 0".into(), "both id and addr", 2),
+            ("rate = 1".into(), "outside any section", 1),
+            (cluster("rate = abc"), "integer", 2),
+            ("[[peers]]\nid = 0\naddr = 127.0.0.1:9".into(), "quoted", 3),
             (
-                "[cluster]\nrate = abc\n[[peers]]\nid = 0\naddr = \"1.2.3.4:1\"",
-                "integer",
+                "[[peers]]\nid = 0\naddr = \"nonsense\"".into(),
+                "socket address",
+                3,
             ),
-            ("[[peers]]\nid = 0\naddr = 127.0.0.1:9", "quoted"),
-            ("[[peers]]\nid = 0\naddr = \"nonsense\"", "socket address"),
-            ("[cluster]\nrate = 5", "no [[peers]]"),
+            ("[cluster]\nrate = 5".into(), "no [[peers]]", 2),
             (
-                "[[peers]]\nid = 0\naddr = \"1.1.1.1:1\"\n[[peers]]\nid = 0\naddr = \"1.1.1.1:2\"",
+                "[[peers]]\nid = 0\naddr = \"1.1.1.1:1\"\n[[peers]]\nid = 0\naddr = \"1.1.1.1:2\""
+                    .into(),
                 "contiguous",
+                6,
             ),
-            ("[[peers]]\nid = 5\naddr = \"1.1.1.1:1\"", "contiguous"),
             (
-                "[cluster]\nscheme = \"rsa\"\n[[peers]]\nid = 0\naddr = \"1.2.3.4:1\"",
-                "scheme must be",
+                "[[peers]]\nid = 5\naddr = \"1.1.1.1:1\"".into(),
+                "contiguous",
+                3,
+            ),
+            (cluster("scheme = \"rsa\""), "scheme must be", 2),
+            // Client ports past 65535 would wrap to 0 (an ephemeral port).
+            (
+                cluster("client_listen = \"127.0.0.1:65535\""),
+                "port + id",
+                2,
+            ),
+            // A tree shape the committee cannot host: named here, not
+            // panicked on in every replica process.
+            (cluster("internal = 2"), "internal must be", 2),
+            (cluster("internal = 0"), "internal must be", 2),
+            // 32-bit keys are range-checked, not truncated.
+            (cluster("internal = 4294967297"), "32 bits", 2),
+            (cluster("batch = 4294967296"), "32 bits", 2),
+            (cluster("payload = 4294967296"), "32 bits", 2),
+            (
+                "[[peers]]\nid = 4294967296\naddr = \"1.2.3.4:1\"".into(),
+                "32 bits",
+                2,
             ),
         ] {
-            let err = ClusterConfig::parse(text).unwrap_err();
+            let text: String = text;
+            let err = ClusterConfig::parse(&text).unwrap_err();
             assert!(
-                err.message.contains(needle),
-                "{text:?} -> {err} (wanted {needle:?})"
+                err.message.contains(needle) && err.line == line,
+                "{text:?} -> {err} (wanted {needle:?} at line {line})"
             );
         }
     }

@@ -36,7 +36,7 @@
 //!   for partitions and slow links ([`LinkFaults`]), filtered on the send
 //!   path, in the lanes and on the inbound connections.
 //! * [`config`] — a TOML-style cluster/peer-list file format for
-//!   multi-process deployments.
+//!   multi-process deployments; [`cluster::run_member`] runs one member.
 //! * [`cluster`] — the harness running an n-replica Iniva cluster on
 //!   loopback threads behind one entry point,
 //!   [`ClusterBuilder`](cluster::ClusterBuilder), used by the integration

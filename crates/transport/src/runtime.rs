@@ -373,7 +373,7 @@ const SLEEP_FLOOR: Duration = Duration::from_micros(400);
 mod tests {
     use super::*;
     use iniva_net::NodeId;
-    use std::net::{IpAddr, Ipv4Addr, SocketAddr};
+    use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
 
     fn loopback(port: u16) -> SocketAddr {
         SocketAddr::new(IpAddr::V4(Ipv4Addr::LOCALHOST), port)
@@ -532,7 +532,7 @@ mod tests {
                 self.fired.push((id, ctx.now()));
             }
         }
-        let t = Transport::<Num>::bind(0, loopback(0), &[]).unwrap();
+        let t = Transport::<Num>::start(0, TcpListener::bind(loopback(0)).unwrap(), &[]).unwrap();
         let mut rt = Runtime::new(TimerActor { fired: vec![] }, t, CpuMode::Real);
         rt.run_for(Duration::from_millis(200));
         let fired = &rt.actor().fired;
@@ -576,7 +576,7 @@ mod tests {
     }
 
     fn charger(charge: Time, turns: u32, mode: CpuMode) -> Runtime<Charger> {
-        let t = Transport::<Num>::bind(0, loopback(0), &[]).unwrap();
+        let t = Transport::<Num>::start(0, TcpListener::bind(loopback(0)).unwrap(), &[]).unwrap();
         let actor = Charger {
             charge,
             turns,

@@ -238,20 +238,10 @@ pub struct Transport<M> {
 }
 
 impl<M: Codec + Send + 'static> Transport<M> {
-    /// Binds a listener on `listen` (use port 0 for an ephemeral port) and
-    /// starts outbound lanes towards every peer in `peers` (entries whose
-    /// id equals `node` are ignored, so a full cluster map can be passed).
-    pub fn bind(
-        node: NodeId,
-        listen: SocketAddr,
-        peers: &[(NodeId, SocketAddr)],
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(listen)?;
-        Self::start(node, listener, peers)
-    }
-
     /// Starts the fabric over an already-bound listener with default
-    /// options and a private (unshared) fault surface.
+    /// options and a private (unshared) fault surface, with outbound lanes
+    /// towards every peer in `peers` (entries whose id equals `node` are
+    /// ignored, so a full cluster map can be passed).
     pub fn start(
         node: NodeId,
         listener: TcpListener,

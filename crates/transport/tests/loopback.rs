@@ -252,7 +252,8 @@ fn outbound_lane_reconnects_after_peer_restart() {
     let mut rb = Runtime::new(Sink { got: vec![] }, tb, CpuMode::Off);
 
     // Sender (node 0) drives its lane directly — no runtime needed.
-    let mut ta = Transport::<Num>::bind(0, loopback, &[(1, b_addr)]).unwrap();
+    let mut ta =
+        Transport::<Num>::start(0, TcpListener::bind(loopback).unwrap(), &[(1, b_addr)]).unwrap();
 
     // Phase 1: normal delivery.
     for i in 0..5 {
@@ -523,7 +524,8 @@ fn serve_pool(
 ) -> (Arc<iniva_ingress::Mempool>, Polled, std::net::SocketAddr) {
     let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
     let pool = Arc::new(iniva_ingress::Mempool::new(&opts));
-    let mut transport = Transport::<Num>::bind(0, loopback, &[]).unwrap();
+    let mut transport =
+        Transport::<Num>::start(0, TcpListener::bind(loopback).unwrap(), &[]).unwrap();
     let listener = TcpListener::bind(loopback).unwrap();
     let addr = listener.local_addr().unwrap();
     transport
@@ -912,7 +914,9 @@ fn a_killed_node_keeps_draining_its_sockets() {
         Runtime::new(Drop0, dead, CpuMode::Off).run_for(Duration::from_millis(1300));
     });
 
-    let mut sender = Transport::<Blob>::bind(0, loopback, &[(1, dead_addr)]).unwrap();
+    let mut sender =
+        Transport::<Blob>::start(0, TcpListener::bind(loopback).unwrap(), &[(1, dead_addr)])
+            .unwrap();
     let blob = Blob(vec![0x5a; 64 * 1024]);
     let start = Instant::now();
     let (mut sent, mut depth_max, mut dropped_mid) = (0u128, 0, 0);

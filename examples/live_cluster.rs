@@ -29,7 +29,9 @@
 //! stalling on mutually undecodable frames.
 //!
 //! Multi-process cluster from a TOML-style peer list (one terminal per
-//! replica, like the Fast IC Consensus repo's per-terminal quickstart):
+//! replica, like the Fast IC Consensus repo's per-terminal quickstart),
+//! each running `iniva_transport::cluster::run_member`, the lifecycle of
+//! every in-process replica thread too:
 //!
 //! ```sh
 //! cargo run --release --example live_cluster -- --write-config /tmp/cluster.toml --n 4
@@ -50,11 +52,15 @@
 //! journals every commit and view to disk; `kill -9` it mid-run, rerun
 //! the *same* command, and the restarted process rehydrates its committed
 //! prefix from the log, fetches what it missed from the peers via state
-//! transfer, and resumes voting:
+//! transfer, and resumes voting. With `metrics_dir` in the config,
+//! `view_timeline --check` then checks that the processes' dumps agree
+//! on the block hash at every committed height they share (CI runs this
+//! demo with n = 4, killing id 2 after ~3 s):
 //!
 //! ```sh
 //! cargo run --release --example live_cluster -- --config /tmp/cluster.toml --id 2 --wal-dir /tmp/iniva-wal
 //! # ... kill -9 that process, then run the identical command again
+//! cargo run --release -p iniva-bench --bin view_timeline -- /tmp/iniva-obs --check
 //! ```
 //!
 //! Observability — `--metrics-dir <dir>` (any mode; in multi-process
@@ -101,22 +107,14 @@ use iniva_consensus::PerfSummary;
 use iniva_crypto::bls::BlsScheme;
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
-use iniva_ingress::{IngressOptions, Mempool, RequestSource};
+use iniva_ingress::IngressOptions;
 use iniva_net::{NetConfig, Simulation, SECS};
-use iniva_obs::{Registry, Tracer};
-use iniva_storage::ChainWal;
-use iniva_transport::cluster::{chaos_demo_scenario, ClusterBuilder, ObsOptions, CLUSTER_SEED};
-use iniva_transport::{ClusterConfig, CpuMode, Runtime, Transport};
+use iniva_transport::cluster::{chaos_demo_scenario, run_member, ClusterBuilder, ObsOptions};
+use iniva_transport::ClusterConfig;
+use iniva_tree::Topology;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn iniva_config(n: usize, internal: u32, rate: u64, batch: u32, payload: u32) -> InivaConfig {
-    let mut cfg = InivaConfig::for_tests(n, internal);
-    cfg.request_rate = rate;
-    cfg.max_batch = batch;
-    cfg.payload_per_req = payload;
-    cfg
-}
+use std::time::Duration;
 
 /// The simulator run of the identical configuration, for the
 /// "simulated" comparison row.
@@ -210,163 +208,35 @@ fn in_process<S: WireScheme>(
     println!("frames shipped          : {sent} ({bytes} body bytes, {dups} duplicates dropped)");
 }
 
-/// Writes one process's registry + trace dumps into `dir` (best-effort:
-/// a dump failure mid-run is reported, not fatal — the consensus process
-/// should outlive a full disk).
-fn dump_process_obs(dir: &str, id: u32, registry: &Registry, tracer: &Tracer) {
-    let metrics = std::path::Path::new(dir).join(format!("metrics-{id}.json"));
-    let trace = std::path::Path::new(dir).join(format!("trace-{id}.jsonl"));
-    if let Err(e) = std::fs::write(&metrics, registry.to_json()) {
-        eprintln!("metrics dump failed ({}): {e}", metrics.display());
-    }
-    if let Err(e) = tracer.write_jsonl(&trace) {
-        eprintln!("trace dump failed ({}): {e}", trace.display());
-    }
-}
-
-fn one_process<S: WireScheme>(
-    cluster: &ClusterConfig,
-    id: u32,
-    wal_dir: Option<&str>,
-    metrics_dir: Option<&str>,
-) {
-    // The scheme is cluster-wide common knowledge (see ClusterConfig):
-    // a process decoding frames under the wrong scheme would drop every
-    // connection and stall silently, so mismatches die by name here.
-    assert_eq!(
-        cluster.scheme,
-        S::NAME,
-        "config says scheme = \"{}\" but this process runs \"{}\"",
-        cluster.scheme,
+/// One replica of a multi-process cluster: the shared config's member
+/// `id`, run in this process by [`run_member`], the lifecycle every
+/// in-process replica runs too.
+fn member<S: WireScheme>(cluster: &ClusterConfig, id: u32, wal_dir: Option<&str>) {
+    let (n, secs) = (cluster.n(), cluster.duration_secs);
+    let addr = cluster.addr_of(id).map_or("?".into(), |a| a.to_string());
+    println!(
+        "replica {id} of {n} [{}]: listening on {addr}, running {secs} s",
         S::NAME
     );
-    let mut cfg = iniva_config(
-        cluster.n(),
-        cluster.internal,
-        cluster.request_rate,
-        cluster.max_batch,
-        cluster.payload_per_req,
-    );
-    if S::REAL_CRYPTO {
-        cfg.tune_for_real_crypto();
+    if let Some(addr) = cluster.client_addr_of(id) {
+        println!("client ingress: listening on {addr}");
     }
-    let addr = cluster.addr_of(id).expect("id is in the peer list");
-    let duration = Duration::from_secs(cluster.duration_secs);
-    println!(
-        "replica {id} of {} [{}]: listening on {addr}, running {} s",
-        cluster.n(),
-        S::NAME,
-        cluster.duration_secs
-    );
-    let mut transport = Transport::bind(id, addr, &cluster.peer_addrs()).expect("bind listener");
-    let scheme = Arc::new(S::new_committee(cluster.n(), CLUSTER_SEED));
-    let scheme_handle = Arc::clone(&scheme);
-    // Observability: one registry + tracer for the process, both on the
-    // runtime's epoch, dumped periodically so a kill -9'd replica still
-    // leaves an (almost-current) trace for `view_timeline`.
-    let epoch = Instant::now();
-    let node_obs = metrics_dir.map(|dir| {
-        std::fs::create_dir_all(dir).expect("create metrics dir");
-        (Registry::new(), Tracer::live(id, 65_536, epoch), dir)
-    });
-    // With a WAL directory this process is durable: it rehydrates the
-    // committed prefix a previous incarnation logged (state transfer
-    // closes the rest of the gap once a peer message reveals it) and
-    // journals every commit and view entry from here on — the kill -9
-    // + restart demo from the module docs.
-    // Client ingress, when the shared config enables it: this process
-    // listens for clients on `client_listen`'s port + id, on the same
-    // poller as its peer sockets, and drafts its blocks from the mempool
-    // instead of the synthetic workload model.
-    let ingress = cluster.client_addr_of(id).map(|client_addr| {
-        let opts = cluster.ingress_options();
-        let mempool = Arc::new(Mempool::new(&opts));
-        let listener =
-            std::net::TcpListener::bind(client_addr).expect("bind client ingress listener");
-        transport
-            .serve_clients(listener, Arc::clone(&mempool), &opts)
-            .expect("start ingress");
-        println!("client ingress: listening on {client_addr}");
-        mempool
-    });
-    let mut replica = match wal_dir {
-        None => InivaReplica::new(id, cfg, scheme),
-        Some(dir) => {
-            let dir = std::path::Path::new(dir).join(format!("replica-{id}"));
-            let (mut wal, recovered) = ChainWal::<S>::open(&dir).expect("open write-ahead log");
-            println!(
-                "WAL {}: recovered {} committed blocks, view {}",
-                dir.display(),
-                recovered.commits.len(),
-                recovered.view
-            );
-            if let Some((registry, tracer, _)) = &node_obs {
-                wal.set_observability(registry, tracer.clone());
-            }
-            let mut replica =
-                InivaReplica::recover(id, cfg, scheme, recovered.commits, recovered.view);
-            replica.chain.set_commit_sink(Box::new(wal));
-            replica
-        }
-    };
-    if let Some(mempool) = &ingress {
-        replica
-            .chain
-            .set_request_source(Arc::clone(mempool) as Arc<dyn RequestSource>);
-    }
-    let mut runtime = Runtime::with_epoch(replica, transport, CpuMode::Real, epoch);
-    match &node_obs {
-        None => runtime.run_for(duration),
-        Some((registry, tracer, dir)) => {
-            runtime
-                .actor_mut()
-                .set_observability(registry, tracer.clone());
-            runtime.set_observability(registry);
-            // Run in slices, flushing the dumps every couple of seconds.
-            let deadline = Instant::now() + duration;
-            while Instant::now() < deadline {
-                let slice = (deadline - Instant::now()).min(Duration::from_secs(2));
-                runtime.run_deadline(Instant::now() + slice, || false);
-                runtime.export_stats(registry);
-                runtime.actor_mut().chain.export(registry);
-                dump_process_obs(dir, id, registry, tracer);
-            }
-        }
-    }
-    let (mut replica, stats, transport) = runtime.finish();
-    if let Some(mempool) = ingress {
-        let s = mempool.stats();
-        println!(
-            "client ingress: {} offered, {} admitted, {} duplicates, {} shed, {} committed",
-            s.offered,
-            s.admitted,
-            s.duplicates,
-            s.shed_busy + s.shed_full,
-            s.committed,
-        );
-    }
-    if let Some((registry, tracer, dir)) = &node_obs {
-        replica.chain.export(registry);
-        scheme_handle.export_observability(registry);
-        dump_process_obs(dir, id, registry, tracer);
+    let run = run_member::<S>(cluster, id, wal_dir.map(Path::new))
+        .unwrap_or_else(|e| panic!("replica {id}: {e}"));
+    if let Some(dir) = &cluster.metrics_dir {
         println!("observability dumps in {dir}/ (metrics-{id}.json, trace-{id}.jsonl)");
     }
-
-    let point = PerfSummary::from_metrics(
-        &replica.chain.metrics,
-        cluster.duration_secs as f64,
-        &[stats.busy],
-    );
+    let m = &run.replica.chain.metrics;
+    let point = PerfSummary::from_metrics(m, secs as f64, &[run.runtime.busy]);
     println!("{}", PerfSummary::table_header());
     println!("{}", point.table_row(&format!("live-tcp[{id}]")));
     println!(
         "committed height {} | frames sent {} | received {} | reconnects {}",
-        replica.chain.committed_height(),
-        transport.msgs_sent,
-        transport.msgs_received,
-        transport.reconnects,
+        run.replica.chain.committed_height(),
+        run.transport.msgs_sent,
+        run.transport.msgs_received,
+        run.transport.reconnects,
     );
-    let m = &replica.chain.metrics;
     if m.recovered_blocks > 0 || m.state_transfer_blocks > 0 {
         println!(
             "crash recovery: {} blocks rehydrated from the WAL, {} fetched via state transfer",
@@ -432,8 +302,10 @@ fn write_config(path: &str, n: usize, scheme: &str, client_listen: Option<&str>)
     // BLS runs commit a few blocks per second of real pairing work; a
     // sub-saturation rate keeps the out-of-the-box demo readable.
     let rate = if scheme == "bls" { 200 } else { 10_000 };
+    // The in-process default shape: round(√(n−1)) aggregators, at least 1.
+    let internal = Topology::balanced(n as u32).map_or(0, |t| t.internal_count());
     let mut text = format!(
-        "# Iniva live cluster — one `--id` process per [[peers]] entry\n[cluster]\nscheme = \"{scheme}\"\ninternal = 2\nbatch = 100\npayload = 64\nrate = {rate}\nduration_secs = 10\n",
+        "# Iniva live cluster — one `--id` process per [[peers]] entry\n[cluster]\nscheme = \"{scheme}\"\ninternal = {internal}\nbatch = 100\npayload = 64\nrate = {rate}\nduration_secs = 10\n",
     );
     if let Some(listen) = client_listen {
         let defaults = IngressOptions::default();
@@ -497,51 +369,38 @@ fn main() {
             .expect("--id wants a number");
         let wal = flag("--wal-dir");
         let text = std::fs::read_to_string(&path).expect("read config file");
-        let cluster: ClusterConfig = ClusterConfig::parse(&text).unwrap_or_else(|e| panic!("{e}"));
-        // The config's scheme is authoritative (shared by every process);
-        // an explicit --scheme must agree with it, and its absence means
-        // "whatever the cluster runs".
-        if let Some(requested) = flag("--scheme") {
-            assert_eq!(
-                requested, cluster.scheme,
-                "--scheme {requested} conflicts with scheme = \"{}\" in {path}",
-                cluster.scheme
-            );
-        }
-        // The ingress knobs are cluster-wide common knowledge like the
-        // scheme (every process must agree on the mempool geometry and
-        // client port layout), so explicit flags follow the same rule:
-        // they must match the shared config or fail by name.
-        if let Some(listen) = flag("--client-listen") {
-            assert_eq!(
-                Some(&listen),
-                cluster.client_listen.as_ref(),
-                "--client-listen {listen} conflicts with client_listen = {:?} in {path}",
-                cluster.client_listen
-            );
-        }
-        for (name, key, configured) in [
-            ("--mempool", "mempool", cluster.mempool),
-            ("--client-rate", "client_rate", cluster.client_rate),
-            ("--client-burst", "client_burst", cluster.client_burst),
+        let mut cluster = ClusterConfig::parse(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        // The scheme and the ingress knobs are cluster-wide common
+        // knowledge (every process must agree on the wire scheme, the
+        // mempool geometry and the client port layout), so the shared
+        // config is authoritative: an explicit flag must match it or fail
+        // by name, and its absence means "whatever the cluster runs".
+        let listen = cluster
+            .client_listen
+            .map_or(String::new(), |a| a.to_string());
+        for (name, configured) in [
+            ("--scheme", cluster.scheme.clone()),
+            ("--client-listen", listen),
+            ("--mempool", cluster.mempool.to_string()),
+            ("--client-rate", cluster.client_rate.to_string()),
+            ("--client-burst", cluster.client_burst.to_string()),
         ] {
             if let Some(v) = flag(name) {
-                let v: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("{name} wants a number"));
                 assert_eq!(
                     v, configured,
-                    "{name} {v} conflicts with {key} = {configured} in {path}"
+                    "{name} {v} conflicts with {configured:?} in {path}"
                 );
             }
         }
         // A process dumps observability when the shared config says so
         // (so one key covers the whole cluster) or when this process got
         // an explicit --metrics-dir (which wins).
-        let obs_dir = metrics_dir.or_else(|| cluster.metrics_dir.clone());
+        if metrics_dir.is_some() {
+            cluster.metrics_dir = metrics_dir;
+        }
         match cluster.scheme.as_str() {
-            "bls" => one_process::<BlsScheme>(&cluster, id, wal.as_deref(), obs_dir.as_deref()),
-            _ => one_process::<SimScheme>(&cluster, id, wal.as_deref(), obs_dir.as_deref()),
+            "bls" => member::<BlsScheme>(&cluster, id, wal.as_deref()),
+            _ => member::<SimScheme>(&cluster, id, wal.as_deref()),
         }
         return;
     }
@@ -550,17 +409,16 @@ fn main() {
     // and a longer run so several commits land.
     let bls = scheme == "bls";
     let n = parse("--n", if bls { 4 } else { 7 }) as usize;
-    let default_internal = ((n as f64 - 1.0).sqrt().round() as u64).max(1);
-    let cfg = iniva_config(
-        n,
-        parse("--internal", default_internal) as u32,
+    let internal = Topology::balanced(n as u32).map_or(0, |t| t.internal_count());
+    let cfg = InivaConfig {
         // Below the batch-100 saturation point (~6.7k committed/s for sim),
         // so the out-of-the-box run shows service latency, not queueing
         // backlog; push --rate up to study saturation.
-        parse("--rate", if bls { 200 } else { 5_000 }),
-        parse("--batch", 100) as u32,
-        parse("--payload", 64) as u32,
-    );
+        request_rate: parse("--rate", if bls { 200 } else { 5_000 }),
+        max_batch: parse("--batch", 100) as u32,
+        payload_per_req: parse("--payload", 64) as u32,
+        ..InivaConfig::for_tests(n, parse("--internal", internal.into()) as u32)
+    };
     let duration = parse("--duration", if bls { 15 } else { 5 });
     // --ingress bolts the client tier onto the in-process cluster: the
     // proposer drafts from a real fee-ordered mempool (initially empty —
