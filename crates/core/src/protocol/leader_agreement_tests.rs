@@ -388,7 +388,7 @@ fn on_start_journals_the_first_view() {
     #[derive(Default)]
     struct ViewSink(std::sync::Arc<std::sync::Mutex<Vec<u64>>>);
     impl CommitSink<SimScheme> for ViewSink {
-        fn committed(&mut self, _: &Block, _: Option<&Qc<SimScheme>>) {}
+        fn committed(&mut self, _: &[(Block, Option<Qc<SimScheme>>)]) {}
         fn entered_view(&mut self, view: u64) {
             self.0.lock().unwrap().push(view);
         }

@@ -111,9 +111,9 @@ where
     /// distinct message, so the batch costs `1 + #blocks` Miller loops
     /// and a single final exponentiation instead of two Miller loops per
     /// block — see [`iniva_consensus::chain::ChainState::adopt_committed_batch`]);
-    /// the first invalid or non-contiguous entry stops the chunk. A
-    /// still-open gap re-triggers [`Self::maybe_request_state`] on the next
-    /// QC observed.
+    /// the first invalid or non-ascending entry stops the chunk (a height
+    /// gap does not). A still-open gap re-triggers
+    /// [`Self::maybe_request_state`] on the next QC observed.
     pub(super) fn handle_state_response(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,

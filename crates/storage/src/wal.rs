@@ -472,12 +472,7 @@ impl<S: VoteScheme> CommitSink<S> for ChainWal<S>
 where
     S::Aggregate: WireEncode + WireDecode,
 {
-    fn committed(&mut self, block: &Block, qc: Option<&Qc<S>>) {
-        self.append_commit(block, qc)
-            .expect("WAL append failed; fail-stop to preserve durability");
-    }
-
-    fn committed_batch(&mut self, items: &[(Block, Option<Qc<S>>)]) {
+    fn committed(&mut self, items: &[(Block, Option<Qc<S>>)]) {
         self.append_batch(items)
             .expect("WAL batch append failed; fail-stop to preserve durability");
     }

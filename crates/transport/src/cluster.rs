@@ -900,9 +900,9 @@ impl<S: WireScheme> ReplicaNode<S> {
         if let Some((registry, tracer)) = node_obs {
             replica.set_observability(registry, tracer.clone());
         }
-        // The shared mempool spans incarnations like the registry does:
-        // requests drafted by a previous incarnation stay claimed, and
-        // recovery's committed prefix settles them on replay.
+        // The shared mempool spans incarnations like the registry does: a
+        // previous incarnation's drafts stay claimed until a commit settles
+        // or releases them. Replay (`resume`, above) bypasses the source.
         if let Some(ing) = &self.ingress {
             replica
                 .chain
