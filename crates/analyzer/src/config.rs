@@ -20,6 +20,9 @@ pub struct Config {
     pub decode_modules: Vec<String>,
     /// Files that run on a thread polling an epoll reactor.
     pub reactor_files: Vec<String>,
+    /// Reactor files whose state only the node's own thread touches: no
+    /// lock may appear in them.
+    pub node_local_files: Vec<String>,
     /// Top-level directories (repo-relative) excluded from the scan.
     pub exclude_dirs: Vec<String>,
 }
@@ -36,6 +39,7 @@ impl Config {
                     ("atomics_ordering_audit", "allow_relaxed_in") => &mut cfg.relaxed_allowlist,
                     ("bounded_decode", "decode_modules") => &mut cfg.decode_modules,
                     ("no_blocking_on_reactor", "files") => &mut cfg.reactor_files,
+                    ("no_blocking_on_reactor", "node_local") => &mut cfg.node_local_files,
                     ("workspace", "exclude") => &mut cfg.exclude_dirs,
                     _ => {
                         return Err(format!(

@@ -89,8 +89,8 @@ const FLAGGED_SYSCALLS: &[&str] = &[
 ];
 
 /// Does repo-relative `rel` match configured path `pat` (suffix match on `/`
-/// boundaries, so `transport/src/fabric.rs` matches
-/// `crates/transport/src/fabric.rs`)?
+/// boundaries, so `transport/src/reactor.rs` matches
+/// `crates/transport/src/reactor.rs`)?
 fn path_matches(rel: &str, pat: &str) -> bool {
     rel == pat || rel.ends_with(&format!("/{pat}"))
 }
@@ -132,6 +132,9 @@ pub fn analyze_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     }
     if in_list(rel, &cfg.reactor_files) {
         rule_blocking(rel, &lx, &mask, &mut raw);
+    }
+    if in_list(rel, &cfg.node_local_files) {
+        rule_node_local(rel, &lx, &mask, &mut raw);
     }
 
     resolve_suppressions(rel, &lx, raw)
@@ -345,6 +348,38 @@ fn rule_blocking(rel: &str, lx: &Lexed, mask: &[bool], out: &mut Vec<Finding>) {
         }
         check_lock_segment(rel, t, mask, seg_start, i, out);
         seg_start = i + 1;
+    }
+}
+
+/// Rule 5, node-local half: a file whose state only the node's own thread
+/// touches names no `Mutex`/`RwLock` and takes no lock (`relock(`,
+/// `.lock(`). A lock there means a second thread shares the state, or a
+/// lock nobody needs.
+fn rule_node_local(rel: &str, lx: &Lexed, mask: &[bool], out: &mut Vec<Finding>) {
+    let t = &lx.tokens;
+    for i in 0..t.len() {
+        if mask[i] || t[i].kind != TokKind::Ident {
+            continue;
+        }
+        let called = t.get(i + 1).is_some_and(|n| n.is_punct('('));
+        let lock = match t[i].text.as_str() {
+            "Mutex" | "RwLock" => true,
+            "relock" => called,
+            "lock" => called && i > 0 && t[i - 1].is_punct('.'),
+            _ => false,
+        };
+        if lock {
+            out.push(Finding {
+                rule: RULE_BLOCKING,
+                file: rel.to_string(),
+                line: t[i].line,
+                message: format!(
+                    "`{}` in a node-local file: only the node's thread touches this state",
+                    t[i].text
+                ),
+                suppressed: None,
+            });
+        }
     }
 }
 

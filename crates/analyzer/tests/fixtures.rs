@@ -17,7 +17,11 @@ fn fixture_cfg() -> Config {
         hot_path_modules: vec!["crates/x/src/hot.rs".into()],
         relaxed_allowlist: vec!["crates/x/src/metrics.rs".into()],
         decode_modules: vec!["crates/x/src/decode.rs".into()],
-        reactor_files: vec!["crates/x/src/poller.rs".into()],
+        reactor_files: vec![
+            "crates/x/src/poller.rs".into(),
+            "crates/x/src/owned.rs".into(),
+        ],
+        node_local_files: vec!["crates/x/src/owned.rs".into()],
         exclude_dirs: Vec::new(),
     }
 }
@@ -202,6 +206,31 @@ fn lock_across_flagged_syscall_fires() {
             .any(|f| f.rule == RULE_BLOCKING && f.line == 2),
         "lock across writev should fire: {findings:?}"
     );
+}
+
+#[test]
+fn lock_in_node_local_file_fires() {
+    let src = "use std::sync::Mutex;\nfn f(q: &Q) {\n    let n = q.depth();\n    relock(&q.m).push(n);\n    q.inner.lock().unwrap().clear();\n}\n";
+    let findings = run("crates/x/src/owned.rs", src);
+    let lines: Vec<u32> = active(&findings)
+        .iter()
+        .filter(|f| f.rule == RULE_BLOCKING)
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(
+        lines,
+        vec![1, 4, 5],
+        "Mutex, relock( and .lock(: {findings:?}"
+    );
+    // The same code on a reactor file that is not node-local is silent:
+    // a lock shared with a second thread is allowed there.
+    assert!(active(&run("crates/x/src/poller.rs", src)).is_empty());
+}
+
+#[test]
+fn lock_free_node_local_file_is_silent() {
+    let src = "/// A queue, no `Mutex` needed.\nstruct Q { lock: bool, deadlock_free: Vec<u8> }\nfn f(q: &mut Q) -> bool {\n    q.deadlock_free.clear();\n    q.lock\n}\n#[cfg(test)]\nmod tests {\n    fn t(m: &std::sync::Mutex<u8>) {\n        let _ = m.lock();\n    }\n}\n";
+    assert!(active(&run("crates/x/src/owned.rs", src)).is_empty());
 }
 
 #[test]

@@ -34,7 +34,7 @@
 //! real ones.
 
 use iniva_net::faults::FaultPlan;
-use iniva_obs::timeline::parse_dump;
+use iniva_obs::timeline::read_dumps;
 use iniva_obs::{Timeline, TimelineSummary};
 use iniva_sim::resilience::{self, ResiliencePoint, Variant};
 use iniva_transport::cluster::{ClusterBuilder, ObsOptions};
@@ -65,27 +65,7 @@ fn variant_key(v: Variant) -> &'static str {
 /// Merges the per-node dumps a traced cell just wrote and returns the
 /// run-level accounting.
 fn merge_cell_dumps(dir: &Path) -> Result<TimelineSummary, String> {
-    let mut dumps = Vec::new();
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .map_err(|e| format!("read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("trace-") && n.ends_with(".jsonl"))
-        })
-        .collect();
-    entries.sort();
-    for path in entries {
-        let text =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        dumps.push(parse_dump(&text).map_err(|e| format!("{}: {e}", path.display()))?);
-    }
-    if dumps.is_empty() {
-        return Err(format!("no trace dumps in {}", dir.display()));
-    }
-    Ok(Timeline::merge(&dumps).summary())
+    Ok(Timeline::merge(&read_dumps(dir)?).summary())
 }
 
 /// The per-view breakdown recorded next to a traced cell's bench numbers.

@@ -32,7 +32,7 @@
 
 use iniva_consensus::chain::RETAINED_COMMITS;
 use iniva_obs::json::{field_u64, parse_flat_object};
-use iniva_obs::timeline::parse_dump;
+use iniva_obs::timeline::read_dumps;
 use iniva_obs::trace::EventKind;
 use iniva_obs::{check_agreement, NodeDump, Timeline, ViewOutcome};
 use std::path::{Path, PathBuf};
@@ -186,35 +186,13 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|_| panic!("--max-failed-pct wants a number, got '{v}'"))
         });
 
-    let files = match dump_files(Path::new(dir), "trace-", ".jsonl") {
-        Ok(f) if !f.is_empty() => f,
-        Ok(_) => {
-            eprintln!("no trace-*.jsonl files in {dir}");
-            return ExitCode::FAILURE;
-        }
+    let dumps = match read_dumps(Path::new(dir)) {
+        Ok(dumps) => dumps,
         Err(e) => {
-            eprintln!("cannot read {dir}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-
-    let mut dumps = Vec::new();
-    for f in &files {
-        let text = match std::fs::read_to_string(f) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot read {}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match parse_dump(&text) {
-            Ok(d) => dumps.push(d),
-            Err(e) => {
-                eprintln!("{}: {e}", f.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
 
     let tl = Timeline::merge(&dumps);
     println!(

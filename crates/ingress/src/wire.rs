@@ -214,6 +214,35 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &ClientMsg) -> io::Result<()> {
     Ok(())
 }
 
+/// The body length a frame header declares, refused past
+/// [`MAX_CLIENT_FRAME`] before anything is allocated for it.
+fn body_len(header: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(header) as usize;
+    if len > MAX_CLIENT_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("client frame length {len} exceeds cap {MAX_CLIENT_FRAME}"),
+        ));
+    }
+    Ok(len)
+}
+
+/// Incremental frame check over a receive buffer, for readers that take
+/// whatever bytes a non-blocking socket has: `Ok(Some(len))` once the
+/// frame at the head of `buf` is complete (its body is
+/// `buf[4..4 + len]`), `Ok(None)` while it is not. Makes the same length
+/// check as [`read_frame`].
+///
+/// # Errors
+/// `InvalidData` on a header declaring more than [`MAX_CLIENT_FRAME`].
+pub fn frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(header) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = body_len(*header)?;
+    Ok((buf.len() - 4 >= len).then_some(len))
+}
+
 /// Reads one length-prefixed [`ClientMsg`] frame from `r`.
 ///
 /// Returns `Ok(None)` on clean end-of-stream at a frame boundary. A
@@ -245,13 +274,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<ClientMsg>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_CLIENT_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("client frame length {len} exceeds cap {MAX_CLIENT_FRAME}"),
-        ));
-    }
+    let len = body_len(header)?;
     // CAP: `len` was checked against MAX_CLIENT_FRAME above; a hostile
     // length prefix can not size this allocation.
     let mut body = vec![0u8; len];
@@ -360,5 +383,44 @@ mod tests {
         let mut cursor = io::Cursor::new(huge.to_vec());
         let err = read_frame(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// The incremental check and the blocking reader agree on every prefix
+    /// of a frame: incomplete until the last byte (where `read_frame`
+    /// hits end-of-stream), then the body length `read_frame` decodes.
+    #[test]
+    fn frame_len_agrees_with_read_frame_at_every_split_point() {
+        let msg = ClientMsg::Submit {
+            fee: 5,
+            nonce: 6,
+            payload: Bytes::copy_from_slice(b"abc"),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &msg).unwrap();
+        for cut in 0..wire.len() {
+            assert_eq!(frame_len(&wire[..cut]).unwrap(), None, "cut {cut}");
+            let read = read_frame(&mut io::Cursor::new(&wire[..cut]));
+            assert!(
+                matches!(read, Ok(None) if cut == 0)
+                    || read.is_err_and(|e| e.kind() == io::ErrorKind::UnexpectedEof),
+                "cut {cut}"
+            );
+        }
+        assert_eq!(frame_len(&wire).unwrap(), Some(wire.len() - 4));
+        assert_eq!(read_frame(&mut io::Cursor::new(&wire)).unwrap(), Some(msg));
+        // Trailing bytes of a next frame do not change the verdict.
+        wire.extend_from_slice(&[9, 0]);
+        assert_eq!(frame_len(&wire).unwrap(), Some(wire.len() - 6));
+
+        // Both refuse a header over the cap, from its fourth byte on.
+        let huge = (MAX_CLIENT_FRAME as u32 + 1).to_le_bytes();
+        assert_eq!(frame_len(&huge[..3]).unwrap(), None);
+        let err = frame_len(&huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let err = read_frame(&mut io::Cursor::new(huge)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The cap itself is a length, not an error: the frame is incomplete.
+        let at_cap = (MAX_CLIENT_FRAME as u32).to_le_bytes();
+        assert_eq!(frame_len(&at_cap).unwrap(), None);
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::json::{field_u64, parse_flat_object};
 use crate::trace::{Event, EventKind, TimerKind};
+use std::path::{Path, PathBuf};
 
 /// One node's parsed trace dump.
 #[derive(Debug, Clone)]
@@ -57,6 +58,38 @@ pub fn parse_dump(text: &str) -> Result<NodeDump, String> {
         dump.events.push(ev);
     }
     Ok(dump)
+}
+
+/// Reads every node's trace dump in `dir`: the files named
+/// `trace-<id>.jsonl`, in ascending node id. Other files beside them —
+/// `metrics-<id>.json`, the ingress tier's `ingress-trace.jsonl` — are
+/// skipped.
+///
+/// # Errors
+/// Names the directory when it cannot be listed or holds no dump, and the
+/// file when one cannot be read or parsed.
+pub fn read_dumps(dir: &Path) -> Result<Vec<NodeDump>, String> {
+    let listing = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut files: Vec<(u32, PathBuf)> = listing
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            let name = path.file_name()?.to_str()?;
+            let id = name.strip_prefix("trace-")?.strip_suffix(".jsonl")?;
+            Some((id.parse().ok()?, path))
+        })
+        .collect();
+    if files.is_empty() {
+        return Err(format!("no trace-<id>.jsonl in {}", dir.display()));
+    }
+    files.sort();
+    files
+        .iter()
+        .map(|(_, path)| {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+            parse_dump(&text).map_err(|e| format!("{}: {e}", path.display()))
+        })
+        .collect()
 }
 
 /// How a view ended, as far as the merged traces can tell.
@@ -644,6 +677,31 @@ mod tests {
         assert_eq!(dump.events[1].at, 11);
         assert!(parse_dump("").is_err());
         assert!(parse_dump("{\"at\": 1}").is_err(), "meta line required");
+    }
+
+    #[test]
+    fn read_dumps_takes_node_traces_only_and_names_a_bad_file() {
+        use crate::trace::Tracer;
+        let dir = std::env::temp_dir().join(format!("iniva-obs-dumps-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        assert!(read_dumps(&dir)
+            .unwrap_err()
+            .contains("no trace-<id>.jsonl"));
+        for node in [10, 2, 0] {
+            let path = dir.join(format!("trace-{node}.jsonl"));
+            std::fs::write(path, Tracer::new(node, 8).dump_jsonl()).unwrap();
+        }
+        // Neither of these is a node's consensus trace.
+        std::fs::write(dir.join("ingress-trace.jsonl"), "not a dump").unwrap();
+        std::fs::write(dir.join("metrics-0.json"), "{}").unwrap();
+        let nodes: Vec<u32> = read_dumps(&dir).unwrap().iter().map(|d| d.node).collect();
+        assert_eq!(nodes, vec![0, 2, 10], "ascending node id");
+
+        std::fs::write(dir.join("trace-3.jsonl"), "{\"at\": 1}").unwrap();
+        let err = read_dumps(&dir).unwrap_err();
+        assert!(err.contains("trace-3.jsonl"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,10 +2,14 @@
 //!
 //! Outbound lanes stamp every frame with a per-sender sequence number; the
 //! receive path records `(sender, epoch, seq)` triples and drops
-//! duplicates. The normal point-to-point flow never repeats a triple —
-//! duplicates appear when a reconnecting peer conservatively replays its
-//! last frame, or when a future gossip layer forwards the same message
-//! along two paths.
+//! duplicates. The transport itself never repeats a triple: a lane that
+//! redials writes again only the frames it never fully wrote, which the
+//! receiver never parsed. Duplicates come from hand-made or hostile
+//! frames, which may replay a triple on any connection. One honest case
+//! looks alike: a replica *process* restarted by `kill -9` starts again at
+//! epoch 0, so a frame whose sequence number the filter still remembers
+//! from the previous process is dropped — an honest frame lost, not a
+//! duplicate.
 //!
 //! The *epoch* is the sender's incarnation counter from the connection
 //! handshake: a replica healed from an injected crash restarts its
@@ -111,11 +115,12 @@ mod tests {
 
     #[test]
     fn replay_across_reconnect_same_epoch_dropped() {
-        // A reconnecting lane replays its last frame under the *same*
-        // epoch (the process did not restart): still a duplicate.
+        // A frame replayed on a new connection under the *same* epoch (a
+        // hand-made or hostile sender; a lane never does this): still a
+        // duplicate.
         let mut c = DedupCache::new(64);
         assert!(c.insert(5, 2, 41));
-        // ... connection drops, lane redials, replays seq 41 ...
+        // ... connection drops, the sender redials, replays seq 41 ...
         assert!(!c.insert(5, 2, 41));
         assert!(c.insert(5, 2, 42));
     }

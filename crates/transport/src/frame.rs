@@ -17,8 +17,7 @@
 //! *size* the simulator models, now actually on the wire.
 
 use iniva_net::NodeId;
-use std::io::{self, Write};
-use std::net::TcpStream;
+use std::io;
 
 /// Handshake magic.
 pub const MAGIC: [u8; 4] = *b"INIV";
@@ -33,9 +32,8 @@ pub const HANDSHAKE_BYTES: usize = 13;
 /// rather than allocated for.
 pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
-/// The handshake bytes identifying `node` in incarnation `epoch` — the
-/// buffer form used by the reactor's non-blocking lanes, which may need
-/// several partial writes to ship it.
+/// The handshake bytes identifying `node` in incarnation `epoch`, written
+/// once at the head of every connection.
 pub fn handshake_bytes(node: NodeId, epoch: u32) -> [u8; HANDSHAKE_BYTES] {
     let mut hello = [0u8; HANDSHAKE_BYTES];
     hello[..4].copy_from_slice(&MAGIC);
@@ -45,31 +43,20 @@ pub fn handshake_bytes(node: NodeId, epoch: u32) -> [u8; HANDSHAKE_BYTES] {
     hello
 }
 
-/// Writes the connection handshake identifying `node` in incarnation
-/// `epoch`.
-pub fn write_handshake(stream: &mut TcpStream, node: NodeId, epoch: u32) -> io::Result<()> {
-    stream.write_all(&handshake_bytes(node, epoch))
-}
-
-/// Writes one frame: `seq` plus the encoded message.
-pub fn write_frame(stream: &mut TcpStream, seq: u64, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len() + 8).map_err(|_| {
-        io::Error::new(io::ErrorKind::InvalidInput, "frame body exceeds u32 length")
-    })?;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "frame exceeds MAX_FRAME_BYTES",
-        ));
-    }
-    // One buffered write per frame: header + seq + body.
-    // CAP: encode side — `body.len() + 8` passed the u32 / MAX_FRAME_BYTES
-    // checks above, so the allocation is bounded by MAX_FRAME_BYTES.
-    let mut buf = Vec::with_capacity(12 + body.len());
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(body);
-    stream.write_all(&buf)
+/// One frame carrying `seq` and the encoded message `body`, or `None` when
+/// the length prefix would pass [`MAX_FRAME_BYTES`]: a frame the
+/// receiver's [`parse_frame`] rejects as corrupt is never built.
+pub fn encode(seq: u64, body: &[u8]) -> Option<Vec<u8>> {
+    let len = u32::try_from(body.len() + 8)
+        .ok()
+        .filter(|len| *len <= MAX_FRAME_BYTES)?;
+    // CAP: encode side — `body.len() + 8` passed the MAX_FRAME_BYTES check
+    // above, so the allocation is bounded by it.
+    let mut framed = Vec::with_capacity(12 + body.len());
+    framed.extend_from_slice(&len.to_le_bytes());
+    framed.extend_from_slice(&seq.to_le_bytes());
+    framed.extend_from_slice(body);
+    Some(framed)
 }
 
 /// Incremental handshake parser: `Ok(Some((consumed, peer, epoch)))` once
@@ -202,11 +189,7 @@ mod tests {
     #[test]
     fn incremental_parser_handles_split_frames() {
         let m = TestMsg(7, vec![1, 2, 3]);
-        let body = m.to_frame();
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&(body.len() as u32 + 8).to_le_bytes());
-        wire.extend_from_slice(&9u64.to_le_bytes());
-        wire.extend_from_slice(&body);
+        let wire = encode(9, &m.to_frame()).unwrap();
         // Every split point of the byte stream parses to Incomplete, then
         // the full buffer yields exactly one frame.
         for cut in 0..wire.len() {
@@ -229,6 +212,23 @@ mod tests {
             }
             other => panic!("expected a complete frame, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn encode_refuses_what_the_parser_rejects() {
+        // One byte past the bound: refused before any frame is allocated
+        // (the zeroed body is never touched, so it costs no memory).
+        let oversized = vec![0u8; MAX_FRAME_BYTES as usize - 7];
+        assert!(encode(1, &oversized).is_none());
+        let empty = encode(1, &[]).unwrap();
+        assert!(matches!(
+            parse_frame(&empty).unwrap(),
+            FrameParse::Complete {
+                consumed: 12,
+                seq: 1,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -14,17 +14,23 @@
 //!   [`Codec`](iniva_net::wire::Codec)-encoded protocol messages plus a
 //!   per-sender sequence number and an identifying handshake.
 //! * [`dedup`] — a bounded seen-message cache dropping duplicate
-//!   `(sender, sequence)` deliveries (e.g. replays after a reconnect).
+//!   `(sender, epoch, sequence)` deliveries, which only hand-made or
+//!   hostile frames produce.
 //! * [`reactor`] — a dependency-free epoll event loop (raw
 //!   `epoll_create1`/`epoll_ctl`/`epoll_pwait2`/`eventfd` syscalls):
 //!   sources register fds with read/write interest and get readiness
-//!   callbacks, notifications and deadlines from [`reactor::Reactor::poll`]; it has
-//!   no thread of its own.
-//! * [`transport`] — the peer fabric: one listener and a reconnecting
-//!   bounded outbound lane per peer, every peer *and* ingress-client
-//!   socket of a node on the one reactor the transport owns (zero-copy
-//!   frame decode, coalesced `writev` flushes); decoded frames wait in a
-//!   node-local inbox, sends mark their lane for the next poll.
+//!   callbacks, notifications and deadlines from [`reactor::Reactor::poll`];
+//!   it has no thread of its own, and owns the state its sources share,
+//!   lending it to one callback at a time.
+//! * `fabric` — the sources, one module per socket role: the peer
+//!   listener and inbound connections (`peer`), a reconnecting bounded
+//!   outbound lane per peer (`lane`), the ingress-client listener and
+//!   sessions (`client`), and the node state they share (zero-copy frame
+//!   decode, coalesced `writev` flushes).
+//! * [`transport`] — the peer fabric's face: every peer *and*
+//!   ingress-client socket of a node on the one reactor the transport
+//!   owns; decoded frames wait in the node's inbox, sends push onto the
+//!   lane's queue and mark it for the next poll.
 //! * [`runtime`] — the event loop implementing the simulator's `Context`
 //!   contract, and the only loop of a node: one thread per node runs it,
 //!   polling the transport between handler turns. Queued sends go to the

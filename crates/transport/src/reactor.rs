@@ -21,6 +21,9 @@
 //! sources (accepted connections). A mark costs no syscall; cross-thread
 //! wakeups ride one `eventfd` with a pending-flag so a burst of notifies
 //! costs at most one `write(2)`.
+//! The reactor also owns the state its sources share, one context value
+//! `C`, and lends it to each callback ([`Ctl::cx`]) and to its owner
+//! between polls ([`Reactor::cx_mut`]): one thread, one owner, no lock.
 
 use std::collections::HashMap;
 use std::io;
@@ -31,10 +34,15 @@ use std::time::{Duration, Instant};
 
 /// Locks `m`, recovering the guard if a previous holder panicked.
 ///
-/// Every mutex in this crate protects plain data (queues, maps) that stays
-/// structurally valid at any point the holder could panic, so poisoning is
-/// only a signal — propagating it would let one panicking worker thread
-/// cascade into killing the node's entire networking layer.
+/// A node's socket state has one owner, its thread, and takes no lock.
+/// The three locks left guard what a second thread touches: the reactor's
+/// notify list (a [`Handle`] fires on whichever replica's thread commits a
+/// block), the link filter of [`LinkFaults`](crate::faults::LinkFaults)
+/// (rewritten by the fault-driver thread), and the cluster harness's
+/// `StartGate` (released by the harness thread; it locks directly). Each
+/// holds plain data that stays valid wherever a holder could panic, so
+/// poisoning is only a signal — propagating it would let one panicking
+/// thread take down every node's networking.
 pub(crate) fn relock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
@@ -389,45 +397,40 @@ pub enum Action {
     Drop,
 }
 
-/// One fd-owning participant of the event loop.
+/// One fd-owning participant of the event loop, sharing the reactor's
+/// context `C` with the others.
 ///
-/// All callbacks run on the thread polling the reactor; a source never
-/// needs its own synchronization (`Send` only lets the reactor move to
-/// that thread after construction). Level-triggered semantics: `ready`
-/// fires again as long as the condition holds, so handlers may stop early,
-/// but should drain until `EAGAIN` to keep syscall counts low.
-pub trait Source: Send {
+/// All callbacks run on the thread polling the reactor; neither a source
+/// nor the context it borrows needs synchronization (`Send` only lets the
+/// reactor move to that thread after construction). Level-triggered
+/// semantics: `ready` fires again as long as the condition holds, so
+/// handlers may stop early, but should drain until `EAGAIN` to keep
+/// syscall counts low.
+pub trait Source<C>: Send {
     /// The fd registered for this source became ready. `readable` /
     /// `writable` include error and hangup conditions (an attempted I/O
     /// then surfaces the error).
-    fn ready(&mut self, ctl: &mut Ctl<'_>, readable: bool, writable: bool) -> Action;
+    fn ready(&mut self, ctl: &mut Ctl<'_, C>, readable: bool, writable: bool) -> Action;
 
     /// [`Reactor::mark`] or [`Handle::notify`] named this source's token.
-    fn notified(&mut self, ctl: &mut Ctl<'_>) -> Action {
+    fn notified(&mut self, ctl: &mut Ctl<'_, C>) -> Action {
         let _ = ctl;
         Action::Keep
     }
 
     /// The deadline armed via [`Ctl::set_deadline`] fired (and was
     /// cleared; re-arm to keep a periodic timer).
-    fn deadline(&mut self, ctl: &mut Ctl<'_>) -> Action {
+    fn deadline(&mut self, ctl: &mut Ctl<'_, C>) -> Action {
         let _ = ctl;
         Action::Keep
     }
 }
 
-struct Entry {
-    source: Box<dyn Source>,
+struct Entry<C> {
+    source: Box<dyn Source<C>>,
     fd: Option<RawFd>,
     interest: Interest,
     deadline: Option<Instant>,
-}
-
-struct Inject {
-    token: Token,
-    source: Box<dyn Source>,
-    fd: Option<RawFd>,
-    interest: Interest,
 }
 
 struct Shared {
@@ -462,24 +465,31 @@ impl Handle {
     }
 }
 
-/// The registration/timer surface a [`Source`] callback drives.
+/// The registration/timer surface a [`Source`] callback drives, and the
+/// loan of the reactor's context.
 ///
 /// Fd and interest changes hit `epoll_ctl` immediately; spawned sources
 /// are installed right after the current callback returns.
-pub struct Ctl<'a> {
+pub struct Ctl<'a, C> {
     epfd: RawFd,
     token: Token,
     fd: &'a mut Option<RawFd>,
     interest: &'a mut Interest,
     deadline: &'a mut Option<Instant>,
-    spawned: &'a mut Vec<Inject>,
+    spawned: &'a mut Vec<(Token, Entry<C>)>,
     next_token: &'a mut Token,
+    cx: &'a mut C,
 }
 
-impl Ctl<'_> {
+impl<C> Ctl<'_, C> {
     /// This source's own token (e.g. to hand to a cross-thread waker).
     pub fn token(&self) -> Token {
         self.token
+    }
+
+    /// The reactor's context, lent for the length of this callback.
+    pub fn cx(&mut self) -> &mut C {
+        self.cx
     }
 
     /// Swaps the registered fd: the old one (if any) is deregistered —
@@ -519,18 +529,19 @@ impl Ctl<'_> {
     /// installed after the current callback returns.
     pub fn spawn(
         &mut self,
-        source: Box<dyn Source>,
+        source: Box<dyn Source<C>>,
         fd: Option<RawFd>,
         interest: Interest,
     ) -> Token {
         let token = *self.next_token;
         *self.next_token += 1;
-        self.spawned.push(Inject {
-            token,
+        let entry = Entry {
             source,
             fd,
             interest,
-        });
+            deadline: None,
+        };
+        self.spawned.push((token, entry));
         token
     }
 }
@@ -541,29 +552,31 @@ enum Event {
     Deadline,
 }
 
-/// The event loop: owns the epoll fd and every registered source.
+/// The event loop: owns the epoll fd, every registered source and the
+/// context `C` they share.
 ///
 /// Construct with [`Reactor::new`], register the initial sources, then
 /// call [`Reactor::poll`] from the one thread that drives the node.
 /// Dropping the reactor closes the epoll fd and every source's socket.
-pub struct Reactor {
+pub struct Reactor<C> {
     epfd: RawFd,
-    entries: HashMap<Token, Entry>,
+    entries: HashMap<Token, Entry<C>>,
     shared: Arc<Shared>,
     next_token: Token,
     /// Tokens [`Reactor::mark`]ed since the last poll.
     marked: Vec<Token>,
+    cx: C,
 }
 
-impl Reactor {
-    /// Creates the poller and its wakeup eventfd.
+impl<C> Reactor<C> {
+    /// Creates the poller and its wakeup eventfd, owning `cx`.
     ///
     /// # Errors
     /// Fails when the kernel refuses any of the syscalls — `epoll_pwait2`
     /// included, which is probed once here so a kernel older than 5.11 (or
     /// a seccomp filter without it) stops the node at start rather than
     /// leaving every later poll returning at once.
-    pub fn new() -> io::Result<Reactor> {
+    pub fn new(cx: C) -> io::Result<Reactor<C>> {
         let epfd = sys::epoll_create()?;
         let eventfd = match sys::eventfd_new() {
             Ok(fd) => fd,
@@ -590,7 +603,19 @@ impl Reactor {
             }),
             next_token: 0,
             marked: Vec::new(),
+            cx,
         })
+    }
+
+    /// The context the sources share.
+    pub fn cx(&self) -> &C {
+        &self.cx
+    }
+
+    /// The context the sources share, lent to the reactor's owner between
+    /// polls.
+    pub fn cx_mut(&mut self) -> &mut C {
+        &mut self.cx
     }
 
     /// A cross-thread waker (cloneable) for this reactor.
@@ -606,7 +631,7 @@ impl Reactor {
     /// Propagates the `epoll_ctl` failure when `fd` cannot be added.
     pub fn register(
         &mut self,
-        source: Box<dyn Source>,
+        source: Box<dyn Source<C>>,
         fd: Option<RawFd>,
         interest: Interest,
     ) -> io::Result<Token> {
@@ -668,21 +693,13 @@ impl Reactor {
         self.fire_deadlines();
     }
 
-    fn install(&mut self, inj: Inject) {
-        if let Some(fd) = inj.fd {
-            if sys::epoll_add(self.epfd, fd, inj.interest.events(), inj.token).is_err() {
+    fn install(&mut self, token: Token, entry: Entry<C>) {
+        if let Some(fd) = entry.fd {
+            if sys::epoll_add(self.epfd, fd, entry.interest.events(), token).is_err() {
                 return; // source dropped; its socket closes
             }
         }
-        self.entries.insert(
-            inj.token,
-            Entry {
-                source: inj.source,
-                fd: inj.fd,
-                interest: inj.interest,
-                deadline: None,
-            },
-        );
+        self.entries.insert(token, entry);
     }
 
     /// Runs the `notified` callbacks of every marked and notified token.
@@ -740,6 +757,7 @@ impl Reactor {
                 deadline: &mut entry.deadline,
                 spawned: &mut spawned,
                 next_token: &mut self.next_token,
+                cx: &mut self.cx,
             };
             match event {
                 Event::Ready(r, w) => entry.source.ready(&mut ctl, r, w),
@@ -758,13 +776,13 @@ impl Reactor {
                 // entry drops here: the source's socket closes
             }
         }
-        for inj in spawned {
-            self.install(inj);
+        for (token, entry) in spawned {
+            self.install(token, entry);
         }
     }
 }
 
-impl Drop for Reactor {
+impl<C> Drop for Reactor<C> {
     fn drop(&mut self) {
         // Sources first (their sockets close), then the poller itself.
         self.entries.clear();
@@ -777,7 +795,6 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::sync::atomic::AtomicU64;
     use std::sync::mpsc;
     use std::thread;
 
@@ -788,8 +805,8 @@ mod tests {
         out: Vec<u8>,
     }
 
-    impl Source for Echo {
-        fn ready(&mut self, ctl: &mut Ctl<'_>, readable: bool, writable: bool) -> Action {
+    impl Source<()> for Echo {
+        fn ready(&mut self, ctl: &mut Ctl<'_, ()>, readable: bool, writable: bool) -> Action {
             if readable {
                 let mut buf = [0u8; 4096];
                 loop {
@@ -826,8 +843,8 @@ mod tests {
         listener: TcpListener,
     }
 
-    impl Source for EchoListener {
-        fn ready(&mut self, ctl: &mut Ctl<'_>, _r: bool, _w: bool) -> Action {
+    impl Source<()> for EchoListener {
+        fn ready(&mut self, ctl: &mut Ctl<'_, ()>, _r: bool, _w: bool) -> Action {
             loop {
                 match self.listener.accept() {
                     Ok((stream, _)) => {
@@ -859,7 +876,7 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         listener.set_nonblocking(true).unwrap();
-        let mut reactor = Reactor::new().unwrap();
+        let mut reactor = Reactor::new(()).unwrap();
         let fd = listener.as_raw_fd();
         reactor
             .register(
@@ -893,17 +910,17 @@ mod tests {
         fired: mpsc::Sender<Instant>,
     }
 
-    impl Source for Ticker {
-        fn ready(&mut self, _ctl: &mut Ctl<'_>, _r: bool, _w: bool) -> Action {
+    impl Source<()> for Ticker {
+        fn ready(&mut self, _ctl: &mut Ctl<'_, ()>, _r: bool, _w: bool) -> Action {
             Action::Keep
         }
 
-        fn notified(&mut self, ctl: &mut Ctl<'_>) -> Action {
+        fn notified(&mut self, ctl: &mut Ctl<'_, ()>) -> Action {
             ctl.set_deadline(Some(Instant::now() + self.period));
             Action::Keep
         }
 
-        fn deadline(&mut self, ctl: &mut Ctl<'_>) -> Action {
+        fn deadline(&mut self, ctl: &mut Ctl<'_, ()>) -> Action {
             let _ = self.fired.send(Instant::now());
             ctl.set_deadline(Some(Instant::now() + self.period));
             Action::Keep
@@ -912,7 +929,7 @@ mod tests {
 
     #[test]
     fn deadlines_fire_and_rearm() {
-        let mut reactor = Reactor::new().unwrap();
+        let mut reactor = Reactor::new(()).unwrap();
         let (tx, rx) = mpsc::channel();
         let token = reactor
             .register(
@@ -938,30 +955,22 @@ mod tests {
 
     #[test]
     fn late_registration_and_notify_coalescing() {
-        struct Counter {
-            hits: Arc<AtomicU64>,
-        }
-        impl Source for Counter {
-            fn ready(&mut self, _ctl: &mut Ctl<'_>, _r: bool, _w: bool) -> Action {
+        /// Counts its notifications in the reactor's context.
+        struct Counter;
+        impl Source<u64> for Counter {
+            fn ready(&mut self, _ctl: &mut Ctl<'_, u64>, _r: bool, _w: bool) -> Action {
                 Action::Keep
             }
-            fn notified(&mut self, _ctl: &mut Ctl<'_>) -> Action {
-                self.hits.fetch_add(1, Ordering::SeqCst);
+            fn notified(&mut self, ctl: &mut Ctl<'_, u64>) -> Action {
+                *ctl.cx() += 1;
                 Action::Keep
             }
         }
-        let mut reactor = Reactor::new().unwrap();
+        let mut reactor = Reactor::new(0u64).unwrap();
         reactor.poll(Duration::ZERO);
         // Registered after the loop has run.
-        let hits = Arc::new(AtomicU64::new(0));
         let token = reactor
-            .register(
-                Box::new(Counter {
-                    hits: Arc::clone(&hits),
-                }),
-                None,
-                Interest::NONE,
-            )
+            .register(Box::new(Counter), None, Interest::NONE)
             .unwrap();
 
         // Marks from the loop's thread coalesce into one callback, and a
@@ -975,7 +984,7 @@ mod tests {
             start.elapsed() < Duration::from_secs(1),
             "a mark must not wait"
         );
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "marks coalesce");
+        assert_eq!(*reactor.cx(), 1, "marks coalesce");
 
         // Notifies from another thread wake a blocked poll and coalesce.
         let handle = reactor.handle();
@@ -985,12 +994,12 @@ mod tests {
             }
         });
         let deadline = Instant::now() + Duration::from_secs(2);
-        while hits.load(Ordering::SeqCst) == 1 && Instant::now() < deadline {
+        while *reactor.cx() == 1 && Instant::now() < deadline {
             reactor.poll(Duration::from_millis(500));
         }
         notifier.join().unwrap();
         reactor.poll(Duration::ZERO);
-        let seen = hits.load(Ordering::SeqCst) - 1;
+        let seen = *reactor.cx() - 1;
         assert!(seen >= 1, "notify never delivered");
         assert!(seen <= 100, "notify multiplied");
     }
@@ -1001,7 +1010,7 @@ mod tests {
     /// every later poll returns at once and the node's thread spins.
     #[test]
     fn a_late_wakeup_is_drained_and_polls_block_again() {
-        let mut reactor = Reactor::new().unwrap();
+        let mut reactor = Reactor::new(()).unwrap();
         assert!(!reactor.shared.wake_pending.load(Ordering::SeqCst));
         sys::eventfd_post(reactor.shared.eventfd);
         reactor.poll(Duration::from_millis(100)); // sees the write

@@ -2,13 +2,17 @@
 //! reconnecting outbound lane per peer, every socket of the node — and,
 //! via [`Transport::serve_clients`], its ingress clients' — on one epoll
 //! [`Reactor`] the transport owns (the socket state machines are the
-//! [`Source`](crate::reactor::Source)s in `fabric.rs`). The transport
+//! [`Source`](crate::reactor::Source)s in `fabric/`). The transport
 //! spawns no thread: whoever owns it — the node's
 //! [`Runtime`](crate::runtime::Runtime), on the node's one thread — moves
-//! its sockets by calling [`Transport::poll`]. Decoded messages wait in a
-//! node-local inbox for the runtime to drain; [`Transport::send`] pushes
-//! onto the destination lane's queue and marks the lane, which flushes in
-//! the next poll without a syscall to wake anyone.
+//! its sockets by calling [`Transport::poll`].
+//!
+//! The node's socket state — inbox, duplicate filter, one queue per lane —
+//! is the reactor's context, which it lends to the sources in their
+//! callbacks and to the transport between polls. Decoded messages wait in
+//! the inbox for the runtime to drain; [`Transport::send`] pushes onto the
+//! destination lane's queue and marks the lane, which flushes in the next
+//! poll without a syscall to wake anyone.
 //!
 //! Connections are asymmetric: each node *dials* every peer for its own
 //! outbound traffic and *accepts* the peers' dials for inbound traffic, so
@@ -25,10 +29,10 @@
 //! injected drop is counted in [`TransportStats::faults_dropped`].
 
 use crate::dedup::DedupCache;
-use crate::fabric::{ClientCtx, ClientListener, OutboundLane, PeerCtx, PeerListener};
+use crate::fabric::{ClientCtx, ClientListener, LaneQueue, NodeCx, OutboundLane, PeerListener};
 use crate::faults::{LinkFaults, NodeFaults};
 use crate::frame;
-use crate::reactor::{relock, Interest, Reactor, Token};
+use crate::reactor::{Interest, Reactor};
 use iniva_net::wire::Codec;
 use iniva_net::NodeId;
 use std::collections::{HashMap, VecDeque};
@@ -36,7 +40,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs for a [`Transport`].
@@ -172,66 +176,14 @@ pub fn export_transport_snapshot(snap: &TransportSnapshot, registry: &iniva_obs:
 }
 
 /// How many `(sender, epoch, seq)` triples the duplicate filter remembers.
-pub(crate) const DEDUP_CAPACITY: usize = 4096;
-
-/// Backoff bounds for outbound reconnects.
-pub(crate) const BACKOFF_START: Duration = Duration::from_millis(10);
-pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(500);
-
-/// A bounded, epoch-tagged frame queue feeding one outbound lane:
-/// [`Transport::send`] pushes, the lane's
-/// [`OutboundLane`](crate::fabric::OutboundLane) source pops, both on the
-/// node's thread (the mutex is never contended; it makes the queue `Sync`
-/// for the `Send` source that shares it).
-///
-/// Drop-oldest on overflow: the bound and the eviction happen on the
-/// sender side.
-pub(crate) struct LaneQueue {
-    frames: Mutex<VecDeque<(u32, Vec<u8>)>>,
-    capacity: usize,
-}
-
-impl LaneQueue {
-    fn new(capacity: usize) -> Self {
-        LaneQueue {
-            frames: Mutex::new(VecDeque::new()),
-            capacity,
-        }
-    }
-
-    /// Enqueues a frame under `epoch`; returns `true` if the oldest queued
-    /// frame was evicted to make room.
-    fn push(&self, epoch: u32, framed: Vec<u8>) -> bool {
-        let mut frames = relock(&self.frames);
-        let evicted = frames.len() >= self.capacity.max(1);
-        if evicted {
-            frames.pop_front();
-        }
-        frames.push_back((epoch, framed));
-        evicted
-    }
-
-    /// Pops without waiting: the lane drains when it is marked or its
-    /// socket turns writable, never by blocking on the queue.
-    pub(crate) fn try_pop(&self) -> Option<(u32, Vec<u8>)> {
-        relock(&self.frames).pop_front()
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        relock(&self.frames).len()
-    }
-}
+const DEDUP_CAPACITY: usize = 4096;
 
 /// The TCP message fabric for one node. Dropping it closes every socket.
 pub struct Transport<M> {
     local_addr: SocketAddr,
-    /// The node's poller: every socket is a source registered on it.
-    reactor: Reactor,
-    /// Per-peer outbound queue and the token of the lane source draining it.
-    lanes: HashMap<NodeId, (Arc<LaneQueue>, Token)>,
-    /// What every peer source shares: the node id, counters, fault
-    /// switches, dedup filter and the inbox decoded frames wait in.
-    ctx: Arc<PeerCtx<M>>,
+    /// The node's poller: every socket is a source registered on it, and
+    /// the node's socket state is its context.
+    reactor: Reactor<NodeCx<M>>,
     seq: u64,
     /// Incarnation under which `seq` counts; a heal resets the sequence.
     sent_epoch: u32,
@@ -283,45 +235,34 @@ impl<M: Codec + Send + 'static> Transport<M> {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let mut reactor = Reactor::new()?;
-        let ctx = Arc::new(PeerCtx {
+        let mut reactor = Reactor::new(NodeCx {
             node,
-            inbox: Mutex::new(VecDeque::new()),
+            inbox: VecDeque::new(),
+            dedup: DedupCache::new(DEDUP_CAPACITY),
+            lanes: HashMap::new(),
             stats,
             node_faults,
             link_faults,
-            dedup: Mutex::new(DedupCache::new(DEDUP_CAPACITY)),
-        });
+        })?;
         let listener_fd = listener.as_raw_fd();
         reactor.register(
-            Box::new(PeerListener::new(listener, Arc::clone(&ctx))),
+            Box::new(PeerListener { listener }),
             Some(listener_fd),
             Interest::READ,
         )?;
-        let mut lanes = HashMap::new();
-        for &(peer, addr) in peers {
-            if peer == node {
-                continue;
-            }
-            let queue = Arc::new(LaneQueue::new(options.lane_capacity));
+        for &(peer, addr) in peers.iter().filter(|(peer, _)| *peer != node) {
             // No fd yet: the lane dials lazily, on its first frame.
             let token = reactor.register(
-                Box::new(OutboundLane::new(
-                    peer,
-                    addr,
-                    Arc::clone(&queue),
-                    Arc::clone(&ctx),
-                )),
+                Box::new(OutboundLane::new(peer, addr)),
                 None,
                 Interest::NONE,
             )?;
-            lanes.insert(peer, (queue, token));
+            let queue = LaneQueue::new(options.lane_capacity, token);
+            reactor.cx_mut().lanes.insert(peer, queue);
         }
         Ok(Transport {
             local_addr,
             reactor,
-            lanes,
-            ctx,
             seq: 0,
             sent_epoch: 0,
         })
@@ -329,7 +270,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// This node's id.
     pub fn node(&self) -> NodeId {
-        self.ctx.node
+        self.reactor.cx().node
     }
 
     /// The listener's actual address.
@@ -339,7 +280,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// Transport counters.
     pub fn stats(&self) -> &TransportStats {
-        &self.ctx.stats
+        &self.reactor.cx().stats
     }
 
     /// A point-in-time copy of the counters with the lane-queue gauge
@@ -348,18 +289,18 @@ impl<M: Codec + Send + 'static> Transport<M> {
         let depth = self.queue_depth() as u64;
         // ORDER: advisory gauge refresh; the value is read back only via
         // `TransportStats::snapshot`, with no ordering dependency.
-        self.ctx.stats.queue_depth.store(depth, Ordering::Relaxed);
-        self.ctx.stats.snapshot()
+        self.stats().queue_depth.store(depth, Ordering::Relaxed);
+        self.stats().snapshot()
     }
 
     /// Frames currently queued across all outbound lanes.
     pub fn queue_depth(&self) -> usize {
-        self.lanes.values().map(|(q, _)| q.len()).sum()
+        self.reactor.cx().lanes.values().map(LaneQueue::len).sum()
     }
 
     /// This node's crash/heal switch.
     pub fn node_faults(&self) -> Arc<NodeFaults> {
-        Arc::clone(&self.ctx.node_faults)
+        Arc::clone(&self.reactor.cx().node_faults)
     }
 
     /// Sends `msg` to `to`. Self-sends are delivered directly; unknown
@@ -370,57 +311,50 @@ impl<M: Codec + Send + 'static> Transport<M> {
     /// (killed) node or a blocked link drops the frame instead, counted in
     /// [`TransportStats::faults_dropped`].
     pub fn send(&mut self, to: NodeId, msg: &M) {
-        let ctx = &self.ctx;
-        if ctx.node_faults.is_down() {
-            TransportStats::bump(&ctx.stats.faults_dropped, 1);
+        let cx = self.reactor.cx_mut();
+        if cx.node_faults.is_down() {
+            TransportStats::bump(&cx.stats.faults_dropped, 1);
             return;
         }
-        let epoch = ctx.node_faults.epoch();
+        let epoch = cx.node_faults.epoch();
         if epoch != self.sent_epoch {
             // Healed under a new incarnation: restart the sequence space.
             self.sent_epoch = epoch;
             self.seq = 0;
         }
         let body = msg.to_frame();
-        if to == ctx.node {
-            TransportStats::bump(&ctx.stats.msgs_sent, 1);
-            TransportStats::bump(&ctx.stats.bytes_sent, body.len() as u64);
-            TransportStats::bump(&ctx.stats.msgs_received, 1);
-            TransportStats::bump(&ctx.stats.bytes_received, body.len() as u64);
+        if to == cx.node {
+            TransportStats::bump(&cx.stats.msgs_sent, 1);
+            TransportStats::bump(&cx.stats.bytes_sent, body.len() as u64);
+            TransportStats::bump(&cx.stats.msgs_received, 1);
+            TransportStats::bump(&cx.stats.bytes_received, body.len() as u64);
             // Re-decode instead of cloning: M need not be Clone, and the
             // loopback path then exercises the same codec as the sockets.
             if let Ok(decoded) = M::from_frame(body) {
-                relock(&ctx.inbox).push_back((to, decoded));
+                cx.inbox.push_back((to, decoded));
             }
             return;
         }
-        if ctx.link_faults.blocked(ctx.node, to) {
-            TransportStats::bump(&ctx.stats.faults_dropped, 1);
+        if cx.link_faults.blocked(cx.node, to) {
+            TransportStats::bump(&cx.stats.faults_dropped, 1);
             return;
         }
-        let Some((queue, token)) = self.lanes.get(&to) else {
+        let Some(queue) = cx.lanes.get_mut(&to) else {
             return;
         };
-        // Enforce the same bound the receiver's parser enforces: a frame it
-        // would reject as corrupt must never be queued (the lane would
-        // reconnect and replay it forever).
-        let Ok(len) = u32::try_from(body.len() + 8) else {
+        // A frame the receiver's parser would reject as corrupt is never
+        // queued (the lane would reconnect and replay it forever).
+        let Some(framed) = frame::encode(self.seq + 1, &body) else {
             return;
         };
-        if len > frame::MAX_FRAME_BYTES {
-            return;
-        }
-        TransportStats::bump(&ctx.stats.msgs_sent, 1);
-        TransportStats::bump(&ctx.stats.bytes_sent, body.len() as u64);
         self.seq += 1;
-        let mut framed = Vec::with_capacity(12 + body.len());
-        framed.extend_from_slice(&len.to_le_bytes());
-        framed.extend_from_slice(&self.seq.to_le_bytes());
-        framed.extend_from_slice(&body);
+        TransportStats::bump(&cx.stats.msgs_sent, 1);
+        TransportStats::bump(&cx.stats.bytes_sent, body.len() as u64);
         if queue.push(epoch, framed) {
-            TransportStats::bump(&ctx.stats.lane_evicted, 1);
+            TransportStats::bump(&cx.stats.lane_evicted, 1);
         }
-        self.reactor.mark(*token);
+        let lane = queue.lane;
+        self.reactor.mark(lane);
     }
 
     /// Runs one iteration of the node's event loop: flushes the lanes
@@ -434,12 +368,12 @@ impl<M: Codec + Send + 'static> Transport<M> {
 
     /// Whether decoded messages wait in the inbox.
     pub(crate) fn has_incoming(&self) -> bool {
-        !relock(&self.ctx.inbox).is_empty()
+        !self.reactor.cx().inbox.is_empty()
     }
 
     /// Takes up to `max` messages from the inbox, oldest first.
-    pub(crate) fn take_incoming(&self, max: usize) -> Vec<(NodeId, M)> {
-        let mut inbox = relock(&self.ctx.inbox);
+    pub(crate) fn take_incoming(&mut self, max: usize) -> Vec<(NodeId, M)> {
+        let inbox = &mut self.reactor.cx_mut().inbox;
         let n = inbox.len().min(max);
         inbox.drain(..n).collect()
     }
@@ -463,17 +397,10 @@ impl<M: Codec + Send + 'static> Transport<M> {
             handle: self.reactor.handle(),
         });
         self.reactor.register(
-            Box::new(ClientListener::new(listener, ctx)),
+            Box::new(ClientListener { listener, ctx }),
             Some(fd),
             Interest::READ,
         )?;
         Ok(())
     }
-}
-
-pub(crate) fn would_block(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
 }

@@ -154,6 +154,11 @@ fn killed_replica_heals_and_rejoins() {
     // falsely deduped, the cluster could never have re-included it. The
     // victim's own counters show the kill actually dropped traffic.
     assert!(run.nodes[victim as usize].transport.faults_dropped > 0);
+    // Lanes redial across the kill and the heal, yet none sends a frame
+    // twice: each writes again only frames it never fully wrote.
+    for (id, node) in run.nodes.iter().enumerate() {
+        assert_eq!(node.transport.dups_dropped, 0, "replica {id}");
+    }
 }
 
 /// The tree of view `v` is rooted at the leader of `v + 1`, so a crashed

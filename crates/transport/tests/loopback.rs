@@ -201,13 +201,15 @@ fn wait_for(
     }
 }
 
-/// A frame replayed on a *new* connection (what a reconnecting lane does
-/// when it cannot know whether its last write landed) must be dropped by
-/// the transport-wide duplicate filter, not delivered twice.
+/// A frame replayed on a *new* connection must be dropped by the
+/// transport-wide duplicate filter, not delivered twice. Only a hand-made
+/// or hostile sender replays like this: a lane never sends again a frame
+/// it fully wrote (see `outbound_lane_reconnects_after_peer_restart`).
 #[test]
 fn duplicate_frames_across_reconnects_are_dropped() {
     use iniva_net::wire::Codec;
     use iniva_transport::frame;
+    use std::io::Write;
     use std::net::TcpStream;
 
     let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
@@ -218,16 +220,19 @@ fn duplicate_frames_across_reconnects_are_dropped() {
 
     // First connection: frame seq=1.
     let mut c1 = TcpStream::connect(addr).unwrap();
-    frame::write_handshake(&mut c1, 5, 0).unwrap();
-    frame::write_frame(&mut c1, 1, &Num(41).to_frame()).unwrap();
+    c1.write_all(&frame::handshake_bytes(5, 0)).unwrap();
+    c1.write_all(&frame::encode(1, &Num(41).to_frame()).unwrap())
+        .unwrap();
     wait_for(&mut rb, None, 1, Duration::from_secs(5));
     drop(c1);
 
     // Second connection, same sender id: replay seq=1, then send seq=2.
     let mut c2 = TcpStream::connect(addr).unwrap();
-    frame::write_handshake(&mut c2, 5, 0).unwrap();
-    frame::write_frame(&mut c2, 1, &Num(41).to_frame()).unwrap();
-    frame::write_frame(&mut c2, 2, &Num(42).to_frame()).unwrap();
+    c2.write_all(&frame::handshake_bytes(5, 0)).unwrap();
+    for (seq, n) in [(1, 41), (2, 42)] {
+        c2.write_all(&frame::encode(seq, &Num(n).to_frame()).unwrap())
+            .unwrap();
+    }
     wait_for(&mut rb, None, 2, Duration::from_secs(5));
 
     assert_eq!(
@@ -266,6 +271,7 @@ fn outbound_lane_reconnects_after_peer_restart() {
     // connections all close) …
     let (_, _, snapshot_b) = rb.finish();
     assert_eq!(snapshot_b.msgs_received, 5);
+    assert_eq!(snapshot_b.dups_dropped, 0);
     // Give the FIN a moment to reach the sender, and the sender a poll to
     // read it, so its next write probes the connection as dead instead of
     // racing the close.
@@ -302,6 +308,9 @@ fn outbound_lane_reconnects_after_peer_restart() {
     // not (a healthy run reports zero, see
     // `fault_free_run_reports_zero_reconnects`).
     assert!(ta.stats().snapshot().reconnects >= 1);
+    // The lane wrote again only frames it never fully wrote, so the
+    // restarted receiver saw no frame twice.
+    assert_eq!(rb2.transport_stats().snapshot().dups_dropped, 0);
 }
 
 /// A healthy run must report **zero** reconnects: the initial dial of
@@ -781,7 +790,7 @@ fn a_charged_turn_keeps_serving_io() {
     use iniva_net::wire::Codec;
     use iniva_net::{Time, MILLIS};
     use iniva_transport::frame;
-    use std::io::Read;
+    use std::io::{Read, Write};
 
     /// Charges 200 ms and sends to node 1 in its first turn; stamps each
     /// delivery.
@@ -834,8 +843,10 @@ fn a_charged_turn_keeps_serving_io() {
     let mut client = connect_client(client_addr);
     assert_eq!(submit(&mut client, 1, 0), SubmitStatus::Accepted);
     let mut from_peer = std::net::TcpStream::connect(node_addr).unwrap();
-    frame::write_handshake(&mut from_peer, 1, 0).unwrap();
-    frame::write_frame(&mut from_peer, 1, &Num(41).to_frame()).unwrap();
+    from_peer.write_all(&frame::handshake_bytes(1, 0)).unwrap();
+    from_peer
+        .write_all(&frame::encode(1, &Num(41).to_frame()).unwrap())
+        .unwrap();
     while stats.snapshot().msgs_received == 0 && started.elapsed() < charge {
         std::thread::sleep(Duration::from_millis(1));
     }

@@ -5,7 +5,7 @@
 //! committed, and that agrees with the first run's dumps.
 
 use iniva_crypto::sim_scheme::SimScheme;
-use iniva_obs::timeline::parse_dump;
+use iniva_obs::timeline::read_dumps;
 use iniva_obs::{check_agreement, EventKind, NodeDump};
 use iniva_transport::cluster::{run_member, NodeRun};
 use iniva_transport::ClusterConfig;
@@ -49,17 +49,6 @@ fn config(peers: &[SocketAddr], duration_secs: u64, metrics_dir: &Path) -> Clust
     ClusterConfig::parse(&text).expect("the config parses")
 }
 
-fn read_dumps(dir: &Path) -> Vec<NodeDump> {
-    (0..N)
-        .map(|id| {
-            let path = dir.join(format!("trace-{id}.jsonl"));
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            parse_dump(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-        })
-        .collect()
-}
-
 /// `(height, hash prefix)` of every hashed commit in `dump`.
 fn hashed_commits(dump: &NodeDump) -> Vec<(u64, u64)> {
     dump.events
@@ -100,7 +89,8 @@ fn members_commit_agree_by_hash_and_recover_from_their_wal() {
     }
 
     // Every member's dump reports hashed commits, and the dumps agree.
-    let first = read_dumps(&dir.join("dumps"));
+    let first = read_dumps(&dir.join("dumps")).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(first.len(), N as usize, "one dump per member");
     for dump in &first {
         assert!(
             !hashed_commits(dump).is_empty(),

@@ -48,8 +48,9 @@ fn parse_stream(buf: &[u8]) -> Result<(Vec<(u64, Vec<u8>)>, usize), ()> {
     }
 }
 
-/// Encodes one transport frame the way `write_frame` lays it out:
-/// `[len:u32-le][seq:u64-le][body]` with `len = 8 + body.len()`.
+/// Encodes one transport frame as the wire layout states it,
+/// `[len:u32-le][seq:u64-le][body]` with `len = 8 + body.len()`: the
+/// reference the parser and `frame::encode` are both checked against.
 fn encode_frame(seq: u64, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + body.len());
     out.extend_from_slice(&((body.len() + 8) as u32).to_le_bytes());
@@ -413,6 +414,7 @@ proptest! {
         body in proptest::collection::vec(any::<u8>(), 0..48),
     ) {
         let framed = encode_frame(seq, &body);
+        prop_assert_eq!(frame::encode(seq, &body).as_ref(), Some(&framed));
         for cut in 0..framed.len() {
             prop_assert!(
                 matches!(frame::parse_frame(&framed[..cut]), Ok(FrameParse::Incomplete)),
