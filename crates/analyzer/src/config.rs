@@ -23,6 +23,9 @@ pub struct Config {
     /// Reactor files whose state only the node's own thread touches: no
     /// lock may appear in them.
     pub node_local_files: Vec<String>,
+    /// Directories whose modules call the scheme's verification only
+    /// inside `verify_recorded`.
+    pub verify_site_dirs: Vec<String>,
     /// Top-level directories (repo-relative) excluded from the scan.
     pub exclude_dirs: Vec<String>,
 }
@@ -40,6 +43,7 @@ impl Config {
                     ("bounded_decode", "decode_modules") => &mut cfg.decode_modules,
                     ("no_blocking_on_reactor", "files") => &mut cfg.reactor_files,
                     ("no_blocking_on_reactor", "node_local") => &mut cfg.node_local_files,
+                    ("one_verification_site", "dirs") => &mut cfg.verify_site_dirs,
                     ("workspace", "exclude") => &mut cfg.exclude_dirs,
                     _ => {
                         return Err(format!(

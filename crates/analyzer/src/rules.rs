@@ -1,4 +1,4 @@
-//! The rule engine: five token-level rules plus the suppression protocol.
+//! The rule engine: six token-level rules plus the suppression protocol.
 //!
 //! Rules operate on the token/comment stream from [`crate::lexer`]; none of
 //! them parse full Rust. Each rule reports a [`Finding`] at a 1-indexed line;
@@ -21,6 +21,9 @@ pub const RULE_RELAXED: &str = "atomics-ordering-audit";
 pub const RULE_DECODE: &str = "bounded-decode";
 /// Rule: no blocking calls / locks across syscalls in reactor-thread files.
 pub const RULE_BLOCKING: &str = "no-blocking-on-reactor";
+/// Rule: in the protocol modules only `verify_recorded` calls the scheme's
+/// `verify`/`verify_batch`.
+pub const RULE_VERIFY_SITE: &str = "one-verification-site";
 /// Meta-rule: a `// lint: allow(...)` suppression must carry a reason.
 pub const RULE_ALLOW_REASON: &str = "allow-missing-reason";
 
@@ -31,6 +34,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_RELAXED,
     RULE_DECODE,
     RULE_BLOCKING,
+    RULE_VERIFY_SITE,
 ];
 
 /// How far above a flagged line an annotation or suppression may sit
@@ -88,6 +92,12 @@ const FLAGGED_SYSCALLS: &[&str] = &[
     "connect_nonblocking",
 ];
 
+/// The one protocol function that may call the scheme's verification: it
+/// charges the batch and records it in the histogram and the trace.
+const VERIFY_SITE: &str = "verify_recorded";
+/// The scheme's verification methods (as `.name(` or `::name(`).
+const VERIFY_METHODS: &[&str] = &["verify", "verify_batch"];
+
 /// Does repo-relative `rel` match configured path `pat` (suffix match on `/`
 /// boundaries, so `transport/src/reactor.rs` matches
 /// `crates/transport/src/reactor.rs`)?
@@ -97,6 +107,23 @@ fn path_matches(rel: &str, pat: &str) -> bool {
 
 fn in_list(rel: &str, pats: &[String]) -> bool {
     pats.iter().any(|p| path_matches(rel, p))
+}
+
+/// Is `rel` inside configured directory `dir` (a prefix on `/`
+/// boundaries, matched like [`path_matches`])?
+fn in_dir(rel: &str, dirs: &[String]) -> bool {
+    dirs.iter().any(|d| {
+        let d = d.trim_end_matches('/');
+        rel.starts_with(&format!("{d}/")) || rel.contains(&format!("/{d}/"))
+    })
+}
+
+/// Is `rel` a test module by its name (`tests.rs`, `*_tests.rs`,
+/// `testkit.rs`): a file its parent declares under `#[cfg(test)]`, so its
+/// own tokens carry no test attribute?
+fn is_test_module_name(rel: &str) -> bool {
+    let name = rel.rsplit('/').next().unwrap_or(rel);
+    name == "tests.rs" || name == "testkit.rs" || name.ends_with("_tests.rs")
 }
 
 /// Is the whole file test/bench code (skipped by every rule except
@@ -135,6 +162,9 @@ pub fn analyze_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     }
     if in_list(rel, &cfg.node_local_files) {
         rule_node_local(rel, &lx, &mask, &mut raw);
+    }
+    if in_dir(rel, &cfg.verify_site_dirs) && !is_test_module_name(rel) {
+        rule_verify_site(rel, &lx, &mask, &mut raw);
     }
 
     resolve_suppressions(rel, &lx, raw)
@@ -381,6 +411,73 @@ fn rule_node_local(rel: &str, lx: &Lexed, mask: &[bool], out: &mut Vec<Finding>)
             });
         }
     }
+}
+
+/// Rule 6: in the protocol modules, a call of the scheme's `verify` or
+/// `verify_batch` (`.verify(`, `::verify_batch(`, ...) outside the body of
+/// `fn verify_recorded` is a finding: every verification is charged and
+/// traced at that one site. The cost model's `cost.verify_batch(..)`
+/// charges a batch and verifies nothing, so it is not a call of this kind.
+fn rule_verify_site(rel: &str, lx: &Lexed, mask: &[bool], out: &mut Vec<Finding>) {
+    let t = &lx.tokens;
+    let site = fn_body_spans(t, VERIFY_SITE);
+    for i in 1..t.len() {
+        if mask[i]
+            || t[i].kind != TokKind::Ident
+            || !VERIFY_METHODS.contains(&t[i].text.as_str())
+            || !t.get(i + 1).is_some_and(|n| n.is_punct('('))
+        {
+            continue;
+        }
+        let method = t[i - 1].is_punct('.');
+        let path = t[i - 1].is_punct(':');
+        let charge = method && i >= 2 && t[i - 2].is_ident("cost");
+        if !(method || path) || charge || site.iter().any(|&(a, b)| a < i && i < b) {
+            continue;
+        }
+        out.push(Finding {
+            rule: RULE_VERIFY_SITE,
+            file: rel.to_string(),
+            line: t[i].line,
+            message: format!(
+                "`{}(` outside `{VERIFY_SITE}`: the protocol verifies only there, charged \
+                 and traced",
+                t[i].text
+            ),
+            suppressed: None,
+        });
+    }
+}
+
+/// Token index spans `(open, close)` of the brace bodies of every
+/// `fn <name>` in `t`.
+fn fn_body_spans(t: &[Token], name: &str) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    for i in 0..t.len().saturating_sub(1) {
+        if !(t[i].is_ident("fn") && t[i + 1].is_ident(name)) {
+            continue;
+        }
+        let Some(open) = (i + 2..t.len()).find(|&k| t[k].is_punct('{') || t[k].is_punct(';'))
+        else {
+            continue;
+        };
+        if !t[open].is_punct('{') {
+            continue;
+        }
+        let mut depth = 0i32;
+        for (k, tok) in t.iter().enumerate().skip(open) {
+            if tok.is_punct('{') {
+                depth += 1;
+            } else if tok.is_punct('}') {
+                depth -= 1;
+                if depth == 0 {
+                    spans.push((open, k));
+                    break;
+                }
+            }
+        }
+    }
+    spans
 }
 
 fn check_lock_segment(

@@ -8,6 +8,7 @@
 
 use iniva_analyzer::rules::{
     RULE_ALLOW_REASON, RULE_BLOCKING, RULE_DECODE, RULE_PANIC, RULE_RELAXED, RULE_UNSAFE,
+    RULE_VERIFY_SITE,
 };
 use iniva_analyzer::{analyze_source, analyze_workspace, load_config, Config, Finding};
 
@@ -22,6 +23,7 @@ fn fixture_cfg() -> Config {
             "crates/x/src/owned.rs".into(),
         ],
         node_local_files: vec!["crates/x/src/owned.rs".into()],
+        verify_site_dirs: vec!["crates/x/src/protocol/".into()],
         exclude_dirs: Vec::new(),
     }
 }
@@ -280,6 +282,48 @@ fn allow_for_a_different_rule_does_not_suppress() {
     let src = "fn f(v: Option<u8>) -> u8 {\n    // lint: allow(bounded-decode) wrong rule named\n    v.unwrap()\n}\n";
     let findings = run("crates/x/src/hot.rs", src);
     assert_fires(&findings, RULE_PANIC, 3);
+}
+
+// ---------------------------------------------------- one verification site
+
+/// A protocol module whose `verify_recorded` verifies, and one other
+/// function that calls the scheme directly.
+const VERIFY_SITES: &str = "impl R {
+    fn verify_recorded(&self, msg: &[u8], aggs: &[A]) -> bool {
+        ctx.charge_cpu(self.cfg.cost.verify_batch(1, aggs.len()));
+        self.scheme.verify_batch(&[(msg, aggs)]).all_valid()
+    }
+    fn fold(&self, msg: &[u8], agg: &A) -> bool {
+        self.scheme.verify(msg, agg)
+    }
+}
+";
+
+#[test]
+fn scheme_verify_outside_verify_recorded_fires() {
+    let findings = run("crates/x/src/protocol/fanin.rs", VERIFY_SITES);
+    assert_fires(&findings, RULE_VERIFY_SITE, 7);
+    let ufcs = "fn f(s: &S, m: &[u8], a: &A) -> bool {\n    VoteScheme::verify_batch(s, &[(m, std::slice::from_ref(a))]).all_valid()\n}\n";
+    assert_fires(
+        &run("crates/x/src/protocol/sync.rs", ufcs),
+        RULE_VERIFY_SITE,
+        2,
+    );
+}
+
+#[test]
+fn cost_charges_test_modules_and_other_crates_are_silent() {
+    let charge = "fn f(&self, n: usize) {\n    ctx.charge_cpu(self.cfg\n        .cost\n        .verify_batch(n, 2 * n));\n}\n";
+    assert!(active(&run("crates/x/src/protocol/sync.rs", charge)).is_empty());
+    for rel in [
+        "crates/x/src/protocol/batching_tests.rs",
+        "crates/x/src/protocol/testkit.rs",
+        "crates/x/src/chain/verify.rs",
+    ] {
+        assert!(active(&run(rel, VERIFY_SITES)).is_empty(), "{rel}");
+    }
+    let gated = "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t(s: &S) -> bool {\n        s.verify(b\"m\", &a)\n    }\n}\n";
+    assert!(active(&run("crates/x/src/protocol/mod.rs", gated)).is_empty());
 }
 
 // ----------------------------------------------------------- live workspace

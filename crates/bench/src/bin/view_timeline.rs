@@ -12,8 +12,11 @@
 //! ```
 //!
 //! `--views` prints the per-view table on top of the summary; its
-//! `silent` column counts the known-silent members (absent from the last
-//! `n` QCs) the view's root gave a 2ND-CHANCE but did not wait for. `--check`
+//! `batches` column counts the view's verification batches across
+//! replicas (carried-QC checks and fan-in batches; the summary gives the
+//! median per advanced view), and its `silent` column the known-silent
+//! members (absent from the last `n` QCs) the view's root gave a
+//! 2ND-CHANCE but did not wait for. `--check`
 //! is the CI smoke gate: exit 0 only when every dump parses, at least
 //! one view committed, and every replica that was alive near the end of
 //! the run (events in the last 20% of the traced span) observed at
@@ -34,7 +37,7 @@ use iniva_consensus::chain::RETAINED_COMMITS;
 use iniva_obs::json::{field_u64, parse_flat_object};
 use iniva_obs::timeline::read_dumps;
 use iniva_obs::trace::EventKind;
-use iniva_obs::{check_agreement, NodeDump, Timeline, ViewOutcome};
+use iniva_obs::{check_agreement, NodeDump, Timeline};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -85,40 +88,6 @@ fn check_retention(dir: &Path) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-fn outcome_label(o: ViewOutcome) -> &'static str {
-    match o {
-        ViewOutcome::Advanced => "advanced",
-        ViewOutcome::FailedNoProposal => "FAILED no-proposal",
-        ViewOutcome::FailedNoQuorum => "FAILED no-quorum",
-        ViewOutcome::FailedAfterQc => "FAILED after-QC",
-        ViewOutcome::Unknown => "(window end)",
-    }
-}
-
-fn print_views(tl: &Timeline) {
-    println!(
-        "{:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8} {:>7}  outcome",
-        "view", "leader", "span ms", "net ms", "verify", "timer", "entered", "commits", "silent"
-    );
-    for r in &tl.views {
-        let b = r.budget();
-        let ms = |ns: u64| ns as f64 / 1e6;
-        println!(
-            "{:>6} {:>7} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>8} {:>8} {:>7}  {}",
-            r.view,
-            r.leader.map_or("?".into(), |l| l.to_string()),
-            ms(b.span_ns),
-            ms(b.network_ns),
-            ms(b.verify_ns),
-            ms(b.timer_ns),
-            r.entered.len(),
-            r.commits.len(),
-            r.silent,
-            outcome_label(r.outcome),
-        );
-    }
 }
 
 /// The CI gate: the dumps agree on every committed height they share, and
@@ -209,8 +178,7 @@ fn main() -> ExitCode {
         }
     }
     if want_views {
-        print_views(&tl);
-        println!();
+        println!("{}", tl.render_views());
     }
     print!("{}", tl.summary().render());
 

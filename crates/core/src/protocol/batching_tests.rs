@@ -102,24 +102,35 @@ fn duplicate_spam_costs_no_extra_verifications() {
     let child = tree.children_of(replica.id)[0];
     let msg = vote_message(&block.hash(), 1);
     let sig = scheme.sign(child, &msg);
+    // Out-of-committee / malformed multiplicity shapes.
+    let double = scheme.scale(&scheme.sign(child, &msg), 2);
     let mut ctx = Context::external(replica.id, 0);
     let before = scheme.verified();
+    // The spammed duplicates and the malformed share must be rejected by
+    // the cheap checks *before* any verification is charged.
+    let spam = |replica: &mut InivaReplica<CountingScheme>, ctx: &mut Context<_>| {
+        for _ in 0..50 {
+            replica.handle_signatures(ctx, vec![(child, 1, sig.clone())]);
+        }
+        replica.handle_signatures(ctx, vec![(child, 1, double.clone())]);
+    };
+    // The first copy is held while the other leaf is still expected.
     replica.handle_signatures(&mut ctx, vec![(child, 1, sig.clone())]);
+    spam(&mut replica, &mut ctx);
+    assert_eq!(
+        scheme.verified() - before,
+        0,
+        "spam reached the crypto layer"
+    );
+    // The aggregation timer verifies the held share and folds it.
+    replica.on_agg_timer(&mut ctx, 1);
     assert_eq!(scheme.verified() - before, 1, "first copy verifies once");
-    // The spammed duplicates must be rejected by the cheap duplicate
-    // check *before* any verification is charged.
-    for _ in 0..50 {
-        replica.handle_signatures(&mut ctx, vec![(child, 1, sig.clone())]);
-    }
+    spam(&mut replica, &mut ctx);
     assert_eq!(
         scheme.verified() - before,
         1,
         "duplicates reached the crypto layer"
     );
-    // Out-of-committee / malformed multiplicity shapes are also free.
-    let double = scheme.scale(&scheme.sign(child, &msg), 2);
-    replica.handle_signatures(&mut ctx, vec![(child, 1, double)]);
-    assert_eq!(scheme.verified() - before, 1);
 }
 
 /// An internal node signs (and is charged for) its vote once per view:

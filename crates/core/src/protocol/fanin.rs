@@ -2,6 +2,14 @@
 //! the view's tree and votes travel up it, folded in verified batches,
 //! with ACK inclusion proofs, the root's 2ND-CHANCE fallback, and
 //! finalization into a QC.
+//!
+//! An aggregator verifies its fan-in once: in the tree-completion trigger
+//! mode an internal node and the root hold their children's shares,
+//! unverified, until every child they still expect has sent one (or a
+//! timer, 2ND-CHANCE or the hold's bound calls for a decision), then
+//! verify them all in one batch. The paper-faithful mode verifies each
+//! delivery on receipt, as Algorithm 1's lines 18–20 do. The ruling is on
+//! [`InivaReplica::handle_signatures`].
 
 use super::pacemaker::{timer_id, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE};
 use super::{InivaMsg, InivaReplica};
@@ -50,6 +58,10 @@ pub(super) struct AggState<S: VoteScheme> {
     sc_expired: bool,
     /// Root only: whether the final QC was emitted.
     finalized: bool,
+    /// Shares that passed the cheap checks and wait, unverified, for the
+    /// node's next decision (see `handle_signatures`). Nothing reads them
+    /// until they are verified and folded.
+    pub(super) held: Vec<(NodeId, S::Aggregate)>,
 }
 
 impl<S: VoteScheme> AggState<S> {
@@ -69,6 +81,7 @@ impl<S: VoteScheme> AggState<S> {
             second_chance_sent: false,
             sc_expired: false,
             finalized: false,
+            held: Vec::new(),
         }
     }
 }
@@ -340,11 +353,43 @@ where
 
     /// Lines 18–20 over a *batch* of SIGNATURE messages: everything queued
     /// in one handler turn (live-transport drain) plus the `early_sigs`
-    /// replay lands here together, so one multi-pairing batch
-    /// verification covers the whole fan-in instead of two Miller loops
-    /// per message. Cheap structural checks (duplicates, membership,
-    /// multiplicity patterns) run *before* any pairing, so spam that
-    /// would be rejected anyway never reaches the expensive path.
+    /// replay lands here together. Cheap structural checks run on
+    /// arrival, before any pairing, so a share that can never fold is
+    /// never held and spam that would be rejected anyway never reaches
+    /// the expensive path: empty, overlapping what is already folded, a
+    /// shape not [`Self::well_formed`] for the sender's place, or an
+    /// identical copy of a share already held.
+    ///
+    /// The survivors are *held*, unverified, and verified together —
+    /// one multi-pairing batch for the node's whole fan-in — as soon as
+    /// the node has a decision to make ([`Self::flush_due`]):
+    ///
+    /// - every child it still expects has a held share. A child is no
+    ///   longer expected once folded, and, with 2ND-CHANCE on, when it or
+    ///   a member of its subtree is known-silent (see
+    ///   `maybe_second_chance_or_finalize`). The waiver only moves *when*
+    ///   the node verifies; whom it waits for is unchanged (internal nodes
+    ///   keep `2Δ·height`, the root its completion rule);
+    /// - more shares are held than the node has children, which bounds
+    ///   the hold. A share forged under a child's id forces at most this
+    ///   one early batch, where it is dropped as a culprit; the child's
+    ///   real share, held beside it or arriving later, still folds. The
+    ///   hold is therefore not newest-wins per sender: a later forgery
+    ///   would push out the honest share;
+    /// - the root has sent 2ND-CHANCE: replies fold as they arrive;
+    /// - the aggregation or second-chance timer fired: the hold is
+    ///   flushed before the timer's decision;
+    /// - always, in the paper-faithful mode (`sc_on_quorum`), which
+    ///   therefore verifies every delivery on receipt.
+    ///
+    /// Why holding cannot cost an honest member its place or its
+    /// multiplicity: every decision — sending the subtree up and its ACKs,
+    /// 2ND-CHANCE, finalizing — reads only the verified, folded aggregate,
+    /// and the hold is verified and folded right before each one. A held
+    /// share is never dropped unverified except as an identical copy of
+    /// another held share, so an honest share that arrived before a
+    /// decision is in the state that decision reads, exactly as if it had
+    /// been verified on arrival.
     pub(super) fn handle_signatures(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
@@ -353,41 +398,113 @@ where
         // Split off the signatures addressed to the live aggregation
         // state; buffer the early ones, drop stale ones.
         let live = self.agg.as_ref().map(|st| st.view);
-        let mut batch: Vec<(NodeId, S::Aggregate)> = Vec::new();
+        let mut arrived: Vec<(NodeId, S::Aggregate)> = Vec::new();
         for (from, view, agg) in sigs {
             if live == Some(view) {
-                batch.push((from, agg));
+                arrived.push((from, agg));
             } else if live.is_none_or(|live| live < view) && view >= self.current_view {
                 // The proposal has not reached us yet: buffer and replay
                 // later.
                 self.buffer_early_sig(from, view, agg);
             }
         }
-        if !batch.is_empty() {
-            self.fold_signatures(ctx, batch);
+        if arrived.is_empty() {
+            return;
+        }
+        self.hold(arrived);
+        if self.flush_due() {
+            self.flush(ctx);
         }
     }
 
-    /// Folds one view's signatures into its aggregate in waves: each wave
-    /// structurally selects pairwise-disjoint shares well-formed for this
-    /// node's role, verifies the whole wave in one batch, and folds the
-    /// survivors; items skipped only because an in-batch rival claimed the
-    /// same signer are retried in the next wave when that rival turned out
-    /// to be a forgery. An internal node folds its leaves' votes and sends
-    /// its subtree up once all are in; the root folds subtree aggregates
-    /// and 2ND-CHANCE replies, then checks for 2ND-CHANCE or finalization.
+    /// Runs the cheap checks on the live view's arriving shares and holds
+    /// the survivors (see [`Self::handle_signatures`]).
+    fn hold(&mut self, arrived: Vec<(NodeId, S::Aggregate)>) {
+        let Some(st) = &self.agg else { return };
+        let role = st.tree.role_of(self.id);
+        let children = st.tree.children_of(self.id);
+        let folded = self.scheme.multiplicities(&st.agg);
+        let mut held = Vec::new();
+        for (from, agg) in arrived {
+            let mults = self.scheme.multiplicities(&agg);
+            let copy = || {
+                st.held.iter().chain(&held).any(|(f, h)| {
+                    *f == from
+                        && self.scheme.multiplicities(h) == mults
+                        && h.to_wire() == agg.to_wire()
+                })
+            };
+            if mults.is_empty()
+                || mults.signers().any(|s| folded.contains(s))
+                || !self.well_formed(&st.tree, role, &children, from, mults)
+                || copy()
+            {
+                continue;
+            }
+            held.push((from, agg));
+        }
+        if let Some(st) = self.agg.as_mut() {
+            st.held.extend(held);
+        }
+    }
+
+    /// Whether the held shares must be verified now (the rule on
+    /// [`Self::handle_signatures`]).
+    fn flush_due(&self) -> bool {
+        let Some(st) = &self.agg else { return false };
+        if st.held.is_empty() {
+            return false;
+        }
+        if self.cfg.sc_on_quorum || st.second_chance_sent {
+            return true;
+        }
+        let tree = &st.tree;
+        let children = tree.children_of(self.id);
+        if st.held.len() > children.len() {
+            return true;
+        }
+        let silent = |m: u32| self.cfg.second_chance && self.silence.known_silent(m);
+        let root = tree.role_of(self.id) == Role::Root;
+        children.iter().all(|&c| {
+            let folded = if root {
+                st.subtrees_from.contains(&c)
+            } else {
+                st.children_in.contains(&c)
+            };
+            folded
+                || st.held.iter().any(|(from, _)| *from == c)
+                || silent(c)
+                || tree.children_of(c).into_iter().any(silent)
+        })
+    }
+
+    /// Verifies and folds everything held.
+    fn flush(&mut self, ctx: &mut Context<InivaMsg<S>>) {
+        let Some(st) = self.agg.as_mut() else { return };
+        let held = std::mem::take(&mut st.held);
+        if !held.is_empty() {
+            self.fold_signatures(ctx, held);
+        }
+    }
+
+    /// Folds one view's held signatures, which passed the cheap checks on
+    /// arrival, into its aggregate in waves: each wave structurally
+    /// selects pairwise-disjoint shares, verifies the whole wave in one
+    /// batch, and folds the survivors; items skipped only because an
+    /// in-batch rival claimed the same signer are retried in the next wave
+    /// when that rival turned out to be a forgery. An internal node folds
+    /// its leaves' votes and sends its subtree up once all are in; the
+    /// root folds subtree aggregates and 2ND-CHANCE replies, then checks
+    /// for 2ND-CHANCE or finalization.
     fn fold_signatures(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
         mut queue: Vec<(NodeId, S::Aggregate)>,
     ) {
         let Some(st) = &self.agg else { return };
-        let (view, tree) = (st.view, st.tree.clone());
-        let role = tree.role_of(self.id);
-        if role == Role::Leaf {
-            return;
-        }
-        let children = tree.children_of(self.id);
+        let view = st.view;
+        let role = st.tree.role_of(self.id);
+        let children = st.tree.children_of(self.id);
         let msg = vote_message(&st.block.hash(), view);
         loop {
             let Some(st) = self.agg.as_ref() else { return };
@@ -404,13 +521,9 @@ where
             let mut retry: Vec<(NodeId, S::Aggregate)> = Vec::new();
             for (from, agg) in queue {
                 let mults = self.scheme.multiplicities(&agg);
-                // Overlapping or redundant against accepted state, or
-                // malformed for the sender's place in the tree — skip for
-                // good (keeps multiplicities canonical).
-                if mults.is_empty()
-                    || mults.signers().any(|s| current.contains(s))
-                    || !self.well_formed(&tree, role, &children, from, mults)
-                {
+                // Overlapping what an earlier wave folded — skip for good
+                // (keeps multiplicities canonical).
+                if mults.signers().any(|s| current.contains(s)) {
                     continue;
                 }
                 if mults.signers().any(|s| tentative.contains(s)) {
@@ -690,11 +803,18 @@ where
         self.propose(ctx);
     }
 
-    /// The aggregation timer of `view` fired: an internal node sends up
-    /// what it has, the root moves on to 2ND-CHANCE.
+    /// `view`'s aggregation state, while it is live and not finalized.
+    fn open_agg(&self, view: u64) -> Option<&AggState<S>> {
+        self.agg
+            .as_ref()
+            .filter(|st| st.view == view && !st.finalized)
+    }
+
+    /// The aggregation timer of `view` fired: the held shares are verified
+    /// and folded, then an internal node sends up what it has and the root
+    /// moves on to 2ND-CHANCE.
     pub(super) fn on_agg_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
-        let Some(st) = &self.agg else { return };
-        if st.view != view || st.finalized {
+        if self.open_agg(view).is_none() {
             return;
         }
         self.tracer.emit(
@@ -704,6 +824,11 @@ where
                 kind: TimerKind::Agg,
             },
         );
+        self.flush(ctx);
+        // The flush may have decided already (and the root moved on).
+        let Some(st) = self.open_agg(view) else {
+            return;
+        };
         match st.tree.role_of(self.id) {
             Role::Internal => self.send_subtree_up(ctx),
             Role::Root => self.maybe_second_chance_or_finalize(ctx, true),
@@ -711,13 +836,18 @@ where
         }
     }
 
-    /// The second-chance timer of `view` fired: the root finalizes with
-    /// what it has.
+    /// The second-chance timer of `view` fired: the root verifies and
+    /// folds what it holds, then finalizes with what it has. (Nothing is
+    /// held once 2ND-CHANCE is out, as every reply folds on arrival; the
+    /// flush keeps the rule that each decision reads a verified hold.)
     pub(super) fn on_second_chance_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
-        let Some(st) = &mut self.agg else { return };
-        if st.view != view || st.finalized {
+        let Some(st) = self
+            .agg
+            .as_mut()
+            .filter(|st| st.view == view && !st.finalized)
+        else {
             return;
-        }
+        };
         st.sc_expired = true;
         self.tracer.emit(
             ctx.now(),
@@ -726,7 +856,10 @@ where
                 kind: TimerKind::SecondChance,
             },
         );
-        self.finalize(ctx);
+        self.flush(ctx);
+        if self.open_agg(view).is_some() {
+            self.finalize(ctx);
+        }
     }
 
     pub(super) fn handle_ack(&mut self, view: u64, agg: S::Aggregate) {

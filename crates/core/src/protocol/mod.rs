@@ -31,6 +31,8 @@ mod sync;
 #[cfg(test)]
 mod batching_tests;
 #[cfg(test)]
+mod fanin_once_tests;
+#[cfg(test)]
 mod leader_agreement_tests;
 #[cfg(test)]
 mod silence_tests;
@@ -89,8 +91,11 @@ pub struct InivaConfig {
     /// benchmarked separately. Only `false` lets the root stop waiting for
     /// a *known-silent* member, one absent from the last `n` certified QCs
     /// (the ruling is on `maybe_second_chance_or_finalize` in
-    /// `protocol/fanin.rs`); `true` waits for every member as the paper
-    /// does, so the simulated figures keep the paper's costs.
+    /// `protocol/fanin.rs`), and only `false` lets an aggregator hold its
+    /// children's shares and verify its fan-in in one batch (the ruling is
+    /// on `handle_signatures`). `true` waits for every member and verifies
+    /// every SIGNATURE delivery on receipt, as the paper does, so the
+    /// simulated figures keep the paper's costs.
     pub sc_on_quorum: bool,
     /// Leader election policy (root of the aggregation tree).
     pub leader_policy: LeaderPolicy,

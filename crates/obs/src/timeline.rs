@@ -110,6 +110,19 @@ pub enum ViewOutcome {
     Unknown,
 }
 
+impl ViewOutcome {
+    /// The outcome as the per-view table prints it.
+    fn label(self) -> &'static str {
+        match self {
+            ViewOutcome::Advanced => "advanced",
+            ViewOutcome::FailedNoProposal => "FAILED no-proposal",
+            ViewOutcome::FailedNoQuorum => "FAILED no-quorum",
+            ViewOutcome::FailedAfterQc => "FAILED after-QC",
+            ViewOutcome::Unknown => "(window end)",
+        }
+    }
+}
+
 /// Where one view's wall time went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ViewBudget {
@@ -148,7 +161,8 @@ pub struct ViewRecord {
     pub verify_wall_ns: u64,
     /// Summed modeled (charged) verification ns across nodes.
     pub verify_charged_ns: u64,
-    /// Verified share batches.
+    /// Verification batches across nodes: every `VerifyBatch` event, the
+    /// carried-QC checks and the fan-in batches alike.
     pub verify_batches: u32,
     /// Second-chance rounds opened.
     pub second_chances: u32,
@@ -402,6 +416,45 @@ impl Timeline {
         }
     }
 
+    /// The per-view table (`view_timeline --views`): one row per view
+    /// with its leader, budget split, how many replicas entered it, the
+    /// commits, verification batches and known-silent members it saw, and
+    /// its outcome.
+    pub fn render_views(&self) -> String {
+        let mut out = format!(
+            "{:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>7}  outcome\n",
+            "view",
+            "leader",
+            "span ms",
+            "net ms",
+            "verify",
+            "timer",
+            "entered",
+            "commits",
+            "batches",
+            "silent"
+        );
+        let ms = |ns: u64| ns as f64 / 1e6;
+        for r in &self.views {
+            let b = r.budget();
+            out.push_str(&format!(
+                "{:>6} {:>7} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>8} {:>8} {:>8} {:>7}  {}\n",
+                r.view,
+                r.leader.map_or("?".into(), |l| l.to_string()),
+                ms(b.span_ns),
+                ms(b.network_ns),
+                ms(b.verify_ns),
+                ms(b.timer_ns),
+                r.entered.len(),
+                r.commits.len(),
+                r.verify_batches,
+                r.silent,
+                r.outcome.label(),
+            ));
+        }
+        out
+    }
+
     /// Aggregated accounting over the whole run.
     pub fn summary(&self) -> TimelineSummary {
         let mut s = TimelineSummary {
@@ -410,9 +463,13 @@ impl Timeline {
             dropped_events: self.dropped_events,
             ..Default::default()
         };
+        let mut advanced_batches: Vec<u32> = Vec::new();
         for r in &self.views {
             let b = r.budget();
             s.views_total += 1;
+            if r.outcome == ViewOutcome::Advanced {
+                advanced_batches.push(r.verify_batches);
+            }
             s.commits += r.commits.len() as u64;
             match r.outcome {
                 ViewOutcome::Advanced | ViewOutcome::Unknown => {
@@ -435,6 +492,8 @@ impl Timeline {
                 }
             }
         }
+        advanced_batches.sort_unstable();
+        s.advanced_batches_p50 = advanced_batches.get(advanced_batches.len() / 2).copied();
         s
     }
 }
@@ -526,6 +585,9 @@ pub struct TimelineSummary {
     pub advanced_budget: BudgetSum,
     /// Time accounting over views that failed.
     pub failed_budget: BudgetSum,
+    /// Median verification batches per view that advanced (`None` when
+    /// none did).
+    pub advanced_batches_p50: Option<u32>,
     /// Ring-shed events across dumps (nonzero = partial coverage).
     pub dropped_events: u64,
 }
@@ -575,6 +637,11 @@ impl TimelineSummary {
             ms(ab.network_ns),
             ms(ab.verify_ns),
         ));
+        if let Some(batches) = self.advanced_batches_p50 {
+            out.push_str(&format!(
+                "verify batches per advanced view: median {batches}\n"
+            ));
+        }
         out.push_str(&format!("commits observed: {} (", self.commits));
         for (i, (n, c)) in self.per_node_commits.iter().enumerate() {
             out.push_str(&format!("{}n{n}:{c}", if i > 0 { " " } else { "" }));
@@ -726,6 +793,44 @@ mod tests {
         assert_eq!(s.views_failed, 0);
         assert_eq!(s.commits, 4 * 3);
         assert!(s.render().contains("0 failed"));
+    }
+
+    /// The `batches` column and the summary's median read the merged
+    /// `VerifyBatch` count: three nodes verify once per view, and node 0
+    /// verifies `view` more times.
+    #[test]
+    fn batches_are_tabled_per_view_and_their_median_summarized() {
+        let e = 1_700_000_000_000_000_000;
+        let mut dumps: Vec<NodeDump> = (0..3).map(|n| scripted_dump(n, e, 6, 0)).collect();
+        for v in 0..6u64 {
+            for _ in 0..v {
+                dumps[0].events.push(Event {
+                    at: v * 20_000_000 + 7_000_000,
+                    kind: EventKind::VerifyBatch {
+                        view: v,
+                        items: 1,
+                        wall_ns: 0,
+                        charged_ns: 0,
+                    },
+                });
+            }
+        }
+        dumps[0].events.sort_by_key(|ev| ev.at);
+        let tl = Timeline::merge(&dumps);
+        let table = tl.render_views();
+        let mut lines = table.lines();
+        let header = lines.next().unwrap();
+        let end = header.find("batches").unwrap() + "batches".len();
+        let column: Vec<&str> = lines
+            .map(|row| row[..end].split_whitespace().last().unwrap())
+            .collect();
+        assert_eq!(column, vec!["3", "4", "5", "6", "7", "8"]);
+        // View 5 ends the window: the median is over views 0..=4.
+        let s = tl.summary();
+        assert_eq!(s.advanced_batches_p50, Some(5));
+        assert!(s
+            .render()
+            .contains("verify batches per advanced view: median 5\n"));
     }
 
     #[test]

@@ -73,7 +73,7 @@ use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// The committee seed every replica of a local cluster derives its keyring
 /// from (common knowledge, like the peer list).
@@ -630,7 +630,7 @@ pub fn run_member<S: WireScheme>(
         scheme: Arc::new(S::new_committee(config.n(), CLUSTER_SEED)),
         peers: config.peer_addrs().into(),
         options: TransportOptions::default(),
-        node_faults: Arc::new(NodeFaults::new()),
+        node_faults: Arc::new(NodeFaults::starting_at(process_epoch())),
         link_faults: Arc::new(LinkFaults::new()),
         stats: Arc::new(TransportStats::default()),
         duration: Duration::from_secs(config.duration_secs),
@@ -654,6 +654,20 @@ pub fn run_member<S: WireScheme>(
     let gate = StartGate::new();
     gate.go(0);
     node.run(Some(first), &gate)
+}
+
+/// The incarnation epoch of a member process: the wall clock at its start,
+/// in milliseconds, truncated to 32 bits. A member rerun after `kill -9`
+/// starts a new epoch, so its peers' duplicate filters, which key each
+/// frame by `(sender, epoch, sequence)`, take its restarted sequence
+/// numbers as new frames rather than drop them as replays of its last
+/// life's. Two starts of one member share an epoch only when they lie an
+/// exact multiple of 2³² ms (about 49.7 days) apart.
+fn process_epoch() -> u32 {
+    let since = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap_or_default();
+    since.as_millis() as u32
 }
 
 /// A releasable start line: workers arrive and wait for a verdict — go,
@@ -1041,5 +1055,21 @@ mod tests {
             .expect("refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         assert!(err.to_string().contains("not in the peer list"), "{err}");
+    }
+
+    /// A member started again takes a new incarnation epoch: the second
+    /// start's first frames are not in the filter the first start's
+    /// frames filled. Catches every start reusing one epoch.
+    #[test]
+    fn a_restarted_member_starts_a_new_epoch() {
+        let first = NodeFaults::starting_at(process_epoch());
+        thread::sleep(Duration::from_millis(3));
+        let second = NodeFaults::starting_at(process_epoch());
+        assert_ne!(first.epoch(), second.epoch());
+        let mut filter = crate::dedup::DedupCache::new(64);
+        for seq in 1..=8 {
+            assert!(filter.insert(1, first.epoch(), seq));
+        }
+        assert!((1..=8).all(|seq| filter.insert(1, second.epoch(), seq)));
     }
 }

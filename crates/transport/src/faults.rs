@@ -44,6 +44,16 @@ impl NodeFaults {
         NodeFaults::default()
     }
 
+    /// A healthy node whose first incarnation is `epoch`. A process that
+    /// starts again after a crash takes a new one, so peers' duplicate
+    /// filters do not mistake its restarted sequence numbers for replays.
+    pub(crate) fn starting_at(epoch: u32) -> Self {
+        NodeFaults {
+            epoch: AtomicU32::new(epoch),
+            ..NodeFaults::default()
+        }
+    }
+
     /// Crashes the node: no sends, no deliveries, no timers until healed.
     pub fn kill(&self) {
         self.down.store(true, Ordering::SeqCst);
@@ -60,7 +70,8 @@ impl NodeFaults {
         self.down.load(Ordering::SeqCst)
     }
 
-    /// The current incarnation epoch (0 until the first heal).
+    /// The current incarnation epoch (the first, 0 unless started at
+    /// another, until the first heal).
     pub fn epoch(&self) -> u32 {
         self.epoch.load(Ordering::SeqCst)
     }
