@@ -12,11 +12,14 @@
 //! ```
 //!
 //! `--views` prints the per-view table on top of the summary; its
-//! `batches` column counts the view's verification batches across
-//! replicas (carried-QC checks and fan-in batches; the summary gives the
-//! median per advanced view), and its `silent` column the known-silent
-//! members (absent from the last `n` QCs) the view's root gave a
-//! 2ND-CHANCE but did not wait for. `--check`
+//! `armed ms` column is the view timer the replicas armed on entering the
+//! view (the median across them; the summary gives the median over
+//! advanced and over failed views), its `batches` column counts the
+//! view's verification batches across replicas (carried-QC checks and
+//! fan-in batches; the summary gives the median per advanced view), and
+//! its `silent` column the known-silent members (absent from the last
+//! `n` QCs) the view's root gave a 2ND-CHANCE but did not wait for.
+//! `--check`
 //! is the CI smoke gate: exit 0 only when every dump parses, at least
 //! one view committed, and every replica that was alive near the end of
 //! the run (events in the last 20% of the traced span) observed at

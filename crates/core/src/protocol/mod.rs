@@ -35,6 +35,8 @@ mod fanin_once_tests;
 #[cfg(test)]
 mod leader_agreement_tests;
 #[cfg(test)]
+mod pacemaker_tests;
+#[cfg(test)]
 mod silence_tests;
 #[cfg(test)]
 mod state_sync_tests;
@@ -57,7 +59,9 @@ use iniva_net::{Actor, Context, NodeId, Time};
 use iniva_obs::trace::EventKind;
 use iniva_obs::{Registry, Tracer};
 use iniva_tree::Topology;
-use pacemaker::{timer_kind, MAX_VIEW, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE, TIMER_VIEW};
+use pacemaker::{
+    timer_kind, ViewClock, MAX_VIEW, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE, TIMER_VIEW,
+};
 use std::sync::Arc;
 
 /// Configuration of an Iniva replica fleet.
@@ -73,7 +77,11 @@ pub struct InivaConfig {
     pub payload_per_req: u32,
     /// Open-loop client request rate (requests/second).
     pub request_rate: u64,
-    /// View timeout (pacemaker).
+    /// The view timeout before any view was measured, and its ceiling.
+    /// Once a replica has timed a view, its pacemaker arms the view timer
+    /// from its measured view spans, never below the floor
+    /// `2Δ·(height(root) + 1) + δ` (the ruling is on `enter_view` in
+    /// `protocol/pacemaker.rs`); a floor above this value wins.
     pub view_timeout: Time,
     /// The network-delay bound Δ used by the timer heuristics: the
     /// aggregation timer is `2Δ·height(p)` and the second-chance timer is
@@ -135,8 +143,8 @@ impl InivaConfig {
     /// over the live transport): zeroes the modeled CPU cost — the
     /// pairing work now burns real CPU inside the handlers, and charging
     /// the calibrated model on top would double-count it — and widens Δ
-    /// and the view timeout so the timer heuristics cover real pairing
-    /// verification on the critical path.
+    /// and the view timeout's ceiling so the timer heuristics cover real
+    /// pairing verification on the critical path.
     ///
     /// The widening is sized from measured histograms, not guesswork: on
     /// the live 4-replica BLS cell, `consensus.verify_wall_ns` tops out
@@ -149,9 +157,10 @@ impl InivaConfig {
     /// aggregation wait, ~3.4 s median commit latency); the measured
     /// value roughly doubles committed throughput (to offered-rate
     /// saturation on the bench cell) and cuts median commit latency 3×,
-    /// without shrinking QCs. The view timeout similarly drops from a
-    /// blanket 2 s to 1 s — still > 2× the worst observed healthy view
-    /// span.
+    /// without shrinking QCs. The view timeout's 1 s is a ceiling: the
+    /// pacemaker arms the timer from the replica's measured view spans,
+    /// and Δ = 100 ms puts its floor at 800 ms (the root's 400 ms window,
+    /// δ = 200 ms, and 200 ms more for the next proposal to reach a leaf).
     pub fn tune_for_real_crypto(&mut self) {
         self.cost = self.cost.scaled(0.0);
         self.delta = 100 * iniva_net::MILLIS;
@@ -247,6 +256,8 @@ pub struct InivaReplica<S: VoteScheme> {
     /// Aggregation-layer metrics.
     pub agg_metrics: AggMetrics,
     current_view: u64,
+    /// The measured view spans the view timer is armed from.
+    clock: ViewClock,
     last_voted_view: u64,
     leader_ctx: LeaderContext,
     agg: Option<AggState<S>>,
@@ -299,6 +310,7 @@ where
             chain,
             agg_metrics: AggMetrics::default(),
             current_view: 1,
+            clock: ViewClock::default(),
             last_voted_view: 0,
             leader_ctx: LeaderContext::default(),
             agg: None,

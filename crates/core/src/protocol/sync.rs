@@ -38,6 +38,7 @@ where
         let now = ctx.now();
         if let Some((at_height, at_time, target)) = self.last_state_request {
             let progressed = committed > at_height;
+            // The ceiling, not the view clock: this guards a silent peer.
             let timed_out = now.saturating_sub(at_time) > self.cfg.view_timeout;
             if !progressed && !timed_out {
                 return;

@@ -147,6 +147,8 @@ pub struct ViewRecord {
     pub leader: Option<u32>,
     /// `(node, at)` for every replica's entry into the view.
     pub entered: Vec<(u32, i64)>,
+    /// The view timer each entry armed, in `entered`'s order.
+    pub armed_ns: Vec<u64>,
     /// When the leader broadcast, if traced.
     pub proposal_sent: Option<i64>,
     /// `(node, at)` proposal receipts.
@@ -182,6 +184,11 @@ impl ViewRecord {
         self.entered.iter().map(|&(_, at)| at).min()
     }
 
+    /// The median view timer the replicas armed on entry, if any entered.
+    pub fn armed_p50(&self) -> Option<u64> {
+        median(self.armed_ns.clone())
+    }
+
     /// Splits the view's span into network / verify / timer.
     pub fn budget(&self) -> ViewBudget {
         let Some(start) = self.start() else {
@@ -204,20 +211,13 @@ impl ViewRecord {
 }
 
 fn median_recv(seen: &[(u32, i64)]) -> Option<i64> {
-    if seen.is_empty() {
-        return None;
-    }
-    let mut ats: Vec<i64> = seen.iter().map(|&(_, at)| at).collect();
-    ats.sort_unstable();
-    Some(ats[ats.len() / 2])
+    median(seen.iter().map(|&(_, at)| at).collect())
 }
 
-fn median_i64(mut v: Vec<i64>) -> Option<i64> {
-    if v.is_empty() {
-        return None;
-    }
+/// The upper median of `v`, `None` when it is empty.
+fn median<T: Ord + Copy>(mut v: Vec<T>) -> Option<T> {
     v.sort_unstable();
-    Some(v[v.len() / 2])
+    v.get(v.len() / 2).copied()
 }
 
 /// The merged cross-replica timeline.
@@ -276,7 +276,7 @@ impl Timeline {
                 })
                 .collect();
             let refine = if residuals.len() >= 3 {
-                median_i64(residuals).unwrap_or(0)
+                median(residuals).unwrap_or(0)
             } else {
                 0
             };
@@ -304,10 +304,12 @@ impl Timeline {
                         view,
                         leader,
                         failed,
+                        timeout_ns,
                     } => {
                         let r = views.entry(*view).or_default();
                         r.view = *view;
                         r.entered.push((d.node, at));
+                        r.armed_ns.push(*timeout_ns);
                         leader_votes.entry(*view).or_default().push(*leader);
                         if *failed && *view > 0 {
                             *failed_entries.entry(*view - 1).or_default() = true;
@@ -417,18 +419,19 @@ impl Timeline {
     }
 
     /// The per-view table (`view_timeline --views`): one row per view
-    /// with its leader, budget split, how many replicas entered it, the
-    /// commits, verification batches and known-silent members it saw, and
-    /// its outcome.
+    /// with its leader, budget split, the median view timer its replicas
+    /// armed, how many replicas entered it, the commits, verification
+    /// batches and known-silent members it saw, and its outcome.
     pub fn render_views(&self) -> String {
         let mut out = format!(
-            "{:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>7}  outcome\n",
+            "{:>6} {:>7} {:>10} {:>9} {:>9} {:>9} {:>9} {:>8} {:>8} {:>8} {:>7}  outcome\n",
             "view",
             "leader",
             "span ms",
             "net ms",
             "verify",
             "timer",
+            "armed ms",
             "entered",
             "commits",
             "batches",
@@ -438,13 +441,15 @@ impl Timeline {
         for r in &self.views {
             let b = r.budget();
             out.push_str(&format!(
-                "{:>6} {:>7} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>8} {:>8} {:>8} {:>7}  {}\n",
+                "{:>6} {:>7} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>9} {:>8} {:>8} {:>8} {:>7}  {}\n",
                 r.view,
                 r.leader.map_or("?".into(), |l| l.to_string()),
                 ms(b.span_ns),
                 ms(b.network_ns),
                 ms(b.verify_ns),
                 ms(b.timer_ns),
+                r.armed_p50()
+                    .map_or("?".into(), |ns| format!("{:.1}", ms(ns))),
                 r.entered.len(),
                 r.commits.len(),
                 r.verify_batches,
@@ -464,36 +469,37 @@ impl Timeline {
             ..Default::default()
         };
         let mut advanced_batches: Vec<u32> = Vec::new();
+        let mut advanced_armed: Vec<u64> = Vec::new();
+        let mut failed_armed: Vec<u64> = Vec::new();
         for r in &self.views {
             let b = r.budget();
             s.views_total += 1;
             if r.outcome == ViewOutcome::Advanced {
                 advanced_batches.push(r.verify_batches);
+                advanced_armed.extend(r.armed_p50());
             }
             s.commits += r.commits.len() as u64;
             match r.outcome {
                 ViewOutcome::Advanced | ViewOutcome::Unknown => {
                     s.advanced_budget.add(b);
                 }
-                ViewOutcome::FailedNoProposal => {
+                ViewOutcome::FailedNoProposal
+                | ViewOutcome::FailedNoQuorum
+                | ViewOutcome::FailedAfterQc => {
                     s.views_failed += 1;
-                    s.failed_no_proposal += 1;
+                    match r.outcome {
+                        ViewOutcome::FailedNoProposal => s.failed_no_proposal += 1,
+                        ViewOutcome::FailedNoQuorum => s.failed_no_quorum += 1,
+                        _ => s.failed_after_qc += 1,
+                    }
                     s.failed_budget.add(b);
-                }
-                ViewOutcome::FailedNoQuorum => {
-                    s.views_failed += 1;
-                    s.failed_no_quorum += 1;
-                    s.failed_budget.add(b);
-                }
-                ViewOutcome::FailedAfterQc => {
-                    s.views_failed += 1;
-                    s.failed_after_qc += 1;
-                    s.failed_budget.add(b);
+                    failed_armed.extend(r.armed_p50());
                 }
             }
         }
-        advanced_batches.sort_unstable();
-        s.advanced_batches_p50 = advanced_batches.get(advanced_batches.len() / 2).copied();
+        s.advanced_batches_p50 = median(advanced_batches);
+        s.advanced_armed_p50 = median(advanced_armed);
+        s.failed_armed_p50 = median(failed_armed);
         s
     }
 }
@@ -588,6 +594,11 @@ pub struct TimelineSummary {
     /// Median verification batches per view that advanced (`None` when
     /// none did).
     pub advanced_batches_p50: Option<u32>,
+    /// Median over views that advanced of the view timer their replicas
+    /// armed (each view's median), in ns.
+    pub advanced_armed_p50: Option<u64>,
+    /// The same median over views that failed.
+    pub failed_armed_p50: Option<u64>,
     /// Ring-shed events across dumps (nonzero = partial coverage).
     pub dropped_events: u64,
 }
@@ -642,6 +653,12 @@ impl TimelineSummary {
                 "verify batches per advanced view: median {batches}\n"
             ));
         }
+        let armed = |p50: Option<u64>| p50.map_or("-".into(), |ns| format!("{:.1} ms", ms(ns)));
+        out.push_str(&format!(
+            "view timer armed: median {} in advanced views, {} in failed views\n",
+            armed(self.advanced_armed_p50),
+            armed(self.failed_armed_p50),
+        ));
         out.push_str(&format!("commits observed: {} (", self.commits));
         for (i, (n, c)) in self.per_node_commits.iter().enumerate() {
             out.push_str(&format!("{}n{n}:{c}", if i > 0 { " " } else { "" }));
@@ -675,6 +692,7 @@ mod tests {
                     view: v,
                     leader: (v % 3) as u32,
                     failed: false,
+                    timeout_ns: 400 * MS,
                 },
             });
             if node == (v % 3) as u32 {
@@ -734,6 +752,7 @@ mod tests {
                 view: 1,
                 leader: 0,
                 failed: true,
+                timeout_ns: 240_000_000,
             },
         );
         t.emit(11, EventKind::QcFormed { view: 1, height: 4 });
@@ -833,6 +852,53 @@ mod tests {
             .contains("verify batches per advanced view: median 5\n"));
     }
 
+    /// The `armed ms` column prints each view's median armed timer across
+    /// replicas, and the summary takes the median of those over advanced
+    /// and over failed views apart: node `m` arms `(6 − view)·10 + m` ms,
+    /// and view 4's timer fires.
+    #[test]
+    fn armed_timers_are_tabled_per_view_and_their_medians_summarized() {
+        const MS: u64 = 1_000_000;
+        let e = 1_700_000_000_000_000_000;
+        let mut dumps: Vec<NodeDump> = (0..3).map(|n| scripted_dump(n, e, 6, 0)).collect();
+        for d in &mut dumps {
+            for ev in &mut d.events {
+                if let EventKind::ViewEntered {
+                    view, timeout_ns, ..
+                } = &mut ev.kind
+                {
+                    *timeout_ns = ((6 - *view) * 10 + u64::from(d.node)) * MS;
+                }
+            }
+        }
+        dumps[1].events.push(Event {
+            at: 4 * 20 * MS + 19 * MS,
+            kind: EventKind::TimerFired {
+                view: 4,
+                kind: TimerKind::View,
+            },
+        });
+        dumps[1].events.sort_by_key(|ev| ev.at);
+        let tl = Timeline::merge(&dumps);
+        let table = tl.render_views();
+        let mut lines = table.lines();
+        let header = lines.next().unwrap();
+        let end = header.find("armed ms").unwrap() + "armed ms".len();
+        let column: Vec<&str> = lines
+            .map(|row| row[..end].split_whitespace().last().unwrap())
+            .collect();
+        assert_eq!(column, vec!["61.0", "51.0", "41.0", "31.0", "21.0", "11.0"]);
+        // Views 0 to 3 advanced, view 4 failed, view 5 ends the window and
+        // counts in neither.
+        let s = tl.summary();
+        assert_eq!(s.views_failed, 1);
+        assert_eq!(s.advanced_armed_p50, Some(51 * MS));
+        assert_eq!(s.failed_armed_p50, Some(21 * MS));
+        assert!(s.render().contains(
+            "view timer armed: median 51.0 ms in advanced views, 21.0 ms in failed views\n"
+        ));
+    }
+
     #[test]
     fn merge_cancels_wall_clock_skew_via_commit_anchors() {
         let e = 1_700_000_000_000_000_000u64;
@@ -902,6 +968,7 @@ mod tests {
                     view: 0,
                     leader: 2,
                     failed: false,
+                    timeout_ns: 400 * MS,
                 },
             }];
             events.push(Event {
@@ -917,6 +984,7 @@ mod tests {
                     view: 1,
                     leader: 0,
                     failed: true,
+                    timeout_ns: 800 * MS,
                 },
             });
             NodeDump {

@@ -68,6 +68,8 @@ pub enum EventKind {
         leader: u32,
         /// Whether the previous view timed out rather than committed.
         failed: bool,
+        /// The view timer armed on entry, in nanoseconds.
+        timeout_ns: u64,
     },
     /// A protocol timer fired.
     TimerFired {
@@ -216,9 +218,10 @@ impl Event {
                 view,
                 leader,
                 failed,
+                timeout_ns,
             } => {
                 s.push_str(&format!(
-                    "\"view_entered\", \"view\": {view}, \"leader\": {leader}, \"failed\": {failed}"
+                    "\"view_entered\", \"view\": {view}, \"leader\": {leader}, \"failed\": {failed}, \"timeout_ns\": {timeout_ns}"
                 ));
             }
             EventKind::TimerFired { view, kind } => {
@@ -336,6 +339,7 @@ impl Event {
                 failed: get("failed")
                     .and_then(JsonVal::as_bool)
                     .ok_or("missing bool \"failed\"")?,
+                timeout_ns: u("timeout_ns")?,
             },
             "timer_fired" => EventKind::TimerFired {
                 view: u("view")?,
@@ -624,6 +628,7 @@ mod tests {
                     view: 1,
                     leader: 3,
                     failed: false,
+                    timeout_ns: 120_000_000,
                 },
             },
             Event {
