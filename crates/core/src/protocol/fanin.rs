@@ -10,6 +10,12 @@
 //! verify them all in one batch. The paper-faithful mode verifies each
 //! delivery on receipt, as Algorithm 1's lines 18–20 do. The ruling is on
 //! [`InivaReplica::handle_signatures`].
+//!
+//! In the same mode no aggregator waits for a *known-silent* member, one
+//! missing from the last `n` certified QCs: an internal node sends its
+//! subtree up without it, and the root completes its tree and finalizes
+//! without it. `Silence::waived` decides it, and takes the mode when it
+//! is built; the ruling is on `InivaReplica::maybe_second_chance_or_finalize`.
 
 use super::pacemaker::{timer_id, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE};
 use super::{InivaMsg, InivaReplica};
@@ -42,16 +48,15 @@ pub(super) struct AggState<S: VoteScheme> {
     /// The node's own vote, signed (and charged) once by `vote` and
     /// reused wherever it is sent again.
     own: S::Aggregate,
-    /// Children whose signatures have been folded in.
+    /// The children folded in, by id: an internal node's leaves whose
+    /// votes it folded, the root's children whose subtree aggregates (or
+    /// lone votes) it folded. By id, so a waived child's late share cannot
+    /// stand in for a live child's.
     children_in: Vec<u32>,
     /// ACK aggregate received from the parent (inclusion proof).
     ack_agg: Option<S::Aggregate>,
     /// Whether this node already sent its aggregate/vote up.
     sent_up: bool,
-    /// Root only: the internal children whose subtree aggregates were
-    /// folded, by id, so a known-silent child's late aggregate cannot
-    /// stand in for a live child's.
-    subtrees_from: Vec<u32>,
     /// Root only: whether 2ND-CHANCE messages have been sent.
     second_chance_sent: bool,
     /// Root only: whether the second-chance timer has expired.
@@ -77,7 +82,6 @@ impl<S: VoteScheme> AggState<S> {
             children_in: Vec::new(),
             ack_agg: None,
             sent_up,
-            subtrees_from: Vec::new(),
             second_chance_sent: false,
             sc_expired: false,
             finalized: false,
@@ -276,6 +280,27 @@ where
         if !ready.is_empty() {
             self.handle_signatures(ctx, ready);
         }
+        // An internal node that waits for none of its children, every one
+        // waived, sends its own vote up in this turn; the aggregation
+        // timer stays armed as the backstop.
+        if role == Role::Internal && self.agg.as_ref().is_some_and(|st| self.complete(st)) {
+            self.send_subtree_up(ctx);
+        }
+    }
+
+    /// Whether `st`'s node still waits for its child `c`: neither folded
+    /// in nor waived.
+    fn awaits(&self, st: &AggState<S>, c: u32) -> bool {
+        !st.children_in.contains(&c) && !self.silence.waived(c)
+    }
+
+    /// Whether `st`'s node waits for none of its children: an internal
+    /// node then sends its subtree up, and the root's tree has reported.
+    fn complete(&self, st: &AggState<S>) -> bool {
+        !st.tree
+            .children_of(self.id)
+            .into_iter()
+            .any(|c| self.awaits(st, c))
     }
 
     /// deliver(B); vote(B): signs `block`, opens its view's aggregation
@@ -365,11 +390,12 @@ where
     /// the node has a decision to make ([`Self::flush_due`]):
     ///
     /// - every child it still expects has a held share. A child is no
-    ///   longer expected once folded, and, with 2ND-CHANCE on, when it or
-    ///   a member of its subtree is known-silent (see
-    ///   `maybe_second_chance_or_finalize`). The waiver only moves *when*
-    ///   the node verifies; whom it waits for is unchanged (internal nodes
-    ///   keep `2Δ·height`, the root its completion rule);
+    ///   longer expected once folded, or once waived (known-silent, with
+    ///   2ND-CHANCE on; see `maybe_second_chance_or_finalize`). The same
+    ///   rule decides whom the node waits for: an internal node sends its
+    ///   subtree up, and the root's tree is complete, once it expects no
+    ///   child (`complete`). So a waived child neither holds its siblings
+    ///   back nor splits its parent's fan-in into two batches;
     /// - more shares are held than the node has children, which bounds
     ///   the hold. A share forged under a child's id forces at most this
     ///   one early batch, where it is dropped as a culprit; the child's
@@ -458,24 +484,13 @@ where
         if self.cfg.sc_on_quorum || st.second_chance_sent {
             return true;
         }
-        let tree = &st.tree;
-        let children = tree.children_of(self.id);
+        let children = st.tree.children_of(self.id);
         if st.held.len() > children.len() {
             return true;
         }
-        let silent = |m: u32| self.cfg.second_chance && self.silence.known_silent(m);
-        let root = tree.role_of(self.id) == Role::Root;
-        children.iter().all(|&c| {
-            let folded = if root {
-                st.subtrees_from.contains(&c)
-            } else {
-                st.children_in.contains(&c)
-            };
-            folded
-                || st.held.iter().any(|(from, _)| *from == c)
-                || silent(c)
-                || tree.children_of(c).into_iter().any(silent)
-        })
+        children
+            .into_iter()
+            .all(|c| !self.awaits(st, c) || st.held.iter().any(|(from, _)| *from == c))
     }
 
     /// Verifies and folds everything held.
@@ -493,9 +508,9 @@ where
     /// batch, and folds the survivors; items skipped only because an
     /// in-batch rival claimed the same signer are retried in the next wave
     /// when that rival turned out to be a forgery. An internal node folds
-    /// its leaves' votes and sends its subtree up once all are in; the
-    /// root folds subtree aggregates and 2ND-CHANCE replies, then checks
-    /// for 2ND-CHANCE or finalization.
+    /// its leaves' votes and sends its subtree up once it expects no more
+    /// (every leaf folded or waived); the root folds subtree aggregates
+    /// and 2ND-CHANCE replies, then checks for 2ND-CHANCE or finalization.
     fn fold_signatures(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
@@ -558,18 +573,19 @@ where
                     if st.second_chance_sent {
                         self.agg_metrics.second_chance_recoveries += mults.distinct() as u64;
                     }
-                    if children.contains(from) && !st.subtrees_from.contains(from) {
-                        st.subtrees_from.push(*from);
+                    if children.contains(from) && !st.children_in.contains(from) {
+                        st.children_in.push(*from);
                     }
                 }
                 st.agg = self.scheme.combine(&st.agg, agg);
                 folded = true;
             }
-            let subtree_complete = st.children_in.len() == children.len();
             let sc_expired = st.sc_expired;
             if folded {
                 match role {
-                    Role::Internal if subtree_complete => self.send_subtree_up(ctx),
+                    Role::Internal if self.agg.as_ref().is_some_and(|st| self.complete(st)) => {
+                        self.send_subtree_up(ctx)
+                    }
                     // Late quorum after the second-chance window: finalize
                     // as soon as it is possible again.
                     Role::Root if sc_expired => self.finalize(ctx),
@@ -664,58 +680,74 @@ where
     /// Section V-C); under faults the aggregation timer provides the same
     /// bound the paper's analysis uses.
     ///
-    /// In that tree-completion mode the root does not wait for a
+    /// In that tree-completion mode no aggregator waits for a
     /// *known-silent* member: one missing from each of the last `n`
     /// certified QCs this replica counted (one leader rotation; see
-    /// `Silence`). Two waits change. The tree is complete once every
-    /// internal child that is not known-silent has reported. After
-    /// 2ND-CHANCE the root finalizes as soon as every member still missing
-    /// is known-silent, instead of sleeping out δ. Everything else stands.
-    /// Every missing member, silent or not, still gets the 2ND-CHANCE, and
-    /// a reply that lands before finalization is folded. Internal nodes
-    /// keep the `2Δ·height` aggregation timer.
+    /// `Silence`). Such a member is *waived* (`Silence::waived`, the one
+    /// place the record is read; it answers no in every other mode, which
+    /// it takes from the config when the replica is built). Three waits
+    /// change:
+    /// - an internal node sends its Eq. 1 subtree aggregate up, and ACKs
+    ///   to the leaves in it, as soon as every leaf it does not waive is
+    ///   folded; if it waives them all, it sends its own vote up in the
+    ///   turn it votes. Its `2Δ·height` timer stays armed as the backstop;
+    /// - the root's tree is complete once every internal child it does
+    ///   not waive has reported;
+    /// - after 2ND-CHANCE the root finalizes as soon as every member still
+    ///   missing is waived, instead of sleeping out δ.
+    ///
+    /// Everything else stands. Every missing member, waived or not, still
+    /// gets the 2ND-CHANCE, and a reply that lands before finalization is
+    /// folded. A waived leaf's vote that reaches its parent before the
+    /// parent sends up is folded there, at multiplicity 2.
     ///
     /// Why a member that answers an honest root within δ never becomes
     /// known-silent: take the first honest replica to call a member X
     /// silent. It counted `n` consecutive QCs without X, all formed before
-    /// any honest replica called X silent, so every honest root among them
-    /// sent X a 2ND-CHANCE and waited δ for it, and X answered none in
-    /// time. A replica that missed some of those QCs counts fewer, so it
-    /// only waits longer. The streak is soft state, never journaled: a
-    /// replica rebuilt from its WAL starts from zero and waits for everyone
-    /// again.
+    /// any honest replica called X silent. So no honest replica waived X
+    /// in any of those views, every honest root among them sent X a
+    /// 2ND-CHANCE and waited δ for it, and X answered none in time. A
+    /// replica that missed some of those QCs counts fewer, so it only
+    /// waits longer. The streak is soft state, never journaled: a replica
+    /// rebuilt from its WAL starts from zero and waits for everyone again.
+    ///
+    /// So no honest-but-slow leaf loses its place or its reward. A leaf
+    /// that answers within δ is never waived by an honest replica: its
+    /// parent waits for it exactly as long as before, up to `2Δ·height`,
+    /// folds it at multiplicity 2, and no honest root finalizes without
+    /// giving it its δ.
     ///
     /// How a returning member gets back in: at the latest within one
     /// rotation, in the view it roots, since a root always holds its own
     /// vote, and one QC with X resets X's streak. It gets in sooner as a
-    /// leaf, because its parent still waits `2Δ` for it and folds its
-    /// vote, or when its 2ND-CHANCE reply lands before the root finalizes.
+    /// leaf if its vote reaches its parent's hold before the parent's last
+    /// expected child does: the two are verified in one batch and X goes
+    /// up at multiplicity 2. Or its 2ND-CHANCE reply lands before the root
+    /// finalizes, at multiplicity 1. That is the waiver's price: until its
+    /// streak resets, a returning leaf folded by the root and not by its
+    /// parent earns multiplicity 1, not 2.
     ///
     /// Why the paper-faithful mode (`sc_on_quorum`) is exempt: it models
     /// the protocol the paper evaluates, which always spends δ after the
     /// quorum. Every simulated figure and the chaos demo run it, so their
     /// costs stay the paper's. The Iniva-No2C ablation has no 2ND-CHANCE
-    /// to fall back on, so it waits for every subtree too.
+    /// to fall back on, so a waived member could not get in at all; its
+    /// aggregators wait for every child too.
     fn maybe_second_chance_or_finalize(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
         timer_fired: bool,
     ) {
         let n = self.cfg.n;
-        let waive_silent = self.cfg.second_chance && !self.cfg.sc_on_quorum;
-        let silence = &self.silence;
-        let silent = |member: u32| waive_silent && silence.known_silent(member);
-        let Some(st) = self.agg.as_mut() else { return };
+        let Some(st) = self.agg.as_ref() else { return };
         if st.finalized {
             return;
         }
-        let included = self.scheme.multiplicities(&st.agg).distinct();
-        let have_quorum = included >= quorum(n);
-        let tree_complete = st
-            .tree
-            .children_of(st.tree.root())
-            .into_iter()
-            .all(|child| st.subtrees_from.contains(&child) || silent(child));
+        let current = self.scheme.multiplicities(&st.agg);
+        let have_quorum = current.distinct() >= quorum(n);
+        let tree_complete = self.complete(st);
+        let only_waived_missing =
+            (0..n as u32).all(|m| current.contains(m) || self.silence.waived(m));
 
         if !self.cfg.second_chance {
             // Iniva-No2C: finalize when the tree has reported (or the
@@ -731,9 +763,9 @@ where
         } else {
             tree_complete || timer_fired
         };
-        if !st.second_chance_sent && trigger {
-            st.second_chance_sent = true;
-            let current = self.scheme.multiplicities(&st.agg);
+        let mut second_chance_sent = st.second_chance_sent;
+        if !second_chance_sent && trigger {
+            second_chance_sent = true;
             let missing: Vec<u32> = (0..n as u32).filter(|m| !current.contains(*m)).collect();
             if missing.is_empty() {
                 self.agg_metrics.clean_views += 1;
@@ -747,7 +779,7 @@ where
                 .emit_with(ctx.now(), || EventKind::SecondChance {
                     view: st.view,
                     missing: missing.len() as u32,
-                    silent: missing.iter().filter(|&&m| silent(m)).count() as u32,
+                    silent: missing.iter().filter(|&&m| self.silence.waived(m)).count() as u32,
                 });
             let qc = self.chain.highest_qc().cloned();
             let bytes =
@@ -764,12 +796,14 @@ where
                 );
             }
             ctx.set_timer(self.cfg.sc_timer(), timer_id(st.view, TIMER_SECOND_CHANCE));
-        }
-        if waive_silent && st.second_chance_sent {
-            let current = self.scheme.multiplicities(&st.agg);
-            if (0..n as u32).all(|m| current.contains(m) || silent(m)) {
-                self.finalize(ctx);
+            if let Some(st) = self.agg.as_mut() {
+                st.second_chance_sent = true;
             }
+        }
+        // After 2ND-CHANCE, finalize once every member still missing is
+        // waived; the paper-faithful mode sleeps out δ.
+        if second_chance_sent && !self.cfg.sc_on_quorum && only_waived_missing {
+            self.finalize(ctx);
         }
     }
 
@@ -812,9 +846,10 @@ where
 
     /// The aggregation timer of `view` fired: the held shares are verified
     /// and folded, then an internal node sends up what it has and the root
-    /// moves on to 2ND-CHANCE.
+    /// moves on to 2ND-CHANCE. An internal node that sent up already has
+    /// nothing left for the timer to decide.
     pub(super) fn on_agg_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
-        if self.open_agg(view).is_none() {
+        if self.open_agg(view).is_none_or(|st| st.sent_up) {
             return;
         }
         self.tracer.emit(

@@ -234,12 +234,14 @@ fn the_root_verifies_its_subtrees_in_one_batch() {
     assert_eq!(p.scheme.multiplicities(&qc.agg).distinct(), N as usize);
 }
 
-/// A known-silent leaf does not hold its siblings back, and neither does
-/// an internal child whose subtree holds one: the others are verified as
-/// soon as they are all in. Whom the node waits for does not change: the
-/// internal node still sends up on its timer, the root still waits for
-/// the silent leaf's parent. Catches the waiver left out of `flush_due`,
-/// and the waiver without its subtree half (only a silent child itself).
+/// A known-silent leaf does not hold its siblings back: the internal node
+/// verifies them in one batch as soon as they are all in and sends its
+/// subtree up without its timer. The root, one of whose children holds
+/// that leaf, waits for that child like any other and verifies all its
+/// children in one batch. Catches an internal node that still waits `2Δ`
+/// for the silent leaf (completion by child count), and the root's old
+/// grandchild waiver (the other subtrees verified early, in a batch of
+/// their own).
 #[test]
 fn a_known_silent_child_does_not_hold_the_others_back() {
     // An internal node whose leaf x is known-silent.
@@ -248,13 +250,17 @@ fn a_known_silent_child_does_not_hold_the_others_back() {
     let x = probe.children()[0];
     let mut p = Node::new(config(), view, Role::Internal, &[x]);
     assert_eq!(p.id(), probe.id(), "the same internal node");
+    let root = p.tree.root();
     let live: Vec<u32> = p.children().into_iter().filter(|&l| l != x).collect();
     let effects = p.deliver(live.iter().map(|&l| (l, p.vote(l))).collect());
     assert_eq!(p.batches(), vec![p.one_batch(2, 2)], "verified without x");
-    assert!(live.iter().all(|&l| p.folded(l)));
-    assert!(sent_up(&effects, p.tree.root()).is_none(), "still waits 2Δ");
-    let up = p.agg_timer();
-    assert!(sent_up(&up, p.tree.root()).is_some());
+    let up = sent_up(&effects, root).expect("sent up without the timer");
+    assert!(live.iter().all(|&l| up.mults.get(l) == 2));
+    assert_eq!(up.mults.get(x), 0);
+    assert!(
+        sent_up(&p.agg_timer(), root).is_none(),
+        "nothing left to decide"
+    );
 
     // The root, whose child c holds the silent leaf x in its subtree.
     let probe = Node::new(config(), view, Role::Root, &[]);
@@ -263,9 +269,8 @@ fn a_known_silent_child_does_not_hold_the_others_back() {
     let mut p = Node::new(config(), view, Role::Root, &[x]);
     let others: Vec<u32> = p.children().into_iter().filter(|&k| k != c).collect();
     let effects = p.deliver(others.iter().map(|&k| (k, p.full_subtree(k))).collect());
-    assert_eq!(p.batches().len(), 1, "verified without c");
-    assert!(others.iter().all(|&k| p.folded(k)));
-    assert!(second_chances(&effects).is_empty(), "still waits for c");
+    assert!(p.batches().is_empty() && p.held() == 2, "held for c");
+    assert!(second_chances(&effects).is_empty(), "waits for c");
     let rest: Vec<u32> = p
         .tree
         .children_of(c)
@@ -273,7 +278,11 @@ fn a_known_silent_child_does_not_hold_the_others_back() {
         .filter(|&l| l != x)
         .collect();
     let effects = p.deliver(vec![(c, p.subtree(c, &rest))]);
-    assert_eq!(p.batches().len(), 2);
+    assert_eq!(
+        p.batches(),
+        vec![p.one_batch(3, N as usize - 2)],
+        "one batch for all three"
+    );
     assert_eq!(second_chances(&effects), vec![x]);
     assert!(p.qc().is_some(), "x is silent: finalized");
 }

@@ -96,14 +96,16 @@ pub struct InivaConfig {
     /// a *quorum* is collected (or on timer), always spending the δ wait;
     /// `false` waits for tree *completion* (or the timer), keeping the
     /// fallback dormant in fault-free runs — an optimization ablation
-    /// benchmarked separately. Only `false` lets the root stop waiting for
-    /// a *known-silent* member, one absent from the last `n` certified QCs
-    /// (the ruling is on `maybe_second_chance_or_finalize` in
-    /// `protocol/fanin.rs`), and only `false` lets an aggregator hold its
+    /// benchmarked separately. Only `false` lets an aggregator stop
+    /// waiting for a *known-silent* member, one absent from the last `n`
+    /// certified QCs: an internal node sends its subtree up without it,
+    /// and the root completes its tree and finalizes without it (the
+    /// ruling is on `maybe_second_chance_or_finalize` in
+    /// `protocol/fanin.rs`). Only `false` lets an aggregator hold its
     /// children's shares and verify its fan-in in one batch (the ruling is
-    /// on `handle_signatures`). `true` waits for every member and verifies
-    /// every SIGNATURE delivery on receipt, as the paper does, so the
-    /// simulated figures keep the paper's costs.
+    /// on `handle_signatures`). `true` waits for every member at every
+    /// aggregator and verifies every SIGNATURE delivery on receipt, as the
+    /// paper does, so the simulated figures keep the paper's costs.
     pub sc_on_quorum: bool,
     /// Leader election policy (root of the aggregation tree).
     pub leader_policy: LeaderPolicy,
@@ -189,21 +191,26 @@ struct ReplicaObs {
 }
 
 /// Each member's run of consecutive certified QCs without it, the record
-/// the root reads to stop waiting for a member that has stopped answering
-/// (see `maybe_second_chance_or_finalize`). Soft state, never journaled:
-/// a replica rebuilt from its WAL starts from zero.
+/// an aggregator reads to stop waiting for a member that has stopped
+/// answering (see `maybe_second_chance_or_finalize`). Soft state, never
+/// journaled: a replica rebuilt from its WAL starts from zero.
 struct Silence {
     /// Per member: consecutive counted QCs that lack it.
     streak: Vec<u32>,
     /// The view of the last QC counted; each QC counts once, in view order.
     counted_view: u64,
+    /// Whether the mode lets an aggregator stop waiting at all: the
+    /// tree-completion trigger with 2ND-CHANCE on. The paper-faithful
+    /// trigger and Iniva-No2C wait for every member.
+    waives: bool,
 }
 
 impl Silence {
-    fn new(n: usize) -> Self {
+    fn new(cfg: &InivaConfig) -> Self {
         Silence {
-            streak: vec![0; n],
+            streak: vec![0; cfg.n],
             counted_view: 0,
+            waives: cfg.second_chance && !cfg.sc_on_quorum,
         }
     }
 
@@ -223,12 +230,16 @@ impl Silence {
         }
     }
 
-    /// Whether `member` is missing from the last `n` counted QCs, one full
-    /// leader rotation.
-    fn known_silent(&self, member: u32) -> bool {
-        self.streak
-            .get(member as usize)
-            .is_some_and(|&streak| streak as usize >= self.streak.len())
+    /// Whether no aggregator waits for `member`: the mode waives at all,
+    /// and `member` is *known-silent*, missing from the last `n` counted
+    /// QCs, one full leader rotation. The ruling is on
+    /// `maybe_second_chance_or_finalize` in `protocol/fanin.rs`.
+    fn waived(&self, member: u32) -> bool {
+        self.waives
+            && self
+                .streak
+                .get(member as usize)
+                .is_some_and(|&streak| streak as usize >= self.streak.len())
     }
 }
 
@@ -301,7 +312,7 @@ where
             // lint: allow(hot-path-panic) a configuration error, caught at construction; no message reaches this
             .expect("committee hosts the tree shape");
         let chain = ChainState::new(cfg.request_rate);
-        let silence = Silence::new(cfg.n);
+        let silence = Silence::new(&cfg);
         InivaReplica {
             id,
             cfg,

@@ -1,11 +1,13 @@
-//! Known-silence, driven by hand: a root that counted a member missing
-//! from the last `n` certified QCs stops waiting for it at tree completion
-//! and after 2ND-CHANCE, in the tree-completion trigger mode only. Each
-//! test names the broken rule it catches.
+//! Known-silence, driven by hand: a replica that counted a member missing
+//! from the last `n` certified QCs stops waiting for it, as the member's
+//! parent (it sends its subtree up without it) and as the root (at tree
+//! completion and after 2ND-CHANCE), in the tree-completion trigger mode
+//! with 2ND-CHANCE on only. Each test names the broken rule it catches.
 
-use super::pacemaker::{timer_id, TIMER_SECOND_CHANCE};
+use super::pacemaker::{timer_id, TIMER_AGG, TIMER_SECOND_CHANCE};
 use super::testkit::{chain, qc_over};
 use super::*;
+use crate::rewards::validate_subtree_multiplicities;
 use iniva_crypto::sim_scheme::{SimAggregate, SimScheme};
 use iniva_net::ContextEffects;
 use iniva_tree::{Role, TreeView};
@@ -29,19 +31,33 @@ fn tree_at(cfg: &InivaConfig, view: u64) -> TreeView {
     )
 }
 
-/// The root of one view's tree, primed with a chosen certified record.
+/// One member of one view's tree, primed with a chosen certified record.
 struct Primed {
-    root: InivaReplica<SimScheme>,
+    node: InivaReplica<SimScheme>,
     scheme: Arc<SimScheme>,
     block: Block,
+    /// What the node queued in the turn it took up the proposal.
+    proposed: ContextEffects<InivaMsg<SimScheme>>,
 }
 
 impl Primed {
-    /// The root of `view`'s tree after it adopted one QC for each entry
+    /// The root of `view`'s tree, primed as [`Self::at`] primes a member.
+    fn new(
+        cfg: InivaConfig,
+        view: u64,
+        qc_views: &[u64],
+        absent: impl Fn(u64) -> Vec<u32>,
+    ) -> Self {
+        let root = tree_at(&cfg, view).root();
+        Self::at(root, cfg, view, qc_views, absent)
+    }
+
+    /// Member `id` of `view`'s tree after it adopted one QC for each entry
     /// of `qc_views`, in that order, the QC of view `v` signed by every
     /// member but `absent(v)`, and then took up `view`'s proposal, which
     /// carries the QC of `view - 1` (the last entry of `qc_views`).
-    fn new(
+    fn at(
+        id: u32,
         cfg: InivaConfig,
         view: u64,
         qc_views: &[u64],
@@ -49,32 +65,32 @@ impl Primed {
     ) -> Self {
         assert_eq!(qc_views.last(), Some(&(view - 1)), "the carried QC is held");
         let scheme = Arc::new(SimScheme::new(N as usize, b"silence"));
-        let tree = tree_at(&cfg, view);
-        let mut root = InivaReplica::new(tree.root(), cfg, Arc::clone(&scheme));
-        root.set_observability(&Registry::new(), Tracer::new(tree.root(), 256));
+        let mut node = InivaReplica::new(id, cfg, Arc::clone(&scheme));
+        node.set_observability(&Registry::new(), Tracer::new(id, 256));
         let blocks = chain(view, N as u32);
         let qc_of = |v: u64| {
             let signers: Vec<u32> = (0..N as u32).filter(|m| !absent(v).contains(m)).collect();
             qc_over(&scheme, &blocks[v as usize - 1], &signers)
         };
         for block in &blocks[..view as usize - 1] {
-            root.chain.insert_block(block.clone());
+            node.chain.insert_block(block.clone());
         }
         for &v in qc_views {
-            root.adopt_qc(0, qc_of(v));
+            node.adopt_qc(0, qc_of(v));
         }
         let block = blocks[view as usize - 1].clone();
-        let mut ctx = Context::external(root.id, 0);
-        root.handle_proposal(&mut ctx, block.clone(), Some(qc_of(view - 1)));
+        let mut ctx = Context::external(id, 0);
+        node.handle_proposal(&mut ctx, block.clone(), Some(qc_of(view - 1)));
         assert_eq!(
-            root.agg.as_ref().map(|st| st.view),
+            node.agg.as_ref().map(|st| st.view),
             Some(view),
-            "the root voted"
+            "the member voted"
         );
         Primed {
-            root,
+            node,
             scheme,
             block,
+            proposed: ctx.into_effects(),
         }
     }
 
@@ -83,14 +99,14 @@ impl Primed {
             .sign(member, &vote_message(&self.block.hash(), self.block.view))
     }
 
-    /// Delivers `shares` to the root in one turn; returns what it queued.
+    /// Delivers `shares` to the node in one turn; returns what it queued.
     fn deliver(
         &mut self,
         shares: Vec<(NodeId, SimAggregate)>,
     ) -> ContextEffects<InivaMsg<SimScheme>> {
         let view = self.block.view;
-        let mut ctx = Context::external(self.root.id, 0);
-        self.root.handle_signatures(
+        let mut ctx = Context::external(self.node.id, 0);
+        self.node.handle_signatures(
             &mut ctx,
             shares
                 .into_iter()
@@ -114,7 +130,8 @@ impl Primed {
         self.deliver(vec![(child, agg)])
     }
 
-    /// `member`'s 2ND-CHANCE reply, its own vote, delivered to the root.
+    /// `member`'s own vote, delivered to the node: a leaf's vote to its
+    /// parent, or a 2ND-CHANCE reply to the root.
     fn reply(&mut self, member: u32) -> ContextEffects<InivaMsg<SimScheme>> {
         let vote = self.sign(member);
         self.deliver(vec![(member, vote)])
@@ -122,7 +139,7 @@ impl Primed {
 
     /// The QC the root formed for this view, once it has.
     fn qc(&self) -> Option<&Qc<SimScheme>> {
-        self.root
+        self.node
             .chain
             .highest_qc()
             .filter(|qc| qc.view == self.block.view)
@@ -135,10 +152,56 @@ impl Primed {
 
     fn sc_timer(&self) -> (Time, u64) {
         (
-            2 * self.root.cfg.delta,
+            2 * self.node.cfg.delta,
             timer_id(self.block.view, TIMER_SECOND_CHANCE),
         )
     }
+
+    /// Fires the aggregation timer; returns what the node queued.
+    fn agg_timer(&mut self) -> ContextEffects<InivaMsg<SimScheme>> {
+        let mut ctx = Context::external(self.node.id, 0);
+        self.node
+            .on_timer(&mut ctx, timer_id(self.block.view, TIMER_AGG));
+        ctx.into_effects()
+    }
+
+    /// The number of items in each batch the node verified.
+    fn batches(&self) -> Vec<u32> {
+        self.node
+            .tracer()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::VerifyBatch { view, items, .. } if view == self.block.view => {
+                    Some(items)
+                }
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// The aggregate an internal node sent its root, if it did.
+fn sent_up<'a>(
+    effects: &'a ContextEffects<InivaMsg<SimScheme>>,
+    tree: &TreeView,
+) -> Option<&'a SimAggregate> {
+    effects.outbox.iter().find_map(|(to, msg, _)| match msg {
+        InivaMsg::Signature { agg, .. } if *to == tree.root() => Some(agg),
+        _ => None,
+    })
+}
+
+/// Members an internal node sent an ACK to, ascending.
+fn acked(effects: &ContextEffects<InivaMsg<SimScheme>>) -> Vec<NodeId> {
+    let mut to: Vec<NodeId> = effects
+        .outbox
+        .iter()
+        .filter(|(_, msg, _)| matches!(msg, InivaMsg::Ack { .. }))
+        .map(|&(to, _, _)| to)
+        .collect();
+    to.sort_unstable();
+    to
 }
 
 /// Members the root sent a 2ND-CHANCE to, ascending.
@@ -228,7 +291,7 @@ fn n_absent_qcs_finalize_at_tree_completion() {
     assert_eq!(second_chances(&effects), vec![x], "silent, still asked");
     let qc = p.qc().expect("finalized at tree completion");
     assert_eq!(p.scheme.multiplicities(&qc.agg).distinct(), N as usize - 1);
-    let dump = p.root.tracer().dump_jsonl();
+    let dump = p.node.tracer().dump_jsonl();
     assert!(
         dump.contains("\"second_chance\", \"view\": 8, \"missing\": 1, \"silent\": 1"),
         "the trace names the member not waited for: {dump}"
@@ -335,12 +398,152 @@ fn paper_faithful_mode_still_sleeps_out_delta() {
     cfg.sc_on_quorum = true;
     let (mut p, x, _) = leaf_missing(cfg, N + 1, &views_before(N + 1), |_| true);
     assert!(p.qc().is_none(), "the root sleeps out δ");
-    let mut ctx = Context::external(p.root.id, 0);
-    p.root.on_second_chance_timer(&mut ctx, N + 1);
+    let mut ctx = Context::external(p.node.id, 0);
+    p.node.on_second_chance_timer(&mut ctx, N + 1);
     assert!(p.qc().is_some() && !p.qc_holds(x));
     assert!(p
-        .root
+        .node
         .tracer()
         .dump_jsonl()
         .contains("\"missing\": 1, \"silent\": 0"));
+}
+
+/// The parent of a leaf `x` of `view`'s tree, after the QCs of `qc_views`,
+/// which lack `x` wherever `absent(v)` holds. Returns the parent, `x`, the
+/// other leaf under that parent, and the tree.
+fn parent_of_leaf(
+    cfg: InivaConfig,
+    view: u64,
+    qc_views: &[u64],
+    absent: impl Fn(u64) -> bool,
+) -> (Primed, u32, u32, TreeView) {
+    let (x, tree, parent, sibling, _) = leaf_setup(&cfg, view);
+    let p = Primed::at(parent, cfg, view, qc_views, |v| {
+        if absent(v) {
+            vec![x]
+        } else {
+            vec![]
+        }
+    });
+    (p, x, sibling, tree)
+}
+
+/// A parent whose leaf is known-silent sends its subtree up as soon as its
+/// live leaf is in, without its timer: Eq. 1 over the `k = 1` leaf it
+/// folded, which the root's multiplicity check accepts, and an ACK to that
+/// leaf. Catches completion by child count (the parent waits out `2Δ`),
+/// and Eq. 1 counted over every child, the waived one included.
+#[test]
+fn a_parent_sends_its_live_leaves_up_without_the_silent_one() {
+    let (mut p, x, sibling, tree) = parent_of_leaf(config(), N + 1, &views_before(N + 1), |_| true);
+    let effects = p.reply(sibling);
+    let up = sent_up(&effects, &tree).expect("sent up without the timer");
+    let mults = p.scheme.multiplicities(up);
+    assert!(validate_subtree_multiplicities(&tree, p.node.id, mults));
+    assert_eq!(
+        (mults.get(sibling), mults.get(p.node.id), mults.get(x)),
+        (2, 2, 0)
+    );
+    assert_eq!(acked(&effects), vec![sibling]);
+}
+
+/// A dead leaf missing from only `n − 1` QCs is still waited for: its
+/// parent holds the live leaf's vote and sends up on its timer, not
+/// before. Catches a threshold of `n − 1` at the aggregator.
+#[test]
+fn a_leaf_at_streak_n_minus_one_is_still_waited_for_until_the_timer() {
+    let (mut p, x, sibling, tree) = parent_of_leaf(config(), N, &views_before(N), |_| true);
+    let effects = p.reply(sibling);
+    assert!(sent_up(&effects, &tree).is_none(), "the parent waits for x");
+    let effects = p.agg_timer();
+    let up = sent_up(&effects, &tree).expect("sent up on the timer");
+    assert_eq!((up.mults.get(sibling), up.mults.get(x)), (2, 0));
+}
+
+/// A parent whose every leaf is known-silent sends its own vote up in the
+/// turn it takes up the proposal, and still arms its aggregation timer as
+/// the backstop. Catches a send-up that only a fold can trigger (the
+/// parent would wait out `2Δ` for leaves it no longer expects).
+#[test]
+fn a_parent_of_only_silent_leaves_sends_up_in_the_proposal_turn() {
+    let cfg = config();
+    let view = N + 1;
+    let (_, tree, parent, _, _) = leaf_setup(&cfg, view);
+    let leaves = tree.children_of(parent);
+    let delta = cfg.delta;
+    let p = Primed::at(parent, cfg, view, &views_before(view), |_| leaves.clone());
+    let up = sent_up(&p.proposed, &tree).expect("sent up in the proposal turn");
+    assert_eq!(
+        (p.scheme.multiplicities(up).distinct(), up.mults.get(parent)),
+        (1, 1),
+        "its own vote, alone"
+    );
+    let agg_timer = (
+        2 * delta * tree.height_of(parent) as Time,
+        timer_id(view, TIMER_AGG),
+    );
+    assert!(
+        p.proposed.timers.contains(&agg_timer),
+        "the backstop is armed"
+    );
+}
+
+/// Neither the paper-faithful trigger nor Iniva-No2C waives a silent leaf
+/// at its parent: the parent sends up on its timer. Catches a `Silence`
+/// built without its mode guard (`sc_on_quorum`) or its 2ND-CHANCE guard.
+#[test]
+fn the_parent_waiver_is_off_in_the_paper_mode_and_without_second_chance() {
+    let modes: [fn(&mut InivaConfig); 2] = [|c| c.sc_on_quorum = true, |c| c.second_chance = false];
+    for mode in modes {
+        let mut cfg = config();
+        mode(&mut cfg);
+        let label = format!(
+            "sc_on_quorum {}, 2ND-CHANCE {}",
+            cfg.sc_on_quorum, cfg.second_chance
+        );
+        let (mut p, _, sibling, tree) = parent_of_leaf(cfg, N + 1, &views_before(N + 1), |_| true);
+        assert!(sent_up(&p.reply(sibling), &tree).is_none(), "{label}");
+        assert!(sent_up(&p.agg_timer(), &tree).is_some(), "{label}");
+    }
+}
+
+/// A silent leaf that comes back before its sibling is held beside it and
+/// verified in the same batch: it goes up at multiplicity 2, with an ACK,
+/// and the QC that carries it resets its streak. Catches a hold that drops
+/// a waived child's share.
+#[test]
+fn a_returning_silent_leaf_is_folded_beside_its_sibling_and_resets_its_streak() {
+    let (mut p, x, sibling, tree) = parent_of_leaf(config(), N + 1, &views_before(N + 1), |_| true);
+    let effects = p.reply(x);
+    assert!(sent_up(&effects, &tree).is_none(), "waits for the sibling");
+    let effects = p.reply(sibling);
+    assert_eq!(p.batches(), vec![2], "one batch of both votes");
+    let up = sent_up(&effects, &tree).expect("sent up");
+    assert_eq!(
+        (
+            up.mults.get(x),
+            up.mults.get(sibling),
+            up.mults.get(p.node.id)
+        ),
+        (2, 2, 3)
+    );
+    assert_eq!(acked(&effects), {
+        let mut both = vec![x, sibling];
+        both.sort_unstable();
+        both
+    });
+
+    // The view's QC: the subtree plus every other member's vote.
+    assert!(p.node.silence.streak[x as usize] >= N as u32);
+    let agg = (0..N as u32)
+        .filter(|&m| up.mults.get(m) == 0)
+        .fold(up.clone(), |agg, m| p.scheme.combine(&agg, &p.sign(m)));
+    let qc = Qc {
+        block_hash: p.block.hash(),
+        view: p.block.view,
+        height: p.block.height,
+        agg,
+    };
+    p.node.adopt_qc(0, qc);
+    assert_eq!(p.node.silence.streak[x as usize], 0, "the streak is reset");
 }

@@ -3,11 +3,15 @@
 //! paper's Theorems 1–2 (Reliable Dissemination, Inclusiveness) and the
 //! Fig. 4 resiliency claims.
 
-use iniva::protocol::{InivaConfig, InivaReplica};
+use iniva::protocol::{tree_for_view, InivaConfig, InivaReplica};
+use iniva::rewards::{classify_inclusions, Inclusion};
+use iniva_consensus::leader::LeaderContext;
 use iniva_consensus::quorum;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::faults::FaultPlan;
 use iniva_net::{NetConfig, Simulation, MILLIS, SECS};
+use iniva_obs::trace::{EventKind, TimerKind};
+use iniva_tree::Role;
 use std::sync::Arc;
 
 fn build(
@@ -338,14 +342,18 @@ fn a_restarted_member_is_back_in_a_qc_within_one_rotation() {
     );
 }
 
-/// A member whose every outbound link is slowed to 3 ms under Δ answers
-/// in time, so it is never known-silent and keeps its place while the
-/// roots stop waiting for a crashed member: it stays in ≥ 99% of the QCs
-/// after warm-up.
-#[test]
-fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
+/// The slow member, the crashed one, and the replica whose chain is read,
+/// in the two tests below.
+const SLOW: u32 = 4;
+const DEAD: u32 = 9;
+const OBSERVER: u32 = 0;
+
+/// The scenario of the two tests below: 21 members, `DEAD` crashed from the
+/// start, `SLOW`'s every outbound link slowed to 3 ms under Δ, every replica
+/// traced. Returns the simulation after 10 s and `OBSERVER`'s view at 2 s,
+/// where warm-up ends.
+fn slow_beside_dead() -> (Simulation<InivaReplica<SimScheme>>, u64) {
     let n = 21u32;
-    let (slow, dead, observer) = (4, 9, 0);
     let mut sim = build(n as usize, 4, |_| {});
     let delta = InivaConfig::for_tests(n as usize, 4).delta;
     let registry = iniva_obs::Registry::new();
@@ -354,14 +362,25 @@ fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
             .set_observability(&registry, iniva_obs::Tracer::new(id, 8192));
     }
     (0..n)
-        .filter(|&to| to != slow)
-        .fold(FaultPlan::new().crash(0, dead), |plan, to| {
-            plan.slow_link(0, slow, to, delta - 3 * MILLIS)
+        .filter(|&to| to != SLOW)
+        .fold(FaultPlan::new().crash(0, DEAD), |plan, to| {
+            plan.slow_link(0, SLOW, to, delta - 3 * MILLIS)
         })
         .run_on_sim(&mut sim, 2 * SECS);
-    let warm = sim.actor(observer).current_view();
+    let warm = sim.actor(OBSERVER).current_view();
     sim.run_until(10 * SECS);
-    let qcs: Vec<bool> = committed_qcs(&sim, observer, slow)
+    (sim, warm)
+}
+
+/// A member whose every outbound link is slowed to 3 ms under Δ answers
+/// in time, so it is never known-silent and keeps its place while the
+/// roots stop waiting for a crashed member: it stays in ≥ 99% of the QCs
+/// after warm-up.
+#[test]
+fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
+    let n = 21u32;
+    let (sim, warm) = slow_beside_dead();
+    let qcs: Vec<bool> = committed_qcs(&sim, OBSERVER, SLOW)
         .into_iter()
         .filter(|&(view, _)| view > warm)
         .map(|(_, holds)| holds)
@@ -382,4 +401,89 @@ fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
         })
         .count();
     assert!(waived > 0, "no root stopped waiting for the crashed member");
+}
+
+/// Parents stop waiting for the crashed member too, and the slow one keeps
+/// its reward as a leaf. After warm-up, by which every replica has counted
+/// more than `n` QCs without the crashed member:
+/// - the slow member is folded by its parent, at multiplicity 2
+///   (`Inclusion::Tree`), in ≥ 99% of the certified views where it is a
+///   leaf under a live parent (under the crashed one it can only answer
+///   the root's 2ND-CHANCE);
+/// - no parent of the crashed member fires its aggregation timer in a view
+///   where the crashed member is its leaf.
+#[test]
+fn parents_stop_waiting_for_a_silent_leaf_and_a_slow_leaf_keeps_its_multiplicity() {
+    let (sim, warm) = slow_beside_dead();
+    let cfg = InivaConfig::for_tests(21, 4);
+    let tree = |view: u64| {
+        tree_for_view(
+            cfg.n,
+            cfg.internal,
+            &cfg.epoch_seed,
+            view,
+            &cfg.leader_policy,
+            &LeaderContext::default(),
+        )
+    };
+    let committed = sim.actor(OBSERVER).chain.committed_range(0, usize::MAX);
+    let before_warm: Vec<_> = committed.iter().filter(|(_, qc)| qc.view <= warm).collect();
+    assert!(before_warm.len() > cfg.n, "{} QCs", before_warm.len());
+    assert!(before_warm
+        .iter()
+        .all(|(_, qc)| !qc.agg.mults.contains(DEAD)));
+
+    let as_leaf: Vec<Inclusion> = committed
+        .iter()
+        .filter(|(_, qc)| qc.view > warm)
+        .filter_map(|(_, qc)| {
+            let tree = tree(qc.view);
+            (tree.role_of(SLOW) == Role::Leaf && tree.parent_of(SLOW) != Some(DEAD))
+                .then(|| classify_inclusions(&tree, &qc.agg.mults)[SLOW as usize])
+        })
+        .collect();
+    assert!(
+        as_leaf.len() > 50,
+        "{} views with the slow leaf",
+        as_leaf.len()
+    );
+    let folded = as_leaf
+        .iter()
+        .filter(|inc| matches!(inc, Inclusion::Tree { .. }))
+        .count();
+    assert!(
+        folded as f64 >= 0.99 * as_leaf.len() as f64,
+        "the slow leaf was folded by its parent in {folded} of {} views: {as_leaf:?}",
+        as_leaf.len()
+    );
+
+    // Every (parent, view) where the crashed member is the parent's leaf
+    // and the parent's trace still holds that view.
+    let last = sim.actor(OBSERVER).current_view();
+    let mut checked = 0;
+    for view in warm + 1..last {
+        let tree = tree(view);
+        let Some(parent) = tree.parent_of(DEAD) else {
+            continue;
+        };
+        if tree.role_of(DEAD) != Role::Leaf {
+            continue;
+        }
+        let events = sim.actor(parent).tracer().events();
+        let traced = events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::ProposalReceived { view: v, .. } if v == view));
+        if !traced {
+            continue;
+        }
+        checked += 1;
+        let fired = events.iter().any(|e| {
+            matches!(e.kind, EventKind::TimerFired { view: v, kind: TimerKind::Agg } if v == view)
+        });
+        assert!(
+            !fired,
+            "view {view}: parent {parent} waited out 2Δ for {DEAD}"
+        );
+    }
+    assert!(checked > 50, "{checked} parent views checked");
 }

@@ -54,11 +54,14 @@ impl DedupCache {
         if !self.seen.insert((from, epoch, seq)) {
             return false;
         }
-        self.order.push_back((from, epoch, seq));
-        if self.order.len() > self.capacity {
-            let oldest = self.order.pop_front().expect("ring not empty");
-            self.seen.remove(&oldest);
+        // Evict before recording: a full ring that pushed first would
+        // outgrow its buffer, and the deque would double it.
+        if self.order.len() == self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.seen.remove(&oldest);
+            }
         }
+        self.order.push_back((from, epoch, seq));
         true
     }
 
@@ -106,11 +109,13 @@ mod tests {
     #[test]
     fn cache_never_grows_past_its_bound() {
         let mut c = DedupCache::new(16);
+        let ring = c.order.capacity();
         for seq in 0..10_000u64 {
             c.insert(3, (seq % 5) as u32, seq);
             assert!(c.len() <= 16);
         }
         assert_eq!(c.len(), 16);
+        assert_eq!(c.order.capacity(), ring, "the ring kept its buffer");
     }
 
     #[test]
