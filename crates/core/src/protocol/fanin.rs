@@ -3,22 +3,21 @@
 //! with ACK inclusion proofs, the root's 2ND-CHANCE fallback, and
 //! finalization into a QC.
 //!
-//! An aggregator verifies its fan-in once: in the tree-completion trigger
-//! mode an internal node and the root hold their children's shares,
-//! unverified, until every child they still expect has sent one (or a
-//! timer, 2ND-CHANCE or the hold's bound calls for a decision), then
-//! verify them all in one batch. The paper-faithful mode verifies each
-//! delivery on receipt, as Algorithm 1's lines 18–20 do. The ruling is on
-//! [`InivaReplica::handle_signatures`].
+//! An aggregator verifies its fan-in once: an internal node and the root
+//! hold their children's shares, unverified, until every child they still
+//! expect has sent one (or a timer, 2ND-CHANCE, the quorum trigger or the
+//! hold's bound calls for a decision), then verify them all in one batch.
+//! The ruling is on [`InivaReplica::handle_signatures`].
 //!
-//! In the same mode no aggregator waits for a *known-silent* member, one
-//! missing from the last `n` certified QCs: an internal node sends its
-//! subtree up without it, and the root completes its tree and finalizes
-//! without it. `Silence::waived` decides it, and takes the mode when it
-//! is built; the ruling is on `InivaReplica::maybe_second_chance_or_finalize`.
+//! With 2ND-CHANCE on, no aggregator waits for a *known-silent* member,
+//! one missing from the last `n` certified QCs: an internal node sends its
+//! subtree up without it, and the root completes its tree without it.
+//! `Silence::waived` decides it; the ruling is on
+//! `InivaReplica::maybe_second_chance_or_finalize`. The [`SecondChance`]
+//! setting decides only the root's policy, `InivaReplica::root_step`.
 
 use super::pacemaker::{timer_id, TIMER_AGG, TIMER_RELAYED, TIMER_SECOND_CHANCE};
-use super::{InivaMsg, InivaReplica};
+use super::{InivaMsg, InivaReplica, SecondChance};
 use crate::rewards::validate_subtree_multiplicities;
 use iniva_consensus::leader::LeaderPolicy;
 use iniva_consensus::types::{quorum, vote_message, Block, Qc, AGG_SIG_BYTES, PER_SIGNER_BYTES};
@@ -35,6 +34,15 @@ use iniva_tree::{Role, TreeView};
 /// oldest on overflow. Without the caps a hostile peer flooding one
 /// future view would grow the buffer without bound.
 pub(super) const EARLY_SIGS_TOTAL_FACTOR: usize = 4;
+
+/// What the root does next (`InivaReplica::root_step`): wait, give every
+/// missing member its 2ND-CHANCE, or emit the QC.
+#[derive(PartialEq)]
+enum RootStep {
+    Wait,
+    SecondChance,
+    Finalize,
+}
 
 /// Per-view aggregation state.
 pub(super) struct AggState<S: VoteScheme> {
@@ -402,11 +410,14 @@ where
     ///   real share, held beside it or arriving later, still folds. The
     ///   hold is therefore not newest-wins per sender: a later forgery
     ///   would push out the honest share;
+    /// - at the root, its policy (`root_step`) would act on the signers
+    ///   folded and held, read from multiplicities before any pairing:
+    ///   under the quorum trigger, once they reach a quorum, so the hold
+    ///   never delays it. A share forged to claim signers forces at most
+    ///   its own early batch, no more than the verification on receipt;
     /// - the root has sent 2ND-CHANCE: replies fold as they arrive;
     /// - the aggregation or second-chance timer fired: the hold is
-    ///   flushed before the timer's decision;
-    /// - always, in the paper-faithful mode (`sc_on_quorum`), which
-    ///   therefore verifies every delivery on receipt.
+    ///   flushed before the timer's decision.
     ///
     /// Why holding cannot cost an honest member its place or its
     /// multiplicity: every decision — sending the subtree up and its ACKs,
@@ -481,16 +492,21 @@ where
         if st.held.is_empty() {
             return false;
         }
-        if self.cfg.sc_on_quorum || st.second_chance_sent {
-            return true;
-        }
         let children = st.tree.children_of(self.id);
-        if st.held.len() > children.len() {
+        if st.second_chance_sent || st.held.len() > children.len() {
             return true;
         }
-        children
+        let held_all = children
             .into_iter()
-            .all(|c| !self.awaits(st, c) || st.held.iter().any(|(from, _)| *from == c))
+            .all(|c| !self.awaits(st, c) || st.held.iter().any(|(from, _)| *from == c));
+        if held_all || st.tree.role_of(self.id) != Role::Root {
+            return held_all;
+        }
+        let mut signers = self.scheme.multiplicities(&st.agg).clone();
+        for (_, held) in &st.held {
+            signers = signers.merge(self.scheme.multiplicities(held));
+        }
+        self.root_step(st, &signers, false) != RootStep::Wait
     }
 
     /// Verifies and folds everything held.
@@ -580,15 +596,11 @@ where
                 st.agg = self.scheme.combine(&st.agg, agg);
                 folded = true;
             }
-            let sc_expired = st.sc_expired;
             if folded {
                 match role {
                     Role::Internal if self.agg.as_ref().is_some_and(|st| self.complete(st)) => {
                         self.send_subtree_up(ctx)
                     }
-                    // Late quorum after the second-chance window: finalize
-                    // as soon as it is possible again.
-                    Role::Root if sc_expired => self.finalize(ctx),
                     Role::Root => self.maybe_second_chance_or_finalize(ctx, false),
                     _ => {}
                 }
@@ -669,32 +681,25 @@ where
         }
     }
 
-    /// Root: give missing processes a 2ND-CHANCE (lines 22–25) once the
-    /// tree has reported (all subtree aggregates in) or the aggregation
-    /// timer fired, then finalize when the second-chance timer expires
-    /// (lines 39–40).
+    /// Root: give missing processes a 2ND-CHANCE (lines 22–25) and
+    /// finalize (lines 39–40) when [`Self::root_step`] calls for it.
     ///
-    /// Deviation from the paper's "once a QC has been collected" trigger:
-    /// we wait for tree *completion* rather than a bare quorum, so the
-    /// fallback stays dormant in fault-free runs (the paper's own claim in
-    /// Section V-C); under faults the aggregation timer provides the same
-    /// bound the paper's analysis uses.
-    ///
-    /// In that tree-completion mode no aggregator waits for a
-    /// *known-silent* member: one missing from each of the last `n`
-    /// certified QCs this replica counted (one leader rotation; see
-    /// `Silence`). Such a member is *waived* (`Silence::waived`, the one
-    /// place the record is read; it answers no in every other mode, which
-    /// it takes from the config when the replica is built). Three waits
-    /// change:
+    /// With 2ND-CHANCE on, no aggregator waits for a *known-silent*
+    /// member: one missing from each of the last `n` certified QCs this
+    /// replica counted (one leader rotation; see `Silence`). Such a member
+    /// is *waived* (`Silence::waived`, the one place the record is read;
+    /// it answers no in Iniva-No2C, which has no 2ND-CHANCE for a waived
+    /// member to get in by). Three waits change:
     /// - an internal node sends its Eq. 1 subtree aggregate up, and ACKs
     ///   to the leaves in it, as soon as every leaf it does not waive is
     ///   folded; if it waives them all, it sends its own vote up in the
     ///   turn it votes. Its `2Δ·height` timer stays armed as the backstop;
     /// - the root's tree is complete once every internal child it does
     ///   not waive has reported;
-    /// - after 2ND-CHANCE the root finalizes as soon as every member still
-    ///   missing is waived, instead of sleeping out δ.
+    /// - under the tree-completion trigger, after 2ND-CHANCE the root
+    ///   finalizes as soon as every member still missing is waived,
+    ///   instead of sleeping out δ. The quorum trigger always sleeps out
+    ///   δ: that wait is the cost the paper's Fig. 3a measures.
     ///
     /// Everything else stands. Every missing member, waived or not, still
     /// gets the 2ND-CHANCE, and a reply that lands before finalization is
@@ -726,84 +731,75 @@ where
     /// finalizes, at multiplicity 1. That is the waiver's price: until its
     /// streak resets, a returning leaf folded by the root and not by its
     /// parent earns multiplicity 1, not 2.
-    ///
-    /// Why the paper-faithful mode (`sc_on_quorum`) is exempt: it models
-    /// the protocol the paper evaluates, which always spends δ after the
-    /// quorum. Every simulated figure and the chaos demo run it, so their
-    /// costs stay the paper's. The Iniva-No2C ablation has no 2ND-CHANCE
-    /// to fall back on, so a waived member could not get in at all; its
-    /// aggregators wait for every child too.
     fn maybe_second_chance_or_finalize(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
         timer_fired: bool,
     ) {
-        let n = self.cfg.n;
-        let Some(st) = self.agg.as_ref() else { return };
-        if st.finalized {
+        let Some(st) = self.agg.as_ref().filter(|st| !st.finalized) else {
             return;
-        }
-        let current = self.scheme.multiplicities(&st.agg);
-        let have_quorum = current.distinct() >= quorum(n);
-        let tree_complete = self.complete(st);
-        let only_waived_missing =
-            (0..n as u32).all(|m| current.contains(m) || self.silence.waived(m));
-
-        if !self.cfg.second_chance {
-            // Iniva-No2C: finalize when the tree has reported (or the
-            // timer forces the issue) and a quorum exists.
-            if (tree_complete && have_quorum) || timer_fired {
-                self.finalize(ctx);
-            }
-            return;
-        }
-
-        let trigger = if self.cfg.sc_on_quorum {
-            have_quorum || tree_complete || timer_fired
-        } else {
-            tree_complete || timer_fired
         };
-        let mut second_chance_sent = st.second_chance_sent;
-        if !second_chance_sent && trigger {
-            second_chance_sent = true;
-            let missing: Vec<u32> = (0..n as u32).filter(|m| !current.contains(*m)).collect();
-            if missing.is_empty() {
-                self.agg_metrics.clean_views += 1;
-                self.finalize(ctx);
-                return;
-            }
-            if let Some(obs) = &self.obs {
-                obs.second_chances.inc();
-            }
-            self.tracer
-                .emit_with(ctx.now(), || EventKind::SecondChance {
-                    view: st.view,
-                    missing: missing.len() as u32,
-                    silent: missing.iter().filter(|&&m| self.silence.waived(m)).count() as u32,
-                });
-            let qc = self.chain.highest_qc().cloned();
-            let bytes =
-                st.block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
-            for m in missing {
-                self.agg_metrics.second_chances_sent += 1;
-                ctx.send(
-                    m,
-                    InivaMsg::SecondChance {
-                        block: st.block.clone(),
-                        qc: qc.clone(),
-                    },
-                    bytes,
-                );
-            }
-            ctx.set_timer(self.cfg.sc_timer(), timer_id(st.view, TIMER_SECOND_CHANCE));
-            if let Some(st) = self.agg.as_mut() {
-                st.second_chance_sent = true;
-            }
+        let current = self.scheme.multiplicities(&st.agg);
+        match self.root_step(st, current, self.complete(st) || timer_fired) {
+            RootStep::Wait => return,
+            RootStep::Finalize => return self.finalize(ctx),
+            RootStep::SecondChance => {}
         }
-        // After 2ND-CHANCE, finalize once every member still missing is
-        // waived; the paper-faithful mode sleeps out δ.
-        if second_chance_sent && !self.cfg.sc_on_quorum && only_waived_missing {
+        let missing: Vec<u32> = (0..self.cfg.n as u32)
+            .filter(|m| !current.contains(*m))
+            .collect();
+        if missing.is_empty() {
+            self.agg_metrics.clean_views += 1;
             self.finalize(ctx);
+            return;
+        }
+        if let Some(obs) = &self.obs {
+            obs.second_chances.inc();
+        }
+        self.tracer
+            .emit_with(ctx.now(), || EventKind::SecondChance {
+                view: st.view,
+                missing: missing.len() as u32,
+                silent: missing.iter().filter(|&&m| self.silence.waived(m)).count() as u32,
+            });
+        let qc = self.chain.highest_qc().cloned();
+        let bytes = st.block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
+        for m in missing {
+            self.agg_metrics.second_chances_sent += 1;
+            ctx.send(
+                m,
+                InivaMsg::SecondChance {
+                    block: st.block.clone(),
+                    qc: qc.clone(),
+                },
+                bytes,
+            );
+        }
+        ctx.set_timer(self.cfg.sc_timer(), timer_id(st.view, TIMER_SECOND_CHANCE));
+        if let Some(st) = self.agg.as_mut() {
+            st.second_chance_sent = true;
+        }
+        // The policy may finalize at once, before δ.
+        self.maybe_second_chance_or_finalize(ctx, timer_fired);
+    }
+
+    /// The root's 2ND-CHANCE policy, the one place the [`SecondChance`]
+    /// values are told apart: what the root does next with `signers` in,
+    /// once its tree has `reported` (complete, or its aggregation timer
+    /// fired) or before.
+    fn root_step(&self, st: &AggState<S>, signers: &Multiplicities, reported: bool) -> RootStep {
+        let have_quorum = signers.distinct() >= quorum(self.cfg.n);
+        let sent = st.second_chance_sent;
+        let only_waived_missing =
+            || (0..self.cfg.n as u32).all(|m| signers.contains(m) || self.silence.waived(m));
+        match self.cfg.second_chance {
+            // A quorum completed after δ ran out finalizes at once.
+            _ if st.sc_expired => RootStep::Finalize,
+            SecondChance::Off if reported && have_quorum => RootStep::Finalize,
+            SecondChance::OnQuorum if !sent && (reported || have_quorum) => RootStep::SecondChance,
+            SecondChance::OnCompletion if !sent && reported => RootStep::SecondChance,
+            SecondChance::OnCompletion if sent && only_waived_missing() => RootStep::Finalize,
+            _ => RootStep::Wait,
         }
     }
 

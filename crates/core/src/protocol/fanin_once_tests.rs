@@ -1,9 +1,8 @@
-//! Fan-in verified once, driven by hand: in the tree-completion trigger
-//! mode an internal node and the root hold their children's shares until
-//! every child they still expect has sent one, then verify them in one
-//! batch; a timer, 2ND-CHANCE or the hold's bound flushes it earlier, and
-//! the paper-faithful mode verifies every delivery. Each test names the
-//! broken rule it catches.
+//! Fan-in verified once, driven by hand: an internal node and the root
+//! hold their children's shares until every child they still expect has
+//! sent one, then verify them in one batch; a timer, 2ND-CHANCE, the
+//! hold's bound or, at the root under the paper's trigger, a quorum held
+//! flushes it earlier. Each test names the broken rule it catches.
 
 use super::pacemaker::{timer_id, TIMER_AGG};
 use super::testkit::{chain, qc_over};
@@ -391,21 +390,32 @@ fn each_timer_flushes_before_it_decides() {
     assert!(p.scheme.multiplicities(&qc.agg).contains(late));
 }
 
-/// The paper-faithful mode verifies every delivery on receipt, at an
-/// internal node and at the root. Catches the hold applied in that mode.
+/// Under the paper's trigger an internal node holds its leaves as under
+/// the default one, and the root holds its subtrees only until the signers
+/// held and folded reach a quorum: it verifies them in one batch and sends
+/// 2ND-CHANCE without its last child, then sleeps out δ. Catches
+/// verify-on-receipt kept for that trigger, and a hold that delays it.
 #[test]
-fn paper_faithful_mode_verifies_every_delivery() {
+fn the_quorum_trigger_holds_until_a_quorum_is_in() {
     let mut cfg = config();
-    cfg.sc_on_quorum = true;
+    cfg.second_chance = SecondChance::OnQuorum;
     let mut p = Node::new(cfg.clone(), 1, Role::Internal, &[]);
-    for (i, leaf) in p.children().into_iter().enumerate() {
+    for leaf in p.children() {
         p.deliver(vec![(leaf, p.vote(leaf))]);
-        assert_eq!(p.batches().len(), i + 1);
-        assert_eq!(p.held(), 0);
     }
+    assert_eq!(p.batches(), vec![p.one_batch(3, 3)], "one batch, k = 3");
+
     let mut p = Node::new(cfg, 1, Role::Root, &[]);
-    for (i, c) in p.children().into_iter().enumerate() {
-        p.deliver(vec![(c, p.full_subtree(c))]);
-        assert_eq!(p.batches().len(), i + 1);
-    }
+    let children = p.children();
+    assert_eq!(quorum(N as usize), 9, "the root and two subtrees of four");
+    p.deliver(vec![(children[0], p.full_subtree(children[0]))]);
+    assert!(p.batches().is_empty() && p.held() == 1, "5 of 9 held");
+    let effects = p.deliver(vec![(children[1], p.full_subtree(children[1]))]);
+    assert_eq!(p.batches(), vec![p.one_batch(2, 8)], "a quorum, one batch");
+    let mut missing = p.tree.children_of(children[2]);
+    missing.push(children[2]);
+    missing.sort_unstable();
+    assert_eq!(second_chances(&effects), missing, "without the last child");
+    p.deliver(vec![(children[2], p.full_subtree(children[2]))]);
+    assert!(p.qc().is_none(), "every member in, δ is slept out");
 }

@@ -89,24 +89,8 @@ pub struct InivaConfig {
     pub delta: Time,
     /// Explicit second-chance timer δ (defaults to `2Δ` if `None`).
     pub second_chance_timer: Option<Time>,
-    /// Whether 2ND-CHANCE messages are sent at all (`false` = the paper's
-    /// Iniva-No2C ablation).
-    pub second_chance: bool,
-    /// When to trigger 2ND-CHANCE: `true` (paper-faithful) sends as soon as
-    /// a *quorum* is collected (or on timer), always spending the δ wait;
-    /// `false` waits for tree *completion* (or the timer), keeping the
-    /// fallback dormant in fault-free runs — an optimization ablation
-    /// benchmarked separately. Only `false` lets an aggregator stop
-    /// waiting for a *known-silent* member, one absent from the last `n`
-    /// certified QCs: an internal node sends its subtree up without it,
-    /// and the root completes its tree and finalizes without it (the
-    /// ruling is on `maybe_second_chance_or_finalize` in
-    /// `protocol/fanin.rs`). Only `false` lets an aggregator hold its
-    /// children's shares and verify its fan-in in one batch (the ruling is
-    /// on `handle_signatures`). `true` waits for every member at every
-    /// aggregator and verifies every SIGNATURE delivery on receipt, as the
-    /// paper does, so the simulated figures keep the paper's costs.
-    pub sc_on_quorum: bool,
+    /// Whether and when the root gives missing members their 2ND-CHANCE.
+    pub second_chance: SecondChance,
     /// Leader election policy (root of the aggregation tree).
     pub leader_policy: LeaderPolicy,
     /// CPU cost model.
@@ -133,8 +117,7 @@ impl InivaConfig {
             // δ ∈ {5, 10} ms.
             delta: 15 * iniva_net::MILLIS,
             second_chance_timer: None,
-            second_chance: true,
-            sc_on_quorum: false,
+            second_chance: SecondChance::OnCompletion,
             leader_policy: LeaderPolicy::RoundRobin,
             cost: CostModel::default(),
             epoch_seed: [7u8; 32],
@@ -174,6 +157,22 @@ impl InivaConfig {
     }
 }
 
+/// When the root of a view's tree sends 2ND-CHANCE (Algorithm 1, lines
+/// 21–25), if at all. Only the root's policy (`root_step` in
+/// `protocol/fanin.rs`) tells the three apart: every setting holds an
+/// aggregator's fan-in and verifies it in one batch, and with 2ND-CHANCE
+/// on no aggregator waits for a known-silent member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SecondChance {
+    /// Never: the paper's Iniva-No2C ablation.
+    Off,
+    /// The paper's trigger: once a quorum is in, then always wait out δ.
+    OnQuorum,
+    /// At tree completion, so the fallback stays dormant in fault-free
+    /// views (Section V-C). The default.
+    OnCompletion,
+}
+
 /// Registry handles the replica keeps once observability is bound (see
 /// [`InivaReplica::set_observability`]). Updates are relaxed atomics on
 /// the hot path; nothing here is consulted when observability is off.
@@ -199,9 +198,8 @@ struct Silence {
     streak: Vec<u32>,
     /// The view of the last QC counted; each QC counts once, in view order.
     counted_view: u64,
-    /// Whether the mode lets an aggregator stop waiting at all: the
-    /// tree-completion trigger with 2ND-CHANCE on. The paper-faithful
-    /// trigger and Iniva-No2C wait for every member.
+    /// Whether an aggregator may stop waiting at all: only with
+    /// 2ND-CHANCE on, the fallback a waived member still gets in by.
     waives: bool,
 }
 
@@ -210,7 +208,7 @@ impl Silence {
         Silence {
             streak: vec![0; cfg.n],
             counted_view: 0,
-            waives: cfg.second_chance && !cfg.sc_on_quorum,
+            waives: cfg.second_chance != SecondChance::Off,
         }
     }
 
@@ -230,8 +228,8 @@ impl Silence {
         }
     }
 
-    /// Whether no aggregator waits for `member`: the mode waives at all,
-    /// and `member` is *known-silent*, missing from the last `n` counted
+    /// Whether no aggregator waits for `member`: 2ND-CHANCE is on, and
+    /// `member` is *known-silent*, missing from the last `n` counted
     /// QCs, one full leader rotation. The ruling is on
     /// `maybe_second_chance_or_finalize` in `protocol/fanin.rs`.
     fn waived(&self, member: u32) -> bool {

@@ -1,8 +1,9 @@
 //! Known-silence, driven by hand: a replica that counted a member missing
 //! from the last `n` certified QCs stops waiting for it, as the member's
 //! parent (it sends its subtree up without it) and as the root (at tree
-//! completion and after 2ND-CHANCE), in the tree-completion trigger mode
-//! with 2ND-CHANCE on only. Each test names the broken rule it catches.
+//! completion, and after 2ND-CHANCE under the tree-completion trigger),
+//! under either trigger but never without 2ND-CHANCE. Each test names the
+//! broken rule it catches.
 
 use super::pacemaker::{timer_id, TIMER_AGG, TIMER_SECOND_CHANCE};
 use super::testkit::{chain, qc_over};
@@ -390,22 +391,26 @@ fn the_root_finalizes_before_delta_once_only_silent_members_are_left() {
     assert!(!p.qc_holds(x));
 }
 
-/// The paper-faithful trigger waits for everyone: the silent leaf still
-/// costs the root its δ. Catches the rule applied in quorum mode.
+/// The paper's trigger sleeps out δ after 2ND-CHANCE, though the root
+/// knows the leaf is silent, and even once every member is in: that wait
+/// belongs to the trigger, not to the waiver. Catches the early finalize
+/// applied under the quorum trigger.
 #[test]
 fn paper_faithful_mode_still_sleeps_out_delta() {
     let mut cfg = config();
-    cfg.sc_on_quorum = true;
-    let (mut p, x, _) = leaf_missing(cfg, N + 1, &views_before(N + 1), |_| true);
-    assert!(p.qc().is_none(), "the root sleeps out δ");
-    let mut ctx = Context::external(p.node.id, 0);
-    p.node.on_second_chance_timer(&mut ctx, N + 1);
-    assert!(p.qc().is_some() && !p.qc_holds(x));
+    cfg.second_chance = SecondChance::OnQuorum;
+    let (mut p, x, effects) = leaf_missing(cfg, N + 1, &views_before(N + 1), |_| true);
+    assert_eq!(second_chances(&effects), vec![x]);
     assert!(p
         .node
         .tracer()
         .dump_jsonl()
-        .contains("\"missing\": 1, \"silent\": 0"));
+        .contains("\"missing\": 1, \"silent\": 1"));
+    p.reply(x);
+    assert!(p.qc().is_none(), "the root sleeps out δ, every member in");
+    let mut ctx = Context::external(p.node.id, 0);
+    p.node.on_second_chance_timer(&mut ctx, N + 1);
+    assert!(p.qc_holds(x), "finalized on δ, with the reply");
 }
 
 /// The parent of a leaf `x` of `view`'s tree, after the QCs of `qc_views`,
@@ -488,22 +493,21 @@ fn a_parent_of_only_silent_leaves_sends_up_in_the_proposal_turn() {
     );
 }
 
-/// Neither the paper-faithful trigger nor Iniva-No2C waives a silent leaf
-/// at its parent: the parent sends up on its timer. Catches a `Silence`
-/// built without its mode guard (`sc_on_quorum`) or its 2ND-CHANCE guard.
+/// The paper's trigger waives a silent leaf at its parent as the default
+/// one does: the parent sends up on its live leaf. Iniva-No2C does not, as
+/// no 2ND-CHANCE would let the leaf back in: the parent sends up on its
+/// timer. Catches a `Silence` that reads the trigger, or that drops its
+/// 2ND-CHANCE guard.
 #[test]
-fn the_parent_waiver_is_off_in_the_paper_mode_and_without_second_chance() {
-    let modes: [fn(&mut InivaConfig); 2] = [|c| c.sc_on_quorum = true, |c| c.second_chance = false];
-    for mode in modes {
+fn the_parent_waiver_follows_second_chance_not_the_trigger() {
+    for (mode, waives) in [(SecondChance::OnQuorum, true), (SecondChance::Off, false)] {
         let mut cfg = config();
-        mode(&mut cfg);
-        let label = format!(
-            "sc_on_quorum {}, 2ND-CHANCE {}",
-            cfg.sc_on_quorum, cfg.second_chance
-        );
+        cfg.second_chance = mode;
         let (mut p, _, sibling, tree) = parent_of_leaf(cfg, N + 1, &views_before(N + 1), |_| true);
-        assert!(sent_up(&p.reply(sibling), &tree).is_none(), "{label}");
-        assert!(sent_up(&p.agg_timer(), &tree).is_some(), "{label}");
+        let on_reply = sent_up(&p.reply(sibling), &tree).is_some();
+        assert_eq!(on_reply, waives, "{mode:?}");
+        let on_timer = sent_up(&p.agg_timer(), &tree).is_some();
+        assert_eq!(on_timer, !waives, "{mode:?}");
     }
 }
 

@@ -3,7 +3,7 @@
 //! paper's Theorems 1–2 (Reliable Dissemination, Inclusiveness) and the
 //! Fig. 4 resiliency claims.
 
-use iniva::protocol::{tree_for_view, InivaConfig, InivaReplica};
+use iniva::protocol::{tree_for_view, InivaConfig, InivaReplica, SecondChance};
 use iniva::rewards::{classify_inclusions, Inclusion};
 use iniva_consensus::leader::LeaderContext;
 use iniva_consensus::quorum;
@@ -167,7 +167,7 @@ fn crash_faults_still_include_all_correct_processes() {
 fn no2c_variant_commits_but_loses_inclusion_under_faults() {
     // Iniva-No2C keeps liveness (quorum still forms through the tree) but
     // can no longer re-add processes under faults.
-    let mk = |second_chance: bool| {
+    let mk = |second_chance: SecondChance| {
         let mut sim = build(21, 4, |c| {
             c.second_chance = second_chance;
             c.view_timeout = 600 * MILLIS;
@@ -179,8 +179,8 @@ fn no2c_variant_commits_but_loses_inclusion_under_faults() {
         let m = &sim.actor(0).chain.metrics;
         (m.mean_qc_size(), m.qc_count)
     };
-    let (with_2c, qcs_2c) = mk(true);
-    let (without_2c, qcs_no2c) = mk(false);
+    let (with_2c, qcs_2c) = mk(SecondChance::OnCompletion);
+    let (without_2c, qcs_no2c) = mk(SecondChance::Off);
     assert!(qcs_2c > 0 && qcs_no2c > 0);
     assert!(
         with_2c > without_2c,
@@ -486,4 +486,90 @@ fn parents_stop_waiting_for_a_silent_leaf_and_a_slow_leaf_keeps_its_multiplicity
         );
     }
     assert!(checked > 50, "{checked} parent views checked");
+}
+
+/// The paper's trigger runs the same fan-in: once a crashed member is
+/// known-silent, no parent of it fires its aggregation timer in a view
+/// where it is a leaf. And the trigger keeps its δ: every QC formed after
+/// warm-up forms at least δ after its root's 2ND-CHANCE, though the root
+/// knows the missing member is silent.
+#[test]
+fn the_quorum_trigger_waives_a_silent_leaf_and_still_sleeps_out_delta() {
+    let n = 21u32;
+    let mut sim = build(n as usize, 4, |c| c.second_chance = SecondChance::OnQuorum);
+    let cfg = InivaConfig::for_tests(n as usize, 4);
+    let registry = iniva_obs::Registry::new();
+    for id in 0..n {
+        sim.actor_mut(id)
+            .set_observability(&registry, iniva_obs::Tracer::new(id, 8192));
+    }
+    FaultPlan::new()
+        .crash(0, DEAD)
+        .run_on_sim(&mut sim, 3 * SECS);
+    // Past `n` QCs without the dead member, every replica calls it silent.
+    let warm = sim.actor(OBSERVER).current_view();
+    let certified = sim.actor(OBSERVER).chain.committed_range(0, usize::MAX);
+    assert!(certified.len() > n as usize, "{} QCs", certified.len());
+    sim.run_until(8 * SECS);
+    let last = sim.actor(OBSERVER).current_view();
+    let traces: Vec<_> = (0..n).map(|id| sim.actor(id).tracer().events()).collect();
+    let delta = 2 * cfg.delta; // δ = 2Δ, `for_tests` sets no explicit δ
+
+    let mut parents = 0;
+    let mut qcs = 0;
+    for view in warm + 1..last {
+        let tree = tree_for_view(
+            cfg.n,
+            cfg.internal,
+            &cfg.epoch_seed,
+            view,
+            &cfg.leader_policy,
+            &LeaderContext::default(),
+        );
+        let at = |id: u32, pick: &dyn Fn(&EventKind) -> bool| {
+            traces[id as usize]
+                .iter()
+                .find(|e| pick(&e.kind))
+                .map(|e| e.at)
+        };
+        if let (Role::Leaf, Some(parent)) = (tree.role_of(DEAD), tree.parent_of(DEAD)) {
+            let received = at(
+                parent,
+                &|k| matches!(k, EventKind::ProposalReceived { view: v, .. } if *v == view),
+            );
+            let fired = at(
+                parent,
+                &|k| matches!(k, EventKind::TimerFired { view: v, kind: TimerKind::Agg } if *v == view),
+            );
+            if received.is_some() {
+                parents += 1;
+                assert!(
+                    fired.is_none(),
+                    "view {view}: parent {parent} waited out 2Δ"
+                );
+            }
+        }
+        let root = tree.root();
+        let formed = at(
+            root,
+            &|k| matches!(k, EventKind::QcFormed { view: v, .. } if *v == view),
+        );
+        if let Some(formed) = formed {
+            qcs += 1;
+            let asked = at(
+                root,
+                &|k| matches!(k, EventKind::SecondChance { view: v, .. } if *v == view),
+            )
+            .expect("every QC follows a 2ND-CHANCE, a member is down");
+            assert!(
+                formed >= asked + delta,
+                "view {view}: QC {} ms after 2ND-CHANCE",
+                (formed - asked) as f64 / MILLIS as f64
+            );
+        }
+    }
+    assert!(
+        parents > 30 && qcs > 50,
+        "{parents} parent views, {qcs} QCs"
+    );
 }

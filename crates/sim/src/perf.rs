@@ -1,7 +1,7 @@
 //! Performance experiments over the discrete-event simulator
 //! (Fig. 3a throughput vs latency, Fig. 3b CPU usage, Fig. 3c scalability).
 
-use iniva::protocol::{InivaConfig, InivaReplica};
+use iniva::protocol::{InivaConfig, InivaReplica, SecondChance};
 use iniva_consensus::{LeaderPolicy, ReplicaConfig, StarReplica};
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::cost::CostModel;
@@ -121,10 +121,12 @@ pub fn run(params: &PerfParams) -> PerfPoint {
             cfg.payload_per_req = params.payload;
             cfg.request_rate = params.rate;
             cfg.view_timeout = 800 * MILLIS;
-            cfg.second_chance = params.protocol == Protocol::Iniva;
-            // Paper-faithful trigger: 2ND-CHANCE once a quorum is collected,
+            // The paper's trigger: 2ND-CHANCE once a quorum is collected,
             // then wait δ — the cost Fig. 3a attributes to the fallback.
-            cfg.sc_on_quorum = true;
+            cfg.second_chance = match params.protocol {
+                Protocol::Iniva => SecondChance::OnQuorum,
+                _ => SecondChance::Off,
+            };
             cfg.second_chance_timer = Some(10 * MILLIS);
             let replicas = (0..params.n as u32)
                 .map(|id| InivaReplica::new(id, cfg.clone(), Arc::clone(&scheme)))

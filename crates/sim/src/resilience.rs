@@ -4,7 +4,7 @@
 //! shuffle moves them around the tree), second-chance timer δ ∈ {5, 10} ms
 //! and the Carousel leader-election variant.
 
-use iniva::protocol::{InivaConfig, InivaReplica};
+use iniva::protocol::{InivaConfig, InivaReplica, SecondChance};
 use iniva_consensus::LeaderPolicy;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::faults::FaultPlan;
@@ -77,7 +77,7 @@ pub fn variant_config(variant: Variant) -> InivaConfig {
     // Paper heuristic: agg timer = 2Δ·height(p), δ = 2Δ.
     cfg.delta = variant.second_chance_timer() / 2;
     cfg.second_chance_timer = Some(variant.second_chance_timer());
-    cfg.sc_on_quorum = true;
+    cfg.second_chance = SecondChance::OnQuorum;
     cfg.leader_policy = variant.policy();
     cfg.view_timeout = 300 * MILLIS;
     cfg

@@ -58,7 +58,7 @@ use crate::runtime::{export_runtime_stats, CpuMode, Runtime, RuntimeStats};
 use crate::transport::{
     export_transport_snapshot, Transport, TransportOptions, TransportSnapshot, TransportStats,
 };
-use iniva::protocol::{InivaConfig, InivaMsg, InivaReplica};
+use iniva::protocol::{InivaConfig, InivaMsg, InivaReplica, SecondChance};
 use iniva_consensus::audit::CommitAudit;
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
@@ -253,7 +253,7 @@ pub fn chaos_demo_scenario(seed: u64) -> (InivaConfig, FaultPlan, NodeId, Vec<No
     let mut cfg = InivaConfig::for_tests(7, 2);
     cfg.request_rate = 2_000;
     cfg.cost = cfg.cost.scaled(0.05);
-    cfg.sc_on_quorum = true;
+    cfg.second_chance = SecondChance::OnQuorum;
     cfg.second_chance_timer = Some(50 * MILLIS);
 
     let members = FaultPlan::shuffled_members(cfg.n, seed);

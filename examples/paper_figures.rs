@@ -105,14 +105,19 @@ fn main() {
 
     if want("fig3b") {
         println!("==================== Fig. 3b: CPU usage =============================");
+        // CPU per committed op: mean CPU % per 1k committed op/s.
         println!(
-            "{:<24} {:>12} {:>12} {:>14}",
-            "config", "mean CPU %", "max CPU %", "throughput"
+            "{:<24} {:>12} {:>12} {:>12} {:>14}",
+            "config", "mean CPU %", "% per kop/s", "max CPU %", "throughput"
         );
         for (label, p) in perf::figure_3b() {
             println!(
-                "{:<24} {:>12.1} {:>12.1} {:>14.0}",
-                label, p.cpu_mean_pct, p.cpu_max_pct, p.throughput
+                "{:<24} {:>12.1} {:>12.2} {:>12.1} {:>14.0}",
+                label,
+                p.cpu_mean_pct,
+                p.cpu_mean_pct / (p.throughput / 1000.0),
+                p.cpu_max_pct,
+                p.throughput
             );
         }
         println!();
