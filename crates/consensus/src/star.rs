@@ -475,11 +475,13 @@ impl<S: VoteScheme> Actor for StarReplica<S> {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<StarMsg<S>>, _from: NodeId, msg: StarMsg<S>) {
-        ctx.charge_cpu(self.cfg.cost.msg_overhead);
-        match msg {
-            StarMsg::Proposal { block, qc } => self.handle_proposal(ctx, block, qc),
-            StarMsg::Vote { view, block, agg } => self.handle_vote(ctx, view, block, agg),
+    fn on_messages(&mut self, ctx: &mut Context<StarMsg<S>>, batch: Vec<(NodeId, StarMsg<S>)>) {
+        for (_, msg) in batch {
+            ctx.charge_cpu(self.cfg.cost.msg_overhead);
+            match msg {
+                StarMsg::Proposal { block, qc } => self.handle_proposal(ctx, block, qc),
+                StarMsg::Vote { view, block, agg } => self.handle_vote(ctx, view, block, agg),
+            }
         }
     }
 

@@ -345,13 +345,15 @@ fn forged_heights_under_a_held_qc_are_refused_and_the_rest_pruned() {
             payload_per_req: 0,
         };
         let hash = forged.hash();
-        r.on_message(
+        r.on_messages(
             &mut ctx,
-            1,
-            InivaMsg::Proposal {
-                block: forged,
-                qc: Some(qc),
-            },
+            vec![(
+                1,
+                InivaMsg::Proposal {
+                    block: forged,
+                    qc: Some(qc),
+                },
+            )],
         );
         assert!(r.chain.block(&hash).is_none(), "frame {i} stored");
     }
@@ -507,13 +509,15 @@ fn an_internal_node_relays_before_it_verifies() {
     let qc = qc_over(&scheme, &blocks[view as usize - 2], COMMITTEE);
 
     let mut ctx = Context::external(r.id, 0);
-    r.on_message(
+    r.on_messages(
         &mut ctx,
-        leader,
-        InivaMsg::Proposal {
-            block,
-            qc: Some(qc),
-        },
+        vec![(
+            leader,
+            InivaMsg::Proposal {
+                block,
+                qc: Some(qc),
+            },
+        )],
     );
     let effects = ctx.into_effects();
     let mut leaves = tree.children_of(r.id);
@@ -556,7 +560,7 @@ fn a_relay_is_the_leaders_and_once_per_view() {
         let mut ctx = Context::external(r.id, 0);
         let qc = Some(forged.clone());
         let block = block.clone();
-        r.on_message(&mut ctx, from, InivaMsg::Proposal { block, qc });
+        r.on_messages(&mut ctx, vec![(from, InivaMsg::Proposal { block, qc })]);
         proposals_to(&ctx.into_effects().outbox).len()
     };
     let bystander = (0..7).find(|&m| m != leader && m != r.id).unwrap_or(0);

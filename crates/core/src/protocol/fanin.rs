@@ -385,7 +385,7 @@ where
     }
 
     /// Lines 18–20 over a *batch* of SIGNATURE messages: everything queued
-    /// in one handler turn (live-transport drain) plus the `early_sigs`
+    /// in one handler turn (`Actor::on_messages`) plus the `early_sigs`
     /// replay lands here together. Cheap structural checks run on
     /// arrival, before any pairing, so a share that can never fold is
     /// never held and spam that would be rejected anyway never reaches

@@ -24,7 +24,7 @@ fn deliver(
     now: Time,
 ) -> Vec<(NodeId, InivaMsg<SimScheme>, usize)> {
     let mut ctx = Context::external(r.id, now);
-    r.on_message(&mut ctx, from, msg);
+    r.on_messages(&mut ctx, vec![(from, msg)]);
     ctx.into_effects().outbox
 }
 

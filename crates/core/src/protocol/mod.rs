@@ -574,18 +574,11 @@ where
         self.start(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<InivaMsg<S>>, from: NodeId, msg: InivaMsg<S>) {
-        // One dispatch table for both delivery paths: a single message is
-        // a batch of one (identical behavior, including the per-message
-        // overhead charge and the post-dispatch state-transfer probe).
-        self.on_messages(ctx, vec![(from, msg)]);
-    }
-
-    /// Live-transport drain: consecutive SIGNATURE messages queued in one
-    /// handler turn are folded through `handle_signatures` as one batch (a
-    /// view's fan-in at the root verifies under a single multi-pairing);
-    /// every other message type dispatches in arrival order, flushing the
-    /// pending signature run first so per-sender ordering is preserved.
+    /// Consecutive SIGNATURE messages in one handler turn are folded
+    /// through `handle_signatures` as one batch (a view's fan-in at the
+    /// root verifies under a single multi-pairing); every other message
+    /// type dispatches in arrival order, flushing the pending signature run
+    /// first so per-sender ordering is preserved.
     fn on_messages(&mut self, ctx: &mut Context<InivaMsg<S>>, batch: Vec<(NodeId, InivaMsg<S>)>) {
         let mut sigs: Vec<(NodeId, u64, S::Aggregate)> = Vec::new();
         let mut senders: Vec<NodeId> = Vec::new();

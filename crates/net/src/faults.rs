@@ -235,8 +235,8 @@ mod tests {
             ctx.set_timer(10 * MILLIS, 0);
         }
 
-        fn on_message(&mut self, _ctx: &mut Context<()>, _from: NodeId, _msg: ()) {
-            self.received += 1;
+        fn on_messages(&mut self, _ctx: &mut Context<()>, batch: Vec<(NodeId, ())>) {
+            self.received += batch.len() as u64;
         }
 
         fn on_timer(&mut self, ctx: &mut Context<()>, _id: u64) {

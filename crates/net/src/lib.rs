@@ -15,11 +15,14 @@
 //!   calibrated from the real BLS12-381 benchmarks (see [`cost`]),
 //! * **crash faults** (a crashed node receives nothing and sends nothing).
 //!
-//! Each node is a single-server queue: events execute at
-//! `max(arrival, node_available)` and expensive handlers push back later
-//! work, so CPU saturation translates into latency and throughput loss
-//! exactly as on real hardware. Virtual time makes 150-second experiments
-//! run in milliseconds and bit-identical across runs (seeded RNG).
+//! Each node is a single-server queue with an inbox: while a handler's
+//! CPU charge keeps the node busy, arrivals and due timers wait, and the
+//! node takes them up under the one delivery rule (written on
+//! [`Actor::on_messages`]) when it frees up. So CPU saturation translates
+//! into latency and throughput loss exactly as on real hardware, and the
+//! live runtime hands its actor the same batches. Virtual time makes
+//! 150-second experiments run in milliseconds and bit-identical across
+//! runs (seeded RNG).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +35,7 @@ pub mod wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 /// Identity of a simulated node.
 pub type NodeId = u32;
@@ -73,7 +76,30 @@ impl Default for NetConfig {
     }
 }
 
-/// A protocol state machine driven by the simulator.
+/// Most deliveries handed to an actor in one [`Actor::on_messages`] turn,
+/// by the simulator and by the live runtime alike. The cap keeps a
+/// pairing-verifying replica's batch window full (a view's worth of
+/// signatures arrives back to back) while bounding how long a message
+/// flood can hold back a due timer.
+pub const MAX_DELIVERY_BATCH: usize = 32;
+
+/// How many of a node's queued deliveries, given by their arrival times
+/// oldest first, its next turn takes under the delivery rule
+/// ([`Actor::on_messages`]): those that arrived by `deadline`, the
+/// earliest due timer's if one is due, at most [`MAX_DELIVERY_BATCH`].
+/// 0 with a timer due means the timer fires first.
+pub fn due_deliveries<T: PartialOrd>(
+    arrivals: impl IntoIterator<Item = T>,
+    deadline: Option<T>,
+) -> usize {
+    arrivals
+        .into_iter()
+        .take(MAX_DELIVERY_BATCH)
+        .take_while(|at| deadline.as_ref().is_none_or(|d| at <= d))
+        .count()
+}
+
+/// A protocol state machine driven by the simulator or the live runtime.
 pub trait Actor {
     /// Message type exchanged between actors.
     type Msg;
@@ -81,20 +107,27 @@ pub trait Actor {
     /// Called once at simulation start.
     fn on_start(&mut self, _ctx: &mut Context<Self::Msg>) {}
 
-    /// Called when a message is delivered to this node.
-    fn on_message(&mut self, ctx: &mut Context<Self::Msg>, from: NodeId, msg: Self::Msg);
-
-    /// Called when a runtime delivers several already-queued messages in
-    /// one handler turn (the live transport drains its inbound queue into
-    /// a batch; the discrete-event simulator delivers per-event and never
-    /// calls this). The default preserves per-message semantics exactly;
-    /// actors whose verification cost amortizes across messages — batch
-    /// pairing verification over a view's signatures — override it.
-    fn on_messages(&mut self, ctx: &mut Context<Self::Msg>, batch: Vec<(NodeId, Self::Msg)>) {
-        for (from, msg) in batch {
-            self.on_message(ctx, from, msg);
-        }
-    }
+    /// Hands the actor deliveries, oldest first, in one handler turn.
+    ///
+    /// **The delivery rule.** Both loops that drive actors — [`Simulation`]
+    /// and the live transport's runtime — hand them what is due the same
+    /// way:
+    ///
+    /// * a node handles what is due in due order: a delivery is due when
+    ///   it arrives, a timer at its deadline;
+    /// * consecutive deliveries with no due timer between them go to the
+    ///   actor in one `on_messages` turn, at most [`MAX_DELIVERY_BATCH`]
+    ///   per turn;
+    /// * a timer fires only after every delivery that arrived by its
+    ///   deadline; a delivery that arrives after the deadline waits for
+    ///   the timer.
+    ///
+    /// A node busy with an earlier turn's CPU charge therefore gets
+    /// everything that arrived meanwhile in as few turns as the rule
+    /// allows. Actors whose verification cost amortizes across messages
+    /// (batch pairing verification over a view's signatures) fold the
+    /// batch; others iterate it.
+    fn on_messages(&mut self, ctx: &mut Context<Self::Msg>, batch: Vec<(NodeId, Self::Msg)>);
 
     /// Called when a timer set via [`Context::set_timer`] fires.
     fn on_timer(&mut self, _ctx: &mut Context<Self::Msg>, _timer: u64) {}
@@ -136,10 +169,10 @@ impl<M> Context<M> {
         self.cpu += ns;
     }
 
-    /// Creates a context for an external runtime (e.g. the real-socket
-    /// transport in `iniva-transport`), which drives [`Actor`]s outside the
-    /// discrete-event simulator. `now` is the runtime's own clock reading in
-    /// nanoseconds.
+    /// Creates the context of one handler turn of `node` starting at
+    /// `now`, the driving loop's clock reading in nanoseconds (the
+    /// simulator's virtual clock, or a real-socket runtime's monotonic one
+    /// in `iniva-transport`).
     pub fn external(node: NodeId, now: Time) -> Self {
         Context {
             node,
@@ -174,8 +207,12 @@ pub struct ContextEffects<M> {
 }
 
 enum EventKind<M> {
+    /// A message arrives at the node's inbox.
     Deliver { from: NodeId, msg: M },
+    /// A timer comes due.
     Timer { id: u64 },
+    /// The node is free to take its next turn.
+    Turn,
 }
 
 struct Event<M> {
@@ -216,11 +253,36 @@ pub struct NodeStats {
     pub msgs_received: u64,
 }
 
+/// What waits at a node for its next turn.
+struct Inbox<M> {
+    /// Arrivals not yet handed over: `(arrival, sender, message)`.
+    msgs: VecDeque<(Time, NodeId, M)>,
+    /// Due timers not yet fired: `(deadline, id)`, in deadline order.
+    timers: VecDeque<(Time, u64)>,
+    /// A `Turn` event for the node is queued.
+    turn_queued: bool,
+}
+
+impl<M> Inbox<M> {
+    fn new() -> Self {
+        Inbox {
+            msgs: VecDeque::new(),
+            timers: VecDeque::new(),
+            turn_queued: false,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.msgs.is_empty() && self.timers.is_empty()
+    }
+}
+
 /// The discrete-event simulation engine.
 pub struct Simulation<A: Actor> {
     actors: Vec<A>,
     crashed: Vec<bool>,
     available: Vec<Time>,
+    inboxes: Vec<Inbox<A::Msg>>,
     stats: Vec<NodeStats>,
     queue: BinaryHeap<Reverse<Event<A::Msg>>>,
     now: Time,
@@ -246,6 +308,7 @@ impl<A: Actor> Simulation<A> {
             actors,
             crashed: vec![false; n],
             available: vec![0; n],
+            inboxes: (0..n).map(|_| Inbox::new()).collect(),
             stats: vec![NodeStats::default(); n],
             queue: BinaryHeap::new(),
             now: 0,
@@ -274,9 +337,13 @@ impl<A: Actor> Simulation<A> {
         self.now
     }
 
-    /// Marks a node crashed: it stops processing and emitting events.
+    /// Marks a node crashed: it stops processing and emitting events, and
+    /// what waited in its inbox is lost.
     pub fn crash(&mut self, node: NodeId) {
-        self.crashed[node as usize] = true;
+        let ni = node as usize;
+        self.crashed[ni] = true;
+        self.inboxes[ni].msgs.clear();
+        self.inboxes[ni].timers.clear();
     }
 
     /// Revives a crashed node. Events that came due while it was down are
@@ -293,7 +360,8 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Blocks the directed link `from → to`: deliveries on it are dropped
-    /// at delivery time (messages already in flight are lost too).
+    /// on arrival (messages already in flight are lost too; those already
+    /// in the receiver's inbox are not).
     pub fn block_link(&mut self, from: NodeId, to: NodeId) {
         self.blocked_links.insert((from, to));
     }
@@ -355,13 +423,7 @@ impl<A: Actor> Simulation<A> {
             if self.crashed[i] {
                 continue;
             }
-            let mut ctx = Context {
-                node: i as NodeId,
-                now: 0,
-                outbox: Vec::new(),
-                timers: Vec::new(),
-                cpu: 0,
-            };
+            let mut ctx = Context::external(i as NodeId, 0);
             self.actors[i].on_start(&mut ctx);
             self.apply(i as NodeId, 0, ctx);
         }
@@ -406,48 +468,74 @@ impl<A: Actor> Simulation<A> {
         let Some(Reverse(ev)) = self.queue.pop() else {
             return false;
         };
-        let ni = ev.node as usize;
-        if self.crashed[ni] {
-            self.now = self.now.max(ev.at);
-            return true;
-        }
-        // A partitioned link drops its deliveries at delivery time, so a
-        // partition injected while messages are in flight loses them too —
-        // matching the live transport's reader-path filter.
-        if let EventKind::Deliver { from, .. } = &ev.kind {
-            if self.blocked_links.contains(&(*from, ev.node)) {
-                self.now = self.now.max(ev.at);
-                self.link_drops += 1;
-                return true;
-            }
-        }
-        // Single-server queue: if the node is still busy, requeue the event
-        // for when it frees up.
-        if self.available[ni] > ev.at {
-            let at = self.available[ni];
-            self.push(at, ev.node, ev.kind);
-            return true;
-        }
         self.now = self.now.max(ev.at);
-        let start = ev.at;
-        let mut ctx = Context {
-            node: ev.node,
-            now: start,
-            outbox: Vec::new(),
-            timers: Vec::new(),
-            cpu: 0,
-        };
+        let ni = ev.node as usize;
         match ev.kind {
+            EventKind::Turn => {
+                self.inboxes[ni].turn_queued = false;
+                if !self.crashed[ni] {
+                    self.turn(ev.node, ev.at);
+                }
+            }
+            _ if self.crashed[ni] => {}
+            // A partitioned link drops its deliveries on arrival, so a
+            // partition injected while messages are in flight loses them
+            // too — matching the live transport's reader-path filter.
+            EventKind::Deliver { from, .. } if self.blocked_links.contains(&(from, ev.node)) => {
+                self.link_drops += 1;
+            }
             EventKind::Deliver { from, msg } => {
-                self.stats[ni].msgs_received += 1;
-                self.actors[ni].on_message(&mut ctx, from, msg);
+                self.inboxes[ni].msgs.push_back((ev.at, from, msg));
+                self.queue_turn(ev.node, ev.at);
             }
             EventKind::Timer { id } => {
-                self.actors[ni].on_timer(&mut ctx, id);
+                self.inboxes[ni].timers.push_back((ev.at, id));
+                self.queue_turn(ev.node, ev.at);
             }
         }
-        self.apply(ev.node, start, ctx);
         true
+    }
+
+    /// Queues the node's next turn for when it is free, from `at` on,
+    /// unless one is queued already.
+    fn queue_turn(&mut self, node: NodeId, at: Time) {
+        let ni = node as usize;
+        if !self.inboxes[ni].turn_queued {
+            self.inboxes[ni].turn_queued = true;
+            let at = at.max(self.available[ni]);
+            self.push(at, node, EventKind::Turn);
+        }
+    }
+
+    /// One handler turn under the delivery rule ([`Actor::on_messages`]):
+    /// the arrivals up to the earliest due timer's deadline, at most
+    /// [`MAX_DELIVERY_BATCH`] of them, or else that timer.
+    fn turn(&mut self, node: NodeId, at: Time) {
+        let ni = node as usize;
+        let start = at.max(self.available[ni]);
+        let mut ctx = Context::external(node, start);
+        let inbox = &mut self.inboxes[ni];
+        let due = due_deliveries(
+            inbox.msgs.iter().map(|&(arrival, _, _)| arrival),
+            inbox.timers.front().map(|&(deadline, _)| deadline),
+        );
+        if due > 0 {
+            let batch = inbox
+                .msgs
+                .drain(..due)
+                .map(|(_, from, msg)| (from, msg))
+                .collect();
+            self.stats[ni].msgs_received += due as u64;
+            self.actors[ni].on_messages(&mut ctx, batch);
+        } else if let Some((_, id)) = inbox.timers.pop_front() {
+            self.actors[ni].on_timer(&mut ctx, id);
+        } else {
+            return;
+        }
+        self.apply(node, start, ctx);
+        if !self.inboxes[ni].is_empty() {
+            self.queue_turn(node, start);
+        }
     }
 
     /// Runs until the virtual clock passes `deadline` or the event queue
@@ -504,12 +592,14 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, ctx: &mut Context<u32>, from: NodeId, msg: u32) {
-            if msg == 0 {
-                self.completed_at = Some(ctx.now());
-                return;
+        fn on_messages(&mut self, ctx: &mut Context<u32>, batch: Vec<(NodeId, u32)>) {
+            for (from, msg) in batch {
+                if msg == 0 {
+                    self.completed_at = Some(ctx.now());
+                } else {
+                    ctx.send(from, msg - 1, 100);
+                }
             }
-            ctx.send(from, msg - 1, 100);
         }
     }
 
@@ -615,7 +705,7 @@ mod tests {
             ctx.set_timer(10 * MILLIS, 1);
             ctx.set_timer(20 * MILLIS, 2);
         }
-        fn on_message(&mut self, _ctx: &mut Context<()>, _from: NodeId, _msg: ()) {}
+        fn on_messages(&mut self, _ctx: &mut Context<()>, _batch: Vec<(NodeId, ())>) {}
         fn on_timer(&mut self, ctx: &mut Context<()>, id: u64) {
             self.fired.push(ctx.now());
             if id == 1 {
@@ -640,7 +730,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<()>) {
             ctx.send(1, (), 1_000_000); // 1 MB
         }
-        fn on_message(&mut self, _ctx: &mut Context<()>, _from: NodeId, _msg: ()) {}
+        fn on_messages(&mut self, _ctx: &mut Context<()>, _batch: Vec<(NodeId, ())>) {}
     }
 
     #[test]
@@ -679,5 +769,154 @@ mod tests {
         sim.run_until(5 * MILLIS);
         assert_eq!(sim.now(), 5 * MILLIS);
         assert!(sim.actor(1).completed_at.is_none());
+    }
+
+    /// The delivery rule on [`Actor::on_messages`], one clause per test.
+    mod delivery_rule {
+        use super::*;
+
+        #[derive(Debug, PartialEq)]
+        enum Seen {
+            Msgs(Vec<u32>),
+            Timer(u64),
+        }
+
+        /// Node 0 sends `sends[i].1` to node 1 at `sends[i].0`.
+        /// Node 1 is busy for `busy` from the start, sets `timer` in
+        /// `on_start` (`(delay, id)`), charges `charge` on the message
+        /// `1`, and logs every turn with its start time.
+        struct Node {
+            sends: Vec<(Time, u32)>,
+            busy: Time,
+            timer: Option<(Time, u64)>,
+            charge: Time,
+            log: Vec<(Time, Seen)>,
+        }
+
+        impl Actor for Node {
+            type Msg = u32;
+
+            fn on_start(&mut self, ctx: &mut Context<u32>) {
+                for (i, &(at, _)) in self.sends.iter().enumerate() {
+                    ctx.set_timer(at, i as u64);
+                }
+                if let Some((delay, id)) = self.timer {
+                    ctx.set_timer(delay, id);
+                }
+                ctx.charge_cpu(self.busy);
+            }
+
+            fn on_messages(&mut self, ctx: &mut Context<u32>, batch: Vec<(NodeId, u32)>) {
+                let msgs: Vec<u32> = batch.into_iter().map(|(_, m)| m).collect();
+                if msgs.contains(&1) {
+                    ctx.charge_cpu(self.charge);
+                }
+                self.log.push((ctx.now(), Seen::Msgs(msgs)));
+            }
+
+            fn on_timer(&mut self, ctx: &mut Context<u32>, id: u64) {
+                if ctx.node == 0 {
+                    ctx.send(1, self.sends[id as usize].1, 8);
+                } else {
+                    self.log.push((ctx.now(), Seen::Timer(id)));
+                }
+            }
+        }
+
+        /// A sender and a receiver one 1 ms hop apart.
+        fn pair(
+            sends: Vec<(Time, u32)>,
+            busy: Time,
+            timer: Option<(Time, u64)>,
+            charge: Time,
+        ) -> Simulation<Node> {
+            let node = |sends, busy, timer, charge| Node {
+                sends,
+                busy,
+                timer,
+                charge,
+                log: Vec::new(),
+            };
+            let actors = vec![
+                node(sends, 0, None, 0),
+                node(Vec::new(), busy, timer, charge),
+            ];
+            Simulation::new(net(1), actors)
+        }
+
+        #[test]
+        fn a_busy_node_gets_its_arrivals_in_one_turn() {
+            let sends = vec![(0, 1), (MILLIS, 2), (2 * MILLIS, 3)];
+            let mut sim = pair(sends, 5 * MILLIS, None, 0);
+            sim.run_to_quiescence();
+            assert_eq!(
+                sim.actor(1).log,
+                vec![(5 * MILLIS, Seen::Msgs(vec![1, 2, 3]))]
+            );
+            assert_eq!(sim.stats(1).msgs_received, 3);
+        }
+
+        #[test]
+        fn forty_arrivals_are_handed_over_as_thirty_two_then_eight() {
+            let sends = (1..=40).map(|v| (0, v)).collect();
+            let mut sim = pair(sends, 5 * MILLIS, None, 0);
+            sim.run_to_quiescence();
+            let turns: Vec<usize> = sim
+                .actor(1)
+                .log
+                .iter()
+                .map(|(_, seen)| match seen {
+                    Seen::Msgs(m) => m.len(),
+                    Seen::Timer(_) => 0,
+                })
+                .collect();
+            assert_eq!(turns, vec![MAX_DELIVERY_BATCH, 40 - MAX_DELIVERY_BATCH]);
+        }
+
+        /// Arrivals at 2 and 4 ms and a timer due at 3 ms all wait behind
+        /// a charge that ends at 11 ms; they are taken up in due order.
+        #[test]
+        fn a_timer_due_between_two_arrivals_splits_them() {
+            let sends = vec![(0, 1), (MILLIS, 2), (3 * MILLIS, 3)];
+            let mut sim = pair(sends, 0, Some((3 * MILLIS, 9)), 10 * MILLIS);
+            sim.run_to_quiescence();
+            assert_eq!(
+                sim.actor(1).log,
+                vec![
+                    (MILLIS, Seen::Msgs(vec![1])),
+                    (11 * MILLIS, Seen::Msgs(vec![2])),
+                    (11 * MILLIS, Seen::Timer(9)),
+                    (11 * MILLIS, Seen::Msgs(vec![3])),
+                ]
+            );
+        }
+
+        /// What waited in a crashed node's inbox is lost, even when the
+        /// node revives before it would have freed up.
+        #[test]
+        fn a_crashed_nodes_queued_arrivals_are_dropped() {
+            let sends = vec![(0, 2), (0, 3), (15 * MILLIS, 4)];
+            let mut sim = pair(sends, 10 * MILLIS, None, 0);
+            sim.run_until(5 * MILLIS);
+            sim.crash(1);
+            sim.run_until(6 * MILLIS);
+            sim.revive(1);
+            sim.run_to_quiescence();
+            assert_eq!(sim.actor(1).log, vec![(16 * MILLIS, Seen::Msgs(vec![4]))]);
+            assert_eq!(sim.stats(1).msgs_received, 1);
+        }
+
+        /// A link blocked after a message arrived does not reach into the
+        /// inbox; one blocked before the next arrival drops it.
+        #[test]
+        fn a_blocked_link_drops_at_arrival() {
+            let sends = vec![(0, 2), (5 * MILLIS, 3)];
+            let mut sim = pair(sends, 10 * MILLIS, None, 0);
+            sim.run_until(3 * MILLIS);
+            sim.block_link(0, 1);
+            sim.run_to_quiescence();
+            assert_eq!(sim.actor(1).log, vec![(10 * MILLIS, Seen::Msgs(vec![2]))]);
+            assert_eq!(sim.link_drops(), 1);
+        }
     }
 }

@@ -28,6 +28,7 @@ use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Read chunk per syscall; also the early-exit threshold (a short read
 /// means the socket is drained, skipping the final `EAGAIN` round trip).
@@ -37,8 +38,10 @@ const READ_CHUNK: usize = 64 * 1024;
 /// lent to one callback at a time.
 pub(crate) struct NodeCx<M> {
     pub(crate) node: NodeId,
-    /// Decoded messages waiting for the runtime, oldest first.
-    pub(crate) inbox: VecDeque<(NodeId, M)>,
+    /// Decoded messages waiting for the runtime, oldest first, each with
+    /// the instant it was read (the delivery rule orders them against the
+    /// runtime's timers by it).
+    pub(crate) inbox: VecDeque<(Instant, NodeId, M)>,
     /// The node-wide duplicate filter: one across all connections, so a
     /// replay on a *new* connection is still recognized.
     pub(crate) dedup: DedupCache,
@@ -147,10 +150,7 @@ mod tests {
         bytes.extend_from_slice(&[0xff, 0xff, 0xff]);
         conn.pending = bytes;
         assert_eq!(conn.drain(&mut cx), Action::Drop);
-        assert_eq!(
-            Vec::from(cx.inbox),
-            vec![(7, TestMsg(9))],
-            "first frame delivered"
-        );
+        let delivered: Vec<_> = cx.inbox.into_iter().map(|(_, from, m)| (from, m)).collect();
+        assert_eq!(delivered, vec![(7, TestMsg(9))], "first frame delivered");
     }
 }

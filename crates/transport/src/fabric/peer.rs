@@ -9,6 +9,7 @@ use iniva_net::wire::Codec;
 use iniva_net::NodeId;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
+use std::time::Instant;
 
 /// Accepts inbound peer connections and spawns a [`PeerConn`] per socket.
 pub(crate) struct PeerListener {
@@ -72,6 +73,7 @@ impl PeerConn {
             Err(_) => return Action::Drop, // corrupt framing: peer redials
         }
         let shared = bytes::Bytes::from(std::mem::take(&mut self.pending));
+        let read_at = Instant::now();
         let mut offset = 0usize;
         let verdict = loop {
             match frame::parse_frame(&shared[offset..]) {
@@ -101,7 +103,7 @@ impl PeerConn {
                     }
                     TransportStats::bump(&cx.stats.msgs_received, 1);
                     TransportStats::bump(&cx.stats.bytes_received, (consumed - 12) as u64);
-                    cx.inbox.push_back((sender, msg));
+                    cx.inbox.push_back((read_at, sender, msg));
                 }
             }
         };

@@ -20,10 +20,11 @@
 //!   inbound frames are read, earlier sends flushed and clients served.
 //!   [`CpuMode::Off`] ignores charges.
 //!
-//! Messages are delivered in arrival order (the order frames drained from
-//! the sockets into the inbox); timers fire in deadline order and take
-//! priority over messages once due, mirroring the simulator's
-//! single-server queue per node.
+//! Messages and timers are handed over under the one delivery rule that
+//! the simulator obeys too, written on [`Actor::on_messages`]: messages
+//! in the order frames were read into the inbox, batched up to
+//! [`MAX_DELIVERY_BATCH`](iniva_net::MAX_DELIVERY_BATCH) per turn, and a
+//! due timer after every message read by its deadline.
 
 use crate::transport::Transport;
 use iniva_net::wire::Codec;
@@ -31,12 +32,6 @@ use iniva_net::{Actor, Context, Time};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
-
-/// Most messages delivered to an actor in one handler turn. The drain
-/// keeps a pairing-verifying replica's batch window full (a view's worth
-/// of signatures arrives back-to-back) while bounding how long due timers
-/// can be deferred behind a message flood.
-const MAX_DELIVERY_BATCH: usize = 32;
 
 /// Longest the event loop waits before it looks at the run deadline, the
 /// stop hook and the crash/heal switch again.
@@ -71,8 +66,8 @@ pub struct RuntimeStats {
 struct RuntimeObs {
     /// How late past its deadline each timer fired — the live analogue
     /// of the simulator's zero-lag timer wheel, and the series
-    /// [`tune_for_real_crypto`](iniva_net::Actor) consumers use to size
-    /// Δ against scheduling noise rather than guesswork.
+    /// `InivaConfig::tune_for_real_crypto` consumers use to size Δ against
+    /// scheduling noise rather than guesswork.
     timer_lag_ns: iniva_obs::Histogram,
     /// Real time per handler dispatch (excluding charges).
     handler_ns: iniva_obs::Histogram,
@@ -206,7 +201,7 @@ where
             if faults.is_down() {
                 self.started = true;
                 while self.pop_due_timer().is_some() {}
-                self.transport.take_incoming(usize::MAX);
+                while !self.transport.take_incoming(None).is_empty() {}
                 // Its sockets are still read — the fault filter drops what
                 // arrives — or every peer's lane toward it would fill up to
                 // its capacity.
@@ -221,17 +216,7 @@ where
                 let ctx = self.dispatch(ctx, |actor, ctx| actor.on_start(ctx));
                 self.apply(ctx);
             }
-            // Fire every due timer, in deadline order.
-            while let Some((at, id)) = self.pop_due_timer() {
-                self.stats.timers_fired += 1;
-                if let Some(obs) = &self.obs {
-                    obs.timer_lag_ns.record(self.now().saturating_sub(at));
-                }
-                let node = self.transport.node();
-                let ctx = Context::external(node, self.now());
-                let ctx = self.dispatch(ctx, |actor, ctx| actor.on_timer(ctx, id));
-                self.apply(ctx);
-            }
+            self.turn();
             // Flush the sends and read the sockets; with nothing to deliver
             // yet, wait for a frame, but no longer than the next timer
             // deadline or the run deadline.
@@ -248,19 +233,6 @@ where
                 until_timer.min(until_deadline).min(IDLE_POLL)
             };
             self.transport.poll(wait);
-            // Deliver what is queued in one handler turn (bounded, so a
-            // flood cannot starve timers): actors that batch same-view
-            // signature verification get their batch from here, and
-            // per-message actors see the identical per-message callbacks
-            // via the trait default.
-            let batch = self.transport.take_incoming(MAX_DELIVERY_BATCH);
-            if !batch.is_empty() {
-                self.stats.msgs_delivered += batch.len() as u64;
-                let node = self.transport.node();
-                let ctx = Context::external(node, self.now());
-                let ctx = self.dispatch(ctx, |actor, ctx| actor.on_messages(ctx, batch));
-                self.apply(ctx);
-            }
         }
         // Flush the last turn's sends now rather than at the next run: a
         // harness may spend a while between run slices.
@@ -271,6 +243,35 @@ where
     pub fn finish(self) -> (A, RuntimeStats, crate::transport::TransportSnapshot) {
         let transport = self.transport.snapshot();
         (self.actor, self.stats, transport)
+    }
+
+    /// One handler turn under the delivery rule ([`Actor::on_messages`]):
+    /// the messages read by the earliest due timer's deadline (all queued
+    /// messages when no timer is due), at most
+    /// [`MAX_DELIVERY_BATCH`](iniva_net::MAX_DELIVERY_BATCH) of them, or
+    /// else that timer.
+    fn turn(&mut self) {
+        let now = self.now();
+        let due = self.timers.peek().map(|Reverse((at, _, _))| *at);
+        let deadline = due
+            .filter(|&at| at <= now)
+            .map(|at| self.epoch + Duration::from_nanos(at));
+        let batch = self.transport.take_incoming(deadline);
+        let node = self.transport.node();
+        if !batch.is_empty() {
+            self.stats.msgs_delivered += batch.len() as u64;
+            let ctx = Context::external(node, self.now());
+            let ctx = self.dispatch(ctx, |actor, ctx| actor.on_messages(ctx, batch));
+            self.apply(ctx);
+        } else if let Some((at, id)) = self.pop_due_timer() {
+            self.stats.timers_fired += 1;
+            if let Some(obs) = &self.obs {
+                obs.timer_lag_ns.record(self.now().saturating_sub(at));
+            }
+            let ctx = Context::external(node, self.now());
+            let ctx = self.dispatch(ctx, |actor, ctx| actor.on_timer(ctx, id));
+            self.apply(ctx);
+        }
     }
 
     /// Pops the earliest timer if it is due: `(deadline, id)`.
@@ -414,11 +415,13 @@ mod tests {
             }
         }
 
-        fn on_message(&mut self, ctx: &mut Context<Num>, from: NodeId, msg: Num) {
-            if msg.0 == 0 {
-                self.done = true;
-            } else {
-                ctx.send(from, Num(msg.0 - 1), 8);
+        fn on_messages(&mut self, ctx: &mut Context<Num>, batch: Vec<(NodeId, Num)>) {
+            for (from, msg) in batch {
+                if msg.0 == 0 {
+                    self.done = true;
+                } else {
+                    ctx.send(from, Num(msg.0 - 1), 8);
+                }
             }
         }
     }
@@ -472,10 +475,12 @@ mod tests {
             fn on_start(&mut self, ctx: &mut Context<Num>) {
                 ctx.send(1, Num(0), 8); // dials the lane to node 1
             }
-            fn on_message(&mut self, ctx: &mut Context<Num>, from: NodeId, msg: Num) {
-                if msg.0 == 1 {
-                    ctx.send(from, Num(2), 8);
-                    self.stop.store(true, Ordering::SeqCst);
+            fn on_messages(&mut self, ctx: &mut Context<Num>, batch: Vec<(NodeId, Num)>) {
+                for (from, msg) in batch {
+                    if msg.0 == 1 {
+                        ctx.send(from, Num(2), 8);
+                        self.stop.store(true, Ordering::SeqCst);
+                    }
                 }
             }
         }
@@ -499,11 +504,7 @@ mod tests {
             let until = Instant::now() + Duration::from_secs(2);
             while Instant::now() < until {
                 tb.poll(Duration::from_millis(10));
-                if tb
-                    .take_incoming(usize::MAX)
-                    .iter()
-                    .any(|(_, m)| m.0 == want)
-                {
+                if tb.take_incoming(None).iter().any(|(_, m)| m.0 == want) {
                     return true;
                 }
             }
@@ -514,6 +515,83 @@ mod tests {
         assert!(received(&mut tb, 2), "the last turn's reply stayed queued");
         release.send(()).unwrap();
         node0.join().unwrap();
+    }
+
+    /// The delivery rule (`Actor::on_messages`): a frame read while the
+    /// node serves a charge, before a timer's deadline, is handed over
+    /// before that timer fires, although both are due once the charge
+    /// ends.
+    mod delivery_rule {
+        use super::*;
+
+        #[derive(Debug, PartialEq)]
+        enum Seen {
+            Msg(u64),
+            Timer,
+        }
+
+        /// Arms a 400 ms timer at the start, says hello to node 1, and
+        /// charges 800 ms in the turn that delivers `Num(1)`.
+        struct Log {
+            seen: Vec<Seen>,
+        }
+
+        impl Actor for Log {
+            type Msg = Num;
+            fn on_start(&mut self, ctx: &mut Context<Num>) {
+                ctx.set_timer(400 * iniva_net::MILLIS, 0);
+                ctx.send(1, Num(0), 8);
+            }
+            fn on_messages(&mut self, ctx: &mut Context<Num>, batch: Vec<(NodeId, Num)>) {
+                for (_, Num(n)) in batch {
+                    if n == 1 {
+                        ctx.charge_cpu(800 * iniva_net::MILLIS);
+                    }
+                    self.seen.push(Seen::Msg(n));
+                }
+            }
+            fn on_timer(&mut self, _: &mut Context<Num>, _: u64) {
+                self.seen.push(Seen::Timer);
+            }
+        }
+
+        #[test]
+        fn a_frame_read_before_a_deadline_goes_before_its_timer() {
+            let la = TcpListener::bind(loopback(0)).unwrap();
+            let lb = TcpListener::bind(loopback(0)).unwrap();
+            let peers = vec![(0, la.local_addr().unwrap()), (1, lb.local_addr().unwrap())];
+            let ta = Transport::<Num>::start(0, la, &peers).unwrap();
+            let mut tb = Transport::<Num>::start(1, lb, &peers).unwrap();
+            let node0 = std::thread::spawn(move || {
+                let mut rt = Runtime::new(Log { seen: vec![] }, ta, CpuMode::Real);
+                rt.run_for(Duration::from_millis(1500));
+                rt.finish().0.seen
+            });
+            let poll_for = |tb: &mut Transport<Num>, d: Duration| {
+                let until = Instant::now() + d;
+                while Instant::now() < until {
+                    tb.poll(Duration::from_millis(5));
+                }
+            };
+            // Node 0 is up once its hello arrives; then `Num(1)` starts
+            // the charge, and `Num(2)` is read ~50 ms into it, long
+            // before the timer's deadline.
+            let until = Instant::now() + Duration::from_secs(2);
+            while tb.take_incoming(None).is_empty() {
+                assert!(Instant::now() < until, "node 0 never said hello");
+                tb.poll(Duration::from_millis(5));
+            }
+            tb.send(0, &Num(1));
+            poll_for(&mut tb, Duration::from_millis(50));
+            tb.send(0, &Num(2));
+            poll_for(&mut tb, Duration::from_millis(50));
+            let seen = node0.join().unwrap();
+            assert_eq!(
+                seen,
+                vec![Seen::Msg(1), Seen::Msg(2), Seen::Timer],
+                "the frame read before the deadline waits for no timer"
+            );
+        }
     }
 
     #[test]
@@ -527,7 +605,7 @@ mod tests {
                 ctx.set_timer(60 * iniva_net::MILLIS, 2);
                 ctx.set_timer(20 * iniva_net::MILLIS, 1);
             }
-            fn on_message(&mut self, _: &mut Context<Num>, _: NodeId, _: Num) {}
+            fn on_messages(&mut self, _: &mut Context<Num>, _: Vec<(NodeId, Num)>) {}
             fn on_timer(&mut self, ctx: &mut Context<Num>, id: u64) {
                 self.fired.push((id, ctx.now()));
             }
@@ -568,7 +646,7 @@ mod tests {
         fn on_start(&mut self, ctx: &mut Context<Num>) {
             self.turn(ctx);
         }
-        fn on_message(&mut self, _: &mut Context<Num>, _: NodeId, _: Num) {}
+        fn on_messages(&mut self, _: &mut Context<Num>, _: Vec<(NodeId, Num)>) {}
         fn on_timer(&mut self, ctx: &mut Context<Num>, _: u64) {
             self.effect_at.get_or_insert(ctx.now());
             self.turn(ctx);
@@ -585,10 +663,10 @@ mod tests {
         Runtime::new(actor, t, mode)
     }
 
-    /// Runs `rt` in 1 µs slices until every turn is served. Due timers
-    /// fire back to back, so one slice serves all — if it runs at all: a
-    /// thread preempted before the slice's first deadline check runs
-    /// nothing, which a loaded host does now and then.
+    /// Runs `rt` in 1 µs slices until every turn is served. A slice takes
+    /// one turn — if it runs at all: a thread preempted before the slice's
+    /// first deadline check runs nothing, which a loaded host does now and
+    /// then.
     fn serve_all(rt: &mut Runtime<Charger>) {
         while rt.actor().turns > 0 || !rt.timers.is_empty() {
             rt.run_for(Duration::from_micros(1));

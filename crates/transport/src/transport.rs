@@ -41,7 +41,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Transport`].
 #[derive(Debug, Clone, Copy)]
@@ -331,7 +331,7 @@ impl<M: Codec + Send + 'static> Transport<M> {
             // Re-decode instead of cloning: M need not be Clone, and the
             // loopback path then exercises the same codec as the sockets.
             if let Ok(decoded) = M::from_frame(body) {
-                cx.inbox.push_back((to, decoded));
+                cx.inbox.push_back((Instant::now(), to, decoded));
             }
             return;
         }
@@ -371,11 +371,14 @@ impl<M: Codec + Send + 'static> Transport<M> {
         !self.reactor.cx().inbox.is_empty()
     }
 
-    /// Takes up to `max` messages from the inbox, oldest first.
-    pub(crate) fn take_incoming(&mut self, max: usize) -> Vec<(NodeId, M)> {
+    /// Takes the inbox's next turn under the delivery rule
+    /// ([`iniva_net::due_deliveries`]): the oldest messages read by
+    /// `deadline` (all when it is `None`), at most
+    /// [`iniva_net::MAX_DELIVERY_BATCH`].
+    pub(crate) fn take_incoming(&mut self, deadline: Option<Instant>) -> Vec<(NodeId, M)> {
         let inbox = &mut self.reactor.cx_mut().inbox;
-        let n = inbox.len().min(max);
-        inbox.drain(..n).collect()
+        let n = iniva_net::due_deliveries(inbox.iter().map(|&(read_at, _, _)| read_at), deadline);
+        inbox.drain(..n).map(|(_, from, msg)| (from, msg)).collect()
     }
 
     /// Registers `listener`'s client sockets on this transport's reactor:

@@ -179,8 +179,8 @@ struct Sink {
 
 impl Actor for Sink {
     type Msg = Num;
-    fn on_message(&mut self, _ctx: &mut Context<Num>, _from: NodeId, msg: Num) {
-        self.got.push(msg.0);
+    fn on_messages(&mut self, _ctx: &mut Context<Num>, batch: Vec<(NodeId, Num)>) {
+        self.got.extend(batch.into_iter().map(|(_, msg)| msg.0));
     }
 }
 
@@ -803,8 +803,10 @@ fn a_charged_turn_keeps_serving_io() {
             ctx.charge_cpu(200 * MILLIS);
             ctx.send(1, Num(7), 8);
         }
-        fn on_message(&mut self, ctx: &mut Context<Num>, _from: NodeId, msg: Num) {
-            self.got.push((msg.0, ctx.now()));
+        fn on_messages(&mut self, ctx: &mut Context<Num>, batch: Vec<(NodeId, Num)>) {
+            for (_, msg) in batch {
+                self.got.push((msg.0, ctx.now()));
+            }
         }
     }
 
@@ -901,7 +903,7 @@ fn a_killed_node_keeps_draining_its_sockets() {
     struct Drop0;
     impl Actor for Drop0 {
         type Msg = Blob;
-        fn on_message(&mut self, _: &mut Context<Blob>, _: NodeId, _: Blob) {
+        fn on_messages(&mut self, _: &mut Context<Blob>, _: Vec<(NodeId, Blob)>) {
             panic!("a killed node delivers nothing");
         }
     }
