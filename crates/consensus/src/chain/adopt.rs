@@ -96,9 +96,10 @@ impl<S: VoteScheme> ChainState<S> {
             .zip(&checked)
             .map(|(msg, (_, qc))| (msg.as_slice(), std::slice::from_ref(&qc.agg)))
             .collect();
+        // lint: allow(one-verification-site) the chain holds no cost model or tracer; its caller, `handle_state_response` in `protocol/sync.rs`, charges this batch
+        let outcome = scheme.verify_batch(&groups);
         // The entries before the first culprit adopt.
-        let adopted = scheme
-            .verify_batch(&groups)
+        let adopted = outcome
             .culprits()
             .first()
             .map_or(checked.len(), |&(group, _)| group);

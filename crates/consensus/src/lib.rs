@@ -10,11 +10,11 @@
 //! * [`audit`] — one cluster-wide check that replicas commit the same
 //!   blocks.
 //! * [`leader`] — round-robin and Carousel leader election.
-//! * [`star`] — the baseline star-topology HotStuff replica (leader collects
-//!   and verifies every vote individually).
 //!
-//! The Iniva tree-aggregation replica lives in the `iniva` crate and reuses
-//! [`chain`], [`leader`] and [`types`] unchanged.
+//! The one replica, `InivaReplica`, lives in the `iniva` crate and reuses
+//! [`chain`], [`leader`] and [`types`] unchanged. The paper's HotStuff-star
+//! baseline is that replica on a height-one tree (every member a child of
+//! the root) whose root finalizes at its first quorum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,11 +23,9 @@ pub mod audit;
 pub mod chain;
 pub mod leader;
 pub mod perf;
-pub mod star;
 pub mod types;
 
 pub use chain::{ChainMetrics, ChainState, CommitSink};
 pub use leader::{LeaderContext, LeaderPolicy};
 pub use perf::PerfSummary;
-pub use star::{ReplicaConfig, StarMsg, StarReplica};
 pub use types::{quorum, vote_message, Block, BlockHash, Qc};

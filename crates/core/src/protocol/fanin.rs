@@ -412,9 +412,10 @@ where
     ///   would push out the honest share;
     /// - at the root, its policy (`root_step`) would act on the signers
     ///   folded and held, read from multiplicities before any pairing:
-    ///   under the quorum trigger, once they reach a quorum, so the hold
-    ///   never delays it. A share forged to claim signers forces at most
-    ///   its own early batch, no more than the verification on receipt;
+    ///   under the quorum trigger and `FirstQuorum`, once they reach a
+    ///   quorum, so the hold never delays it. A share forged to claim
+    ///   signers forces at most its own early batch, no more than the
+    ///   verification on receipt;
     /// - the root has sent 2ND-CHANCE: replies fold as they arrive;
     /// - the aggregation or second-chance timer fired: the hold is
     ///   flushed before the timer's decision.
@@ -688,8 +689,8 @@ where
     /// member: one missing from each of the last `n` certified QCs this
     /// replica counted (one leader rotation; see `Silence`). Such a member
     /// is *waived* (`Silence::waived`, the one place the record is read;
-    /// it answers no in Iniva-No2C, which has no 2ND-CHANCE for a waived
-    /// member to get in by). Three waits change:
+    /// it answers no in Iniva-No2C and the star, which have no 2ND-CHANCE
+    /// for a waived member to get in by). Three waits change:
     /// - an internal node sends its Eq. 1 subtree aggregate up, and ACKs
     ///   to the leaves in it, as soon as every leaf it does not waive is
     ///   folded; if it waives them all, it sends its own vote up in the
@@ -795,6 +796,7 @@ where
         match self.cfg.second_chance {
             // A quorum completed after δ ran out finalizes at once.
             _ if st.sc_expired => RootStep::Finalize,
+            SecondChance::FirstQuorum if have_quorum => RootStep::Finalize,
             SecondChance::Off if reported && have_quorum => RootStep::Finalize,
             SecondChance::OnQuorum if !sent && (reported || have_quorum) => RootStep::SecondChance,
             SecondChance::OnCompletion if !sent && reported => RootStep::SecondChance,

@@ -158,12 +158,18 @@ impl InivaConfig {
 }
 
 /// When the root of a view's tree sends 2ND-CHANCE (Algorithm 1, lines
-/// 21–25), if at all. Only the root's policy (`root_step` in
-/// `protocol/fanin.rs`) tells the three apart: every setting holds an
-/// aggregator's fan-in and verifies it in one batch, and with 2ND-CHANCE
-/// on no aggregator waits for a known-silent member.
+/// 21–25), if at all, and when it finalizes. Only the root's policy
+/// (`root_step` in `protocol/fanin.rs`) tells the four apart: every setting
+/// holds an aggregator's fan-in and verifies it in one batch, and with
+/// 2ND-CHANCE on no aggregator waits for a known-silent member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecondChance {
+    /// Never, and the root finalizes at its first verified quorum, before
+    /// its tree completes: the paper's HotStuff-star baseline (Section
+    /// II-B.1) when the tree has height one (`internal = n − 1`, every
+    /// member a child of the root). This is the rule that lets a proposer
+    /// omit votes, Table I's "Star: m" row.
+    FirstQuorum,
     /// Never: the paper's Iniva-No2C ablation.
     Off,
     /// The paper's trigger: once a quorum is in, then always wait out δ.
@@ -208,7 +214,10 @@ impl Silence {
         Silence {
             streak: vec![0; cfg.n],
             counted_view: 0,
-            waives: cfg.second_chance != SecondChance::Off,
+            waives: match cfg.second_chance {
+                SecondChance::FirstQuorum | SecondChance::Off => false,
+                SecondChance::OnQuorum | SecondChance::OnCompletion => true,
+            },
         }
     }
 

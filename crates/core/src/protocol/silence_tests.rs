@@ -494,13 +494,17 @@ fn a_parent_of_only_silent_leaves_sends_up_in_the_proposal_turn() {
 }
 
 /// The paper's trigger waives a silent leaf at its parent as the default
-/// one does: the parent sends up on its live leaf. Iniva-No2C does not, as
-/// no 2ND-CHANCE would let the leaf back in: the parent sends up on its
-/// timer. Catches a `Silence` that reads the trigger, or that drops its
-/// 2ND-CHANCE guard.
+/// one does: the parent sends up on its live leaf. Iniva-No2C and the
+/// star's `FirstQuorum` do not, as no 2ND-CHANCE would let the leaf back
+/// in: the parent sends up on its timer. Catches a `Silence` that reads
+/// the trigger, or that drops its 2ND-CHANCE guard.
 #[test]
 fn the_parent_waiver_follows_second_chance_not_the_trigger() {
-    for (mode, waives) in [(SecondChance::OnQuorum, true), (SecondChance::Off, false)] {
+    for (mode, waives) in [
+        (SecondChance::OnQuorum, true),
+        (SecondChance::Off, false),
+        (SecondChance::FirstQuorum, false),
+    ] {
         let mut cfg = config();
         cfg.second_chance = mode;
         let (mut p, _, sibling, tree) = parent_of_leaf(cfg, N + 1, &views_before(N + 1), |_| true);

@@ -141,11 +141,9 @@ fn protocol_messages_satisfy_the_codec_contract() {
     // under either vote scheme.
     use iniva_crypto::bls::{BlsAggregate, BlsScheme};
     assert_codec::<InivaMsg<SimScheme>>();
-    assert_codec::<iniva_consensus::StarMsg<SimScheme>>();
     assert_codec::<SimAggregate>();
     assert_codec::<Qc<SimScheme>>();
     assert_codec::<InivaMsg<BlsScheme>>();
-    assert_codec::<iniva_consensus::StarMsg<BlsScheme>>();
     assert_codec::<BlsAggregate>();
     assert_codec::<Qc<BlsScheme>>();
     assert_codec::<Block>();

@@ -3,8 +3,8 @@
 //! A real-socket transport runtime for the Iniva protocol stack: the same
 //! [`Actor`](iniva_net::Actor) state machines that run under the
 //! deterministic discrete-event simulator (`iniva-net`) execute here over
-//! actual `std::net` TCP connections — `InivaReplica`, `StarReplica` and
-//! friends run **unmodified** in both backends.
+//! actual `std::net` TCP connections — `InivaReplica` runs **unmodified**
+//! in both backends.
 //!
 //! The paper's evaluation ran 25 machines behind a 10 Gbps switch; the
 //! simulator substitutes virtual time for that cluster, and this crate

@@ -1,7 +1,7 @@
 //! Adversarial wire-codec tests across every `Codec` impl the transport
 //! can ship: property-based round-trips plus truncated, trailing and
 //! oversized-length-prefix inputs, asserting clean `DecodeError`s — never
-//! a panic — for `InivaMsg`, `StarMsg`, `Qc`, `SimAggregate`,
+//! a panic — for `InivaMsg`, `Qc`, `SimAggregate`,
 //! `BlsAggregate` (48-byte compressed G1 points, with off-curve and
 //! non-subgroup rejection), `Multiplicities`, `GossipShare` and the
 //! fully-untrusted client protocol `ClientMsg` (bit-flip canonicality,
@@ -14,7 +14,6 @@
 
 use iniva::protocol::InivaMsg;
 use iniva_consensus::types::{vote_message, Block, Qc};
-use iniva_consensus::StarMsg;
 use iniva_crypto::bls::{BlsAggregate, BlsScheme};
 use iniva_crypto::multisig::{Multiplicities, VoteScheme};
 use iniva_crypto::sim_scheme::{SimAggregate, SimScheme};
@@ -183,35 +182,6 @@ proptest! {
     }
 
     #[test]
-    fn star_msg_roundtrips_and_survives_mutation(
-        blk in (any::<u64>(), any::<u64>(), any::<u8>(), any::<u32>(), any::<u64>(), any::<u32>()),
-        signers in proptest::collection::vec(any::<u32>(), 1..6),
-        mults in proptest::collection::vec(any::<u64>(), 6..7),
-        vote in any::<bool>(),
-    ) {
-        let s = scheme(8);
-        let b = arb_block(blk);
-        let mults6: Vec<u64> = mults.iter().cycle().take(signers.len()).copied().collect();
-        let msg: StarMsg<SimScheme> = if vote {
-            StarMsg::Vote {
-                view: b.view,
-                block: b.clone(),
-                agg: arb_aggregate(&s, &signers, &mults6),
-            }
-        } else {
-            StarMsg::Proposal {
-                block: b.clone(),
-                qc: Some(arb_qc(&s, &b, &signers, &mults6)),
-            }
-        };
-        let frame = msg.to_frame();
-        let back = StarMsg::<SimScheme>::from_frame(frame.clone()).expect("round-trip");
-        prop_assert_eq!(&back.to_frame()[..], &frame[..]);
-        assert_truncation_clean::<StarMsg<SimScheme>>(&frame, "StarMsg");
-        assert_trailing_rejected(&msg, "StarMsg");
-    }
-
-    #[test]
     fn qc_aggregate_and_multiplicities_roundtrip(
         blk in (any::<u64>(), any::<u64>(), any::<u8>(), any::<u32>(), any::<u64>(), any::<u32>()),
         signers in proptest::collection::vec(any::<u32>(), 1..8),
@@ -266,7 +236,6 @@ proptest! {
         // as some type — that is not a defect, only UB/panics would be.
         let bytes = bytes::Bytes::from(payload);
         let _ = InivaMsg::<SimScheme>::from_frame(bytes.clone());
-        let _ = StarMsg::<SimScheme>::from_frame(bytes.clone());
         let _ = Qc::<SimScheme>::from_frame(bytes.clone());
         let _ = SimAggregate::from_frame(bytes.clone());
         let _ = Multiplicities::from_frame(bytes.clone());
