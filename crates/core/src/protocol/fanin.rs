@@ -950,11 +950,4 @@ where
             AGG_SIG_BYTES + PER_SIGNER_BYTES * self.scheme.multiplicities(&reply).distinct() + 16;
         ctx.send(from, InivaMsg::Signature { view, agg: reply }, wire);
     }
-
-    /// The final QC formed for the current aggregation (test/metric hook).
-    pub fn current_agg_signers(&self) -> usize {
-        self.agg
-            .as_ref()
-            .map_or(0, |st| self.scheme.multiplicities(&st.agg).distinct())
-    }
 }

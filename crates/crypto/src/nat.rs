@@ -258,11 +258,6 @@ impl Nat {
         root
     }
 
-    /// `self mod 2^64 == v`?
-    pub fn low_is(&self, v: u64) -> bool {
-        self.low_u64() == v && self.limbs.len() <= 1 || self.low_u64() == v
-    }
-
     /// Big-endian bytes, minimal length (empty for zero).
     pub fn to_be_bytes(&self) -> Vec<u8> {
         let mut out: Vec<u8> = Vec::with_capacity(self.limbs.len() * 8);

@@ -25,51 +25,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use iniva_net::wire::{DecodeError, Decoder, Encoder, WireDecode, WireEncode};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-
-/// One gossip message on the wire: the sender's best current aggregate for
-/// an aggregation instance, as an indivisible parcel of signer bits (the
-/// `u128`-bitmask model used throughout this crate). The simulator passes
-/// parcels as plain values; a socket deployment ships this encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GossipShare {
-    /// Consensus view (aggregation instance) the parcel belongs to.
-    pub view: u64,
-    /// Gossip round within the instance.
-    pub round: u32,
-    /// Signer-set bitmask of the parcel.
-    pub parcel: u128,
-}
-
-impl WireEncode for GossipShare {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.view)
-            .put_u32(self.round)
-            .put_u128(self.parcel);
-    }
-}
-
-impl WireDecode for GossipShare {
-    fn decode(dec: &mut Decoder) -> Result<Self, DecodeError> {
-        let share = GossipShare {
-            view: dec.get_u64()?,
-            round: dec.get_u32()?,
-            parcel: dec.get_u128()?,
-        };
-        if share.parcel == 0 {
-            // A parcel with no signers is never gossiped (processes always
-            // hold at least their own signature).
-            return Err(DecodeError::Malformed {
-                context: "empty GossipShare parcel",
-            });
-        }
-        Ok(share)
-    }
-}
 
 /// Behaviour of a process in the gossip rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -317,27 +276,6 @@ mod tests {
             greedy: false,
             grace_rounds: 2,
         }
-    }
-
-    #[test]
-    fn gossip_share_wire_roundtrip() {
-        use iniva_net::wire::Codec;
-        let s = GossipShare {
-            view: 12,
-            round: 3,
-            parcel: (1 << 127) | 0b1011,
-        };
-        assert_eq!(GossipShare::from_frame(s.to_frame()).unwrap(), s);
-        assert!(GossipShare::from_frame(s.to_frame().slice(0..10)).is_err());
-        let empty = GossipShare {
-            view: 1,
-            round: 0,
-            parcel: 0,
-        };
-        assert!(matches!(
-            GossipShare::from_frame(empty.to_frame()),
-            Err(DecodeError::Malformed { .. })
-        ));
     }
 
     #[test]

@@ -366,11 +366,6 @@ impl<A: Actor> Simulation<A> {
         self.blocked_links.insert((from, to));
     }
 
-    /// Unblocks the directed link `from → to`.
-    pub fn unblock_link(&mut self, from: NodeId, to: NodeId) {
-        self.blocked_links.remove(&(from, to));
-    }
-
     /// Removes every blocked link and injected link delay.
     pub fn heal_all_links(&mut self) {
         self.blocked_links.clear();

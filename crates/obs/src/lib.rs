@@ -19,7 +19,7 @@
 //!    when, and where the view's Δ budget went — network, verify, or
 //!    timer wait; [`check_agreement`] compares their committed hashes.
 //!
-//! The `view_timeline` binary in `crates/bench` is the command-line
+//! The root package's `view_timeline` binary is the command-line
 //! face of layer 3; `live_cluster --metrics-dir` and the resilience
 //! bench produce its inputs.
 

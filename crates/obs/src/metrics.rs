@@ -149,12 +149,6 @@ impl Histogram {
         self.0.max.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Records a `std::time::Duration` sample.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)

@@ -7,13 +7,8 @@
 //! iteration. No statistics, plots or baselines — enough to compare costs
 //! locally and to calibrate the simulator's `CostModel`.
 
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-export matching `criterion::black_box`.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
 
 /// The benchmark driver handed to `criterion_group!` functions.
 #[derive(Debug, Default)]
@@ -28,12 +23,6 @@ impl Criterion {
             sample_size: 10,
         }
     }
-
-    /// Runs a single benchmark outside a group.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, f: F) -> &mut Self {
-        run_bench(name, 10, f);
-        self
-    }
 }
 
 /// A named group of benchmarks sharing settings.
@@ -46,12 +35,6 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets the target measurement time (accepted for API compatibility;
-    /// the shim's sample count already bounds runtime).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
         self
     }
 
@@ -99,7 +82,7 @@ impl Bencher {
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         let start = Instant::now();
         for _ in 0..self.iters {
-            std_black_box(f());
+            black_box(f());
         }
         self.elapsed = start.elapsed();
     }

@@ -1,10 +1,11 @@
 //! Performance experiments over the discrete-event simulator
 //! (Fig. 3a throughput vs latency, Fig. 3b CPU usage, Fig. 3c scalability).
 
-use iniva::protocol::{InivaConfig, InivaReplica, SecondChance};
-use iniva_crypto::sim_scheme::SimScheme;
-use iniva_net::{NetConfig, Simulation, MILLIS, SECS};
-use std::sync::Arc;
+use crate::{replay, summary};
+use iniva::protocol::{InivaConfig, SecondChance};
+use iniva_consensus::PerfSummary;
+use iniva_net::faults::FaultPlan;
+use iniva_net::MILLIS;
 
 /// Protocol under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,32 +69,8 @@ impl PerfParams {
     }
 }
 
-/// Measured output of one run: the shared summary type, so simulated
-/// points and the live-transport points of `iniva-transport` use identical
-/// metric definitions (see `iniva_consensus::perf`).
-pub type PerfPoint = iniva_consensus::PerfSummary;
-
-/// Reduces a finished simulation to a [`PerfPoint`].
-pub fn harvest<M>(
-    sim: &Simulation<M>,
-    metrics: &iniva_consensus::ChainMetrics,
-    duration_secs: u64,
-) -> PerfPoint
-where
-    M: iniva_net::Actor,
-{
-    let cpu_busy: Vec<u64> = (0..sim.len() as u32)
-        .map(|i| sim.stats(i).cpu_busy)
-        .collect();
-    PerfPoint::from_metrics(metrics, duration_secs as f64, &cpu_busy)
-}
-
 /// Runs one performance experiment and returns the measured point.
-pub fn run(params: &PerfParams) -> PerfPoint {
-    let net = NetConfig {
-        seed: params.seed,
-        ..NetConfig::default()
-    };
+pub fn run(params: &PerfParams) -> PerfSummary {
     let (internal, second_chance) = match params.protocol {
         Protocol::HotStuff => (params.n as u32 - 1, SecondChance::FirstQuorum),
         // The paper's trigger: 2ND-CHANCE once a quorum is collected,
@@ -101,7 +78,6 @@ pub fn run(params: &PerfParams) -> PerfPoint {
         Protocol::Iniva => (params.internal, SecondChance::OnQuorum),
         Protocol::InivaNo2C => (params.internal, SecondChance::Off),
     };
-    let scheme = Arc::new(SimScheme::new(params.n, b"perf"));
     let mut cfg = InivaConfig::for_tests(params.n, internal);
     cfg.max_batch = params.batch;
     cfg.payload_per_req = params.payload;
@@ -109,13 +85,8 @@ pub fn run(params: &PerfParams) -> PerfPoint {
     cfg.view_timeout = 800 * MILLIS;
     cfg.second_chance = second_chance;
     cfg.second_chance_timer = Some(10 * MILLIS);
-    let replicas = (0..params.n as u32)
-        .map(|id| InivaReplica::new(id, cfg.clone(), Arc::clone(&scheme)))
-        .collect();
-    let mut sim = Simulation::new(net, replicas);
-    sim.run_until(params.duration_secs * SECS);
-    let metrics = sim.actor(0).chain.metrics.clone();
-    harvest(&sim, &metrics, params.duration_secs)
+    let sim = replay(&cfg, &FaultPlan::new(), params.duration_secs, params.seed);
+    summary(&sim, 0, params.duration_secs)
 }
 
 /// A Fig. 3a series: `(throughput, latency)` for increasing client load.
@@ -124,7 +95,7 @@ pub struct ThroughputLatencySeries {
     /// Legend label (protocol, payload, batch).
     pub label: String,
     /// Points swept over client request rate.
-    pub points: Vec<PerfPoint>,
+    pub points: Vec<PerfSummary>,
 }
 
 /// Fig. 3a: throughput vs latency for HotStuff / Iniva / Iniva-No2C at
@@ -149,7 +120,7 @@ pub fn figure_3a(rates: &[u64]) -> Vec<ThroughputLatencySeries> {
 }
 
 /// Fig. 3b: CPU usage of HotStuff and Iniva at saturation load.
-pub fn figure_3b() -> Vec<(String, PerfPoint)> {
+pub fn figure_3b() -> Vec<(String, PerfSummary)> {
     let mut out = Vec::new();
     for proto in [Protocol::HotStuff, Protocol::Iniva] {
         for payload in [64u32, 128] {

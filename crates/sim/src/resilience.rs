@@ -4,12 +4,11 @@
 //! shuffle moves them around the tree), second-chance timer δ ∈ {5, 10} ms
 //! and the Carousel leader-election variant.
 
-use iniva::protocol::{InivaConfig, InivaReplica, SecondChance};
-use iniva_consensus::LeaderPolicy;
-use iniva_crypto::sim_scheme::SimScheme;
+use crate::{replay, summary};
+use iniva::protocol::{InivaConfig, SecondChance};
+use iniva_consensus::{LeaderPolicy, PerfSummary};
 use iniva_net::faults::FaultPlan;
-use iniva_net::{NetConfig, Simulation, MILLIS, SECS};
-use std::sync::Arc;
+use iniva_net::MILLIS;
 
 /// Committee size of the Fig. 4 sweeps.
 pub const FIG4_N: usize = 21;
@@ -53,21 +52,6 @@ impl Variant {
     }
 }
 
-/// Measured outcome for one (variant, fault count) cell.
-#[derive(Debug, Clone)]
-pub struct ResiliencePoint {
-    /// Crashed replicas.
-    pub faults: usize,
-    /// Committed requests per second.
-    pub throughput: f64,
-    /// Mean request latency (ms).
-    pub latency_ms: f64,
-    /// Percentage of failed views.
-    pub failed_views_pct: f64,
-    /// Mean number of distinct signers per QC (Fig. 4d).
-    pub qc_size: f64,
-}
-
 /// The replica configuration of one Fig. 4 variant.
 pub fn variant_config(variant: Variant) -> InivaConfig {
     let mut cfg = InivaConfig::for_tests(FIG4_N, FIG4_INTERNAL);
@@ -83,61 +67,20 @@ pub fn variant_config(variant: Variant) -> InivaConfig {
     cfg
 }
 
-/// Reduces a correct replica's chain metrics to a Fig. 4 point. Shared
-/// with the live-cluster sweep driver, so both backends report identical
-/// definitions.
-pub fn measure(
-    m: &iniva_consensus::chain::ChainMetrics,
-    faults: usize,
-    duration_secs: u64,
-) -> ResiliencePoint {
-    ResiliencePoint {
-        faults,
-        throughput: m.committed_reqs as f64 / duration_secs as f64,
-        latency_ms: m.mean_latency() / MILLIS as f64,
-        failed_views_pct: m.failed_view_fraction() * 100.0,
-        qc_size: m.mean_qc_size(),
-    }
-}
-
-/// Runs `plan` against a fresh simulated cluster of `cfg`, harvesting the
-/// Fig. 4 metrics from `observer` (which must stay correct for the whole
-/// plan).
-pub fn run_sim_plan(
-    cfg: &InivaConfig,
-    plan: &FaultPlan,
-    faults: usize,
-    observer: u32,
-    duration_secs: u64,
-    seed: u64,
-) -> ResiliencePoint {
-    let scheme = Arc::new(SimScheme::new(cfg.n, b"resilience"));
-    let replicas = (0..cfg.n as u32)
-        .map(|id| InivaReplica::new(id, cfg.clone(), Arc::clone(&scheme)))
-        .collect();
-    let mut sim = Simulation::new(
-        NetConfig {
-            seed,
-            ..NetConfig::default()
-        },
-        replicas,
-    );
-    plan.run_on_sim(&mut sim, duration_secs * SECS);
-    measure(&sim.actor(observer).chain.metrics, faults, duration_secs)
-}
-
 /// Runs one resiliency cell: `faults` crash faults, chosen pseudo-randomly,
 /// measured over `duration_secs` of virtual time.
-pub fn run(variant: Variant, faults: usize, duration_secs: u64, seed: u64) -> ResiliencePoint {
+pub fn run(variant: Variant, faults: usize, duration_secs: u64, seed: u64) -> PerfSummary {
     let cfg = variant_config(variant);
     let plan = FaultPlan::random_crashes(cfg.n, faults, 0, seed);
-    // Harvest from a correct replica.
+    // Observe a replica that stays correct.
     let observer = FaultPlan::shuffled_members(cfg.n, seed)[faults];
-    run_sim_plan(&cfg, &plan, faults, observer, duration_secs, seed)
+    let sim = replay(&cfg, &plan, duration_secs, seed);
+    summary(&sim, observer, duration_secs)
 }
 
-/// Fig. 4: all variants × fault counts 0–4.
-pub fn figure_4(duration_secs: u64, seed: u64) -> Vec<(Variant, Vec<ResiliencePoint>)> {
+/// Fig. 4: all variants × fault counts 0–4 (a variant's row `f` is the
+/// cell with `f` crashes).
+pub fn figure_4(duration_secs: u64, seed: u64) -> Vec<(Variant, Vec<PerfSummary>)> {
     [Variant::Delta5, Variant::Delta10, Variant::Carousel5]
         .into_iter()
         .map(|v| {
@@ -170,9 +113,9 @@ mod tests {
     fn failed_views_appear_with_faults() {
         let p0 = run(Variant::Delta5, 0, 10, 2);
         let p4 = run(Variant::Delta5, 4, 10, 2);
-        assert!(p4.failed_views_pct > p0.failed_views_pct);
+        assert!(p4.failed_views > p0.failed_views);
         // Round-robin with 4/21 crashed: ~19% of leaders are faulty.
-        assert!(p4.failed_views_pct > 5.0, "{}", p4.failed_views_pct);
+        assert!(p4.failed_views > 0.05, "{}", p4.failed_views);
     }
 
     #[test]
@@ -193,10 +136,10 @@ mod tests {
         let rr = run(Variant::Delta5, 3, 15, 4);
         let carousel = run(Variant::Carousel5, 3, 15, 4);
         assert!(
-            carousel.failed_views_pct <= rr.failed_views_pct + 1.0,
+            carousel.failed_views <= rr.failed_views + 0.01,
             "carousel {} vs round-robin {}",
-            carousel.failed_views_pct,
-            rr.failed_views_pct
+            carousel.failed_views,
+            rr.failed_views
         );
     }
 

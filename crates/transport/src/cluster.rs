@@ -24,7 +24,8 @@
 //!     .wal("/tmp/wal")                          // durable, restartable
 //!     .observe(ObsOptions::new("/tmp/obs"))     // metrics + traces
 //!     .ingress(Default::default())              // client mempool tier
-//!     .spawn()?;
+//!     .launch()?                                // non-blocking handle
+//!     .join()?;
 //! # Ok(()) }
 //! ```
 //!
@@ -321,10 +322,10 @@ impl<S: WireScheme> ClusterHandle<S> {
 /// builder method; see the [module docs](self) for the composition
 /// overview.
 ///
-/// [`Self::spawn`] runs the cluster to completion on the calling thread;
-/// [`Self::launch`] returns immediately with a [`ClusterHandle`] (needed
-/// to drive ingress clients while the cluster runs).
-#[must_use = "a ClusterBuilder does nothing until spawn() or launch()"]
+/// [`Self::launch`] returns immediately with a [`ClusterHandle`]: drive
+/// ingress clients while the cluster runs, then [`ClusterHandle::join`]
+/// it for the [`ClusterRun`].
+#[must_use = "a ClusterBuilder does nothing until launch()"]
 pub struct ClusterBuilder<S: WireScheme = SimScheme> {
     cfg: InivaConfig,
     duration: Duration,
@@ -432,16 +433,6 @@ impl<S: WireScheme> ClusterBuilder<S> {
     pub fn ingress(mut self, opts: IngressOptions) -> Self {
         self.ingress = Some(opts);
         self
-    }
-
-    /// Runs the cluster to completion and collects every replica's final
-    /// state.
-    ///
-    /// # Errors
-    /// Propagates socket, thread, WAL-I/O and dump-file setup failures.
-    pub fn spawn(self) -> io::Result<ClusterRun<S>> {
-        let tier = self.bind_ingress_tier()?;
-        self.run_with(tier)
     }
 
     /// Starts the cluster on a background thread and returns a handle

@@ -3,36 +3,14 @@
 //! discrete-event simulator — asserting safety, recovery and backend
 //! agreement.
 
-use iniva::protocol::{InivaConfig, InivaReplica};
-use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::faults::FaultPlan;
-use iniva_net::{NetConfig, NodeId, Simulation, Time, MILLIS, SECS};
-use iniva_transport::cluster::{chaos_demo_scenario, ClusterBuilder, ClusterRun};
+use iniva_net::{NodeId, Time, MILLIS, SECS};
+use iniva_transport::cluster::{chaos_demo_scenario, ClusterBuilder, ClusterHandle, ClusterRun};
 use iniva_transport::TransportOptions;
 use std::path::PathBuf;
 use std::time::Duration;
 
 const SEED: u64 = 0xC4A05;
-
-fn run_plan_on_sim(
-    cfg: &InivaConfig,
-    plan: &FaultPlan,
-    until: Time,
-) -> Simulation<InivaReplica<SimScheme>> {
-    let scheme = std::sync::Arc::new(SimScheme::new(cfg.n, b"live-cluster"));
-    let replicas = (0..cfg.n as u32)
-        .map(|id| InivaReplica::new(id, cfg.clone(), std::sync::Arc::clone(&scheme)))
-        .collect();
-    let mut sim = Simulation::new(
-        NetConfig {
-            seed: SEED,
-            ..NetConfig::default()
-        },
-        replicas,
-    );
-    plan.run_on_sim(&mut sim, until);
-    sim
-}
 
 /// The acceptance criterion test: one seeded `FaultPlan` drives a live
 /// 7-replica cluster through crash → partition → heal, and
@@ -50,7 +28,7 @@ fn crash_partition_heal_matches_simulator_within_10pct() {
     let duration = 6u64; // seconds
     let heal_margin = 4 * SECS; // commits at/after this prove recovery
 
-    let sim = run_plan_on_sim(&cfg, &plan, duration * SECS);
+    let sim = iniva_sim::replay(&cfg, &plan, duration, SEED);
     let sim_blocks = sim.actor(others[0]).chain.metrics.committed_blocks;
     assert!(
         sim.actor(others[0])
@@ -67,8 +45,9 @@ fn crash_partition_heal_matches_simulator_within_10pct() {
     for attempt in 0..2 {
         let run = ClusterBuilder::new(&cfg, Duration::from_secs(duration))
             .faults(&plan)
-            .spawn()
-            .expect("cluster starts");
+            .launch()
+            .and_then(ClusterHandle::join)
+            .expect("cluster runs");
         match check_acceptance(&run, victim, others, heal_margin, sim_blocks) {
             Ok(()) => return,
             Err(e) if attempt == 0 => last = e,
@@ -140,8 +119,9 @@ fn killed_replica_heals_and_rejoins() {
         .restart(2_500 * MILLIS, victim);
     let run = ClusterBuilder::new(&cfg, Duration::from_secs(5))
         .faults(&plan)
-        .spawn()
-        .expect("cluster starts");
+        .launch()
+        .and_then(ClusterHandle::join)
+        .expect("cluster runs");
 
     run.agreed_prefix_height().expect("no divergence anywhere");
     let m = &run.nodes[victim as usize].replica.chain.metrics;
@@ -301,8 +281,9 @@ fn killed_process_restarts_from_wal_and_catches_up() {
             .faults(&plan)
             .wal(&wal_root)
             .transport(options)
-            .spawn()
-            .expect("cluster starts");
+            .launch()
+            .and_then(ClusterHandle::join)
+            .expect("cluster runs");
         match check_recovery(&run, victim, resumed_margin) {
             Ok(()) => {
                 let _ = std::fs::remove_dir_all(&wal_root);
@@ -372,8 +353,9 @@ fn wal_replica_crashed_and_restarted_at_once_comes_back_from_disk() {
     let run = ClusterBuilder::new(&cfg, Duration::from_secs(5))
         .faults(&plan)
         .wal(&wal_root)
-        .spawn()
-        .expect("cluster starts");
+        .launch()
+        .and_then(ClusterHandle::join)
+        .expect("cluster runs");
 
     run.agreed_prefix_height().expect("no divergence anywhere");
     let m = &run.nodes[victim as usize].replica.chain.metrics;

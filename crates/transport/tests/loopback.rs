@@ -5,7 +5,7 @@ use iniva_crypto::bls::BlsScheme;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_net::wire::{DecodeError, Decoder, Encoder, WireDecode, WireEncode};
 use iniva_net::{Actor, Context, NodeId};
-use iniva_transport::cluster::ClusterBuilder;
+use iniva_transport::cluster::{ClusterBuilder, ClusterHandle};
 use iniva_transport::{
     CpuMode, LinkFaults, NodeFaults, Runtime, Transport, TransportOptions, TransportStats,
 };
@@ -28,8 +28,9 @@ fn four_replica_cluster_commits_and_agrees() {
     for attempt in 0..2 {
         let r = ClusterBuilder::new(&cfg, Duration::from_secs(2))
             .scheme::<SimScheme>()
-            .spawn()
-            .expect("cluster starts");
+            .launch()
+            .and_then(ClusterHandle::join)
+            .expect("cluster runs");
         let committed = r
             .nodes
             .iter()
@@ -79,8 +80,9 @@ fn clusters_tear_down_cleanly() {
     cfg.cost = cfg.cost.scaled(0.2);
     for _ in 0..2 {
         let run = ClusterBuilder::new(&cfg, Duration::from_millis(400))
-            .spawn()
-            .expect("cluster starts");
+            .launch()
+            .and_then(ClusterHandle::join)
+            .expect("cluster runs");
         assert!(run.agreed_prefix_height().is_ok());
     }
 }
@@ -102,8 +104,9 @@ fn four_replica_bls_cluster_commits_and_agrees() {
     for attempt in 0..2 {
         let r = ClusterBuilder::new(&cfg, Duration::from_secs(12))
             .scheme::<BlsScheme>()
-            .spawn()
-            .expect("cluster starts");
+            .launch()
+            .and_then(ClusterHandle::join)
+            .expect("cluster runs");
         let committed = r
             .nodes
             .iter()
@@ -323,8 +326,9 @@ fn fault_free_run_reports_zero_reconnects() {
     cfg.request_rate = 20_000;
     let run = ClusterBuilder::new(&cfg, Duration::from_secs(2))
         .scheme::<SimScheme>()
-        .spawn()
-        .expect("cluster starts");
+        .launch()
+        .and_then(ClusterHandle::join)
+        .expect("cluster runs");
     for (id, node) in run.nodes.iter().enumerate() {
         assert!(node.transport.msgs_sent > 0, "replica {id} sent nothing");
         assert_eq!(
@@ -661,8 +665,9 @@ fn fifty_replicas_commit_an_agreed_prefix() {
     cfg.request_rate = 500;
     cfg.cost = cfg.cost.scaled(0.01);
     let run = ClusterBuilder::new(&cfg, Duration::from_secs(4))
-        .spawn()
-        .expect("cluster starts");
+        .launch()
+        .and_then(ClusterHandle::join)
+        .expect("cluster runs");
     let agreed = run.agreed_prefix_height().expect("prefixes agree");
     assert!(agreed >= 1, "50 replicas committed no agreed prefix");
 }
@@ -738,8 +743,9 @@ fn hostile_flood_is_shed_at_the_edge() {
     };
 
     let unloaded = ClusterBuilder::new(&cfg, Duration::from_secs(SECS))
-        .spawn()
-        .expect("cluster starts");
+        .launch()
+        .and_then(ClusterHandle::join)
+        .expect("cluster runs");
     let unloaded = blocks_per_sec(&unloaded);
 
     let handle = ClusterBuilder::new(&cfg, Duration::from_secs(SECS))

@@ -19,7 +19,11 @@ fn main() {
             let p = run(variant, faults, 15, 7 + faults as u64);
             println!(
                 "{:<8} {:>14.0} {:>12.1} {:>14.1} {:>10.2}",
-                p.faults, p.throughput, p.latency_ms, p.failed_views_pct, p.qc_size
+                faults,
+                p.throughput,
+                p.latency_ms,
+                p.failed_views * 100.0,
+                p.qc_size
             );
         }
         println!();

@@ -2,7 +2,8 @@
 //! state machines the simulator drives, now on a live wire — and prints
 //! throughput/latency with the exact metric definitions of the simulated
 //! perf harness (`iniva_consensus::PerfSummary`), side by side with a
-//! simulator run of the identical configuration.
+//! simulator run of the identical configuration (`iniva_sim::replay`, the
+//! one replay behind every simulated Fig. 3 and Fig. 4 cell).
 //!
 //! In-process cluster (threads, ephemeral loopback ports):
 //!
@@ -60,7 +61,7 @@
 //! ```sh
 //! cargo run --release --example live_cluster -- --config /tmp/cluster.toml --id 2 --wal-dir /tmp/iniva-wal
 //! # ... kill -9 that process, then run the identical command again
-//! cargo run --release -p iniva-bench --bin view_timeline -- /tmp/iniva-obs --check
+//! cargo run --release --bin view_timeline -- /tmp/iniva-obs --check
 //! ```
 //!
 //! Observability — `--metrics-dir <dir>` (any mode; in multi-process
@@ -72,7 +73,7 @@
 //!
 //! ```sh
 //! cargo run --release --example live_cluster -- --chaos --metrics-dir /tmp/iniva-obs
-//! cargo run --release -p iniva-bench --bin view_timeline -- /tmp/iniva-obs
+//! cargo run --release --bin view_timeline -- /tmp/iniva-obs
 //! ```
 //!
 //! Client ingress — `--ingress` (in-process) or a `client_listen` key in
@@ -102,32 +103,25 @@
 //! | `--client-rate`   | `client_rate`   | per-client token refill rate, submits/second |
 //! | `--client-burst`  | `client_burst`  | per-client token bucket burst                |
 
-use iniva::protocol::{InivaConfig, InivaReplica};
+use iniva::protocol::InivaConfig;
 use iniva_consensus::PerfSummary;
 use iniva_crypto::bls::BlsScheme;
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_ingress::IngressOptions;
-use iniva_net::{NetConfig, Simulation, SECS};
-use iniva_transport::cluster::{chaos_demo_scenario, run_member, ClusterBuilder, ObsOptions};
+use iniva_net::faults::FaultPlan;
+use iniva_net::SECS;
+use iniva_sim::{replay, summary};
+use iniva_transport::cluster::{
+    chaos_demo_scenario, run_member, ClusterBuilder, ClusterHandle, ObsOptions,
+};
 use iniva_transport::ClusterConfig;
 use iniva_tree::Topology;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::Duration;
 
-/// The simulator run of the identical configuration, for the
-/// "simulated" comparison row.
-fn simulated_point(cfg: &InivaConfig, duration_secs: u64) -> PerfSummary {
-    let scheme = Arc::new(SimScheme::new(cfg.n, b"live-cluster"));
-    let replicas = (0..cfg.n as u32)
-        .map(|id| InivaReplica::new(id, cfg.clone(), Arc::clone(&scheme)))
-        .collect();
-    let mut sim = Simulation::new(NetConfig::default(), replicas);
-    sim.run_until(duration_secs * SECS);
-    let metrics = sim.actor(0).chain.metrics.clone();
-    iniva_sim::perf::harvest(&sim, &metrics, duration_secs)
-}
+/// Network seed of the simulated comparison rows.
+const SIM_SEED: u64 = 42;
 
 fn in_process<S: WireScheme>(
     mut cfg: InivaConfig,
@@ -152,8 +146,8 @@ fn in_process<S: WireScheme>(
     if let Some(opts) = ingress {
         builder = builder.ingress(opts);
     }
-    // launch() rather than spawn(): with --ingress the client addresses
-    // must be printed while the cluster is live, so clients can connect.
+    // With --ingress the client addresses are printed while the cluster
+    // is live, so clients can connect.
     let handle = builder.launch().expect("cluster starts");
     if let Some(ing) = handle.ingress() {
         println!("client ingress listening on:");
@@ -179,7 +173,7 @@ fn in_process<S: WireScheme>(
     if let Some(dir) = metrics_dir {
         println!(
             "observability dumps in {dir}/ — merge with: \
-             cargo run --release -p iniva-bench --bin view_timeline -- {dir}"
+             cargo run --release --bin view_timeline -- {dir}"
         );
     }
 
@@ -196,8 +190,8 @@ fn in_process<S: WireScheme>(
         // The simulator comparison row models the same calibrated costs
         // a modeled scheme spends as real time; it has no meaningful
         // analogue for genuinely paid pairing crypto.
-        let sim = simulated_point(&cfg, duration_secs);
-        println!("{}", sim.table_row("simulated"));
+        let sim = replay(&cfg, &FaultPlan::new(), duration_secs, SIM_SEED);
+        println!("{}", summary(&sim, 0, duration_secs).table_row("simulated"));
     }
     println!("{}", live.table_row(&format!("live-tcp[{}]", S::NAME)));
     println!();
@@ -261,20 +255,17 @@ fn chaos(duration_secs: u64, metrics_dir: Option<&str>) {
     if let Some(dir) = metrics_dir {
         builder = builder.observe(ObsOptions::new(dir));
     }
-    let run = builder.spawn().expect("cluster starts");
+    let run = builder
+        .launch()
+        .and_then(ClusterHandle::join)
+        .expect("cluster runs");
     let survivors: Vec<usize> = o.iter().map(|&id| id as usize).collect();
     let agreed = match run.agreed_prefix_height_of(&survivors) {
         Ok(h) => h,
         Err(e) => panic!("SAFETY VIOLATION: {e}"),
     };
 
-    let scheme = Arc::new(SimScheme::new(n, b"live-cluster"));
-    let replicas = (0..n as u32)
-        .map(|id| InivaReplica::new(id, cfg.clone(), Arc::clone(&scheme)))
-        .collect();
-    let mut sim = Simulation::new(NetConfig::default(), replicas);
-    plan.run_on_sim(&mut sim, duration_secs * SECS);
-
+    let sim = replay(&cfg, &plan, duration_secs, SIM_SEED);
     let live_m = &run.nodes[o[0] as usize].replica.chain.metrics;
     let sim_m = &sim.actor(o[0]).chain.metrics;
     println!("survivors' agreed committed prefix : {agreed} blocks");
@@ -293,7 +284,7 @@ fn chaos(duration_secs: u64, metrics_dir: Option<&str>) {
     if let Some(dir) = metrics_dir {
         println!(
             "observability dumps in {dir}/ — merge with: \
-             cargo run --release -p iniva-bench --bin view_timeline -- {dir}"
+             cargo run --release --bin view_timeline -- {dir}"
         );
     }
 }

@@ -143,10 +143,14 @@ fn main() {
                 "{:<8} {:>12} {:>12} {:>16} {:>10}",
                 "faults", "ops/s", "latency ms", "failed views %", "QC size"
             );
-            for p in pts {
+            for (faults, p) in pts.iter().enumerate() {
                 println!(
                     "{:<8} {:>12.0} {:>12.1} {:>16.1} {:>10.2}",
-                    p.faults, p.throughput, p.latency_ms, p.failed_views_pct, p.qc_size
+                    faults,
+                    p.throughput,
+                    p.latency_ms,
+                    p.failed_views * 100.0,
+                    p.qc_size
                 );
             }
             println!();

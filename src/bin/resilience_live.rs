@@ -5,8 +5,8 @@
 //! `BENCH_resilience_live.json`.
 //!
 //! ```sh
-//! cargo run --release -p iniva-bench --bin resilience_live
-//! cargo run --release -p iniva-bench --bin resilience_live -- out.json 21 3 0.05
+//! cargo run --release --bin resilience_live
+//! cargo run --release --bin resilience_live -- out.json 21 3 0.05
 //! #                     optional: path, n, duration_secs, cpu_scale
 //! ```
 //!
@@ -20,9 +20,9 @@
 //! collapse diagnosis loop:
 //!
 //! ```sh
-//! cargo run --release -p iniva-bench --bin resilience_live -- \
+//! cargo run --release --bin resilience_live -- \
 //!     --trace /tmp/iniva-trace --only carousel5:4 carousel4.json
-//! cargo run --release -p iniva-bench --bin view_timeline -- \
+//! cargo run --release --bin view_timeline -- \
 //!     /tmp/iniva-trace/carousel5-f4 --views
 //! ```
 //!
@@ -33,11 +33,13 @@
 //! virtual CPU, while the live cluster's n threads share this machine's
 //! real ones.
 
+use iniva_consensus::PerfSummary;
 use iniva_net::faults::FaultPlan;
 use iniva_obs::timeline::read_dumps;
 use iniva_obs::{Timeline, TimelineSummary};
-use iniva_sim::resilience::{self, ResiliencePoint, Variant};
-use iniva_transport::cluster::{ClusterBuilder, ObsOptions};
+use iniva_sim::resilience::{self, Variant};
+use iniva_sim::{replay, summary};
+use iniva_transport::cluster::{ClusterBuilder, ClusterHandle, ObsOptions};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
@@ -45,11 +47,14 @@ use std::time::Duration;
 const VARIANTS: [Variant; 3] = [Variant::Delta5, Variant::Delta10, Variant::Carousel5];
 const SEED: u64 = 42;
 
-fn point_json(p: &ResiliencePoint) -> String {
+fn point_json(p: &PerfSummary) -> String {
     format!(
         "{{\"throughput_per_sec\": {:.1}, \"latency_ms\": {:.3}, \
          \"failed_views_pct\": {:.2}, \"qc_size\": {:.2}}}",
-        p.throughput, p.latency_ms, p.failed_views_pct, p.qc_size
+        p.throughput,
+        p.latency_ms,
+        p.failed_views * 100.0,
+        p.qc_size
     )
 }
 
@@ -152,7 +157,11 @@ fn main() {
             let plan = FaultPlan::random_crashes(n, faults, 0, seed);
             let observer = FaultPlan::shuffled_members(n, seed)[faults];
 
-            let sim = resilience::run_sim_plan(&cfg, &plan, faults, observer, duration_secs, seed);
+            let sim = summary(
+                &replay(&cfg, &plan, duration_secs, seed),
+                observer,
+                duration_secs,
+            );
 
             let cell_dir = trace_dir
                 .as_ref()
@@ -163,11 +172,15 @@ fn main() {
             if let Some(dir) = &cell_dir {
                 builder = builder.observe(ObsOptions::new(dir));
             }
-            let run = builder.spawn().expect("cluster starts");
-            let live = resilience::measure(
+            let run = builder
+                .launch()
+                .and_then(ClusterHandle::join)
+                .expect("cluster runs");
+            let cpu_busy: Vec<u64> = run.nodes.iter().map(|nd| nd.runtime.busy).collect();
+            let live = PerfSummary::from_metrics(
                 &run.nodes[observer as usize].replica.chain.metrics,
-                faults,
-                duration_secs,
+                duration_secs as f64,
+                &cpu_busy,
             );
             let policy = match variant {
                 Variant::Carousel5 => "carousel",
@@ -186,8 +199,8 @@ fn main() {
                 sim.throughput,
                 live.qc_size,
                 sim.qc_size,
-                live.failed_views_pct,
-                sim.failed_views_pct,
+                live.failed_views * 100.0,
+                sim.failed_views * 100.0,
             );
             let trace_field = cell_dir.as_ref().map(|dir| {
                 let summary = merge_cell_dumps(dir).expect("merge cell trace dumps");

@@ -6,9 +6,9 @@
 //! timer wait.
 //!
 //! ```sh
-//! cargo run --release -p iniva-bench --bin view_timeline -- <dump-dir>
-//! cargo run --release -p iniva-bench --bin view_timeline -- <dump-dir> --views
-//! cargo run --release -p iniva-bench --bin view_timeline -- <dump-dir> --check
+//! cargo run --release --bin view_timeline -- <dump-dir>
+//! cargo run --release --bin view_timeline -- <dump-dir> --views
+//! cargo run --release --bin view_timeline -- <dump-dir> --check
 //! ```
 //!
 //! `--views` prints the per-view table on top of the summary; its

@@ -3,7 +3,7 @@
 //! oversized-length-prefix inputs, asserting clean `DecodeError`s — never
 //! a panic — for `InivaMsg`, `Qc`, `SimAggregate`,
 //! `BlsAggregate` (48-byte compressed G1 points, with off-curve and
-//! non-subgroup rejection), `Multiplicities`, `GossipShare` and the
+//! non-subgroup rejection), `Multiplicities` and the
 //! fully-untrusted client protocol `ClientMsg` (bit-flip canonicality,
 //! oversized-payload rejection).
 //!
@@ -17,7 +17,6 @@ use iniva_consensus::types::{vote_message, Block, Qc};
 use iniva_crypto::bls::{BlsAggregate, BlsScheme};
 use iniva_crypto::multisig::{Multiplicities, VoteScheme};
 use iniva_crypto::sim_scheme::{SimAggregate, SimScheme};
-use iniva_gosig::GossipShare;
 use iniva_ingress::{ClientMsg, SubmitStatus, MAX_CLIENT_PAYLOAD};
 use iniva_net::wire::{Codec, DecodeError, Encoder};
 use iniva_transport::frame::{self, FrameParse, HANDSHAKE_BYTES, MAX_FRAME_BYTES};
@@ -212,22 +211,6 @@ proptest! {
     }
 
     #[test]
-    fn gossip_share_roundtrips(
-        view in any::<u64>(),
-        round in any::<u32>(),
-        lo in any::<u64>(),
-        hi in any::<u64>(),
-    ) {
-        let parcel = ((hi as u128) << 64) | lo as u128;
-        prop_assume!(parcel != 0);
-        let share = GossipShare { view, round, parcel };
-        let frame = share.to_frame();
-        prop_assert_eq!(GossipShare::from_frame(frame.clone()).expect("round-trip"), share);
-        assert_truncation_clean::<GossipShare>(&frame, "GossipShare");
-        assert_trailing_rejected(&share, "GossipShare");
-    }
-
-    #[test]
     fn random_bytes_never_panic_any_codec(
         payload in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
@@ -239,7 +222,6 @@ proptest! {
         let _ = Qc::<SimScheme>::from_frame(bytes.clone());
         let _ = SimAggregate::from_frame(bytes.clone());
         let _ = Multiplicities::from_frame(bytes.clone());
-        let _ = GossipShare::from_frame(bytes.clone());
         let _ = InivaMsg::<BlsScheme>::from_frame(bytes.clone());
         let _ = Qc::<BlsScheme>::from_frame(bytes.clone());
         let _ = BlsAggregate::from_frame(bytes.clone());
@@ -634,15 +616,6 @@ fn oversized_length_prefixes_rejected() {
     enc.put_u32(1_000_000); // 1M claimed (signer, count) entries
     enc.put_u32(0).put_u64(1); // ... but only one present
     assert!(InivaMsg::<SimScheme>::from_frame(enc.finish()).is_err());
-
-    // GossipShare's canonical-form check: the all-zero parcel is a valid
-    // *encoding* but a malformed *value*.
-    let mut enc = Encoder::new();
-    enc.put_u64(1).put_u32(0).put_u128(0);
-    assert!(matches!(
-        GossipShare::from_frame(enc.finish()),
-        Err(DecodeError::Malformed { .. })
-    ));
 }
 
 /// Non-canonical multiplicity encodings (unsorted, duplicated or
