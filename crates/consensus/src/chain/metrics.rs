@@ -37,9 +37,9 @@ pub struct ChainMetrics {
     /// Chaos harnesses assert on this to show a cluster resumed
     /// committing *after* a heal, not merely that totals grew.
     pub last_commit_time: Time,
-    /// `(time, committed height)` per commit, ascending (first
-    /// [`COMMIT_POINTS_CAP`] commits) — the chain's progress curve.
-    pub commit_points: Vec<(Time, u64)>,
+    /// When each commit landed, ascending (first [`COMMIT_POINTS_CAP`]
+    /// commits) — the chain's progress curve.
+    pub commit_points: Vec<Time>,
     /// Committed blocks rehydrated from a write-ahead log at startup
     /// (excluded from `committed_blocks` and the progress curve: they were
     /// committed by a *previous* incarnation of this replica).
@@ -96,10 +96,7 @@ impl ChainMetrics {
     /// Blocks committed at or after `t` (from the recorded progress
     /// curve) — the chaos harness's "did it resume after the heal" hook.
     pub fn commits_since(&self, t: Time) -> u64 {
-        self.commit_points
-            .iter()
-            .filter(|&&(at, _)| at >= t)
-            .count() as u64
+        self.commit_points.iter().filter(|&&at| at >= t).count() as u64
     }
 }
 
@@ -119,7 +116,7 @@ impl<S: VoteScheme> ChainState<S> {
         let m = &mut self.metrics;
         m.last_commit_time = now;
         if m.commit_points.len() < COMMIT_POINTS_CAP {
-            m.commit_points.push((now, block.height));
+            m.commit_points.push(now);
         }
         m.committed_blocks += 1;
         m.committed_reqs += block.batch_len as u64;

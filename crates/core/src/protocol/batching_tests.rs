@@ -478,7 +478,7 @@ fn relay_setup(
     // In `view`, having voted in the view before.
     let tree = tree_of(view);
     let mut r = InivaReplica::recover(parent, cfg, Arc::clone(scheme), Vec::new(), view - 1);
-    r.enter_view(&mut Context::external(parent, 0), view, false);
+    r.enter_view(&mut Context::external(parent, 0), view);
     (r, blocks, tree)
 }
 

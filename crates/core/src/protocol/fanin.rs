@@ -9,9 +9,11 @@
 //! hold's bound calls for a decision), then verify them all in one batch.
 //! The ruling is on [`InivaReplica::handle_signatures`].
 //!
-//! With 2ND-CHANCE on, no aggregator waits for a *known-silent* member,
-//! one missing from the last `n` certified QCs: an internal node sends its
-//! subtree up without it, and the root completes its tree without it.
+//! With 2ND-CHANCE on, nothing waits on a *known-silent* member, one
+//! missing from the last `n` certified QCs: an internal node sends its
+//! subtree up without it, the root completes its tree without it, a
+//! leader reaches its leaves directly and drafts no requests into a block
+//! it roots, and no replica waits out its view as leader.
 //! `Silence::waived` decides it; the ruling is on
 //! `InivaReplica::maybe_second_chance_or_finalize`. The [`SecondChance`]
 //! setting decides only the root's policy, `InivaReplica::root_step`.
@@ -103,14 +105,21 @@ where
     S::Aggregate: WireEncode,
 {
     /// `L_v` proposes: sends the block to the tree root and the root's
-    /// children (paper Fig. 1-A), then processes it locally.
+    /// children (paper Fig. 1-A), and to the leaves of each known-silent
+    /// child, then processes it locally. A block whose root is known-silent
+    /// is drafted empty (the ruling is on `maybe_second_chance_or_finalize`).
     pub(super) fn propose(&mut self, ctx: &mut Context<InivaMsg<S>>) {
         let view = self.current_view;
+        let max_batch = if self.leader_waived(view + 1) {
+            0
+        } else {
+            self.cfg.max_batch
+        };
         let block = self.chain.draft_block(
             view,
             self.id,
             ctx.now(),
-            self.cfg.max_batch,
+            max_batch,
             self.cfg.payload_per_req,
         );
         let qc = self.chain.highest_qc().cloned();
@@ -135,7 +144,12 @@ where
         let bytes = block.wire_bytes() + qc.as_ref().map_or(0, |q| q.wire_bytes(&self.scheme));
         let root = tree.root();
         let mut targets: Vec<u32> = vec![root];
-        targets.extend(tree.children_of(root));
+        for child in tree.children_of(root) {
+            targets.push(child);
+            if self.silence.waived(child) {
+                targets.extend(tree.children_of(child));
+            }
+        }
         for t in targets {
             if t != self.id {
                 ctx.send(
@@ -329,7 +343,7 @@ where
             .scheme
             .sign(self.id, &vote_message(&block.hash(), view));
         self.agg = Some(AggState::new(view, tree, block, own.clone(), sent_up));
-        self.enter_view(ctx, view + 1, false);
+        self.enter_view(ctx, view + 1);
         own
     }
 
@@ -685,12 +699,13 @@ where
     /// Root: give missing processes a 2ND-CHANCE (lines 22–25) and
     /// finalize (lines 39–40) when [`Self::root_step`] calls for it.
     ///
-    /// With 2ND-CHANCE on, no aggregator waits for a *known-silent*
-    /// member: one missing from each of the last `n` certified QCs this
-    /// replica counted (one leader rotation; see `Silence`). Such a member
-    /// is *waived* (`Silence::waived`, the one place the record is read;
-    /// it answers no in Iniva-No2C and the star, which have no 2ND-CHANCE
-    /// for a waived member to get in by). Three waits change:
+    /// With 2ND-CHANCE on, nothing waits on a *known-silent* member: one
+    /// missing from each of the last `n` certified QCs this replica
+    /// counted (one leader rotation; see `Silence`). Such a member is
+    /// *waived* (`Silence::waived`, the one place the record is read; it
+    /// answers no for the replica itself, and in Iniva-No2C and the star,
+    /// which have no 2ND-CHANCE for a waived member to get in by). Six
+    /// waits change:
     /// - an internal node sends its Eq. 1 subtree aggregate up, and ACKs
     ///   to the leaves in it, as soon as every leaf it does not waive is
     ///   folded; if it waives them all, it sends its own vote up in the
@@ -700,12 +715,25 @@ where
     /// - under the tree-completion trigger, after 2ND-CHANCE the root
     ///   finalizes as soon as every member still missing is waived,
     ///   instead of sleeping out δ. The quorum trigger always sleeps out
-    ///   δ: that wait is the cost the paper's Fig. 3a measures.
+    ///   δ: that wait is the cost the paper's Fig. 3a measures;
+    /// - a replica that enters a view whose leader is waived arms that
+    ///   view's timer at 0 (`enter_view`): the view is skipped, counted as
+    ///   failed, and the next leader proposes on its high QC;
+    /// - a leader also sends its proposal to the leaves of every waived
+    ///   child of the root. They vote during the fan-in, so they answer
+    ///   the root's 2ND-CHANCE at once, without first verifying the QC
+    ///   the 2ND-CHANCE carries;
+    /// - a leader whose view's root (the next leader) is waived drafts an
+    ///   empty block: the block cannot be certified, so no request waits
+    ///   for its release as a dead fork.
     ///
     /// Everything else stands. Every missing member, waived or not, still
     /// gets the 2ND-CHANCE, and a reply that lands before finalization is
     /// folded. A waived leaf's vote that reaches its parent before the
-    /// parent sends up is folded there, at multiplicity 2.
+    /// parent sends up is folded there, at multiplicity 2. Timers and
+    /// dissemination do not touch safety: what a replica votes for and
+    /// what it commits depend on QCs and the three-chain rule alone, and
+    /// who leads a view is unchanged.
     ///
     /// Why a member that answers an honest root within δ never becomes
     /// known-silent: take the first honest replica to call a member X
@@ -723,15 +751,22 @@ where
     /// folds it at multiplicity 2, and no honest root finalizes without
     /// giving it its δ.
     ///
-    /// How a returning member gets back in: at the latest within one
-    /// rotation, in the view it roots, since a root always holds its own
-    /// vote, and one QC with X resets X's streak. It gets in sooner as a
-    /// leaf if its vote reaches its parent's hold before the parent's last
-    /// expected child does: the two are verified in one batch and X goes
-    /// up at multiplicity 2. Or its 2ND-CHANCE reply lands before the root
-    /// finalizes, at multiplicity 1. That is the waiver's price: until its
-    /// streak resets, a returning leaf folded by the root and not by its
-    /// parent earns multiplicity 1, not 2.
+    /// How a returning member X gets back in: the first QC that holds X
+    /// resets X's streak at every replica that adopts it. X gets into one
+    /// as a leaf if its vote reaches its parent's hold before the parent's
+    /// last expected child does: the two are verified in one batch and X
+    /// goes up at multiplicity 2. Or its 2ND-CHANCE reply lands before the
+    /// root finalizes, at multiplicity 1: under the quorum trigger always,
+    /// under the tree-completion trigger when a member the root waits for
+    /// is missing too. Or, as an aggregator, its subtree reaches the root
+    /// before the root's last expected child does. And in the view X roots
+    /// it forms a QC holding its own vote, which its next proposal carries
+    /// to the next tree's root and the root's children, though the view X
+    /// leads is skipped by the replicas that call it silent, so no block
+    /// is voted on that QC. Being skipped as a leader closes none of the
+    /// other ways. That is the waiver's price: until its streak resets, a
+    /// returning leaf folded by the root and not by its parent earns
+    /// multiplicity 1, not 2.
     fn maybe_second_chance_or_finalize(
         &mut self,
         ctx: &mut Context<InivaMsg<S>>,
@@ -827,7 +862,7 @@ where
         self.tracer
             .emit(ctx.now(), EventKind::QcFormed { view, height });
         self.adopt_qc(ctx.now(), qc);
-        self.enter_view(ctx, view + 1, false);
+        self.enter_view(ctx, view + 1);
         // The tree root *is* L_{v+1} by construction (every replica pinned
         // this node into the root slot when building the view-v tree), so
         // it proposes unconditionally — re-deriving leader_of(v+1) here

@@ -549,7 +549,7 @@ fn carousel_views_verify_before_they_relay() {
         Vec::new(),
         view - 1,
     );
-    r.enter_view(&mut Context::external(parent, 0), view, false);
+    r.enter_view(&mut Context::external(parent, 0), view);
     let block = blocks[view as usize - 1].clone();
     let leader = block.proposer;
     let genuine = qc_over(&scheme, &blocks[view as usize - 2], &[0, 1, 2, 3, 4]);

@@ -3,7 +3,8 @@
 //! integrated into round-based chained HotStuff.
 //!
 //! Dissemination (paper Fig. 1): `L_v` sends the proposal directly to the
-//! tree root (`L_{v+1}`) *and* the root's internal children; internal nodes
+//! tree root (`L_{v+1}`) *and* the root's internal children (and the
+//! leaves of a child known to be silent); internal nodes
 //! forward to their leaves (on round-robin views before they verify the QC
 //! the proposal carries — the cut-through relay in `fanin`). Leaves sign
 //! immediately and send their vote to their parent; internal nodes
@@ -80,7 +81,8 @@ pub struct InivaConfig {
     /// The view timeout before any view was measured, and its ceiling.
     /// Once a replica has timed a view, its pacemaker arms the view timer
     /// from its measured view spans, never below the floor
-    /// `2Δ·(height(root) + 1) + δ` (the ruling is on `enter_view` in
+    /// `2Δ·(height(root) + 1) + δ`, except in a view whose leader is
+    /// known-silent, which it skips at 0 (the ruling is on `enter_view` in
     /// `protocol/pacemaker.rs`); a floor above this value wins.
     pub view_timeout: Time,
     /// The network-delay bound Δ used by the timer heuristics: the
@@ -161,7 +163,7 @@ impl InivaConfig {
 /// 21–25), if at all, and when it finalizes. Only the root's policy
 /// (`root_step` in `protocol/fanin.rs`) tells the four apart: every setting
 /// holds an aggregator's fan-in and verifies it in one batch, and with
-/// 2ND-CHANCE on no aggregator waits for a known-silent member.
+/// 2ND-CHANCE on nothing waits on a known-silent member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecondChance {
     /// Never, and the root finalizes at its first verified quorum, before
@@ -196,10 +198,12 @@ struct ReplicaObs {
 }
 
 /// Each member's run of consecutive certified QCs without it, the record
-/// an aggregator reads to stop waiting for a member that has stopped
-/// answering (see `maybe_second_chance_or_finalize`). Soft state, never
+/// a replica reads to stop waiting on a member that has stopped answering
+/// (see `maybe_second_chance_or_finalize`). Soft state, never
 /// journaled: a replica rebuilt from its WAL starts from zero.
 struct Silence {
+    /// This replica, which never waives itself: it hears its own vote.
+    own: u32,
     /// Per member: consecutive counted QCs that lack it.
     streak: Vec<u32>,
     /// The view of the last QC counted; each QC counts once, in view order.
@@ -210,8 +214,9 @@ struct Silence {
 }
 
 impl Silence {
-    fn new(cfg: &InivaConfig) -> Self {
+    fn new(own: u32, cfg: &InivaConfig) -> Self {
         Silence {
+            own,
             streak: vec![0; cfg.n],
             counted_view: 0,
             waives: match cfg.second_chance {
@@ -237,12 +242,16 @@ impl Silence {
         }
     }
 
-    /// Whether no aggregator waits for `member`: 2ND-CHANCE is on, and
-    /// `member` is *known-silent*, missing from the last `n` counted
-    /// QCs, one full leader rotation. The ruling is on
-    /// `maybe_second_chance_or_finalize` in `protocol/fanin.rs`.
+    /// Whether nothing waits on `member`: 2ND-CHANCE is on, and `member`
+    /// is another member that is *known-silent*, missing from the last `n`
+    /// counted QCs, one full leader rotation. No aggregator waits for its
+    /// share, no replica waits out its view as leader, and no leader
+    /// routes a proposal only through it or drafts requests into a block
+    /// it roots. The ruling is on `maybe_second_chance_or_finalize` in
+    /// `protocol/fanin.rs`.
     fn waived(&self, member: u32) -> bool {
         self.waives
+            && member != self.own
             && self
                 .streak
                 .get(member as usize)
@@ -319,7 +328,7 @@ where
             // lint: allow(hot-path-panic) a configuration error, caught at construction; no message reaches this
             .expect("committee hosts the tree shape");
         let chain = ChainState::new(cfg.request_rate);
-        let silence = Silence::new(&cfg);
+        let silence = Silence::new(id, &cfg);
         InivaReplica {
             id,
             cfg,

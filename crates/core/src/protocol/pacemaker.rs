@@ -38,14 +38,20 @@ pub(super) enum Entry {
     Certified,
     /// The previous view's timer fired.
     Timeout,
+    /// The previous view's timer fired while its leader was known-silent:
+    /// the view was skipped, or waited out for a leader that the record
+    /// has called dead since.
+    Skipped,
     /// A peer's `TIMEOUT` carried a QC that moved the pacemaker forward.
     FastForward,
 }
 
 /// A replica's view clock: the span of its recent views, smoothed the
 /// way RFC 6298 smooths a round-trip time, and the run of views that
-/// ended by timeout. Soft state, never journaled: a replica rebuilt from
-/// its WAL starts unmeasured.
+/// ended by timeout. A skipped view neither extends nor ends that run: a
+/// known-silent leader's view says nothing about how fast the next leader
+/// is. Soft state, never journaled: a replica rebuilt from its WAL starts
+/// unmeasured.
 #[derive(Debug, Default)]
 pub(super) struct ViewClock {
     /// The smoothed span and its mean deviation (SRTT and RTTVAR), once
@@ -53,7 +59,7 @@ pub(super) struct ViewClock {
     estimate: Option<(Time, Time)>,
     /// When the replica last entered a view, and how.
     last: Option<(Time, Entry)>,
-    /// Views in a row that ended by timeout.
+    /// Views in a row that ended by timeout, skipped views not counted.
     failed_streak: u32,
 }
 
@@ -61,23 +67,23 @@ impl ViewClock {
     /// Records an entry at `now`; `next` says it is into the view right
     /// after the current one. The span since the previous entry is a
     /// sample only when this entry is `Certified`, into the next view,
-    /// and the previous one was neither a timeout nor the start (Karn's
-    /// rule: a span that began at a timer or at the start measures the
-    /// timer or the boot, not the view).
+    /// and the previous one was neither a timeout, a skip nor the start
+    /// (Karn's rule: a span that began at a timer or at the start
+    /// measures the timer or the boot, not the view).
     pub(super) fn enter(&mut self, now: Time, entry: Entry, next: bool) {
         if let Some((then, previous)) = self.last {
             let sampled = entry == Entry::Certified
                 && next
-                && !matches!(previous, Entry::Timeout | Entry::Start);
+                && !matches!(previous, Entry::Timeout | Entry::Skipped | Entry::Start);
             if sampled {
                 self.sample(now.saturating_sub(then));
             }
         }
         self.last = Some((now, entry));
-        self.failed_streak = if entry == Entry::Timeout {
-            self.failed_streak.saturating_add(1)
-        } else {
-            0
+        self.failed_streak = match entry {
+            Entry::Timeout => self.failed_streak.saturating_add(1),
+            Entry::Skipped => self.failed_streak,
+            _ => 0,
         };
     }
 
@@ -116,47 +122,56 @@ impl<S: VoteScheme> InivaReplica<S>
 where
     S::Aggregate: WireEncode,
 {
-    /// Enters `view` after a vote or QC of the previous view, or, with
-    /// `failed`, after its timer fired, and arms the view timer.
+    /// Enters `view` after a vote or QC of the previous view and arms the
+    /// view timer. Every other entry (the start, a timeout, a skip, a
+    /// `TIMEOUT` fast-forward) goes through `enter` and arms it the same
+    /// way.
     ///
     /// The timer starts at the ceiling, `cfg.view_timeout`, and follows
     /// the replica's measured view spans once it has one (see
     /// [`ViewClock`]), never below the floor
     /// [`Self::view_timeout_floor`]. It doubles per consecutive failed
-    /// view, up to the ceiling, and resets on any other entry.
+    /// view, up to the ceiling, and resets on any other entry but a skip.
+    ///
+    /// A view whose leader is another member that is known-silent
+    /// (`Silence::waived`) arms 0 instead. Its timer fires in the next turn, which broadcasts `TIMEOUT` and enters the next view,
+    /// whose leader proposes on its high QC. The skipped view counts as
+    /// failed, but it neither doubles the next timer nor resets the
+    /// doubling: the view of a leader known to be silent says nothing about
+    /// how fast the next leader is. Nor is the span after it sampled.
     ///
     /// Timers do not touch safety: what a replica votes for and what it
     /// commits depend on QCs and the three-chain rule alone, and a timer
     /// only moves it to a later view. Liveness and who leads a view
     /// depend on them. A timeout shorter than an honest-but-slow leader's
-    /// view costs that leader its view and its leader reward, and two
+    /// view costs that leader its view and its leader reward, and three
     /// things bound that. The floor covers the paper's whole fallback
     /// path, so a view that legitimately runs the root's `2Δ·height`
-    /// window and the 2ND-CHANCE timer δ never times out. And a view that
+    /// window and the 2ND-CHANCE timer δ never times out. A view that
     /// still fails doubles the next timer, so a leader slower than the
     /// estimate loses views only until the timer has grown past its span.
-    pub(super) fn enter_view(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64, failed: bool) {
-        let entry = if failed {
-            Entry::Timeout
-        } else {
-            Entry::Certified
-        };
-        self.enter(ctx, view, entry);
+    /// And only a leader absent from each of the last `n` QCs is skipped,
+    /// which a member that answers its roots within δ never is (the
+    /// ruling on `maybe_second_chance_or_finalize`).
+    pub(super) fn enter_view(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
+        self.enter(ctx, view, Entry::Certified);
     }
 
-    /// [`Self::enter_view`] with the entry's cause spelled out: the start
-    /// and a `TIMEOUT` fast-forward come in here, and the view clock
-    /// samples neither.
+    /// [`Self::enter_view`] with the entry's cause spelled out; the view
+    /// clock samples only a `Certified` one.
     fn enter(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64, entry: Entry) {
         if view <= self.current_view && self.chain.metrics.total_views > 0 {
             return;
         }
         let next = view == self.current_view + 1;
         self.clock.enter(ctx.now(), entry, next);
-        let timeout_ns = self
-            .clock
-            .timeout(self.view_timeout_floor(), self.cfg.view_timeout);
-        let failed = entry == Entry::Timeout;
+        let timeout_ns = if self.leader_waived(view) {
+            0
+        } else {
+            self.clock
+                .timeout(self.view_timeout_floor(), self.cfg.view_timeout)
+        };
+        let failed = matches!(entry, Entry::Timeout | Entry::Skipped);
         self.current_view = view;
         self.chain.metrics.total_views += 1;
         if failed {
@@ -181,9 +196,11 @@ where
         ctx.set_timer(timeout_ns, timer_id(view, TIMER_VIEW));
     }
 
-    /// The shortest view timer: the root's `2Δ·height` aggregation window,
-    /// the 2ND-CHANCE timer δ, and one more `2Δ` for the next proposal to
-    /// reach a leaf through the relay.
+    /// The shortest view timer a replica waits out for a leader: the root's
+    /// `2Δ·height` aggregation window, the 2ND-CHANCE timer δ, and one more
+    /// `2Δ` for the next proposal to reach a leaf through the relay. A view
+    /// whose leader is known-silent is not waited out at all (see
+    /// [`Self::enter_view`]).
     pub(super) fn view_timeout_floor(&self) -> Time {
         let root_height = Time::from(self.topology.height_of(0));
         2 * self.cfg.delta * (root_height + 1) + self.cfg.sc_timer()
@@ -204,7 +221,13 @@ where
         }
     }
 
-    /// The view timer of `view` fired: broadcast TIMEOUT and move on.
+    /// Whether `view`'s leader is known-silent: the view is skipped.
+    pub(super) fn leader_waived(&self, view: u64) -> bool {
+        self.silence.waived(self.leader_of(view))
+    }
+
+    /// The view timer of `view` fired: broadcast TIMEOUT and move on. A
+    /// view whose leader is known-silent by now counts as skipped.
     pub(super) fn on_view_timer(&mut self, ctx: &mut Context<InivaMsg<S>>, view: u64) {
         if view != self.current_view {
             return;
@@ -239,8 +262,13 @@ where
                 );
             }
         }
+        let entry = if self.leader_waived(view) {
+            Entry::Skipped
+        } else {
+            Entry::Timeout
+        };
         let next = self.current_view + 1;
-        self.enter_view(ctx, next, true);
+        self.enter(ctx, next, entry);
         if self.leader_of(next) == self.id {
             self.propose(ctx);
         }

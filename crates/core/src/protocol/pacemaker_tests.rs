@@ -2,9 +2,10 @@
 //! times and reads the view timer `enter_view` armed from the handler's
 //! effects. The clock arms the ceiling until it has timed a view, samples
 //! only a certified entry into the next view that followed a certified
-//! entry, stays between the floor and the ceiling (the floor winning), and
-//! doubles per failed view until an entry that is not a timeout. Each test
-//! names the broken rule it catches.
+//! entry, stays between the floor and the ceiling (the floor winning),
+//! doubles per failed view until an entry that is not a timeout, and skips
+//! a known-silent leader's view at 0 without touching the doubling. Each
+//! test names the broken rule it catches.
 
 use super::pacemaker::{timer_id, TIMER_VIEW};
 use super::testkit::{chain, qc_over};
@@ -70,7 +71,7 @@ impl Pace {
 
     /// A vote or a QC moves the replica into `view` at `now`.
     fn certified(&mut self, now: Time, view: u64) -> Time {
-        self.at(now, |r, ctx| r.enter_view(ctx, view, false))
+        self.at(now, |r, ctx| r.enter_view(ctx, view))
     }
 
     /// The current view's timer fires at `now`.
@@ -91,6 +92,16 @@ impl Pace {
         let armed = self.at(now, |r, ctx| r.handle_timeout(ctx, 1, view, Some(qc)));
         assert_eq!(self.r.current_view(), view + 1, "the QC fast-forwarded");
         armed
+    }
+
+    /// Adopts the QCs of views `1..=count`, each signed by every member but
+    /// `member`.
+    fn silence(&mut self, member: u32, count: u64) {
+        let signers: Vec<u32> = (0..N).filter(|&m| m != member).collect();
+        for block in chain(count, N) {
+            self.r.chain.insert_block(block.clone());
+            self.r.adopt_qc(0, qc_over(&self.scheme, &block, &signers));
+        }
     }
 
     /// Starts at 0 and enters one view per span in `spans`; returns the
@@ -274,4 +285,31 @@ fn view_entered_traces_the_armed_timer() {
             300 * MILLIS
         ]
     );
+}
+
+/// A view whose leader is absent from the last `n` QCs arms its timer at
+/// 0. When it fires, the replica enters the next view, and the skipped view
+/// counts as failed. The skip leaves the doubling as it found it: a view
+/// that timed out before it still doubles the view after it. With `n − 1`
+/// absent QCs the view is waited out and doubles the timer as before.
+/// Caught if the skip is dropped, taken at `n − 1`, or fed to the backoff
+/// as a timeout or a reset.
+#[test]
+fn a_known_silent_leaders_view_is_skipped_and_leaves_the_backoff_alone() {
+    // Views 1 to 5 certify; 5 times out into 6, which member 6 leads.
+    let silent = 6;
+    for (absent, skipped) in [(N as u64 - 1, false), (N as u64, true)] {
+        let mut p = Pace::new(config());
+        p.silence(silent, absent);
+        let (mut now, steady) = p.run(&[30 * MILLIS; 4]);
+        now += steady;
+        let armed = p.fire(now);
+        assert_eq!(p.r.leader_of(p.r.current_view()), silent);
+        assert_eq!(armed, if skipped { 0 } else { 2 * steady }, "{absent}");
+        now += armed;
+        let next = p.fire(now);
+        assert_eq!(next, if skipped { 2 } else { 4 } * steady, "{absent}");
+        assert_eq!(p.r.current_view(), 7);
+        assert_eq!(p.r.chain.metrics.failed_views, 2, "{absent}");
+    }
 }

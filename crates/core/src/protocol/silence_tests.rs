@@ -1,9 +1,10 @@
 //! Known-silence, driven by hand: a replica that counted a member missing
 //! from the last `n` certified QCs stops waiting for it, as the member's
-//! parent (it sends its subtree up without it) and as the root (at tree
-//! completion, and after 2ND-CHANCE under the tree-completion trigger),
-//! under either trigger but never without 2ND-CHANCE. Each test names the
-//! broken rule it catches.
+//! parent (it sends its subtree up without it), as the root (at tree
+//! completion, and after 2ND-CHANCE under the tree-completion trigger) and
+//! as a leader (it reaches a silent child's leaves directly, and drafts an
+//! empty block for a silent root), under either trigger but never without
+//! 2ND-CHANCE. Each test names the broken rule it catches.
 
 use super::pacemaker::{timer_id, TIMER_AGG, TIMER_SECOND_CHANCE};
 use super::testkit::{chain, qc_over};
@@ -554,4 +555,80 @@ fn a_returning_silent_leaf_is_folded_beside_its_sibling_and_resets_its_streak() 
     };
     p.node.adopt_qc(0, qc);
     assert_eq!(p.node.silence.streak[x as usize], 0, "the streak is reset");
+}
+
+/// What the round-robin leader of `view` proposes at 1 s, when more
+/// requests have arrived than a block holds, after it adopted the QCs of
+/// views `1..view`, each signed by every member but `member` from view
+/// `absent_from` on. Returns the block and whom it was sent to, ascending.
+fn proposal(view: u64, member: u32, absent_from: u64) -> (Block, Vec<NodeId>) {
+    let leader = (view % N) as u32;
+    let scheme = Arc::new(SimScheme::new(N as usize, b"silence"));
+    let mut node = InivaReplica::new(leader, config(), Arc::clone(&scheme));
+    for block in chain(view - 1, N as u32) {
+        let signers: Vec<u32> = (0..N as u32)
+            .filter(|&m| m != member || block.view < absent_from)
+            .collect();
+        node.chain.insert_block(block.clone());
+        node.adopt_qc(0, qc_over(&scheme, &block, &signers));
+    }
+    let mut ctx = Context::external(leader, iniva_net::SECS);
+    node.enter_view(&mut ctx, view);
+    node.propose(&mut ctx);
+    let mut block = None;
+    let mut to: Vec<NodeId> = Vec::new();
+    for (t, msg, _) in ctx.into_effects().outbox {
+        if let InivaMsg::Proposal { block: b, .. } = msg {
+            block = Some(b);
+            to.push(t);
+        }
+    }
+    to.sort_unstable();
+    (block.expect("the leader proposed"), to)
+}
+
+/// A leader sends its proposal to the leaves of a known-silent child of
+/// the root as well, and to no one else it did not reach before. With the
+/// child absent from `n − 1` QCs, the proposal goes where it went before.
+/// Caught if the fan-out is dropped, taken at `n − 1`, or sent to a live
+/// child's leaves.
+#[test]
+fn a_leader_reaches_the_leaves_of_a_silent_child_of_the_root() {
+    let view = N + 1;
+    let tree = tree_at(&config(), view);
+    let leader = (view % N) as u32;
+    let child = tree
+        .children_of(tree.root())
+        .into_iter()
+        .find(|&c| c != leader)
+        .expect("the root has a child that does not lead");
+    let leaves: Vec<u32> = tree
+        .children_of(child)
+        .into_iter()
+        .filter(|&l| l != leader)
+        .collect();
+    assert!(!leaves.is_empty());
+    let (_, before) = proposal(view, child, 2);
+    let (_, after) = proposal(view, child, 1);
+    assert!(leaves.iter().all(|l| !before.contains(l)), "{before:?}");
+    let mut expected = before;
+    expected.extend(&leaves);
+    expected.sort_unstable();
+    assert_eq!(after, expected);
+}
+
+/// A leader whose view's root, the next leader, is known-silent drafts an
+/// empty block, and still proposes it to the root and the root's children.
+/// With the root absent from `n − 1` QCs the block is full. Caught if the
+/// empty draft is dropped, taken at `n − 1`, or not proposed at all.
+#[test]
+fn a_leader_drafts_an_empty_block_for_a_silent_root() {
+    let view = N + 1;
+    let root = tree_at(&config(), view).root();
+    let (full, before) = proposal(view, root, 2);
+    assert_eq!(full.batch_len, config().max_batch);
+    let (empty, after) = proposal(view, root, 1);
+    assert_eq!(empty.batch_len, 0);
+    assert_eq!((empty.view, empty.height), (full.view, full.height));
+    assert_eq!(after, before, "proposed to the same members");
 }

@@ -466,8 +466,9 @@ fn committed_qcs(
 
 /// A crashed member that comes back is certified again within one
 /// rotation: roots stopped waiting for it once it was absent from `n`
-/// QCs, but its parent still waits for its vote, its 2ND-CHANCE reply
-/// still counts, and at the latest it roots a view of its own.
+/// QCs, and its views as leader are skipped, but its vote still folds
+/// when it reaches its parent's hold in time, and its 2ND-CHANCE reply
+/// still counts when it lands before its root finalizes.
 #[test]
 fn a_restarted_member_is_back_in_a_qc_within_one_rotation() {
     let n = 21u64;
@@ -514,16 +515,21 @@ const SLOW: u32 = 4;
 const DEAD: u32 = 9;
 const OBSERVER: u32 = 0;
 
+/// What `OBSERVER` committed by the end of warm-up, as `committed_qcs`
+/// reads it for `DEAD`. Taken at warm-up: by the end of the run the
+/// chain's retention window no longer reaches back that far.
+type PreWarm = Vec<(u64, bool)>;
+
 /// The scenario of the tests below: 21 members on the tree of `internal`
 /// aggregators under `second_chance`, `SLOW`'s every outbound link slowed
 /// to 3 ms under Δ, the `crashed` members down from the start, every
-/// replica traced. Returns the simulation after 10 s and `OBSERVER`'s
-/// view at 2 s, where warm-up ends.
+/// replica traced. Returns the simulation after 10 s, `OBSERVER`'s view at
+/// 2 s, where warm-up ends, and the QCs it had committed by then.
 fn slow_member(
     internal: u32,
     second_chance: SecondChance,
     crashed: &[u32],
-) -> (Simulation<InivaReplica<SimScheme>>, u64) {
+) -> (Simulation<InivaReplica<SimScheme>>, u64, PreWarm) {
     let n = 21u32;
     let mut sim = build(n as usize, internal, |c| c.second_chance = second_chance);
     let delta = InivaConfig::for_tests(n as usize, internal).delta;
@@ -542,13 +548,14 @@ fn slow_member(
         })
         .run_on_sim(&mut sim, 2 * SECS);
     let warm = sim.actor(OBSERVER).current_view();
+    let pre_warm = committed_qcs(&sim, OBSERVER, DEAD);
     sim.run_until(10 * SECS);
-    (sim, warm)
+    (sim, warm, pre_warm)
 }
 
 /// `slow_member` on the paper's tree under the default trigger, beside
 /// the crashed `DEAD`.
-fn slow_beside_dead() -> (Simulation<InivaReplica<SimScheme>>, u64) {
+fn slow_beside_dead() -> (Simulation<InivaReplica<SimScheme>>, u64, PreWarm) {
     slow_member(4, SecondChance::OnCompletion, &[DEAD])
 }
 
@@ -570,14 +577,14 @@ fn held_after(sim: &Simulation<InivaReplica<SimScheme>>, warm: u64) -> (usize, u
 /// member is in at least 99% of Iniva's.
 #[test]
 fn the_star_omits_a_slow_but_timely_member_and_iniva_keeps_it() {
-    let (star, warm) = slow_member(20, SecondChance::FirstQuorum, &[]);
+    let (star, warm, _) = slow_member(20, SecondChance::FirstQuorum, &[]);
     let (held, qcs) = held_after(&star, warm);
     assert!(qcs > 100, "{qcs} star QCs after warm-up");
     assert!(
         held as f64 <= 0.15 * qcs as f64,
         "the star kept the slow member in {held} of {qcs} QCs"
     );
-    let (iniva, warm) = slow_member(4, SecondChance::OnCompletion, &[]);
+    let (iniva, warm, _) = slow_member(4, SecondChance::OnCompletion, &[]);
     let (held, qcs) = held_after(&iniva, warm);
     assert!(qcs > 100, "{qcs} Iniva QCs after warm-up");
     assert!(
@@ -593,7 +600,7 @@ fn the_star_omits_a_slow_but_timely_member_and_iniva_keeps_it() {
 #[test]
 fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
     let n = 21u32;
-    let (sim, warm) = slow_beside_dead();
+    let (sim, warm, _) = slow_beside_dead();
     let (held, qcs) = held_after(&sim, warm);
     assert!(qcs > 100, "{qcs} QCs after warm-up");
     assert!(
@@ -622,7 +629,7 @@ fn a_slow_but_timely_member_keeps_its_place_beside_a_silent_one() {
 ///   where the crashed member is its leaf.
 #[test]
 fn parents_stop_waiting_for_a_silent_leaf_and_a_slow_leaf_keeps_its_multiplicity() {
-    let (sim, warm) = slow_beside_dead();
+    let (sim, warm, pre_warm) = slow_beside_dead();
     let cfg = InivaConfig::for_tests(21, 4);
     let tree = |view: u64| {
         tree_for_view(
@@ -634,13 +641,11 @@ fn parents_stop_waiting_for_a_silent_leaf_and_a_slow_leaf_keeps_its_multiplicity
             &LeaderContext::default(),
         )
     };
-    let committed = sim.actor(OBSERVER).chain.committed_range(0, usize::MAX);
-    let before_warm: Vec<_> = committed.iter().filter(|(_, qc)| qc.view <= warm).collect();
+    let before_warm: Vec<_> = pre_warm.iter().filter(|&&(view, _)| view <= warm).collect();
     assert!(before_warm.len() > cfg.n, "{} QCs", before_warm.len());
-    assert!(before_warm
-        .iter()
-        .all(|(_, qc)| !qc.agg.mults.contains(DEAD)));
+    assert!(before_warm.iter().all(|&&(_, holds_dead)| !holds_dead));
 
+    let committed = sim.actor(OBSERVER).chain.committed_range(0, usize::MAX);
     let as_leaf: Vec<Inclusion> = committed
         .iter()
         .filter(|(_, qc)| qc.view > warm)
@@ -780,4 +785,91 @@ fn the_quorum_trigger_waives_a_silent_leaf_and_still_sleeps_out_delta() {
         parents > 30 && qcs > 50,
         "{parents} parent views, {qcs} QCs"
     );
+}
+
+/// A crashed leader costs its views and no wait: once every replica has
+/// counted `n` QCs without the crashed member, each view it leads ends
+/// within δ at every live replica (skipped, where waiting for the leader
+/// would take the 120 ms floor), and every QC formed after the crash
+/// holds all 20 live members. The live replicas' committed logs agree.
+#[test]
+fn a_known_silent_leaders_view_is_skipped_and_every_qc_holds_the_live_members() {
+    let n = 21u32;
+    let mut sim = build(n as usize, 4, |_| {});
+    let cfg = InivaConfig::for_tests(n as usize, 4);
+    let delta = 2 * cfg.delta; // δ = 2Δ, `for_tests` sets no explicit δ
+    let registry = iniva_obs::Registry::new();
+    for id in 0..n {
+        sim.actor_mut(id)
+            .set_observability(&registry, iniva_obs::Tracer::new(id, 8192));
+    }
+    FaultPlan::new()
+        .crash(0, DEAD)
+        .run_on_sim(&mut sim, 3 * SECS);
+    // Past the first rotation: every replica calls the dead member silent.
+    let warm = sim.actor(OBSERVER).current_view();
+    sim.run_until(8 * SECS);
+    let live: Vec<u32> = (0..n).filter(|&id| id != DEAD).collect();
+
+    let mut skipped = 0;
+    for &id in &live {
+        let entered: Vec<(u64, u64)> = sim
+            .actor(id)
+            .tracer()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ViewEntered { view, .. } => Some((view, e.at)),
+                _ => None,
+            })
+            .collect();
+        for pair in entered.windows(2) {
+            let ((view, at), (_, next_at)) = (pair[0], pair[1]);
+            if view <= warm || view % n as u64 != DEAD as u64 {
+                continue;
+            }
+            skipped += 1;
+            assert!(
+                next_at - at <= delta,
+                "replica {id} spent {} ms in view {view}, led by {DEAD}",
+                (next_at - at) as f64 / MILLIS as f64
+            );
+        }
+    }
+    assert!(skipped > 100, "{skipped} dead-leader views checked");
+
+    let mut logs = Vec::new();
+    for &id in &live {
+        let chain = &sim.actor(id).chain;
+        assert_eq!(
+            chain.metrics.mean_qc_size(),
+            f64::from(n - 1),
+            "replica {id}: a QC without a live member"
+        );
+        let log: std::collections::BTreeMap<u64, _> = chain
+            .committed_range(0, usize::MAX)
+            .into_iter()
+            .map(|(block, qc)| {
+                let signers = qc.agg.mults.distinct();
+                assert!(
+                    signers == n as usize - 1 && !qc.agg.mults.contains(DEAD),
+                    "replica {id}: a QC of {signers} at height {}",
+                    block.height
+                );
+                (block.height, block.hash())
+            })
+            .collect();
+        logs.push(log);
+    }
+    for (log, &id) in logs.iter().zip(&live).skip(1) {
+        let shared: Vec<_> = log.keys().filter(|h| logs[0].contains_key(h)).collect();
+        assert!(
+            shared.len() > 100,
+            "replica {id} shares {} heights",
+            shared.len()
+        );
+        for h in shared {
+            assert_eq!(log[h], logs[0][h], "replica {id} at height {h}");
+        }
+    }
 }

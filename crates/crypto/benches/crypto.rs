@@ -1,6 +1,6 @@
 //! Microbenchmarks of the from-scratch BLS12-381 substrate. These measured
-//! costs calibrate the discrete-event simulator's `CostModel` (relative
-//! magnitudes; see DESIGN.md §3).
+//! costs calibrate the discrete-event simulator's cost model (relative
+//! magnitudes; see `iniva_net::cost::CostModel`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iniva_crypto::bls::BlsScheme;
