@@ -8,6 +8,10 @@
 //! compare the two backends cell by cell: one seeded scenario, two
 //! executions.
 //!
+//! Both read a plan through [`FaultEvent::apply`] into one [`LinkFaults`]
+//! state, so a slow link is propagation delay on both: messages sent on
+//! it close together overlap in flight.
+//!
 //! Victim selection for the paper's random-crash sweeps uses the seeded
 //! shuffle the simulator-only harness (`iniva_sim::resilience`) has used
 //! since the seed, so historical numbers are unchanged.
@@ -16,6 +20,9 @@ use crate::{Actor, NodeId, Simulation, Time};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,14 +57,8 @@ pub enum FaultEvent {
     },
     /// Heal every cut link and remove every injected delay.
     HealAllLinks,
-    /// Add `extra` one-way delay to every message on `from → to`.
-    ///
-    /// Backend nuance: the simulator adds pure propagation delay
-    /// (messages overlap, throughput unchanged), while the live
-    /// transport's outbound lane holds back one frame at a time, which
-    /// also serializes the link — a congested-link model. Crash and
-    /// partition events behave identically on both backends; slow-link
-    /// scenarios are approximations.
+    /// Add `extra` one-way propagation delay to every message on
+    /// `from → to`; 0 removes it.
     SlowLink {
         /// Sending node.
         from: NodeId,
@@ -66,6 +67,125 @@ pub enum FaultEvent {
         /// Injected delay (ns).
         extra: Time,
     },
+}
+
+/// The node half of a [`FaultEvent`], which each backend carries out its
+/// own way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeFault {
+    /// Crash the node.
+    Crash(NodeId),
+    /// Restart the crashed node.
+    Restart(NodeId),
+}
+
+impl FaultEvent {
+    /// Injects this event: a link fault goes into `links`, the state both
+    /// backends read; a crash or restart is returned for the backend to
+    /// carry out.
+    pub fn apply(&self, links: &LinkFaults) -> Option<NodeFault> {
+        match self {
+            FaultEvent::Crash(node) => return Some(NodeFault::Crash(*node)),
+            FaultEvent::Restart(node) => return Some(NodeFault::Restart(*node)),
+            FaultEvent::Partition { a, b } => {
+                links.block(a, b);
+                links.block(b, a);
+            }
+            FaultEvent::PartitionOneWay { from, to } => links.block(from, to),
+            FaultEvent::HealAllLinks => links.heal_all(),
+            FaultEvent::SlowLink { from, to, extra } => links.slow_link(*from, *to, *extra),
+        }
+        None
+    }
+}
+
+/// The link-fault state both backends read: directed `(from, to)` links
+/// that drop what is sent on them, and links that delay it. A live
+/// cluster's transports share one, written by its fault driver thread.
+///
+/// `active` short-circuits the per-message checks: in fault-free operation
+/// (every benchmark, every figure and every non-chaos test) a check costs
+/// one relaxed atomic load, no lock.
+#[derive(Debug, Default)]
+pub struct LinkFaults {
+    active: AtomicBool,
+    links: Mutex<Links>,
+}
+
+#[derive(Debug, Default)]
+struct Links {
+    blocked: HashSet<(NodeId, NodeId)>,
+    delays: HashMap<(NodeId, NodeId), Time>,
+}
+
+impl LinkFaults {
+    /// A fault-free link map.
+    pub fn new() -> Self {
+        LinkFaults::default()
+    }
+
+    /// Locks the link map, recovering it if a holder panicked: every
+    /// update leaves both sets valid, so poisoning is only a signal.
+    fn lock(&self) -> MutexGuard<'_, Links> {
+        self.links
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Rewrites the link map under one lock and refreshes `active`.
+    fn update(&self, f: impl FnOnce(&mut Links)) {
+        let mut links = self.lock();
+        f(&mut links);
+        let any = !links.blocked.is_empty() || !links.delays.is_empty();
+        self.active.store(any, Ordering::SeqCst);
+    }
+
+    /// Blocks every directed link from a node of `from` to a node of
+    /// `to`: what is sent on it is dropped, and so is what was in flight.
+    pub fn block(&self, from: &[NodeId], to: &[NodeId]) {
+        self.update(|links| {
+            for &x in from {
+                links.blocked.extend(to.iter().map(|&y| (x, y)));
+            }
+        });
+    }
+
+    /// Removes every blocked link and every injected delay.
+    pub fn heal_all(&self) {
+        self.update(|links| {
+            links.blocked.clear();
+            links.delays.clear();
+        });
+    }
+
+    /// Adds `delay` ns of propagation delay to every message sent on
+    /// `from → to` (0 removes it).
+    pub fn slow_link(&self, from: NodeId, to: NodeId, delay: Time) {
+        self.update(|links| {
+            if delay == 0 {
+                links.delays.remove(&(from, to));
+            } else {
+                links.delays.insert((from, to), delay);
+            }
+        });
+    }
+
+    /// True if messages on `from → to` must be dropped.
+    pub fn blocked(&self, from: NodeId, to: NodeId) -> bool {
+        // ORDER: fast-path gate only; fault injection promises no
+        // happens-before with in-flight messages, and a stale read merely
+        // delays when an injected fault takes effect by one message.
+        self.active.load(Ordering::Relaxed) && self.lock().blocked.contains(&(from, to))
+    }
+
+    /// The propagation delay injected on `from → to` (ns), if any.
+    pub fn delay(&self, from: NodeId, to: NodeId) -> Option<Time> {
+        // ORDER: fast-path gate only; see `blocked`.
+        if !self.active.load(Ordering::Relaxed) {
+            return None;
+        }
+        self.lock().delays.get(&(from, to)).copied()
+    }
 }
 
 /// A fault scheduled at a point in run time (ns from start).
@@ -186,34 +306,13 @@ impl FaultPlan {
             if *at > 0 {
                 executed += sim.run_until(*at);
             }
-            apply_to_sim(sim, fault);
+            match fault.apply(sim.links()) {
+                Some(NodeFault::Crash(node)) => sim.crash(node),
+                Some(NodeFault::Restart(node)) => sim.revive(node),
+                None => {}
+            }
         }
         executed + sim.run_until(until)
-    }
-}
-
-/// Injects one fault into the simulator.
-pub fn apply_to_sim<A: Actor>(sim: &mut Simulation<A>, fault: &FaultEvent) {
-    match fault {
-        FaultEvent::Crash(node) => sim.crash(*node),
-        FaultEvent::Restart(node) => sim.revive(*node),
-        FaultEvent::Partition { a, b } => {
-            for &x in a {
-                for &y in b {
-                    sim.block_link(x, y);
-                    sim.block_link(y, x);
-                }
-            }
-        }
-        FaultEvent::PartitionOneWay { from, to } => {
-            for &x in from {
-                for &y in to {
-                    sim.block_link(x, y);
-                }
-            }
-        }
-        FaultEvent::HealAllLinks => sim.heal_all_links(),
-        FaultEvent::SlowLink { from, to, extra } => sim.set_link_delay(*from, *to, *extra),
     }
 }
 
@@ -352,5 +451,41 @@ mod tests {
         // sent by node 0 lands within 200 ms.
         assert_eq!(sim.actor(1).received, 0);
         assert!(sim.actor(0).received >= 8, "reverse direction unaffected");
+    }
+
+    #[test]
+    fn partition_blocks_both_directions_until_healed() {
+        let l = LinkFaults::new();
+        assert!(!l.blocked(0, 3));
+        let cut = FaultEvent::Partition {
+            a: vec![0, 1],
+            b: vec![2, 3],
+        };
+        assert_eq!(cut.apply(&l), None);
+        assert!(l.blocked(0, 2) && l.blocked(2, 0));
+        assert!(l.blocked(1, 3) && l.blocked(3, 1));
+        assert!(!l.blocked(0, 1), "intra-group links stay up");
+        assert!(!l.blocked(2, 3));
+        l.heal_all();
+        assert!(!l.blocked(0, 2));
+    }
+
+    #[test]
+    fn one_way_blocks_are_asymmetric() {
+        let l = LinkFaults::new();
+        l.block(&[4], &[5]);
+        assert!(l.blocked(4, 5));
+        assert!(!l.blocked(5, 4));
+    }
+
+    #[test]
+    fn slow_link_is_directed_and_removable() {
+        let l = LinkFaults::new();
+        assert_eq!(l.delay(1, 2), None);
+        l.slow_link(1, 2, 30 * MILLIS);
+        assert_eq!(l.delay(1, 2), Some(30 * MILLIS));
+        assert_eq!(l.delay(2, 1), None);
+        l.slow_link(1, 2, 0);
+        assert_eq!(l.delay(1, 2), None);
     }
 }

@@ -13,7 +13,10 @@
 //! * **CPU time** for expensive operations (signature verification etc.),
 //!   charged explicitly by actors via [`Context::charge_cpu`] with values
 //!   calibrated from the real BLS12-381 benchmarks (see [`cost`]),
-//! * **crash faults** (a crashed node receives nothing and sends nothing).
+//! * **crash and link faults** (a crashed node receives nothing and sends
+//!   nothing; a blocked link drops, a slow link delays), replayed from a
+//!   [`faults::FaultPlan`] into one [`faults::LinkFaults`] state, the one
+//!   the live transport reads too.
 //!
 //! Each node is a single-server queue with an inbox: while a handler's
 //! CPU charge keeps the node busy, arrivals and due timers wait, and the
@@ -35,7 +38,7 @@ pub mod wire;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Identity of a simulated node.
 pub type NodeId = u32;
@@ -290,10 +293,8 @@ pub struct Simulation<A: Actor> {
     config: NetConfig,
     rng: StdRng,
     started: bool,
-    /// Directed links whose deliveries are dropped (injected partitions).
-    blocked_links: HashSet<(NodeId, NodeId)>,
-    /// Extra one-way delay injected per directed link (slow links).
-    link_delays: HashMap<(NodeId, NodeId), Time>,
+    /// Injected partitions and slow links.
+    links: faults::LinkFaults,
     /// Deliveries dropped by blocked links (monotonic).
     link_drops: u64,
 }
@@ -316,8 +317,7 @@ impl<A: Actor> Simulation<A> {
             config,
             rng,
             started: false,
-            blocked_links: HashSet::new(),
-            link_delays: HashMap::new(),
+            links: faults::LinkFaults::new(),
             link_drops: 0,
         }
     }
@@ -359,27 +359,12 @@ impl<A: Actor> Simulation<A> {
         self.crashed[node as usize]
     }
 
-    /// Blocks the directed link `from → to`: deliveries on it are dropped
+    /// The simulation's link faults. A blocked link drops its deliveries
     /// on arrival (messages already in flight are lost too; those already
-    /// in the receiver's inbox are not).
-    pub fn block_link(&mut self, from: NodeId, to: NodeId) {
-        self.blocked_links.insert((from, to));
-    }
-
-    /// Removes every blocked link and injected link delay.
-    pub fn heal_all_links(&mut self) {
-        self.blocked_links.clear();
-        self.link_delays.clear();
-    }
-
-    /// Adds `extra` one-way delay to every message sent on `from → to`
-    /// (0 removes the injection).
-    pub fn set_link_delay(&mut self, from: NodeId, to: NodeId, extra: Time) {
-        if extra == 0 {
-            self.link_delays.remove(&(from, to));
-        } else {
-            self.link_delays.insert((from, to), extra);
-        }
+    /// in the receiver's inbox are not); a slow link's delay is added to
+    /// every message sent on it.
+    pub fn links(&self) -> &faults::LinkFaults {
+        &self.links
     }
 
     /// Deliveries dropped so far by blocked links.
@@ -441,7 +426,7 @@ impl<A: Actor> Simulation<A> {
             } else {
                 0
             };
-            let extra = self.link_delays.get(&(node, to)).copied().unwrap_or(0);
+            let extra = self.links.delay(node, to).unwrap_or(0);
             let deliver_at = t + self.config.base_latency + jitter + extra;
             self.push(deliver_at, to, EventKind::Deliver { from: node, msg });
         }
@@ -476,7 +461,7 @@ impl<A: Actor> Simulation<A> {
             // A partitioned link drops its deliveries on arrival, so a
             // partition injected while messages are in flight loses them
             // too — matching the live transport's reader-path filter.
-            EventKind::Deliver { from, .. } if self.blocked_links.contains(&(from, ev.node)) => {
+            EventKind::Deliver { from, .. } if self.links.blocked(from, ev.node) => {
                 self.link_drops += 1;
             }
             EventKind::Deliver { from, msg } => {
@@ -908,7 +893,7 @@ mod tests {
             let sends = vec![(0, 2), (5 * MILLIS, 3)];
             let mut sim = pair(sends, 10 * MILLIS, None, 0);
             sim.run_until(3 * MILLIS);
-            sim.block_link(0, 1);
+            sim.links().block(&[0], &[1]);
             sim.run_to_quiescence();
             assert_eq!(sim.actor(1).log, vec![(10 * MILLIS, Seen::Msgs(vec![2]))]);
             assert_eq!(sim.link_drops(), 1);

@@ -30,10 +30,11 @@
 //! ```
 //!
 //! Chaos runs replay a seeded [`FaultPlan`] — the *same* plan type the
-//! simulator replays via `FaultPlan::run_on_sim` — against the live
-//! sockets from a driver thread, flipping each replica's [`NodeFaults`]
-//! switch and the shared [`LinkFaults`] filter, so the Fig. 4 resilience
-//! sweeps compare one scenario on the simulator and on sockets. With
+//! simulator replays via `FaultPlan::run_on_sim`, read by the same
+//! `FaultEvent::apply` — against the live sockets from a driver thread,
+//! flipping each replica's [`NodeFaults`] switch and writing the shared
+//! [`LinkFaults`] state, so the Fig. 4 resilience sweeps compare one
+//! scenario on the simulator and on sockets. With
 //! [`ClusterBuilder::wal`], a crash is a process death and a restart
 //! rebuilds the replica from its write-ahead log. With
 //! [`ClusterBuilder::ingress`], every replica's poller also serves a
@@ -64,7 +65,7 @@ use iniva_consensus::audit::CommitAudit;
 use iniva_crypto::multisig::WireScheme;
 use iniva_crypto::sim_scheme::SimScheme;
 use iniva_ingress::{IngressOptions, Mempool, RequestSource};
-use iniva_net::faults::{FaultEvent, FaultPlan};
+use iniva_net::faults::{FaultEvent, FaultPlan, NodeFault};
 use iniva_net::NodeId;
 use iniva_obs::{Registry, Tracer};
 use iniva_storage::ChainWal;
@@ -196,22 +197,10 @@ impl ClusterFaults {
     /// reads a crash or restart off the same switch and turns it into a
     /// process death or a rebuild from disk ([`ReplicaNode::run`]).
     fn apply(&self, fault: &FaultEvent) {
-        match fault {
-            FaultEvent::Crash(node) => self.nodes[*node as usize].kill(),
-            FaultEvent::Restart(node) => self.nodes[*node as usize].heal(),
-            FaultEvent::Partition { a, b } => self.links.partition(a, b),
-            FaultEvent::PartitionOneWay { from, to } => {
-                for &x in from {
-                    for &y in to {
-                        self.links.block_one_way(x, y);
-                    }
-                }
-            }
-            FaultEvent::HealAllLinks => self.links.heal_all(),
-            FaultEvent::SlowLink { from, to, extra } => {
-                self.links
-                    .slow_link(*from, *to, Duration::from_nanos(*extra))
-            }
+        match fault.apply(&self.links) {
+            Some(NodeFault::Crash(node)) => self.nodes[node as usize].kill(),
+            Some(NodeFault::Restart(node)) => self.nodes[node as usize].heal(),
+            None => {}
         }
     }
 

@@ -29,9 +29,13 @@ const BACKOFF_CAP: Duration = Duration::from_millis(500);
 /// the peer's [`OutboundLane`] pops, both on the node's thread.
 ///
 /// Drop-oldest on overflow: the bound and the eviction happen on the
-/// sender side.
+/// sender side, and the frames a slow link holds count toward the bound.
 pub(crate) struct LaneQueue {
     frames: VecDeque<(u32, Vec<u8>)>,
+    /// Frames the lane admitted on a slow link, oldest first, each with
+    /// the instant it is released to the wire: its admission plus the
+    /// link's delay. Frames admitted within one delay overlap.
+    held: VecDeque<(Instant, u32, Vec<u8>)>,
     capacity: usize,
     /// The reactor token of the lane draining this queue.
     pub(crate) lane: Token,
@@ -41,24 +45,35 @@ impl LaneQueue {
     pub(crate) fn new(capacity: usize, lane: Token) -> Self {
         LaneQueue {
             frames: VecDeque::new(),
+            held: VecDeque::new(),
             capacity: capacity.max(1),
             lane,
         }
     }
 
-    /// Enqueues a frame under `epoch`; returns `true` if the oldest queued
-    /// frame was evicted to make room.
+    /// Enqueues a frame under `epoch`; returns `true` if the oldest frame
+    /// the lane has not claimed, held or queued, was evicted to make room.
     pub(crate) fn push(&mut self, epoch: u32, framed: Vec<u8>) -> bool {
-        let evicted = self.frames.len() >= self.capacity;
-        if evicted {
+        let evicted = self.len() >= self.capacity;
+        if evicted && self.held.pop_front().is_none() {
             self.frames.pop_front();
         }
         self.frames.push_back((epoch, framed));
         evicted
     }
 
+    /// Frames not yet claimed by the lane: queued and held.
     pub(crate) fn len(&self) -> usize {
-        self.frames.len()
+        self.frames.len() + self.held.len()
+    }
+
+    /// Whether a frame waits to be admitted, or a held one is due.
+    fn ready(&self) -> bool {
+        !self.frames.is_empty()
+            || self
+                .held
+                .front()
+                .is_some_and(|(at, ..)| *at <= Instant::now())
     }
 }
 
@@ -111,11 +126,6 @@ pub(crate) struct OutboundLane {
     inflight: VecDeque<(u32, Vec<u8>)>,
     /// Bytes of `inflight[0]` already written.
     written: usize,
-    /// A frame held back by an injected slow-link delay, released at the
-    /// stored instant. Blocks admission behind it: delays are serial per
-    /// frame, which is what makes an injected delay model a congested link
-    /// (see `LinkFaults::slow_link`).
-    delayed: Option<(Instant, u32, Vec<u8>)>,
     backoff: Duration,
     /// Earliest next dial (backoff after a failed dial; `None` = now).
     next_attempt: Option<Instant>,
@@ -131,7 +141,6 @@ impl OutboundLane {
             conn: LaneConn::Idle,
             inflight: VecDeque::new(),
             written: 0,
-            delayed: None,
             backoff: BACKOFF_START,
             next_attempt: None,
             ever_connected: false,
@@ -143,9 +152,9 @@ impl OutboundLane {
         cx.lanes.get(&self.peer).map_or(0, LaneQueue::len)
     }
 
-    /// Whether anything waits to go out: queued, claimed or held back.
+    /// Whether anything waits to go out: queued, held or claimed.
     fn has_work<M>(&self, cx: &NodeCx<M>) -> bool {
-        !self.inflight.is_empty() || self.delayed.is_some() || self.queued(cx) > 0
+        !self.inflight.is_empty() || self.queued(cx) > 0
     }
 
     /// Drops the socket (deregistering its fd first) without touching the
@@ -161,17 +170,16 @@ impl OutboundLane {
         self.written = 0;
     }
 
-    /// Drops every queued, in-flight and held frame (a crashed sender's
+    /// Drops every queued, held and in-flight frame (a crashed sender's
     /// backlog vanishes), counting each as an injected-fault drop.
     fn purge_backlog<M>(&mut self, cx: &mut NodeCx<M>) {
         let mut dropped = self.inflight.len() as u64;
         self.inflight.clear();
         self.written = 0;
-        if self.delayed.take().is_some() {
-            dropped += 1;
-        }
         if let Some(queue) = cx.lanes.get_mut(&self.peer) {
-            dropped += queue.frames.drain(..).count() as u64;
+            dropped += queue.len() as u64;
+            queue.frames.clear();
+            queue.held.clear();
         }
         if dropped > 0 {
             TransportStats::bump(&cx.stats.faults_dropped, dropped);
@@ -182,28 +190,35 @@ impl OutboundLane {
     fn purge_stale(&mut self, epoch: u32, stats: &TransportStats) {
         let before = self.inflight.len();
         self.inflight.retain(|(e, _)| *e == epoch);
-        let mut dropped = (before - self.inflight.len()) as u64;
-        if self.delayed.as_ref().is_some_and(|(_, e, _)| *e != epoch) {
-            self.delayed = None;
-            dropped += 1;
-        }
+        let dropped = (before - self.inflight.len()) as u64;
         if dropped > 0 {
             self.written = 0; // any partial front write died with its conn
             TransportStats::bump(&stats.faults_dropped, dropped);
         }
     }
 
-    /// Claims frames from the queue into the flush window, applying the
-    /// per-frame fault filters at the last moment before the wire: stale
-    /// epoch and blocked link drop the frame; a slow link parks it in the
-    /// delay slot (stalling admission, so delays stay serial).
+    /// Claims frames into the flush window: first the held frames that
+    /// are due, then the queue's, applying the per-frame fault filters at
+    /// the last moment before the wire. A stale epoch or a blocked link
+    /// drops the frame; a slow link holds it for its delay, and so does a
+    /// frame behind held ones, which keeps the lane FIFO.
     fn admit<M>(&mut self, epoch: u32, cx: &mut NodeCx<M>) {
-        if self.delayed.is_some() {
-            return;
-        }
         let Some(queue) = cx.lanes.get_mut(&self.peer) else {
             return;
         };
+        if !queue.held.is_empty() {
+            let now = Instant::now();
+            while self.inflight.len() < MAX_INFLIGHT {
+                let Some((_, e, framed)) = queue.held.pop_front_if(|(at, ..)| *at <= now) else {
+                    break;
+                };
+                if e != epoch {
+                    TransportStats::bump(&cx.stats.faults_dropped, 1);
+                    continue;
+                }
+                self.inflight.push_back((e, framed));
+            }
+        }
         while self.inflight.len() < MAX_INFLIGHT {
             let Some((e, framed)) = queue.frames.pop_front() else {
                 break;
@@ -212,11 +227,13 @@ impl OutboundLane {
                 TransportStats::bump(&cx.stats.faults_dropped, 1);
                 continue;
             }
-            if let Some(delay) = cx.link_faults.delay(cx.node, self.peer) {
-                self.delayed = Some((Instant::now() + delay, e, framed));
-                break;
+            let delay = cx.link_faults.delay(cx.node, self.peer);
+            if delay.is_none() && queue.held.is_empty() {
+                self.inflight.push_back((e, framed));
+            } else {
+                let at = Instant::now() + Duration::from_nanos(delay.unwrap_or(0));
+                queue.held.push_back((at, e, framed));
             }
-            self.inflight.push_back((e, framed));
         }
     }
 
@@ -302,7 +319,7 @@ impl OutboundLane {
 
     /// The lane state machine, run after every readiness / notify /
     /// deadline event. Loops until there is nothing actionable, then
-    /// re-arms the deadline (delay release, dial backoff, connect
+    /// re-arms the deadline (held-frame release, dial backoff, connect
     /// timeout).
     fn pump<M>(&mut self, ctl: &mut Ctl<'_, NodeCx<M>>) -> Action {
         let action = self.pump_inner(ctl);
@@ -325,13 +342,6 @@ impl OutboundLane {
                 // receiver keys its dedup entries by the fresh epoch.
                 self.drop_conn(ctl);
                 self.next_attempt = None;
-            }
-            if let Some((at, e, framed)) = self.delayed.take() {
-                if at <= Instant::now() {
-                    self.inflight.push_back((e, framed));
-                } else {
-                    self.delayed = Some((at, e, framed));
-                }
             }
             match std::mem::replace(&mut self.conn, LaneConn::Idle) {
                 LaneConn::Idle => {
@@ -427,10 +437,12 @@ impl OutboundLane {
                         return Action::Keep;
                     }
                     ctl.set_interest(Interest::READ);
-                    if self.queued(ctl.cx()) == 0 || self.delayed.is_some() {
+                    let ready = ctl.cx().lanes.get(&self.peer).is_some_and(LaneQueue::ready);
+                    if !ready {
                         return Action::Keep;
                     }
-                    // More frames arrived while flushing: go again.
+                    // More frames arrived or fell due while flushing: go
+                    // again.
                 }
             }
         }
@@ -441,8 +453,11 @@ impl OutboundLane {
         let mut consider = |t: Instant| {
             at = Some(at.map_or(t, |a| a.min(t)));
         };
-        if let Some((t, _, _)) = &self.delayed {
-            consider(*t);
+        if let LaneConn::Connected { .. } = self.conn {
+            // Held frames are released into a connection only.
+            if let Some((t, ..)) = ctl.cx().lanes.get(&self.peer).and_then(|q| q.held.front()) {
+                consider(*t);
+            }
         }
         if let Some(t) = self.next_attempt {
             if self.has_work(ctl.cx()) {

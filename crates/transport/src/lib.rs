@@ -38,9 +38,12 @@
 //!   defers the turn's effects by that much real time while the node's
 //!   sockets keep moving.
 //! * [`faults`] — the chaos surface: per-node crash/heal switches with
-//!   incarnation epochs ([`NodeFaults`]) and a cluster-shared link filter
-//!   for partitions and slow links ([`LinkFaults`]), filtered on the send
-//!   path, in the lanes and on the inbound connections.
+//!   incarnation epochs ([`NodeFaults`]) and the link-fault state the
+//!   simulator reads too ([`LinkFaults`], from `iniva_net::faults`),
+//!   shared by a cluster's transports: a blocked link is filtered on the
+//!   send path, in the lanes and on the inbound connections; a slow link
+//!   is propagation delay, each frame held in its lane for the delay
+//!   after admission.
 //! * [`config`] — a TOML-style cluster/peer-list file format for
 //!   multi-process deployments; [`cluster::run_member`] runs one member.
 //! * [`cluster`] — the harness running an n-replica Iniva cluster on
@@ -48,7 +51,8 @@
 //!   [`ClusterBuilder`](cluster::ClusterBuilder), used by the integration
 //!   tests, the `live_cluster` example and the yardstick benchmark.
 //!   `.faults(plan)` replays an `iniva_net::faults::FaultPlan` against
-//!   the live cluster's [`NodeFaults`] and [`LinkFaults`], so the same
+//!   the live cluster's [`NodeFaults`] and [`LinkFaults`] through the
+//!   simulator's own interpreter (`FaultEvent::apply`), so the same
 //!   seeded chaos scenario runs on the simulator and on sockets;
 //!   `.wal(dir)` makes each replica a process with a disk — `Crash`
 //!   tears its entire runtime and sockets down, and `Restart` rebuilds it

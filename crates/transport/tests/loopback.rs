@@ -204,6 +204,58 @@ fn wait_for(
     }
 }
 
+/// A slow link is propagation delay, as on the simulator: the lane
+/// releases each frame the link's delay after admitting it, so a burst
+/// sent in one turn lands one delay later, in order — not one delay per
+/// frame, which is what holding one frame at a time would cost.
+#[test]
+fn slow_link_overlaps_frames_in_flight() {
+    const DELAY: Duration = Duration::from_millis(50);
+    let loopback = "127.0.0.1:0".to_socket_addrs().unwrap().next().unwrap();
+    let (la, lb) = (
+        TcpListener::bind(loopback).unwrap(),
+        TcpListener::bind(loopback).unwrap(),
+    );
+    let peers = [(0, la.local_addr().unwrap()), (1, lb.local_addr().unwrap())];
+    let links = Arc::new(LinkFaults::new());
+    let start = |id, listener| {
+        Transport::<Num>::start_with_stats(
+            id,
+            listener,
+            &peers,
+            TransportOptions::default(),
+            Arc::new(NodeFaults::new()),
+            Arc::clone(&links),
+            Arc::new(TransportStats::default()),
+        )
+        .unwrap()
+    };
+    let mut ta = start(0, la);
+    let mut rb = Runtime::new(Sink { got: vec![] }, start(1, lb), CpuMode::Off);
+
+    // Bring the lane up first, so the burst waits on the link alone.
+    ta.send(1, &Num(0));
+    wait_for(&mut rb, Some(&mut ta), 1, Duration::from_secs(5));
+    assert_eq!(rb.actor().got, vec![0], "the lane never connected");
+
+    links.slow_link(0, 1, DELAY.as_nanos() as u64);
+    let sent = Instant::now();
+    for i in 1..=20 {
+        ta.send(1, &Num(i));
+    }
+    wait_for(&mut rb, Some(&mut ta), 21, Duration::from_secs(5));
+    let took = sent.elapsed();
+    assert_eq!(rb.actor().got, (0..=20).collect::<Vec<_>>(), "FIFO");
+    assert!(
+        took >= DELAY,
+        "the link delays: the burst landed after {took:?}"
+    );
+    assert!(
+        took < 3 * DELAY,
+        "the burst's frames overlap in flight: the last landed {took:?} after the send"
+    );
+}
+
 /// A frame replayed on a *new* connection must be dropped by the
 /// transport-wide duplicate filter, not delivered twice. Only a hand-made
 /// or hostile sender replays like this: a lane never sends again a frame
